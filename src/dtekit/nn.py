@@ -3,6 +3,18 @@
 Plain numpy throughout: fully connected layers, ReLU or sigmoid hidden
 activations, binary cross-entropy, exact reverse-mode gradients, and Adam.
 
+Training keeps each network's parameters, gradient and two Adam moments in
+one flat float64 vector apiece (:class:`FlatParams`). The per-layer weight
+matrices and bias vectors are reshaped views of that vector, laid out in the
+order the initializer draws them, so the Glorot draws are those of a
+per-array layout. ``backward`` writes into the flat gradient and
+``adam_step`` updates parameters and moments in place, with one finiteness
+check per step; the frozen :class:`NetworkState` is built once, when training
+ends. Adam is elementwise, so one update of the flat vector rounds each entry
+exactly as per-array updates would, and it keeps the operation order of the
+textbook formula; the trained parameters and moments are bit-identical to a
+per-array engine's. What shrinks is the Python overhead of each step.
+
 Two output heads are supported. The plain head applies a sigmoid to each of
 the final-layer outputs independently. The monotone head maps the final
 linear layer z through a positive transform g, accumulates prefix sums
@@ -24,7 +36,7 @@ __all__ = [
     "LayerSpec",
     "TrainConfig",
     "NetworkState",
-    "Gradients",
+    "FlatParams",
     "init_network",
     "forward",
     "bce_loss",
@@ -112,7 +124,9 @@ class TrainConfig:
 class NetworkState:
     """Parameters plus Adam moment estimates; treated as immutable.
 
-    ``step`` counts completed Adam updates and drives bias correction.
+    ``step`` counts completed Adam updates and drives bias correction. A
+    state returned by :func:`train` holds read-only views into the flat
+    vectors it trained on.
     """
 
     weights: tuple[np.ndarray, ...]
@@ -133,36 +147,52 @@ class NetworkState:
     @classmethod
     def zeros(cls, spec: LayerSpec) -> "NetworkState":
         """All-zero parameters and moments; handy for fixed-point checks."""
+        zeros = FlatParams(spec)
+        return cls(zeros.weights, zeros.biases, zeros.weights, zeros.weights, zeros.biases, zeros.biases)
+
+
+class FlatParams:
+    """One flat float64 vector with per-layer ``weights`` and ``biases`` views.
+
+    Layer by layer, the weight matrix comes first and its bias vector after
+    it, which is the order :func:`init_network` draws them in. Writing to a
+    view writes to ``flat`` and the other way round. Holds parameters,
+    gradients or Adam moments alike.
+    """
+
+    __slots__ = ("flat", "weights", "biases")
+
+    def __init__(self, spec: LayerSpec):
         shapes = list(zip(spec.widths[:-1], spec.widths[1:]))
-        w = tuple(np.zeros(s) for s in shapes)
-        b = tuple(np.zeros(s[1]) for s in shapes)
-        return cls(w, b, tuple(np.zeros(s) for s in shapes), tuple(np.zeros(s) for s in shapes),
-                   tuple(np.zeros(s[1]) for s in shapes), tuple(np.zeros(s[1]) for s in shapes))
-
-
-@dataclass
-class Gradients:
-    """Loss gradients mirroring the parameter layout of a NetworkState."""
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+        self.flat = np.zeros(sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes))
+        weights, biases, start = [], [], 0
+        for fan_in, fan_out in shapes:
+            stop = start + fan_in * fan_out
+            weights.append(self.flat[start:stop].reshape(fan_in, fan_out))
+            biases.append(self.flat[stop:stop + fan_out])
+            start = stop + fan_out
+        self.weights = tuple(weights)
+        self.biases = tuple(biases)
 
 
 def init_network(spec: LayerSpec, seed: int = 0) -> NetworkState:
     """Glorot-uniform weights, zero biases, zero Adam moments."""
     rng = np.random.default_rng(seed)
-    return _init_params(spec, rng)
+    zeros = FlatParams(spec)
+    return _frozen(_init_params(spec, rng), zeros, zeros, step=0)
 
 
-def _init_params(spec: LayerSpec, rng: np.random.Generator) -> NetworkState:
-    weights, biases = [], []
-    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
+def _init_params(spec: LayerSpec, rng: np.random.Generator) -> FlatParams:
+    params = FlatParams(spec)
+    for w in params.weights:
+        fan_in, fan_out = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    zeros_w = tuple(np.zeros_like(w) for w in weights)
-    zeros_b = tuple(np.zeros_like(b) for b in biases)
-    return NetworkState(tuple(weights), tuple(biases), zeros_w, zeros_w, zeros_b, zeros_b)
+        w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return params
+
+
+def _frozen(params: FlatParams, m: FlatParams, v: FlatParams, step: int) -> NetworkState:
+    return NetworkState(params.weights, params.biases, m.weights, v.weights, m.biases, v.biases, step=step)
 
 
 def _hidden(spec: LayerSpec, z: np.ndarray) -> np.ndarray:
@@ -249,68 +279,84 @@ def bce_loss(pred: np.ndarray, target: np.ndarray, clip_eps: float = DEFAULT_CLI
 
 
 def backward(
-    state: NetworkState,
+    state: NetworkState | FlatParams,
     spec: LayerSpec,
     x: np.ndarray,
     target: np.ndarray,
     clip_eps: float = DEFAULT_CLIP_EPS,
-) -> Gradients:
-    """Exact gradients of bce_loss(forward(x), target) for every parameter."""
-    out, inputs, pre_acts, (z_last, g, s) = _forward_cached(state, spec, x)
+    out: FlatParams | None = None,
+) -> FlatParams:
+    """Exact gradients of bce_loss(forward(x), target) for every parameter.
+
+    ``state`` may be a NetworkState or a FlatParams. The gradients are
+    written into ``out`` (a fresh FlatParams when it is None), which is
+    returned.
+    """
+    pred, inputs, pre_acts, (z_last, g, s) = _forward_cached(state, spec, x)
     target = np.asarray(target, dtype=float)
-    if target.shape != out.shape:
-        raise ShapeMismatch(f"target shape {target.shape} != output shape {out.shape}")
-    scale = 1.0 / out.size
+    if target.shape != pred.shape:
+        raise ShapeMismatch(f"target shape {target.shape} != output shape {pred.shape}")
+    scale = 1.0 / pred.size
     # the loss clamps, so its gradient vanishes wherever the clamp is active
-    interior = (out > clip_eps) & (out < 1.0 - clip_eps)
+    interior = (pred > clip_eps) & (pred < 1.0 - clip_eps)
     if spec.head == "sigmoid":
         # d loss / d z through the sigmoid collapses to (p - t)
-        dz = np.where(interior, out - target, 0.0) * scale
+        dz = np.where(interior, pred - target, 0.0) * scale
     else:
-        p = np.clip(out, clip_eps, 1.0 - clip_eps)
+        p = np.clip(pred, clip_eps, 1.0 - clip_eps)
         dp = np.where(interior, (p - target) / (p * (1.0 - p)), 0.0) * scale
-        ds = dp * _squash_grad(spec, s, out)
+        ds = dp * _squash_grad(spec, s, pred)
         # s_j collects every g(z_m) with m <= j, so z_m hears from all j >= m
         ds_tail = np.flip(np.cumsum(np.flip(ds, axis=1), axis=1), axis=1)
-        dz = ds_tail * _transform_grad(spec, z_last, g)
+        # an exp transform overflows to g = inf only where every later output
+        # has saturated, so ds_tail is 0 there; skip the product, not 0 * inf
+        dz = np.multiply(ds_tail, _transform_grad(spec, z_last, g),
+                         out=np.zeros_like(ds_tail), where=ds_tail != 0.0)
 
-    n_layers = len(state.weights)
-    grad_w: list[np.ndarray] = [None] * n_layers
-    grad_b: list[np.ndarray] = [None] * n_layers
-    for layer in range(n_layers - 1, -1, -1):
-        grad_w[layer] = inputs[layer].T @ dz
-        grad_b[layer] = dz.sum(axis=0)
+    grads = FlatParams(spec) if out is None else out
+    for layer in range(len(state.weights) - 1, -1, -1):
+        np.matmul(inputs[layer].T, dz, out=grads.weights[layer])
+        dz.sum(axis=0, out=grads.biases[layer])
         if layer > 0:
             da = dz @ state.weights[layer].T
             dz = da * _hidden_grad(spec, pre_acts[layer - 1], inputs[layer])
-    return Gradients(tuple(grad_w), tuple(grad_b))
+    return grads
 
 
-def adam_step(state: NetworkState, grads: Gradients, config: TrainConfig) -> NetworkState:
-    """One Adam update with bias correction; returns a new state."""
-    for g in (*grads.weights, *grads.biases):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("gradient contains NaN or infinite entries")
-    t = state.step + 1
+def adam_step(
+    params: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    step: int,
+    config: TrainConfig,
+) -> None:
+    """Update ``step`` (counted from 1) of Adam with bias correction, in place.
+
+    ``params``, ``m`` and ``v`` are overwritten; ``grad`` is only read. The
+    order of operations is that of the formula
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    ``p = p - lr*(m/corr1) / (sqrt(v/corr2) + eps)``, so the result is
+    bit-identical to evaluating it on fresh arrays.
+    """
+    if not np.isfinite(grad).all():
+        raise NonFiniteGradient("gradient contains NaN or infinite entries")
     b1, b2 = config.beta1, config.beta2
-    corr1 = 1.0 - b1 ** t
-    corr2 = 1.0 - b2 ** t
-    lr, eps = config.learning_rate, config.adam_eps
-
-    def update(params, moments_m, moments_v, gs):
-        new_p, new_m, new_v = [], [], []
-        for p, m, v, g in zip(params, moments_m, moments_v, gs):
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            p = p - lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
-            new_p.append(p)
-            new_m.append(m)
-            new_v.append(v)
-        return tuple(new_p), tuple(new_m), tuple(new_v)
-
-    w, mw, vw = update(state.weights, state.m_weights, state.v_weights, grads.weights)
-    b, mb, vb = update(state.biases, state.m_biases, state.v_biases, grads.biases)
-    return NetworkState(w, b, mw, vw, mb, vb, step=t)
+    corr1 = 1.0 - b1 ** step
+    corr2 = 1.0 - b2 ** step
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    scaled = (1.0 - b2) * grad
+    scaled *= grad
+    v += scaled
+    denom = np.divide(v, corr2, out=scaled)
+    np.sqrt(denom, out=denom)
+    denom += config.adam_eps
+    update = m / corr1
+    update *= config.learning_rate
+    update /= denom
+    params -= update
 
 
 def train(x: np.ndarray, labels: np.ndarray, spec: LayerSpec, config: TrainConfig) -> NetworkState:
@@ -332,11 +378,14 @@ def train(x: np.ndarray, labels: np.ndarray, spec: LayerSpec, config: TrainConfi
     if n < 1:
         raise ShapeMismatch("training needs at least one example")
     rng = np.random.default_rng(config.seed)
-    state = _init_params(spec, rng)
+    params = _init_params(spec, rng)
+    grad, m, v = FlatParams(spec), FlatParams(spec), FlatParams(spec)
+    step = 0
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            grads = backward(state, spec, x[idx], labels[idx], config.clip_eps)
-            state = adam_step(state, grads, config)
-    return state
+            backward(params, spec, x[idx], labels[idx], config.clip_eps, out=grad)
+            step += 1
+            adam_step(params.flat, grad.flat, m.flat, v.flat, step, config)
+    return _frozen(params, m, v, step)

@@ -11,6 +11,8 @@ distribution.
 from __future__ import annotations
 
 import hashlib
+import os
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -156,9 +158,25 @@ def oracle_dte(
     truth = f_treated - f_control
 
     if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(cache_file, locations=grid.locations, truth=truth)
+        _write_atomically(cache_file, locations=grid.locations, truth=truth)
     return grid, truth
+
+
+def _write_atomically(path: Path, **arrays) -> None:
+    """``np.savez`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    A write that fails part way leaves no file at ``path``, so a later run
+    never loads a truncated cache.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        # a file handle keeps np.savez from appending ".npz" to the name
+        with os.fdopen(fd, "wb") as handle:
+            np.savez(handle, **arrays)
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)

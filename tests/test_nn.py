@@ -1,13 +1,17 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import expit
 
+import dtekit.nn as nn
 from dtekit.errors import NonFiniteGradient, ShapeMismatch
 from dtekit.nn import (
-    Gradients,
+    FlatParams,
     LayerSpec,
     NetworkState,
     TrainConfig,
@@ -66,6 +70,28 @@ class TestTrainConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+
+class TestFlatParams:
+    def test_views_follow_init_draw_order(self):
+        spec = spec_of((3, 4, 2))
+        params = FlatParams(spec)
+        assert params.flat.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+        params.flat[:] = np.arange(params.flat.size)
+        assert_array_equal(params.weights[0], np.arange(12).reshape(3, 4))
+        assert_array_equal(params.biases[0], np.arange(12, 16))
+        assert_array_equal(params.weights[1], np.arange(16, 24).reshape(4, 2))
+        assert_array_equal(params.biases[1], np.arange(24, 26))
+
+    def test_init_draws_match_per_array_glorot(self):
+        spec = spec_of((5, 7, 3))
+        state = init_network(spec, seed=4)
+        rng = np.random.default_rng(4)
+        for w, (fan_in, fan_out) in zip(state.weights, [(5, 7), (7, 3)]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            assert_array_equal(w, rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        for b in state.biases:
+            assert_array_equal(b, np.zeros_like(b))
 
 
 class TestForward:
@@ -164,7 +190,10 @@ def finite_difference_grads(state, spec, x, target, h=1e-6):
             down = loss_at(_with_param(state, "b", layer, idx, -h))
             g[idx] = (up - down) / (2.0 * h)
         grad_b.append(g)
-    return Gradients(tuple(grad_w), tuple(grad_b))
+    approx = FlatParams(spec)
+    for dst, src in zip((*approx.weights, *approx.biases), (*grad_w, *grad_b)):
+        dst[...] = src
+    return approx
 
 
 def max_grad_mismatch(exact, approx):
@@ -229,54 +258,226 @@ class TestBackward:
         with pytest.raises(ShapeMismatch):
             backward(NetworkState.zeros(spec), spec, np.zeros((3, 2)), np.zeros((3, 2)))
 
+    def test_writes_into_the_given_buffer(self):
+        spec = spec_of((3, 4, 2), head="monotone")
+        state = init_network(spec, seed=2)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((5, 3))
+        target = np.sort((rng.random((5, 2)) < 0.5).astype(float), axis=1)
+        buffer = FlatParams(spec)
+        buffer.flat[:] = np.nan
+        assert backward(state, spec, x, target, out=buffer) is buffer
+        assert_array_equal(buffer.flat, backward(state, spec, x, target).flat)
+
+    def test_exp_overflow_gives_zero_gradient_not_nan(self):
+        # exp(800) overflows: every output saturates to 1 and used to give 0 * inf
+        spec = spec_of((2, 3), head="monotone", transform="exp")
+        params = FlatParams(spec)
+        params.biases[0][0] = 800.0
+        with np.errstate(over="ignore"):
+            grads = backward(params, spec, np.ones((4, 2)), np.zeros((4, 3)))
+        assert_array_equal(grads.flat, np.zeros_like(grads.flat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.floats(min_value=1.0, max_value=1e3),
+    transform=st.sampled_from(["exp", "softplus"]),
+    squash=st.sampled_from(["arctan", "tanh-half"]),
+    hidden_activation=st.sampled_from(["relu", "sigmoid"]),
+)
+def test_backward_is_finite_on_extreme_monotone_states(seed, scale, transform, squash, hidden_activation):
+    spec = spec_of(
+        (3, 6, 5), head="monotone", transform=transform, squash=squash,
+        hidden_activation=hidden_activation,
+    )
+    rng = np.random.default_rng(seed)
+    params = FlatParams(spec)
+    params.flat[:] = rng.uniform(-scale, scale, size=params.flat.size)
+    x = rng.standard_normal((16, 3))
+    target = np.sort((rng.random((16, 5)) < 0.5).astype(float), axis=1)
+    with np.errstate(over="ignore"):
+        grads = backward(params, spec, x, target)
+    assert np.isfinite(grads.flat).all()
+
 
 class TestAdamStep:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         spec = spec_of((2, 3, 1))
-        state = init_network(spec, seed=0)
-        grads = Gradients(
-            tuple(np.zeros_like(w) for w in state.weights),
-            tuple(np.zeros_like(b) for b in state.biases),
-        )
-        updated = adam_step(state, grads, TrainConfig())
-        assert updated.step == 1
-        for before, after in zip(state.weights, updated.weights):
-            assert_array_equal(before, after)
+        params = FlatParams(spec)
+        params.flat[:] = np.random.default_rng(0).standard_normal(params.flat.size)
+        before = params.flat.copy()
+        m, v = np.zeros_like(before), np.zeros_like(before)
+        adam_step(params.flat, np.zeros_like(before), m, v, 1, TrainConfig())
+        assert_array_equal(params.flat, before)
+        assert_array_equal(m, 0.0)
+        assert_array_equal(v, 0.0)
 
     def test_first_step_is_signed_learning_rate(self):
         # with constant gradient g the bias-corrected first update is
         # lr * g / (|g| + adam_eps), which is lr * sign(g) for |g| >> eps
-        spec = spec_of((1, 1))
-        state = NetworkState.zeros(spec)
-        config = TrainConfig(learning_rate=0.01)
-        grads = Gradients((np.array([[0.25]]),), (np.array([-0.75]),))
-        updated = adam_step(state, grads, config)
-        assert updated.weights[0][0, 0] == pytest.approx(-0.01, rel=1e-6)
-        assert updated.biases[0][0] == pytest.approx(0.01, rel=1e-6)
+        params, m, v = np.zeros(2), np.zeros(2), np.zeros(2)
+        adam_step(params, np.array([0.25, -0.75]), m, v, 1, TrainConfig(learning_rate=0.01))
+        assert params[0] == pytest.approx(-0.01, rel=1e-6)
+        assert params[1] == pytest.approx(0.01, rel=1e-6)
 
     def test_constant_gradient_trajectory_matches_scalar_simulation(self):
-        spec = spec_of((1, 1))
-        state = NetworkState.zeros(spec)
         config = TrainConfig(learning_rate=0.05)
         g = 0.3
-        grads = Gradients((np.array([[g]]),), (np.array([0.0]),))
+        params, m_flat, v_flat = np.zeros(2), np.zeros(2), np.zeros(2)
+        grad = np.array([g, 0.0])
 
         p = m = v = 0.0
         for t in range(1, 8):
-            state = adam_step(state, grads, config)
+            adam_step(params, grad, m_flat, v_flat, t, config)
             m = config.beta1 * m + (1.0 - config.beta1) * g
             v = config.beta2 * v + (1.0 - config.beta2) * g * g
             m_hat = m / (1.0 - config.beta1 ** t)
             v_hat = v / (1.0 - config.beta2 ** t)
             p = p - config.learning_rate * m_hat / (math.sqrt(v_hat) + config.adam_eps)
-            assert state.weights[0][0, 0] == pytest.approx(p, rel=1e-12)
-        assert state.step == 7
+            assert params[0] == pytest.approx(p, rel=1e-12)
+        assert params[1] == 0.0
 
     def test_nonfinite_gradient_rejected(self):
-        spec = spec_of((1, 1))
-        grads = Gradients((np.array([[np.nan]]),), (np.array([0.0]),))
+        params, m, v = np.ones(2), np.full(2, 0.5), np.full(2, 0.25)
         with pytest.raises(NonFiniteGradient):
-            adam_step(NetworkState.zeros(spec), grads, TrainConfig())
+            adam_step(params, np.array([np.nan, 0.0]), m, v, 1, TrainConfig())
+        assert_array_equal(params, 1.0)
+        assert_array_equal(m, 0.5)
+        assert_array_equal(v, 0.25)
+
+
+def _reference_backward(weights, biases, spec, x, target, clip_eps):
+    """Per-array backward pass written out from the formulas, one array per layer."""
+    inputs, pre_acts, a = [x], [], x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = a @ w + b
+        a = np.maximum(z, 0.0) if spec.hidden_activation == "relu" else expit(z)
+        pre_acts.append(z)
+        inputs.append(a)
+    z_last = a @ weights[-1] + biases[-1]
+    if spec.head == "sigmoid":
+        out = expit(z_last)
+    else:
+        g = np.exp(z_last) if spec.transform == "exp" else np.logaddexp(0.0, z_last)
+        s = np.cumsum(g, axis=1)
+        out = np.arctan(s) * (2.0 / np.pi) if spec.squash == "arctan" else np.tanh(0.5 * s)
+    scale = 1.0 / out.size
+    interior = (out > clip_eps) & (out < 1.0 - clip_eps)
+    if spec.head == "sigmoid":
+        dz = np.where(interior, out - target, 0.0) * scale
+    else:
+        p = np.clip(out, clip_eps, 1.0 - clip_eps)
+        dp = np.where(interior, (p - target) / (p * (1.0 - p)), 0.0) * scale
+        squash_grad = (2.0 / np.pi) / (1.0 + s * s) if spec.squash == "arctan" else 0.5 * (1.0 - out * out)
+        ds_tail = np.flip(np.cumsum(np.flip(dp * squash_grad, axis=1), axis=1), axis=1)
+        dz = ds_tail * (g if spec.transform == "exp" else expit(z_last))
+    grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        grad_w[layer] = inputs[layer].T @ dz
+        grad_b[layer] = dz.sum(axis=0)
+        if layer > 0:
+            da = dz @ weights[layer].T
+            if spec.hidden_activation == "relu":
+                dz = da * (pre_acts[layer - 1] > 0.0).astype(float)
+            else:
+                dz = da * (inputs[layer] * (1.0 - inputs[layer]))
+    return grad_w, grad_b
+
+
+def _reference_train(x, labels, spec, config):
+    """Mini-batch Adam on separate per-layer arrays, each update a fresh array."""
+    rng = np.random.default_rng(config.seed)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    n_layers = len(weights)
+    params = weights + biases
+    m = [np.zeros_like(a) for a in params]
+    v = [np.zeros_like(a) for a in params]
+    b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.adam_eps
+    t = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(x.shape[0])
+        for start in range(0, x.shape[0], config.batch_size):
+            idx = order[start:start + config.batch_size]
+            grad_w, grad_b = _reference_backward(
+                params[:n_layers], params[n_layers:], spec, x[idx], labels[idx], config.clip_eps
+            )
+            t += 1
+            corr1, corr2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for i, g in enumerate(grad_w + grad_b):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                params[i] = params[i] - lr * (m[i] / corr1) / (np.sqrt(v[i] / corr2) + eps)
+    return params, m, v, t
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        spec_of((4, 16, 8, 1)),
+        spec_of((4, 9, 3), hidden_activation="sigmoid"),
+        spec_of((4, 16, 8, 5), head="monotone", transform="exp", squash="arctan"),
+        spec_of((4, 9, 5), head="monotone", transform="softplus", squash="tanh-half",
+                hidden_activation="sigmoid"),
+    ],
+    ids=["sigmoid-relu", "sigmoid-sigmoid", "monotone-exp-arctan", "monotone-softplus-tanh"],
+)
+def test_flat_engine_is_bit_identical_to_per_array_reference(spec):
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((70, 4))
+    score = x @ rng.standard_normal(4)
+    cuts = np.quantile(score, np.linspace(0.2, 0.8, spec.n_outputs))
+    labels = (score[:, None] <= cuts[None, :]).astype(float)
+    config = TrainConfig(epochs=4, batch_size=16, seed=3)
+    state = train(x, labels, spec, config)
+    params, m, v, steps = _reference_train(x, labels, spec, config)
+    n_layers = len(spec.widths) - 1
+    assert state.step == steps == 4 * 5
+    for got, want in zip((*state.weights, *state.biases), params):
+        assert_array_equal(got, want)
+    for got, want in zip((*state.m_weights, *state.m_biases), m):
+        assert_array_equal(got, want)
+    for got, want in zip((*state.v_weights, *state.v_biases), v):
+        assert_array_equal(got, want)
+    assert len(state.weights) == len(state.m_biases) == n_layers
+
+
+class TestTracerContract:
+    """The names the benchmark tracer reads from this module."""
+
+    def test_train_parameter_names(self):
+        assert list(inspect.signature(train).parameters) == ["x", "labels", "spec", "config"]
+
+    def test_network_state_fields(self):
+        names = {field.name for field in dataclasses.fields(NetworkState)}
+        groups = ("weights", "biases", "m_weights", "v_weights", "m_biases", "v_biases")
+        assert set(groups) <= names
+        state = train(np.zeros((4, 2)), np.zeros((4, 1)), spec_of((2, 3, 1)), TrainConfig(epochs=1))
+        for group in groups:
+            assert len(getattr(state, group)) == 2
+            assert all(isinstance(a, np.ndarray) for a in getattr(state, group))
+
+    def test_one_backward_and_one_adam_step_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(nn, "backward", counted("backward", nn.backward))
+        monkeypatch.setattr(nn, "adam_step", counted("adam_step", nn.adam_step))
+        n, batch_size, epochs = 37, 8, 3
+        rng = np.random.default_rng(0)
+        train(rng.standard_normal((n, 2)), np.ones((n, 1)), spec_of((2, 3, 1)),
+              TrainConfig(epochs=epochs, batch_size=batch_size))
+        assert calls == ["backward", "adam_step"] * (epochs * math.ceil(n / batch_size))
 
 
 class TestTrain:
@@ -295,6 +496,10 @@ class TestTrain:
         loss_after = bce_loss(forward(trained, spec, self.x), self.labels)
         assert loss_after < loss_before
         assert loss_after < 0.35
+
+    def test_step_counts_updates(self):
+        state = train(self.x, self.labels, spec_of((3, 2, 1)), TrainConfig(epochs=2, batch_size=50))
+        assert state.step == 2 * 3
 
     def test_training_is_deterministic(self):
         spec = spec_of((3, 6, 1))

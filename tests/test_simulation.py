@@ -100,6 +100,24 @@ class TestOracle:
         oracle_dte(DgpConfig(n_units=1000, seed=5), n_oracle=20_000, cache_dir=tmp_path)
         assert len(list(tmp_path.glob("oracle-*.npz"))) == 2
 
+    def test_failed_cache_write_leaves_no_cache_file(self, tmp_path, monkeypatch):
+        config = DgpConfig(n_units=1000, seed=4)
+        real_savez = np.savez
+
+        def crash_midway(file, **arrays):
+            real_savez(file, **arrays)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(simulation.np, "savez", crash_midway)
+        with pytest.raises(OSError, match="disk full"):
+            oracle_dte(config, n_oracle=20_000, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+        monkeypatch.setattr(simulation.np, "savez", real_savez)
+        oracle_dte(config, n_oracle=20_000, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == list(tmp_path.glob("oracle-*.npz"))
+        assert len(list(tmp_path.iterdir())) == 1
+
     def test_chunking_does_not_change_the_draw(self, monkeypatch):
         config = DgpConfig(n_units=1000, seed=6)
         _, whole = oracle_dte(config, n_oracle=30_000)

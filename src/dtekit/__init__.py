@@ -31,6 +31,7 @@ from .inference import (
     BootstrapDraws,
     InfluenceMatrix,
     bootstrap_band,
+    bootstrap_bands,
     bootstrap_draws,
     influence,
     multipliers,
@@ -79,6 +80,7 @@ __all__ = [
     "adjusted_cdf",
     "benchmark_training_cost",
     "bootstrap_band",
+    "bootstrap_bands",
     "bootstrap_draws",
     "classification_metrics",
     "crossfit_gamma",

@@ -34,7 +34,7 @@ from .estimation import (
     pte,
     quantile_grid,
 )
-from .inference import bootstrap_band, se_reduction
+from .inference import bootstrap_bands, se_reduction
 from .io import (
     CsvSchema,
     emit_report,
@@ -279,8 +279,7 @@ def _run_bootstrap_band(config: RunConfig, out: Path) -> dict:
         seed=config.seed,
         literal_upper_quantile=literal,
     )
-    band_emp = bootstrap_band(data, grid, empirical, **common)
-    band_adj = bootstrap_band(data, grid, adjusted, **common)
+    band_emp, band_adj = bootstrap_bands(data, grid, (empirical, adjusted), **common)
     outputs = [
         emit_report(band_emp, out / "band_empirical.csv"),
         emit_report(band_adj, out / f"band_{config.learner}.csv"),

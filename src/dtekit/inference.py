@@ -11,10 +11,17 @@ multipliers xi_i = m1_i / sqrt(2) + (m2_i^2 - 1) / 2 built from two standard
 normals, then re-applies the functional of interest (a CDF row, a DTE, or a
 PTE). Pointwise standard errors are the square root of the sample variance
 across repetitions, and bands are point +/- z * SE.
+
+The bands of one run share one multiplier pass: :func:`bootstrap_bands`
+stacks the influence matrices of several estimates (empirical and adjusted,
+say) along the arm axis, and :func:`bootstrap_draws` draws each repetition's
+multipliers once and applies them to every estimate. Each estimate's band
+is bit-identical to the one :func:`bootstrap_band` computes for it alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -40,6 +47,7 @@ __all__ = [
     "multipliers",
     "bootstrap_draws",
     "bootstrap_band",
+    "bootstrap_bands",
     "se_reduction",
 ]
 
@@ -112,9 +120,23 @@ def influence(
     return InfluenceMatrix(values=values)
 
 
-def multiplier_transform(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Combine two standard normal draws into one mean-zero variance-one multiplier."""
-    return m1 / np.sqrt(2.0) + (np.square(m2) - 1.0) / 2.0
+def multiplier_transform(m1: np.ndarray, m2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Combine two standard normal draws into one mean-zero variance-one multiplier.
+
+    With ``out`` (which may be ``m1``) the multiplier is written there and
+    ``m2`` is overwritten as scratch, so no temporary is allocated. Either way
+    the operations run in the same order, m1 / sqrt(2), then (m2^2 - 1) / 2,
+    then the sum, and round identically.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(m1), np.shape(m2)))
+        m2 = np.array(m2, dtype=float)
+    np.divide(m1, np.sqrt(2.0), out=out)
+    np.square(m2, out=m2)
+    m2 -= 1.0
+    m2 /= 2.0
+    out += m2
+    return out
 
 
 def multipliers(n_units: int, seed: int) -> np.ndarray:
@@ -123,29 +145,54 @@ def multipliers(n_units: int, seed: int) -> np.ndarray:
     return multiplier_transform(rng.standard_normal(n_units), rng.standard_normal(n_units))
 
 
-def bootstrap_draws(theta: CdfEstimate, psi: InfluenceMatrix, n_draws: int, seed: int) -> BootstrapDraws:
+def bootstrap_draws(
+    theta: CdfEstimate,
+    psi: InfluenceMatrix,
+    n_draws: int,
+    seed: int,
+    *,
+    arms_per_estimate: int | None = None,
+) -> BootstrapDraws:
     """Perturbed copies of the CDF matrix, one per bootstrap repetition.
 
     Repetition b uses its own generator stream spawned from ``seed``, so the
-    result is reproducible and independent of internal batching.
+    multipliers are reproducible and do not depend on how repetitions are
+    batched. The draw matmul is not: BLAS can round the last bit differently
+    for other operand shapes, so the block size and the operands are fixed.
+
+    ``theta`` and ``psi`` may stack several estimates along the arm axis,
+    ``arms_per_estimate`` arms each (default: all arms, one estimate). All
+    estimates share one multiplier pass. Every block of multipliers is
+    multiplied separately by each estimate's own contiguous (unit, arm x
+    location) slab, so each estimate's draws are bit-identical to a pass of
+    its own.
     """
     if n_draws < 2:
         raise ValueError(f"need at least 2 bootstrap repetitions, got {n_draws}")
     k, n, m = psi.values.shape
     if theta.values.shape != (k, m):
         raise ShapeMismatch(f"theta shape {theta.values.shape} != ({k}, {m})")
-    flat_psi = psi.values.transpose(1, 0, 2).reshape(n, k * m)
+    per = k if arms_per_estimate is None else int(arms_per_estimate)
+    if per < 1 or k % per:
+        raise ShapeMismatch(f"{k} stacked arms do not split into estimates of {per} arms")
+    slabs = [
+        psi.values[first:first + per].transpose(1, 0, 2).reshape(n, per * m)
+        for first in range(0, k, per)
+    ]
     children = np.random.SeedSequence(seed).spawn(n_draws)
     draws = np.empty((n_draws, k * m))
+    block = np.empty((min(_DRAW_BLOCK, n_draws), n))
+    scratch = np.empty(n)
     for start in range(0, n_draws, _DRAW_BLOCK):
         stop = min(start + _DRAW_BLOCK, n_draws)
-        block = np.empty((stop - start, n))
-        for b in range(start, stop):
-            rng = np.random.default_rng(children[b])
-            block[b - start] = multiplier_transform(
-                rng.standard_normal(n), rng.standard_normal(n)
-            )
-        draws[start:stop] = block @ flat_psi / n
+        rows = block[: stop - start]
+        for row, child in zip(rows, children[start:stop]):
+            rng = np.random.default_rng(child)
+            rng.standard_normal(n, out=row)
+            rng.standard_normal(n, out=scratch)
+            multiplier_transform(row, scratch, out=row)
+        for e, slab in enumerate(slabs):
+            draws[start:stop, e * per * m:(e + 1) * per * m] = rows @ slab / n
     draws += theta.values.reshape(1, k * m)
     return BootstrapDraws(draws=draws.reshape(n_draws, k, m), seed=seed)
 
@@ -179,16 +226,43 @@ def bootstrap_band(
     ``estimate`` is either an empirical CdfEstimate (zero adjustment) or an
     AdjustedEstimate carrying its cross-fitted predictions. By default the
     band half-width uses the two-sided normal quantile z_{1 - alpha/2};
-    ``literal_upper_quantile`` switches to z_{1 - alpha}.
+    ``literal_upper_quantile`` switches to z_{1 - alpha}. This is the
+    one-estimate case of :func:`bootstrap_bands`.
+    """
+    (band,) = bootstrap_bands(
+        data, grid, (estimate,), kind, arm_pair, n_draws, alpha, seed, literal_upper_quantile
+    )
+    return band
+
+
+def bootstrap_bands(
+    data: ExperimentData,
+    grid: LocationGrid,
+    estimates: Sequence[CdfEstimate | AdjustedEstimate],
+    kind: str = "dte",
+    arm_pair: tuple[int, int] = (2, 1),
+    n_draws: int = 5000,
+    alpha: float = 0.05,
+    seed: int = 0,
+    literal_upper_quantile: bool = False,
+) -> tuple[EffectBand, ...]:
+    """One band per estimate, all from one shared multiplier pass.
+
+    Every estimate sees the same multipliers, as separate
+    :func:`bootstrap_band` calls with the same ``seed`` would give it, and
+    each band is bit-identical to that call's; the multipliers are drawn
+    once instead of once per estimate.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if isinstance(estimate, AdjustedEstimate):
-        theta, gamma = estimate.estimate, estimate.gamma
-    else:
-        theta, gamma = estimate, None
+    if not estimates:
+        raise ValueError("need at least one estimate")
+    pieces = [
+        (e.estimate, e.gamma) if isinstance(e, AdjustedEstimate) else (e, None)
+        for e in estimates
+    ]
     arm, other_arm = int(arm_pair[0]), int(arm_pair[1])
-    k = theta.n_arms
+    k = data.n_arms
     if not (1 <= arm <= k and 1 <= other_arm <= k):
         raise ShapeMismatch(f"arm pair ({arm}, {other_arm}) out of range 1..{k}")
     if kind != "cdf" and arm == other_arm:
@@ -196,31 +270,45 @@ def bootstrap_band(
     if kind == "pte" and grid.n_locations < 2:
         raise ShapeMismatch("interval probabilities need at least 2 locations")
 
-    psi = influence(data, grid, theta, gamma)
-    draws = bootstrap_draws(theta, psi, n_draws, seed)
-    curves = _apply_functional(draws.draws, kind, arm, other_arm)
-    point = _apply_functional(theta.values, kind, arm, other_arm)
-
-    degenerate = np.all(psi.values == 0.0)
-    if not degenerate and bool(np.all(curves == curves[0])):
-        raise DegenerateDraws("bootstrap repetitions collapsed to one curve")
-    se = curves.std(axis=0, ddof=1)
+    # influence() checks that every theta has the data's k arms
+    psi = InfluenceMatrix(
+        values=np.concatenate([influence(data, grid, theta, gamma).values for theta, gamma in pieces])
+    )
+    stacked = CdfEstimate(
+        values=np.concatenate([theta.values for theta, _ in pieces]),
+        method="+".join(theta.method for theta, _ in pieces),
+    )
+    draws = bootstrap_draws(stacked, psi, n_draws, seed, arms_per_estimate=k)
 
     q = 1.0 - alpha if literal_upper_quantile else 1.0 - alpha / 2.0
     z = NormalDist().inv_cdf(q)
     locations = grid.locations if kind != "pte" else grid.locations[1:]
-    return EffectBand(
-        kind=kind,
-        arm_pair=(arm, other_arm),
-        locations=locations,
-        point=point,
-        se=se,
-        ci_lower=point - z * se,
-        ci_upper=point + z * se,
-        alpha=alpha,
-        n_draws=n_draws,
-        seed=seed,
-    )
+    bands = []
+    for e, (theta, _) in enumerate(pieces):
+        arms = slice(e * k, (e + 1) * k)
+        # the (repetition, arm, location) layout of a pass of its own, for the same std reduction
+        own = np.ascontiguousarray(draws.draws[:, arms])
+        curves = _apply_functional(own, kind, arm, other_arm)
+        point = _apply_functional(theta.values, kind, arm, other_arm)
+        degenerate = np.all(psi.values[arms] == 0.0)
+        if not degenerate and bool(np.all(curves == curves[0])):
+            raise DegenerateDraws("bootstrap repetitions collapsed to one curve")
+        se = curves.std(axis=0, ddof=1)
+        bands.append(
+            EffectBand(
+                kind=kind,
+                arm_pair=(arm, other_arm),
+                locations=locations,
+                point=point,
+                se=se,
+                ci_lower=point - z * se,
+                ci_upper=point + z * se,
+                alpha=alpha,
+                n_draws=n_draws,
+                seed=seed,
+            )
+        )
+    return tuple(bands)
 
 
 def se_reduction(baseline: EffectBand, adjusted: EffectBand) -> np.ndarray:

@@ -9,11 +9,12 @@ matrices and bias vectors are reshaped views of that vector, laid out in the
 order the initializer draws them, so the Glorot draws are those of a
 per-array layout. ``backward`` writes into the flat gradient and
 ``adam_step`` updates parameters and moments in place, with one finiteness
-check per step; the frozen :class:`NetworkState` is built once, when training
-ends. Adam is elementwise, so one update of the flat vector rounds each entry
-exactly as per-array updates would, and it keeps the operation order of the
-textbook formula; the trained parameters and moments are bit-identical to a
-per-array engine's. What shrinks is the Python overhead of each step.
+check per step; the frozen :class:`NetworkState`, which copies the flat
+vectors, is built once, when training ends. Adam is elementwise, so one
+update of the flat vector rounds each entry exactly as per-array updates
+would, and it keeps the operation order of the textbook formula; the trained
+parameters and moments are bit-identical to a per-array engine's. What
+shrinks is the Python overhead of each step.
 
 Two output heads are supported. The plain head applies a sigmoid to each of
 the final-layer outputs independently. The monotone head maps the final
@@ -122,11 +123,11 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class NetworkState:
-    """Parameters plus Adam moment estimates; treated as immutable.
+    """Parameters plus Adam moment estimates, frozen.
 
-    ``step`` counts completed Adam updates and drives bias correction. A
-    state returned by :func:`train` holds read-only views into the flat
-    vectors it trained on.
+    ``step`` counts completed Adam updates and drives bias correction. The
+    state freezes its own read-only copies of the arrays it is given, so the
+    caller's arrays stay writable and nothing else can write to the state's.
     """
 
     weights: tuple[np.ndarray, ...]
@@ -139,7 +140,7 @@ class NetworkState:
 
     def __post_init__(self):
         for name in ("weights", "biases", "m_weights", "v_weights", "m_biases", "v_biases"):
-            arrays = tuple(np.asarray(a, dtype=float) for a in getattr(self, name))
+            arrays = tuple(np.array(a, dtype=float) for a in getattr(self, name))
             for a in arrays:
                 a.setflags(write=False)
             object.__setattr__(self, name, arrays)

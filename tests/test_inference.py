@@ -1,7 +1,13 @@
+import inspect
+from statistics import NormalDist
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from statistics import NormalDist
+
+import dtekit.inference as inference
+from dtekit.cli import main
 
 from dtekit.core import (
     CdfEstimate,
@@ -26,6 +32,7 @@ from dtekit.inference import (
     BootstrapDraws,
     InfluenceMatrix,
     bootstrap_band,
+    bootstrap_bands,
     bootstrap_draws,
     influence,
     multiplier_transform,
@@ -102,6 +109,15 @@ class TestMultipliers:
         assert xi.shape == (100_000,)
         assert abs(xi.mean()) < 0.02
         assert abs(xi.var() - 1.0) < 0.05
+
+    def test_in_place_matches_allocating_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        m1, m2 = rng.standard_normal(1000), rng.standard_normal(1000)
+        want = m1 / np.sqrt(2.0) + (np.square(m2) - 1.0) / 2.0
+        assert_array_equal(multiplier_transform(m1, m2), want)
+        out, scratch = m1.copy(), m2.copy()
+        assert multiplier_transform(out, scratch, out=out) is out
+        assert_array_equal(out, want)
 
     def test_deterministic_per_seed(self):
         assert_array_equal(multipliers(50, seed=3), multipliers(50, seed=3))
@@ -260,6 +276,154 @@ class TestBootstrapBand:
         b = bootstrap_band(two_arm_data, grid, theta, n_draws=60, seed=12)
         assert_array_equal(a.se, b.se)
         assert_array_equal(a.ci_lower, b.ci_lower)
+
+
+def reference_band(data, grid, estimate, kind, n_draws, seed, arm_pair=(2, 1), alpha=0.05):
+    """(se, ci_lower, ci_upper) as a pass of the estimate's own computes them.
+
+    A fresh generator per draw, the allocating multiplier formula, and one
+    ``block @ flat_psi / n`` per 256-row block.
+    """
+    if isinstance(estimate, AdjustedEstimate):
+        theta, gamma = estimate.estimate, estimate.gamma
+    else:
+        theta, gamma = estimate, None
+    psi = influence(data, grid, theta, gamma).values
+    k, n, m = psi.shape
+    flat_psi = psi.transpose(1, 0, 2).reshape(n, k * m)
+    children = np.random.SeedSequence(seed).spawn(n_draws)
+    draws = np.empty((n_draws, k * m))
+    for start in range(0, n_draws, 256):
+        stop = min(start + 256, n_draws)
+        block = np.empty((stop - start, n))
+        for b in range(start, stop):
+            rng = np.random.default_rng(children[b])
+            m1, m2 = rng.standard_normal(n), rng.standard_normal(n)
+            block[b - start] = m1 / np.sqrt(2.0) + (np.square(m2) - 1.0) / 2.0
+        draws[start:stop] = block @ flat_psi / n
+    draws += theta.values.reshape(1, k * m)
+    draws = draws.reshape(n_draws, k, m)
+
+    def functional(values):
+        row = values[..., arm_pair[0] - 1, :]
+        if kind == "cdf":
+            return row
+        other = values[..., arm_pair[1] - 1, :]
+        if kind == "dte":
+            return row - other
+        return np.diff(row, axis=-1) - np.diff(other, axis=-1)
+
+    point = functional(theta.values)
+    se = functional(draws).std(axis=0, ddof=1)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    return se, point - z * se, point + z * se
+
+
+def assert_same_band(got, want):
+    for name in ("point", "se", "ci_lower", "ci_upper", "locations"):
+        assert_array_equal(getattr(got, name), getattr(want, name))
+    assert (got.kind, got.arm_pair, got.n_draws, got.seed) == (want.kind, want.arm_pair, want.n_draws, want.seed)
+
+
+class TestSharedMultiplierPass:
+    @pytest.mark.parametrize("kind", ["cdf", "dte", "pte"])
+    @pytest.mark.parametrize("n_draws", [2, 257, 300, 513])
+    def test_bands_match_a_pass_of_their_own_bit_for_bit(self, kind, n_draws):
+        data = make_experiment(seed=31, n=90)
+        # 2 x 5 columns per estimate: one wide matmul over both would round differently
+        grid = quantile_grid(data, [0.1, 0.3, 0.5, 0.7, 0.9])
+        empirical = empirical_cdf(data, grid)
+        adjusted = fit_adjusted(data, grid, LearnerKind("linear"))
+        bands = bootstrap_bands(data, grid, (empirical, adjusted), kind=kind, n_draws=n_draws, seed=5)
+        for band, estimate in zip(bands, (empirical, adjusted)):
+            se, lower, upper = reference_band(data, grid, estimate, kind, n_draws, seed=5)
+            assert_array_equal(band.se, se)
+            assert_array_equal(band.ci_lower, lower)
+            assert_array_equal(band.ci_upper, upper)
+            assert_same_band(
+                bootstrap_band(data, grid, estimate, kind=kind, n_draws=n_draws, seed=5), band
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data_seed=st.integers(0, 2**16),
+        n_estimates=st.integers(1, 3),
+        n_draws=st.integers(2, 300),
+        kind=st.sampled_from(["cdf", "dte", "pte"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_band_equals_its_own_run_and_follows_the_order(
+        self, data_seed, n_estimates, n_draws, kind, seed
+    ):
+        data = make_experiment(seed=data_seed, n=40)
+        grid = quantile_grid(data, [0.25, 0.5, 0.75])
+        rng = np.random.default_rng(data_seed)
+        estimates = [empirical_cdf(data, grid)]
+        while len(estimates) < n_estimates:
+            plan = make_folds(data.n_units, 2, seed=data_seed)
+            gamma = ConditionalCdfMatrix(
+                predictions=rng.random((2, data.n_units, 3)), fold_assignment=plan.fold_assignment
+            )
+            theta = CdfEstimate(values=rng.random((2, 3)), method="adjusted")
+            estimates.append(
+                AdjustedEstimate(estimate=theta, gamma=gamma, plan=plan, kind=LearnerKind("linear"))
+            )
+        order = list(rng.permutation(n_estimates))
+        estimates = [estimates[i] for i in order]
+        common = dict(kind=kind, n_draws=n_draws, seed=seed)
+        bands = bootstrap_bands(data, grid, estimates, **common)
+        assert len(bands) == n_estimates
+        for band, estimate in zip(bands, estimates):
+            assert_same_band(band, bootstrap_band(data, grid, estimate, **common))
+        reordered = bootstrap_bands(data, grid, estimates[::-1], **common)
+        for got, want in zip(reordered, bands[::-1]):
+            assert_same_band(got, want)
+
+    def test_needs_an_estimate(self, two_arm_data):
+        grid = quantile_grid(two_arm_data, [0.5])
+        with pytest.raises(ValueError):
+            bootstrap_bands(two_arm_data, grid, ())
+
+    def test_stacked_arms_must_split_evenly(self):
+        theta = CdfEstimate(values=np.full((3, 2), 0.5), method="empirical")
+        psi = InfluenceMatrix(values=np.zeros((3, 10, 2)))
+        with pytest.raises(ShapeMismatch):
+            bootstrap_draws(theta, psi, 5, seed=0, arms_per_estimate=2)
+
+
+class TestTracerContract:
+    """The names and call counts the benchmark tracer reads from this module."""
+
+    def test_bootstrap_draws_parameter_names(self):
+        assert {"theta", "psi", "n_draws", "seed"} <= set(inspect.signature(bootstrap_draws).parameters)
+
+    def test_band_run_makes_one_multiplier_pass(self, monkeypatch, tmp_path):
+        data = make_experiment(seed=3, n=50)
+        csv_path = tmp_path / "experiment.csv"
+        rows = ["arm,outcome,x1,x2,x3"] + [
+            ",".join([str(arm), *(f"{v:.17g}" for v in (y, *x))])
+            for arm, y, x in zip(data.arms, data.outcomes, data.covariates)
+        ]
+        csv_path.write_text("\n".join(rows) + "\n")
+        calls = {"bootstrap_draws": 0, "multiplier_transform": 0}
+
+        def counted(name):
+            fn = getattr(inference, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(inference, name, counted(name))
+        n_draws = 37
+        rc = main([
+            "bootstrap-band", "--input", str(csv_path), "--learner", "linear",
+            "--grid", "probs=0.3,0.6", "--B", str(n_draws), "--out", str(tmp_path / "band"),
+        ])
+        assert rc == 0
+        assert calls == {"bootstrap_draws": 1, "multiplier_transform": n_draws}
 
 
 def band_with_se(se, kind="dte", locations=None):

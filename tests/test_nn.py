@@ -94,6 +94,30 @@ class TestFlatParams:
             assert_array_equal(b, np.zeros_like(b))
 
 
+def _state_arrays(state):
+    groups = ("weights", "biases", "m_weights", "v_weights", "m_biases", "v_biases")
+    return [a for group in groups for a in getattr(state, group)]
+
+
+class TestNetworkState:
+    def test_caller_arrays_stay_writable(self):
+        w, b = np.zeros((2, 1)), np.zeros(1)
+        state = NetworkState((w,), (b,), (w,), (w,), (b,), (b,))
+        assert w.flags.writeable and b.flags.writeable
+        w[0, 0] = 3.0
+        assert state.weights[0][0, 0] == 0.0
+
+    def test_trained_state_owns_frozen_arrays(self):
+        rng = np.random.default_rng(5)
+        state = train(rng.standard_normal((12, 2)), np.ones((12, 2)), spec_of((2, 3, 2)),
+                      TrainConfig(epochs=2, batch_size=4))
+        for a in _state_arrays(state):
+            assert a.flags.owndata and a.base is None
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+
 class TestForward:
     def test_zero_state_sigmoid_head_is_half(self):
         spec = spec_of((3, 4, 2))

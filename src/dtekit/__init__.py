@@ -45,7 +45,7 @@ from .learners import (
     fit,
     predict,
 )
-from .nn import LayerSpec, NetworkState, TrainConfig, train
+from .nn import LayerSpec, NetworkState, TrainConfig, train, train_many
 from .simulation import (
     DgpConfig,
     SimulationReport,
@@ -100,5 +100,6 @@ __all__ = [
     "run_study",
     "se_reduction",
     "train",
+    "train_many",
     "validate_experiment",
 ]

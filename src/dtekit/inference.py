@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _DRAW_BLOCK = 256
+_FUNCTIONALS = ("cdf", "dte", "pte")
 
 
 @dataclass(frozen=True)
@@ -198,16 +199,14 @@ def bootstrap_draws(
 
 
 def _apply_functional(values: np.ndarray, kind: str, arm: int, other_arm: int) -> np.ndarray:
-    """Map a (..., arm, location) CDF array to the requested curve."""
+    """Map a (..., arm, location) CDF array to its cdf, dte or pte curve."""
     row = values[..., arm - 1, :]
     if kind == "cdf":
         return row
     other = values[..., other_arm - 1, :]
     if kind == "dte":
         return row - other
-    if kind == "pte":
-        return np.diff(row, axis=-1) - np.diff(other, axis=-1)
-    raise ValueError(f"functional must be cdf, dte, or pte, got {kind!r}")
+    return np.diff(row, axis=-1) - np.diff(other, axis=-1)
 
 
 def bootstrap_band(
@@ -255,6 +254,8 @@ def bootstrap_bands(
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if kind not in _FUNCTIONALS:
+        raise ValueError(f"functional must be cdf, dte, or pte, got {kind!r}")
     if not estimates:
         raise ValueError("need at least one estimate")
     pieces = [

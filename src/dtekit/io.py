@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -72,32 +74,24 @@ def load_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> ExperimentDat
         outcome_pos = header.index(schema.outcome)
         cov_pos = [header.index(name) for name in covariate_names]
 
-        rows, arm_labels, outcomes = [], [], []
+        cells = [*zip(cov_pos, covariate_names), (outcome_pos, schema.outcome)]
+        numeric_cells = itemgetter(*(pos for pos, _ in cells))
+        rows, arm_labels = [], []
         for line, record in enumerate(reader, start=2):
-            if not record or all(not cell.strip() for cell in record):
+            if not "".join(record).strip():
                 continue
             if len(record) != len(header):
                 raise ParseError(
                     f"row {line} has {len(record)} cells, header has {len(header)}",
                     row=line,
                 )
-            def cell_value(pos: int, name: str) -> float:
-                try:
-                    value = float(record[pos])
-                except ValueError:
-                    raise ParseError(
-                        f"row {line}, column {name!r}: cannot parse {record[pos]!r}",
-                        row=line,
-                        column=name,
-                    ) from None
-                if not np.isfinite(value):
-                    raise NonFiniteValue(
-                        f"row {line}, column {name!r}: non-finite value {record[pos]!r}"
-                    )
-                return value
-
-            rows.append([cell_value(pos, name) for pos, name in zip(cov_pos, covariate_names)])
-            outcomes.append(cell_value(outcome_pos, schema.outcome))
+            try:
+                values = list(map(float, numeric_cells(record)))
+            except ValueError:
+                values = None
+            if values is None or not all(map(math.isfinite, values)):
+                _raise_bad_cell(record, line, cells)
+            rows.append(values)
             arm_labels.append(record[arm_pos].strip())
 
     labels_seen = sorted(set(arm_labels))
@@ -109,12 +103,31 @@ def load_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> ExperimentDat
         pass
     code = {label: rank + 1 for rank, label in enumerate(labels_seen)}
     arms = [code[label] for label in arm_labels]
+    # covariate columns, then the outcome column
+    table = np.asarray(rows, dtype=float).reshape(len(rows), len(cells))
     return ExperimentData(
-        covariates=np.asarray(rows, dtype=float).reshape(len(rows), len(covariate_names)),
+        covariates=table[:, :-1],
         arms=np.asarray(arms, dtype=int),
-        outcomes=np.asarray(outcomes, dtype=float),
+        outcomes=table[:, -1],
         n_arms=len(set(arms)),
     )
+
+
+def _raise_bad_cell(record: list[str], line: int, cells) -> None:
+    """Raise for the first cell of ``record``, in ``cells`` order, that is not a finite float."""
+    for pos, name in cells:
+        try:
+            value = float(record[pos])
+        except ValueError:
+            raise ParseError(
+                f"row {line}, column {name!r}: cannot parse {record[pos]!r}",
+                row=line,
+                column=name,
+            ) from None
+        if not math.isfinite(value):
+            raise NonFiniteValue(
+                f"row {line}, column {name!r}: non-finite value {record[pos]!r}"
+            )
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:

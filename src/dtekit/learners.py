@@ -6,7 +6,8 @@ P(Y <= y_j | X). Four kinds are available:
 - "linear": one ridge solve shared by all locations (multivariate ordinary
   least squares when the penalty is zero); predictions are raw affine values
   and are deliberately not clipped to [0, 1].
-- "nn-single": one width-1 sigmoid network per location.
+- "nn-single": one width-1 sigmoid network per location, all trained in one
+  stacked :func:`~dtekit.nn.train_many` call.
 - "nn-multi": one shared-trunk network with M sigmoid outputs.
 - "nn-multi-monotone": the shared trunk with the cumulative head, so each
   prediction row is non-decreasing across locations by construction.
@@ -25,7 +26,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .core import derive_seed
 from .errors import NonFiniteValue, ShapeMismatch, SingularDesign, TooFewUnits
-from .nn import LayerSpec, NetworkState, TrainConfig, forward, train
+from .nn import LayerSpec, NetworkState, TrainConfig, forward, train, train_many
 
 __all__ = [
     "LEARNER_KINDS",
@@ -150,13 +151,10 @@ def fit(kind: LearnerKind, x: np.ndarray, labels: np.ndarray) -> FittedLearner:
         coef = _solve_ridge(design, labels, kind.ridge)
         return FittedLearner(kind, x.shape[1], n_outputs, mean, scale, coef=coef)
     if kind.kind == "nn-single":
-        states = []
         seeds = np.random.SeedSequence(kind.train.seed).generate_state(n_outputs)
-        for j in range(n_outputs):
-            spec = kind.layer_spec(x.shape[1], 1)
-            cfg = replace(kind.train, seed=int(seeds[j]))
-            states.append(train(xs, labels[:, j:j + 1], spec, cfg))
-        return FittedLearner(kind, x.shape[1], n_outputs, mean, scale, states=tuple(states))
+        configs = [replace(kind.train, seed=int(seed)) for seed in seeds]
+        states = train_many(xs, labels, kind.layer_spec(x.shape[1], 1), configs)
+        return FittedLearner(kind, x.shape[1], n_outputs, mean, scale, states=states)
     spec = kind.layer_spec(x.shape[1], n_outputs)
     state = train(xs, labels, spec, kind.train)
     return FittedLearner(kind, x.shape[1], n_outputs, mean, scale, states=(state,))

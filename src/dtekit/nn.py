@@ -10,11 +10,21 @@ order the initializer draws them, so the Glorot draws are those of a
 per-array layout. ``backward`` writes into the flat gradient and
 ``adam_step`` updates parameters and moments in place, with one finiteness
 check per step; the frozen :class:`NetworkState`, which copies the flat
-vectors, is built once, when training ends. Adam is elementwise, so one
-update of the flat vector rounds each entry exactly as per-array updates
-would, and it keeps the operation order of the textbook formula; the trained
-parameters and moments are bit-identical to a per-array engine's. What
-shrinks is the Python overhead of each step.
+vectors, is built once, when training ends.
+
+:func:`train_many` trains S networks of one shape on a shared input at once.
+Their buffers gain a leading network axis, ``(S, P)``, and each step is one
+``backward`` and one ``adam_step`` call over all S, on 3-D arrays whose
+slice s is network s; :func:`train` is its one-network case. Network s keeps
+its own seed, so its own Glorot draws and shuffle order, and its own labels.
+
+The results are bit-identical to per-array training of one network at a
+time. A 3-D matmul makes the same BLAS call on each slice that a 2-D matmul
+makes on that network alone, every other operation is elementwise or
+reduces within one slice, and Adam keeps the operation order of the
+textbook formula, writing each intermediate into a preallocated scratch
+buffer instead of a fresh array. What shrinks is the Python and allocation
+overhead of each step, which S networks now pay once.
 
 Two output heads are supported. The plain head applies a sigmoid to each of
 the final-layer outputs independently. The monotone head maps the final
@@ -26,7 +36,8 @@ outputs of one input are non-decreasing by construction, not approximately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -44,6 +55,7 @@ __all__ = [
     "backward",
     "adam_step",
     "train",
+    "train_many",
 ]
 
 _HIDDEN_ACTIVATIONS = ("relu", "sigmoid")
@@ -97,7 +109,7 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and loop settings for :func:`train`."""
+    """Optimizer and loop settings for :func:`train` and :func:`train_many`."""
 
     learning_rate: float = 0.01
     batch_size: int = 16
@@ -159,18 +171,22 @@ class FlatParams:
     it, which is the order :func:`init_network` draws them in. Writing to a
     view writes to ``flat`` and the other way round. Holds parameters,
     gradients or Adam moments alike.
+
+    With ``n_networks`` set, ``flat`` is ``(n_networks, P)``, one row per
+    network, and every view gains the same leading network axis.
     """
 
     __slots__ = ("flat", "weights", "biases")
 
-    def __init__(self, spec: LayerSpec):
+    def __init__(self, spec: LayerSpec, n_networks: int | None = None):
+        lead = () if n_networks is None else (n_networks,)
         shapes = list(zip(spec.widths[:-1], spec.widths[1:]))
-        self.flat = np.zeros(sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes))
+        self.flat = np.zeros((*lead, sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)))
         weights, biases, start = [], [], 0
         for fan_in, fan_out in shapes:
             stop = start + fan_in * fan_out
-            weights.append(self.flat[start:stop].reshape(fan_in, fan_out))
-            biases.append(self.flat[stop:stop + fan_out])
+            weights.append(self.flat[..., start:stop].reshape(*lead, fan_in, fan_out))
+            biases.append(self.flat[..., stop:stop + fan_out])
             start = stop + fan_out
         self.weights = tuple(weights)
         self.biases = tuple(biases)
@@ -178,33 +194,37 @@ class FlatParams:
 
 def init_network(spec: LayerSpec, seed: int = 0) -> NetworkState:
     """Glorot-uniform weights, zero biases, zero Adam moments."""
-    rng = np.random.default_rng(seed)
-    zeros = FlatParams(spec)
-    return _frozen(_init_params(spec, rng), zeros, zeros, step=0)
+    params, zeros = FlatParams(spec), FlatParams(spec)
+    _glorot(params.weights, np.random.default_rng(seed))
+    return _frozen(params, zeros, zeros, step=0)
 
 
-def _init_params(spec: LayerSpec, rng: np.random.Generator) -> FlatParams:
-    params = FlatParams(spec)
-    for w in params.weights:
+def _glorot(weights, rng: np.random.Generator) -> None:
+    for w in weights:
         fan_in, fan_out = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-    return params
 
 
-def _frozen(params: FlatParams, m: FlatParams, v: FlatParams, step: int) -> NetworkState:
-    return NetworkState(params.weights, params.biases, m.weights, v.weights, m.biases, v.biases, step=step)
+def _frozen(params: FlatParams, m: FlatParams, v: FlatParams, step: int, network=()) -> NetworkState:
+    """The state of one network; ``network`` indexes the network axis, if any."""
+    def pick(arrays):
+        return tuple(a[network] for a in arrays)
+
+    return NetworkState(pick(params.weights), pick(params.biases), pick(m.weights), pick(v.weights),
+                        pick(m.biases), pick(v.biases), step=step)
 
 
-def _hidden(spec: LayerSpec, z: np.ndarray) -> np.ndarray:
+def _hidden_in_place(spec: LayerSpec, z: np.ndarray) -> np.ndarray:
     if spec.hidden_activation == "relu":
-        return np.maximum(z, 0.0)
-    return expit(z)
+        return np.maximum(z, 0.0, out=z)
+    return expit(z, out=z)
 
 
-def _hidden_grad(spec: LayerSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _hidden_grad(spec: LayerSpec, a: np.ndarray) -> np.ndarray:
     if spec.hidden_activation == "relu":
-        return (z > 0.0).astype(float)
+        # relu(z) > 0 exactly where z > 0, so the activation stands in for z
+        return (a > 0.0).astype(float)
     return a * (1.0 - a)
 
 
@@ -233,36 +253,35 @@ def _squash_grad(spec: LayerSpec, s: np.ndarray, out: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 - out * out)
 
 
-def _forward_cached(state: NetworkState, spec: LayerSpec, x: np.ndarray):
+def _forward_cached(state: NetworkState | FlatParams, spec: LayerSpec, x: np.ndarray):
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != spec.n_inputs:
+    # stacked parameters take one batch per network: (S, batch, inputs)
+    ndim = state.weights[0].ndim
+    if x.ndim != ndim or x.shape[-1] != spec.n_inputs:
         raise ShapeMismatch(
-            f"input must be (batch, {spec.n_inputs}), got {x.shape}"
+            f"input must be ({'S, ' * (ndim - 2)}batch, {spec.n_inputs}), got {x.shape}"
         )
-    n_layers = len(state.weights)
     inputs = [x]          # input to each linear layer
-    pre_acts = []         # hidden pre-activations
-    a = x
-    for layer in range(n_layers - 1):
-        z = a @ state.weights[layer] + state.biases[layer]
-        a = _hidden(spec, z)
-        pre_acts.append(z)
-        inputs.append(a)
-    z_last = a @ state.weights[-1] + state.biases[-1]
+    for w, b in zip(state.weights[:-1], state.biases[:-1]):
+        z = inputs[-1] @ w
+        z += b[..., None, :]
+        inputs.append(_hidden_in_place(spec, z))
+    z_last = inputs[-1] @ state.weights[-1]
+    z_last += state.biases[-1][..., None, :]
     if spec.head == "sigmoid":
         out = expit(z_last)
         head_cache = (z_last, None, None)
     else:
         g = _transform(spec, z_last)
-        s = np.cumsum(g, axis=1)
+        s = np.cumsum(g, axis=-1)
         out = _squash(spec, s)
         head_cache = (z_last, g, s)
-    return out, inputs, pre_acts, head_cache
+    return out, inputs, head_cache
 
 
 def forward(state: NetworkState, spec: LayerSpec, x: np.ndarray) -> np.ndarray:
     """Network outputs for a batch, one row per input row."""
-    out, _, _, _ = _forward_cached(state, spec, x)
+    out, _, _ = _forward_cached(state, spec, x)
     return out
 
 
@@ -291,13 +310,16 @@ def backward(
 
     ``state`` may be a NetworkState or a FlatParams. The gradients are
     written into ``out`` (a fresh FlatParams when it is None), which is
-    returned.
+    returned. With stacked parameters, ``x`` is ``(S, batch, inputs)`` and
+    ``target`` ``(S, batch, outputs)``; network s gets the gradient of its
+    own loss on slice s, and ``out`` must be stacked alike.
     """
-    pred, inputs, pre_acts, (z_last, g, s) = _forward_cached(state, spec, x)
+    pred, inputs, (z_last, g, s) = _forward_cached(state, spec, x)
     target = np.asarray(target, dtype=float)
     if target.shape != pred.shape:
         raise ShapeMismatch(f"target shape {target.shape} != output shape {pred.shape}")
-    scale = 1.0 / pred.size
+    # the loss of each network is the mean over its own batch and outputs
+    scale = 1.0 / (pred.shape[-2] * pred.shape[-1])
     # the loss clamps, so its gradient vanishes wherever the clamp is active
     interior = (pred > clip_eps) & (pred < 1.0 - clip_eps)
     if spec.head == "sigmoid":
@@ -308,20 +330,21 @@ def backward(
         dp = np.where(interior, (p - target) / (p * (1.0 - p)), 0.0) * scale
         ds = dp * _squash_grad(spec, s, pred)
         # s_j collects every g(z_m) with m <= j, so z_m hears from all j >= m
-        ds_tail = np.flip(np.cumsum(np.flip(ds, axis=1), axis=1), axis=1)
+        ds_tail = np.flip(np.cumsum(np.flip(ds, axis=-1), axis=-1), axis=-1)
         # an exp transform overflows to g = inf only where every later output
         # has saturated, so ds_tail is 0 there; skip the product, not 0 * inf
         dz = np.multiply(ds_tail, _transform_grad(spec, z_last, g),
                          out=np.zeros_like(ds_tail), where=ds_tail != 0.0)
 
-    grads = FlatParams(spec) if out is None else out
+    if out is None:
+        out = FlatParams(spec, pred.shape[0] if pred.ndim == 3 else None)
     for layer in range(len(state.weights) - 1, -1, -1):
-        np.matmul(inputs[layer].T, dz, out=grads.weights[layer])
-        dz.sum(axis=0, out=grads.biases[layer])
+        np.matmul(inputs[layer].swapaxes(-1, -2), dz, out=out.weights[layer])
+        dz.sum(axis=-2, out=out.biases[layer])
         if layer > 0:
-            da = dz @ state.weights[layer].T
-            dz = da * _hidden_grad(spec, pre_acts[layer - 1], inputs[layer])
-    return grads
+            da = dz @ state.weights[layer].swapaxes(-1, -2)
+            dz = da * _hidden_grad(spec, inputs[layer])
+    return out
 
 
 def adam_step(
@@ -331,6 +354,7 @@ def adam_step(
     v: np.ndarray,
     step: int,
     config: TrainConfig,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
     """Update ``step`` (counted from 1) of Adam with bias correction, in place.
 
@@ -338,23 +362,27 @@ def adam_step(
     order of operations is that of the formula
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
     ``p = p - lr*(m/corr1) / (sqrt(v/corr2) + eps)``, so the result is
-    bit-identical to evaluating it on fresh arrays.
+    bit-identical to evaluating it on fresh arrays. The intermediates go into
+    the two arrays of ``scratch``, shaped like ``params``, when given, and
+    into fresh ones otherwise. Nothing is written unless every gradient entry
+    is finite.
     """
     if not np.isfinite(grad).all():
         raise NonFiniteGradient("gradient contains NaN or infinite entries")
+    first, second = (np.empty_like(params), np.empty_like(params)) if scratch is None else scratch
     b1, b2 = config.beta1, config.beta2
     corr1 = 1.0 - b1 ** step
     corr2 = 1.0 - b2 ** step
     m *= b1
-    m += (1.0 - b1) * grad
+    m += np.multiply(1.0 - b1, grad, out=first)
     v *= b2
-    scaled = (1.0 - b2) * grad
+    scaled = np.multiply(1.0 - b2, grad, out=second)
     scaled *= grad
     v += scaled
-    denom = np.divide(v, corr2, out=scaled)
+    denom = np.divide(v, corr2, out=second)
     np.sqrt(denom, out=denom)
     denom += config.adam_eps
-    update = m / corr1
+    update = np.divide(m, corr1, out=first)
     update *= config.learning_rate
     update /= denom
     params -= update
@@ -365,28 +393,60 @@ def train(x: np.ndarray, labels: np.ndarray, spec: LayerSpec, config: TrainConfi
 
     The shuffle order and the initialization both derive from ``config.seed``,
     so identical inputs and configuration reproduce the returned parameters
-    bit for bit.
+    bit for bit. This is the one-network case of :func:`train_many`.
     """
+    return train_many(x, labels, spec, (config,))[0]
+
+
+def train_many(
+    x: np.ndarray, labels: np.ndarray, spec: LayerSpec, configs: Sequence[TrainConfig]
+) -> tuple[NetworkState, ...]:
+    """Train one network per config, all of shape ``spec``, on a shared ``x``.
+
+    Network s trains on label columns ``s*k:(s+1)*k`` of ``labels``, where k
+    is ``spec.n_outputs``, and its Glorot draws and shuffle orders come from
+    ``configs[s].seed``, so it ends bit-identical to ``train`` on those
+    columns with that config. The configs must agree on everything else.
+    Each step is one ``backward`` and one ``adam_step`` call over all the
+    networks; a non-finite gradient in any of them stops training before any
+    parameter of that step is written.
+    """
+    configs = tuple(configs)
+    if not configs:
+        raise ValueError("need at least one config")
+    config = configs[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("configs may differ only in seed")
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels, dtype=float)
+    n_nets, k = len(configs), spec.n_outputs
     if x.ndim != 2 or x.shape[1] != spec.n_inputs:
         raise ShapeMismatch(f"x must be (n, {spec.n_inputs}), got {x.shape}")
-    if labels.shape != (x.shape[0], spec.n_outputs):
+    if labels.shape != (x.shape[0], n_nets * k):
         raise ShapeMismatch(
-            f"labels must be ({x.shape[0]}, {spec.n_outputs}), got {labels.shape}"
+            f"labels must be ({x.shape[0]}, {n_nets * k}), got {labels.shape}"
         )
     n = x.shape[0]
     if n < 1:
         raise ShapeMismatch("training needs at least one example")
-    rng = np.random.default_rng(config.seed)
-    params = _init_params(spec, rng)
-    grad, m, v = FlatParams(spec), FlatParams(spec), FlatParams(spec)
+    # network s's labels as slice s, the layout the stacked batches take
+    targets = np.ascontiguousarray(labels.reshape(n, n_nets, k).transpose(1, 0, 2))
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    params = FlatParams(spec, n_nets)
+    for s, rng in enumerate(rngs):
+        _glorot([w[s] for w in params.weights], rng)
+    grad, m, v = (FlatParams(spec, n_nets) for _ in range(3))
+    scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
+    nets = np.arange(n_nets)[:, None]
     step = 0
     for _ in range(config.epochs):
-        order = rng.permutation(n)
+        orders = np.stack([rng.permutation(n) for rng in rngs])
+        # each network's epoch in its own shuffled order; a batch is a slice
+        x_epoch, t_epoch = x[orders], targets[nets, orders]
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            backward(params, spec, x[idx], labels[idx], config.clip_eps, out=grad)
+            stop = start + config.batch_size
+            backward(params, spec, x_epoch[:, start:stop], t_epoch[:, start:stop], config.clip_eps, out=grad)
             step += 1
-            adam_step(params.flat, grad.flat, m.flat, v.flat, step, config)
-    return _frozen(params, m, v, step)
+            adam_step(params.flat, grad.flat, m.flat, v.flat, step, config, scratch)
+    del grad, scratch  # free the step buffers before the frozen copies are made
+    return tuple(_frozen(params, m, v, step, s) for s in range(n_nets))

@@ -425,6 +425,24 @@ class TestTracerContract:
         assert rc == 0
         assert calls == {"bootstrap_draws": 1, "multiplier_transform": n_draws}
 
+    @pytest.mark.parametrize("call", ["bootstrap_band", "bootstrap_bands"])
+    def test_unknown_functional_fails_before_the_multiplier_pass(self, monkeypatch, call):
+        data = make_experiment(seed=4, n=40)
+        grid = quantile_grid(data, [0.3, 0.6])
+        estimate = empirical_cdf(data, grid)
+        calls = []
+        draws = inference.bootstrap_draws
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return draws(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "bootstrap_draws", counted)
+        estimates = estimate if call == "bootstrap_band" else (estimate,)
+        with pytest.raises(ValueError, match="functional must be cdf, dte, or pte, got 'qte'"):
+            getattr(inference, call)(data, grid, estimates, kind="qte", n_draws=50)
+        assert calls == []
+
 
 def band_with_se(se, kind="dte", locations=None):
     se = np.asarray(se, dtype=float)

@@ -100,6 +100,45 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(write_text(tmp_path / "l.csv", ""))
 
+    def test_first_bad_cell_in_column_order_wins(self, tmp_path):
+        # the non-finite x comes before the unparseable z in the same row
+        text = "arm,outcome,x,z\n1,1.0,0.5,1\n2,2.0,inf,zz\n"
+        with pytest.raises(NonFiniteValue, match="row 3, column 'x': non-finite value 'inf'"):
+            load_csv(write_text(tmp_path / "m.csv", text))
+        text = "arm,outcome,x,z\n1,1.0,0.5,1\n2,2.0,zz,inf\n"
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(write_text(tmp_path / "n.csv", text))
+        assert (excinfo.value.row, excinfo.value.column) == (3, "x")
+
+    def test_bad_cell_before_a_ragged_row_is_reported_first(self, tmp_path):
+        text = "arm,outcome,x\n1,1.0,oops\n2,2.0\n"
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(write_text(tmp_path / "o.csv", text))
+        assert (excinfo.value.row, excinfo.value.column) == (2, "x")
+
+    def test_ragged_row_before_a_bad_cell_is_reported_first(self, tmp_path):
+        text = "arm,outcome,x\n1,1.0\n2,2.0,oops\n"
+        with pytest.raises(ParseError, match="row 2 has 2 cells, header has 3") as excinfo:
+            load_csv(write_text(tmp_path / "p.csv", text))
+        assert (excinfo.value.row, excinfo.value.column) == (2, None)
+
+    def test_overflowing_literal_is_non_finite(self, tmp_path):
+        text = "arm,outcome,x\n1,1e500,0.5\n"
+        with pytest.raises(NonFiniteValue, match="row 2, column 'outcome': non-finite value '1e500'"):
+            load_csv(write_text(tmp_path / "q.csv", text))
+
+    def test_cells_parse_as_python_float(self, tmp_path):
+        text = "arm,outcome,x\n1, 2 ,1_0\n2,3,4\n"
+        data = load_csv(write_text(tmp_path / "r.csv", text))
+        assert_array_equal(data.outcomes, [float(" 2 "), 3.0])
+        assert_array_equal(data.covariates[:, 0], [float("1_0"), 4.0])
+
+    def test_empty_outcome_cell_names_the_outcome(self, tmp_path):
+        text = "arm,outcome,x\n1,1.0,0.5\n2,,0.6\n"
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(write_text(tmp_path / "s.csv", text))
+        assert (excinfo.value.row, excinfo.value.column) == (3, "outcome")
+
 
 def small_band():
     # dyadic values so the 17-digit float format prints them exactly

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -12,7 +14,7 @@ from dtekit.learners import (
     fit,
     predict,
 )
-from dtekit.nn import TrainConfig, bce_loss, forward, init_network
+from dtekit.nn import NetworkState, TrainConfig, bce_loss, forward, init_network, train
 
 
 def small_nn_kind(kind, **kwargs):
@@ -165,6 +167,23 @@ class TestNetworkLearners:
         fitted = fit(small_nn_kind("nn-single"), x, labels)
         assert len(fitted.states) == labels.shape[1]
         assert len(fit(small_nn_kind("nn-multi"), x, labels).states) == 1
+
+    def test_single_networks_match_per_column_training(self, problem):
+        x, labels = problem
+        labels = np.hstack([labels, 1.0 - labels[:, :1]])
+        kind = small_nn_kind("nn-single")
+        fitted = fit(kind, x, labels)
+        xs = (x - fitted.x_mean) / fitted.x_scale
+        spec = kind.layer_spec(x.shape[1], 1)
+        seeds = np.random.SeedSequence(kind.train.seed).generate_state(labels.shape[1])
+        assert len(fitted.states) == labels.shape[1]
+        for j, state in enumerate(fitted.states):
+            assert isinstance(state, NetworkState)
+            want = train(xs, labels[:, j:j + 1], spec, replace(kind.train, seed=int(seeds[j])))
+            for got_w, want_w in zip(state.weights + state.biases, want.weights + want.biases):
+                assert_array_equal(got_w, want_w)
+        columns = [forward(state, spec, xs) for state in fitted.states]
+        assert_array_equal(predict(fitted, x), np.hstack(columns))
 
 
 class TestInputValidation:

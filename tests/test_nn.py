@@ -21,6 +21,7 @@ from dtekit.nn import (
     forward,
     init_network,
     train,
+    train_many,
 )
 
 # arctan(2) / (pi / 2) and tanh-half values at the all-zero parameter point
@@ -503,6 +504,24 @@ class TestTracerContract:
               TrainConfig(epochs=epochs, batch_size=batch_size))
         assert calls == ["backward", "adam_step"] * (epochs * math.ceil(n / batch_size))
 
+    def test_train_many_makes_one_backward_and_one_adam_step_per_stacked_step(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(nn, "backward", counted("backward", nn.backward))
+        monkeypatch.setattr(nn, "adam_step", counted("adam_step", nn.adam_step))
+        n, batch_size, epochs, n_nets = 29, 8, 2, 3
+        rng = np.random.default_rng(1)
+        configs = [TrainConfig(epochs=epochs, batch_size=batch_size, seed=s) for s in range(n_nets)]
+        states = train_many(rng.standard_normal((n, 2)), np.ones((n, n_nets)), spec_of((2, 3, 1)), configs)
+        assert len(states) == n_nets
+        assert calls == ["backward", "adam_step"] * (epochs * math.ceil(n / batch_size))
+
 
 class TestTrain:
     def setup_method(self):
@@ -549,3 +568,84 @@ class TestTrain:
         spec = spec_of((3, 2))
         with pytest.raises(ShapeMismatch):
             train(self.x, self.labels, spec, TrainConfig(epochs=1))
+
+
+def _monotone_labels(rng, n, k):
+    return np.sort((rng.random((n, k)) < 0.5).astype(float), axis=1)
+
+
+class TestTrainMany:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_nets=st.integers(1, 6),
+        n=st.integers(2, 40),
+        batch_size=st.integers(3, 9),
+        head=st.sampled_from(["sigmoid", "monotone"]),
+        hidden_activation=st.sampled_from(["relu", "sigmoid"]),
+        transform=st.sampled_from(["exp", "softplus"]),
+        data_seed=st.integers(0, 2**16),
+    )
+    def test_equals_a_loop_of_train_bit_for_bit(
+        self, n_nets, n, batch_size, head, hidden_activation, transform, data_seed
+    ):
+        if n % batch_size == 0:
+            n += 1  # keep a short last batch
+        k = 3 if head == "monotone" else 1
+        spec = spec_of((3, 7, 5, k), head=head, hidden_activation=hidden_activation, transform=transform)
+        rng = np.random.default_rng(data_seed)
+        x = rng.standard_normal((n, 3))
+        labels = np.hstack([_monotone_labels(rng, n, k) for _ in range(n_nets)])
+        configs = [TrainConfig(epochs=2, batch_size=batch_size, seed=int(seed))
+                   for seed in rng.integers(0, 2**32, size=n_nets)]
+        stacked = train_many(x, labels, spec, configs)
+        assert len(stacked) == n_nets
+        for s, (config, got) in enumerate(zip(configs, stacked)):
+            want = train(x, labels[:, s * k:(s + 1) * k], spec, config)
+            assert got.step == want.step == 2 * math.ceil(n / batch_size)
+            assert_array_equal(np.concatenate([a.ravel() for a in _state_arrays(got)]),
+                               np.concatenate([a.ravel() for a in _state_arrays(want)]))
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"learning_rate": 0.02}, {"batch_size": 3}, {"epochs": 2}, {"beta1": 0.5}, {"beta2": 0.9},
+         {"adam_eps": 1e-6}, {"clip_eps": 1e-5}],
+    )
+    def test_configs_may_differ_only_in_seed(self, change):
+        base = TrainConfig(epochs=1, seed=1)
+        other = dataclasses.replace(base, seed=2, **change)
+        with pytest.raises(ValueError, match="only in seed"):
+            train_many(np.zeros((4, 2)), np.zeros((4, 2)), spec_of((2, 3, 1)), [base, other])
+
+    def test_needs_a_config(self):
+        with pytest.raises(ValueError):
+            train_many(np.zeros((4, 2)), np.zeros((4, 0)), spec_of((2, 3, 1)), [])
+
+    def test_label_columns_must_match_the_networks(self):
+        configs = [TrainConfig(epochs=1, seed=s) for s in range(3)]
+        with pytest.raises(ShapeMismatch):
+            train_many(np.zeros((4, 2)), np.zeros((4, 2)), spec_of((2, 3, 1)), configs)
+
+    @pytest.mark.parametrize("bad_net", [0, 2, 3])
+    def test_non_finite_gradient_in_one_network_writes_no_network(self, monkeypatch, bad_net):
+        n_nets = 4
+        rng = np.random.default_rng(6)
+        labels = (rng.random((12, n_nets)) < 0.5).astype(float)
+        labels[:, bad_net] = np.nan
+        seen = []
+        adam = nn.adam_step
+
+        def watched(params, *args, **kwargs):
+            before = params.copy()
+            try:
+                adam(params, *args, **kwargs)
+            finally:
+                seen.append((before, params.copy()))
+
+        monkeypatch.setattr(nn, "adam_step", watched)
+        configs = [TrainConfig(epochs=1, batch_size=4, seed=s) for s in range(n_nets)]
+        with pytest.raises(NonFiniteGradient):
+            train_many(rng.standard_normal((12, 2)), labels, spec_of((2, 3, 1)), configs)
+        # the first step already fails, and every network keeps its init
+        [(before, after)] = seen
+        assert before.shape[0] == n_nets
+        assert_array_equal(after, before)

@@ -43,6 +43,7 @@ from .learners import (
     LearnerKind,
     benchmark_training_cost,
     fit,
+    fit_many,
     predict,
 )
 from .nn import LayerSpec, NetworkState, TrainConfig, train, train_many
@@ -88,6 +89,7 @@ __all__ = [
     "empirical_cdf",
     "fit",
     "fit_adjusted",
+    "fit_many",
     "generate",
     "indicator_labels",
     "influence",

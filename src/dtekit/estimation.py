@@ -38,7 +38,7 @@ from .errors import (
     TooFewUnits,
     UnsortedGrid,
 )
-from .learners import FittedLearner, LearnerKind, fit, predict
+from .learners import FittedLearner, LearnerKind, fit_many, predict
 
 __all__ = [
     "CrossFitPlan",
@@ -113,6 +113,9 @@ def crossfit_gamma(
     For each arm w and fold l, a learner is trained on the arm-w units outside
     fold l and then predicts for every unit inside fold l, whichever arm that
     unit was assigned to. No unit is ever predicted by a model it trained.
+    Every (arm, fold) training split is checked before any learner trains,
+    and all K x L learners come from one :func:`~dtekit.learners.fit_many`
+    call, so the network kinds with a shared trunk train as one stack.
     """
     validate_experiment(data, grid)
     n = data.n_units
@@ -121,20 +124,27 @@ def crossfit_gamma(
             f"fold assignment covers {plan.fold_assignment.shape[0]} units, data has {n}"
         )
     labels = indicator_labels(data, grid)
-    predictions = np.empty((data.n_arms, n, grid.n_locations))
     folds = plan.fold_assignment
-    for w in range(1, data.n_arms + 1):
-        for fold in range(1, plan.n_folds + 1):
-            train_mask = (folds != fold) & (data.arms == w)
-            n_train = int(train_mask.sum())
-            if n_train < 2:
-                raise EmptyTrainingArm(
-                    f"arm {w} has {n_train} training units outside fold {fold}"
-                )
-            fold_mask = folds == fold
-            seeded = kind.with_seed(derive_seed(kind.train.seed, w, fold))
-            model = fit(seeded, data.covariates[train_mask], labels[train_mask])
-            predictions[w - 1, fold_mask] = predict(model, data.covariates[fold_mask])
+    tasks = [(w, fold) for w in range(1, data.n_arms + 1) for fold in range(1, plan.n_folds + 1)]
+    train_masks = []
+    for w, fold in tasks:
+        train_mask = (folds != fold) & (data.arms == w)
+        n_train = int(train_mask.sum())
+        if n_train < 2:
+            raise EmptyTrainingArm(
+                f"arm {w} has {n_train} training units outside fold {fold}"
+            )
+        train_masks.append(train_mask)
+    # generators: a learner that fits one split at a time holds one split's copy
+    models = fit_many(
+        [kind.with_seed(derive_seed(kind.train.seed, w, fold)) for w, fold in tasks],
+        (data.covariates[mask] for mask in train_masks),
+        (labels[mask] for mask in train_masks),
+    )
+    predictions = np.empty((data.n_arms, n, grid.n_locations))
+    for (w, fold), model in zip(tasks, models):
+        fold_mask = folds == fold
+        predictions[w - 1, fold_mask] = predict(model, data.covariates[fold_mask])
     matrix = ConditionalCdfMatrix(predictions=predictions, fold_assignment=folds)
     if kind.kind != "linear":
         # network heads cannot leave [0, 1]; catching it here catches engine bugs

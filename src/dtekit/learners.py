@@ -14,11 +14,18 @@ P(Y <= y_j | X). Four kinds are available:
 
 Covariates are z-scored with statistics of the training split; the fitted
 statistics travel with the learner and are re-applied at prediction time.
+
+:func:`fit_many` fits one learner kind on several problems, such as the
+(arm, fold) splits of cross-fitting. The shared-trunk network kinds train
+all of them in one stacked :func:`~dtekit.nn.train_many` call,
+bit-identical to fitting each alone; "linear" and "nn-single" fit one
+problem at a time, as the caller asks for them.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +33,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .core import derive_seed
 from .errors import NonFiniteValue, ShapeMismatch, SingularDesign, TooFewUnits
-from .nn import LayerSpec, NetworkState, TrainConfig, forward, train, train_many
+from .nn import LayerSpec, NetworkState, TrainConfig, forward, train_many
 
 __all__ = [
     "LEARNER_KINDS",
@@ -34,6 +41,7 @@ __all__ = [
     "FittedLearner",
     "BenchmarkRow",
     "fit",
+    "fit_many",
     "predict",
     "benchmark_training_cost",
 ]
@@ -142,7 +150,37 @@ def _solve_ridge(design: np.ndarray, labels: np.ndarray, ridge: float) -> np.nda
 
 def fit(kind: LearnerKind, x: np.ndarray, labels: np.ndarray) -> FittedLearner:
     """Train one learner on (covariates, per-location binary labels)."""
-    x, labels = _check_training_inputs(x, labels)
+    return next(fit_many([kind], [x], [labels]))
+
+
+def fit_many(
+    kinds: Sequence[LearnerKind], xs: Iterable[np.ndarray], labels: Iterable[np.ndarray]
+) -> Iterator[FittedLearner]:
+    """Train one learner per problem ``(kinds[i], xs[i], labels[i])``; yield them in order.
+
+    The kinds may differ only in ``train.seed``. The network kinds with one
+    shared trunk read and check every problem, which must then share their
+    covariate and label column counts (the row counts may differ), and train
+    them all in one stacked :func:`~dtekit.nn.train_many` call before this
+    returns. "linear" and "nn-single" read, check and fit each problem only
+    when its learner is asked for, so with iterators for ``xs`` and
+    ``labels`` the caller holds one problem and one learner at a time;
+    "nn-single" then makes one stacked call over its M locations, as
+    :func:`fit` does.
+    """
+    kinds = tuple(kinds)
+    if not kinds:
+        raise ValueError("need at least one problem")
+    kind = kinds[0]
+    if any(k.with_seed(kind.train.seed) != kind for k in kinds):
+        raise ValueError("learner kinds may differ only in train.seed")
+    problems = zip(kinds, xs, labels, strict=True)
+    if kind.kind in ("nn-multi", "nn-multi-monotone"):
+        return iter(_fit_stacked(kinds, [_check_training_inputs(x, y) for _, x, y in problems]))
+    return (_fit_one(k, *_check_training_inputs(x, y)) for k, x, y in problems)
+
+
+def _fit_one(kind: LearnerKind, x: np.ndarray, labels: np.ndarray) -> FittedLearner:
     n_outputs = labels.shape[1]
     mean, scale = _standardize_stats(x)
     xs = (x - mean) / scale
@@ -150,14 +188,28 @@ def fit(kind: LearnerKind, x: np.ndarray, labels: np.ndarray) -> FittedLearner:
         design = np.hstack([xs, np.ones((xs.shape[0], 1))])
         coef = _solve_ridge(design, labels, kind.ridge)
         return FittedLearner(kind, x.shape[1], n_outputs, mean, scale, coef=coef)
-    if kind.kind == "nn-single":
-        seeds = np.random.SeedSequence(kind.train.seed).generate_state(n_outputs)
-        configs = [replace(kind.train, seed=int(seed)) for seed in seeds]
-        states = train_many(xs, labels, kind.layer_spec(x.shape[1], 1), configs)
-        return FittedLearner(kind, x.shape[1], n_outputs, mean, scale, states=states)
-    spec = kind.layer_spec(x.shape[1], n_outputs)
-    state = train(xs, labels, spec, kind.train)
-    return FittedLearner(kind, x.shape[1], n_outputs, mean, scale, states=(state,))
+    seeds = np.random.SeedSequence(kind.train.seed).generate_state(n_outputs)
+    configs = [replace(kind.train, seed=int(seed)) for seed in seeds]
+    columns = [labels[:, j:j + 1] for j in range(n_outputs)]
+    states = train_many([xs] * n_outputs, columns, kind.layer_spec(x.shape[1], 1), configs)
+    return FittedLearner(kind, x.shape[1], n_outputs, mean, scale, states=states)
+
+
+def _fit_stacked(kinds: tuple[LearnerKind, ...], problems) -> list[FittedLearner]:
+    n_inputs, n_outputs = problems[0][0].shape[1], problems[0][1].shape[1]
+    if any(x.shape[1] != n_inputs or y.shape[1] != n_outputs for x, y in problems):
+        raise ShapeMismatch("problems must share their covariate and label column counts")
+    stats = [_standardize_stats(x) for x, _ in problems]
+    states = train_many(
+        [(x - mean) / scale for (x, _), (mean, scale) in zip(problems, stats)],
+        [y for _, y in problems],
+        kinds[0].layer_spec(n_inputs, n_outputs),
+        [k.train for k in kinds],
+    )
+    return [
+        FittedLearner(k, n_inputs, n_outputs, mean, scale, states=(state,))
+        for k, (mean, scale), state in zip(kinds, stats, states)
+    ]
 
 
 def predict(fitted: FittedLearner, x: np.ndarray) -> np.ndarray:

@@ -12,19 +12,28 @@ per-array layout. ``backward`` writes into the flat gradient and
 check per step; the frozen :class:`NetworkState`, which copies the flat
 vectors, is built once, when training ends.
 
-:func:`train_many` trains S networks of one shape on a shared input at once.
-Their buffers gain a leading network axis, ``(S, P)``, and each step is one
-``backward`` and one ``adam_step`` call over all S, on 3-D arrays whose
-slice s is network s; :func:`train` is its one-network case. Network s keeps
-its own seed, so its own Glorot draws and shuffle order, and its own labels.
+:func:`train_many` trains S networks of one shape at once, each on its own
+rows. Their buffers gain a leading network axis, ``(S, P)``, and a step is
+one ``backward`` and one ``adam_step`` call on 3-D arrays whose slice s is
+network s; :func:`train` is its one-network case. Network s keeps its own
+seed, so its own Glorot draws and shuffle order, and its own data. The
+networks are stacked largest first, so at any batch offset those that still
+have a full batch are a leading run of rows. Each epoch then follows a plan
+made once: one call over that run, and one call per run of equal short last
+batches, each on views of the rows it covers. Networks with more batches per
+epoch reach higher step counts, so ``adam_step`` takes one count per
+network.
 
 The results are bit-identical to per-array training of one network at a
 time. A 3-D matmul makes the same BLAS call on each slice that a 2-D matmul
 makes on that network alone, every other operation is elementwise or
 reduces within one slice, and Adam keeps the operation order of the
 textbook formula, writing each intermediate into a preallocated scratch
-buffer instead of a fresh array. What shrinks is the Python and allocation
-overhead of each step, which S networks now pay once.
+buffer instead of a fresh array; each network's bias corrections are the
+same Python floats a scalar step computes. Ragged sizes are handled by which
+rows a call covers, never by padding and masking, so no padded zero enters
+a sum. What shrinks is the Python and allocation overhead of each step,
+which the networks of one call pay once.
 
 Two output heads are supported. The plain head applies a sigmoid to each of
 the final-layer outputs independently. The monotone head maps the final
@@ -131,6 +140,9 @@ class TrainConfig:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if not (0.0 < self.clip_eps < 0.5):
             raise ValueError("clip_eps must lie in (0, 0.5)")
+        # Adam divides by sqrt(v) + eps, and v stays 0 where every gradient was 0
+        if not (np.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ValueError("adam_eps must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -173,15 +185,19 @@ class FlatParams:
     gradients or Adam moments alike.
 
     With ``n_networks`` set, ``flat`` is ``(n_networks, P)``, one row per
-    network, and every view gains the same leading network axis.
+    network, and every view gains the same leading network axis. With
+    ``flat`` given, the views are laid over that array instead of a fresh
+    zero one; :meth:`rows` uses it to view a run of networks.
     """
 
     __slots__ = ("flat", "weights", "biases")
 
-    def __init__(self, spec: LayerSpec, n_networks: int | None = None):
+    def __init__(self, spec: LayerSpec, n_networks: int | None = None, flat: np.ndarray | None = None):
         lead = () if n_networks is None else (n_networks,)
         shapes = list(zip(spec.widths[:-1], spec.widths[1:]))
-        self.flat = np.zeros((*lead, sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)))
+        if flat is None:
+            flat = np.zeros((*lead, sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)))
+        self.flat = flat
         weights, biases, start = [], [], 0
         for fan_in, fan_out in shapes:
             stop = start + fan_in * fan_out
@@ -190,6 +206,10 @@ class FlatParams:
             start = stop + fan_out
         self.weights = tuple(weights)
         self.biases = tuple(biases)
+
+    def rows(self, spec: LayerSpec, start: int, stop: int) -> "FlatParams":
+        """Networks ``start:stop`` of a stacked buffer, as views that write through."""
+        return FlatParams(spec, stop - start, self.flat[start:stop])
 
 
 def init_network(spec: LayerSpec, seed: int = 0) -> NetworkState:
@@ -352,7 +372,7 @@ def adam_step(
     grad: np.ndarray,
     m: np.ndarray,
     v: np.ndarray,
-    step: int,
+    step: int | Sequence[int],
     config: TrainConfig,
     scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
@@ -366,13 +386,24 @@ def adam_step(
     the two arrays of ``scratch``, shaped like ``params``, when given, and
     into fresh ones otherwise. Nothing is written unless every gradient entry
     is finite.
+
+    With stacked ``(S, P)`` buffers, ``step`` may give one count per network.
+    Each row then divides by its own bias corrections, computed in Python
+    like the scalar ones, so row s ends as a scalar call with ``step[s]``
+    would leave it.
     """
     if not np.isfinite(grad).all():
         raise NonFiniteGradient("gradient contains NaN or infinite entries")
     first, second = (np.empty_like(params), np.empty_like(params)) if scratch is None else scratch
     b1, b2 = config.beta1, config.beta2
-    corr1 = 1.0 - b1 ** step
-    corr2 = 1.0 - b2 ** step
+    if np.ndim(step) == 0:
+        corr1 = 1.0 - b1 ** int(step)
+        corr2 = 1.0 - b2 ** int(step)
+    else:
+        if params.ndim != 2 or len(step) != params.shape[0]:
+            raise ShapeMismatch(f"{len(step)} step counts for params of shape {params.shape}")
+        corr1 = np.array([[1.0 - b1 ** int(t)] for t in step])
+        corr2 = np.array([[1.0 - b2 ** int(t)] for t in step])
     m *= b1
     m += np.multiply(1.0 - b1, grad, out=first)
     v *= b2
@@ -395,21 +426,55 @@ def train(x: np.ndarray, labels: np.ndarray, spec: LayerSpec, config: TrainConfi
     so identical inputs and configuration reproduce the returned parameters
     bit for bit. This is the one-network case of :func:`train_many`.
     """
-    return train_many(x, labels, spec, (config,))[0]
+    return train_many([x], [labels], spec, (config,))[0]
+
+
+def _batch_plan(sizes: Sequence[int], batch_size: int) -> list[tuple[int, int, int, int]]:
+    """The calls of one epoch over networks of ``sizes``, sorted largest first.
+
+    Each call is ``(first, last, start, stop)``: networks ``first:last`` take
+    rows ``start:stop`` of their shuffled epoch. At each batch offset, the
+    networks with a full batch left are a leading run and make one call;
+    those with a short last batch make one call per run of equal sizes.
+    """
+    plan = []
+    for start in range(0, sizes[0], batch_size):
+        stop = start + batch_size
+        full = sum(1 for size in sizes if size >= stop)
+        if full:
+            plan.append((0, full, start, stop))
+        first = full
+        while first < len(sizes) and sizes[first] > start:
+            last = first
+            while last < len(sizes) and sizes[last] == sizes[first]:
+                last += 1
+            plan.append((first, last, start, sizes[first]))
+            first = last
+    return plan
 
 
 def train_many(
-    x: np.ndarray, labels: np.ndarray, spec: LayerSpec, configs: Sequence[TrainConfig]
+    xs: Sequence[np.ndarray],
+    labels: Sequence[np.ndarray],
+    spec: LayerSpec,
+    configs: Sequence[TrainConfig],
 ) -> tuple[NetworkState, ...]:
-    """Train one network per config, all of shape ``spec``, on a shared ``x``.
+    """Train one network per config, all of shape ``spec``, each on its own data.
 
-    Network s trains on label columns ``s*k:(s+1)*k`` of ``labels``, where k
-    is ``spec.n_outputs``, and its Glorot draws and shuffle orders come from
-    ``configs[s].seed``, so it ends bit-identical to ``train`` on those
-    columns with that config. The configs must agree on everything else.
-    Each step is one ``backward`` and one ``adam_step`` call over all the
-    networks; a non-finite gradient in any of them stops training before any
-    parameter of that step is written.
+    Network s trains on ``xs[s]``, ``(n_s, inputs)``, against ``labels[s]``,
+    ``(n_s, outputs)``; its Glorot draws and shuffle orders come from
+    ``configs[s].seed``, so it ends bit-identical to ``train`` on that data
+    with that config. The configs must agree on everything else; the sizes
+    n_s may differ.
+
+    The networks are stacked largest first, so at every batch offset those
+    with a full batch left are a leading run of rows. Each epoch follows a
+    precomputed plan: one ``backward`` and one ``adam_step`` call on that
+    run, then one pair per run of equal short last batches, each on views of
+    the rows it covers. Networks whose epochs have different numbers of
+    batches reach different step counts, and ``adam_step`` gets one count
+    per network. A non-finite gradient stops training before that call
+    writes any parameter.
     """
     configs = tuple(configs)
     if not configs:
@@ -417,36 +482,55 @@ def train_many(
     config = configs[0]
     if any(replace(c, seed=config.seed) != config for c in configs):
         raise ValueError("configs may differ only in seed")
-    x = np.asarray(x, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    n_nets, k = len(configs), spec.n_outputs
-    if x.ndim != 2 or x.shape[1] != spec.n_inputs:
-        raise ShapeMismatch(f"x must be (n, {spec.n_inputs}), got {x.shape}")
-    if labels.shape != (x.shape[0], n_nets * k):
-        raise ShapeMismatch(
-            f"labels must be ({x.shape[0]}, {n_nets * k}), got {labels.shape}"
+    if not (len(xs) == len(labels) == len(configs)):
+        raise ValueError(
+            f"got {len(xs)} inputs and {len(labels)} label arrays for {len(configs)} configs"
         )
-    n = x.shape[0]
-    if n < 1:
-        raise ShapeMismatch("training needs at least one example")
-    # network s's labels as slice s, the layout the stacked batches take
-    targets = np.ascontiguousarray(labels.reshape(n, n_nets, k).transpose(1, 0, 2))
-    rngs = [np.random.default_rng(c.seed) for c in configs]
+    n_nets, k = len(configs), spec.n_outputs
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    labels = [np.asarray(t, dtype=float) for t in labels]
+    for x, t in zip(xs, labels):
+        if x.ndim != 2 or x.shape[1] != spec.n_inputs:
+            raise ShapeMismatch(f"x must be (n, {spec.n_inputs}), got {x.shape}")
+        if t.shape != (x.shape[0], k):
+            raise ShapeMismatch(f"labels must be ({x.shape[0]}, {k}), got {t.shape}")
+        if x.shape[0] < 1:
+            raise ShapeMismatch("training needs at least one example")
+    # stacked row r holds network order[r]; a stable sort keeps ties in order
+    order = sorted(range(n_nets), key=lambda s: -xs[s].shape[0])
+    sizes = [xs[s].shape[0] for s in order]
+    rngs = [np.random.default_rng(configs[s].seed) for s in order]
     params = FlatParams(spec, n_nets)
-    for s, rng in enumerate(rngs):
-        _glorot([w[s] for w in params.weights], rng)
+    for row, rng in enumerate(rngs):
+        _glorot([w[row] for w in params.weights], rng)
     grad, m, v = (FlatParams(spec, n_nets) for _ in range(3))
     scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
-    nets = np.arange(n_nets)[:, None]
-    step = 0
-    for _ in range(config.epochs):
-        orders = np.stack([rng.permutation(n) for rng in rngs])
-        # each network's epoch in its own shuffled order; a batch is a slice
-        x_epoch, t_epoch = x[orders], targets[nets, orders]
-        for start in range(0, n, config.batch_size):
-            stop = start + config.batch_size
-            backward(params, spec, x_epoch[:, start:stop], t_epoch[:, start:stop], config.clip_eps, out=grad)
-            step += 1
-            adam_step(params.flat, grad.flat, m.flat, v.flat, step, config, scratch)
-    del grad, scratch  # free the step buffers before the frozen copies are made
-    return tuple(_frozen(params, m, v, step, s) for s in range(n_nets))
+    batches = [-(-size // config.batch_size) for size in sizes]
+    calls = []
+    for first, last, start, stop in _batch_plan(sizes, config.batch_size):
+        count = last - first
+        # rows with equal batch counts always share one step count
+        run_batches = batches[first] if batches[first] == batches[last - 1] else np.array(batches[first:last])
+        calls.append((
+            slice(first, last), slice(start, stop), start // config.batch_size, run_batches,
+            params.rows(spec, first, last), m.flat[first:last], v.flat[first:last],
+            # the gradient and the scratch buffers are workspace: use leading rows
+            grad.rows(spec, 0, count), (scratch[0][:count], scratch[1][:count]),
+        ))
+    # row r's shuffled epoch fills x_epoch[r, :sizes[r]]; the rest is never read
+    x_epoch = np.empty((n_nets, sizes[0], spec.n_inputs))
+    t_epoch = np.empty((n_nets, sizes[0], k))
+    for epoch in range(config.epochs):
+        for row, (s, rng) in enumerate(zip(order, rngs)):
+            perm = rng.permutation(sizes[row])
+            np.take(xs[s], perm, axis=0, out=x_epoch[row, :sizes[row]])
+            np.take(labels[s], perm, axis=0, out=t_epoch[row, :sizes[row]])
+        for rows, batch, index, run_batches, run, run_m, run_v, run_grad, run_scratch in calls:
+            backward(run, spec, x_epoch[rows, batch], t_epoch[rows, batch], config.clip_eps, out=run_grad)
+            step = epoch * run_batches + index + 1
+            adam_step(run.flat, run_grad.flat, run_m, run_v, step, config, run_scratch)
+    del grad, scratch, calls  # free the step buffers before the frozen copies are made
+    states = [None] * n_nets
+    for row, s in enumerate(order):
+        states[s] = _frozen(params, m, v, config.epochs * batches[row], row)
+    return tuple(states)

@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import norm
 
-from dtekit.core import CdfEstimate, ConditionalCdfMatrix, ExperimentData
+import dtekit.learners as learners
+import dtekit.nn as nn
+from dtekit.core import CdfEstimate, ConditionalCdfMatrix, ExperimentData, derive_seed, indicator_labels
 from dtekit.errors import (
     DuplicateLocation,
     EmptyTrainingArm,
@@ -15,6 +17,7 @@ from dtekit.errors import (
     UnsortedGrid,
 )
 from dtekit.estimation import (
+    CrossFitPlan,
     adjusted_cdf,
     crossfit_gamma,
     dte,
@@ -24,7 +27,7 @@ from dtekit.estimation import (
     pte,
     quantile_grid,
 )
-from dtekit.learners import LearnerKind
+from dtekit.learners import LEARNER_KINDS, LearnerKind, fit, predict
 from dtekit.nn import TrainConfig
 
 from conftest import grid_of, make_experiment
@@ -223,6 +226,66 @@ class TestCrossfitGamma:
         plan = make_folds(6, 2, seed=0)
         with pytest.raises(EmptyTrainingArm):
             crossfit_gamma(data, grid_of(2.5), LearnerKind("linear"), plan)
+
+    def test_empty_training_arm_fails_before_any_training(self, monkeypatch):
+        calls = []
+
+        def counting(binding):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return binding(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(nn, "train_many", counting(nn.train_many))
+        monkeypatch.setattr(learners, "train_many", counting(learners.train_many))
+        data = make_experiment(seed=2, n=12)
+        data = ExperimentData(covariates=data.covariates, arms=np.repeat([1, 2], 6),
+                              outcomes=data.outcomes, n_arms=2)
+        # arm 2 keeps one unit outside fold 2, the last (arm, fold) pair in order
+        plan = CrossFitPlan(n_folds=2, seed=0,
+                            fold_assignment=np.array([1, 2, 1, 2, 1, 2, 1, 2, 2, 2, 2, 2]))
+        kind = LearnerKind("nn-multi-monotone", hidden=(4,), train=TrainConfig(epochs=1))
+        with pytest.raises(EmptyTrainingArm, match="arm 2 has 1 training units outside fold 2"):
+            crossfit_gamma(data, grid_of(1.0, 2.0), kind, plan)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", LEARNER_KINDS)
+    def test_equals_a_loop_of_fit_and_predict_per_arm_and_fold(self, name):
+        data = make_experiment(seed=13, n=71, n_arms=3)
+        grid = grid_of(1.0, 1.5, 2.0)
+        plan = make_folds(data.n_units, 3, seed=6)
+        kind = LearnerKind(name, hidden=(5,), train=TrainConfig(epochs=2, batch_size=8, seed=21))
+        got = crossfit_gamma(data, grid, kind, plan)
+        # one learner per (arm, fold), fitted and used one after another
+        labels = indicator_labels(data, grid)
+        folds = plan.fold_assignment
+        want = np.empty((data.n_arms, data.n_units, grid.n_locations))
+        for w in range(1, data.n_arms + 1):
+            for fold in range(1, plan.n_folds + 1):
+                train_mask = (folds != fold) & (data.arms == w)
+                seeded = kind.with_seed(derive_seed(kind.train.seed, w, fold))
+                model = fit(seeded, data.covariates[train_mask], labels[train_mask])
+                want[w - 1, folds == fold] = predict(model, data.covariates[folds == fold])
+        assert_array_equal(got.predictions, want)
+
+    @pytest.mark.parametrize(("name", "expected"), [
+        ("nn-multi-monotone", [6]), ("nn-single", [3] * 6),
+    ])
+    def test_train_many_calls_per_crossfit(self, monkeypatch, name, expected):
+        calls = []
+        train_many = learners.train_many
+
+        def counting(xs, labels, spec, configs):
+            calls.append(len(configs))
+            return train_many(xs, labels, spec, configs)
+
+        monkeypatch.setattr(learners, "train_many", counting)
+        data = make_experiment(seed=4, n=60)
+        plan = make_folds(data.n_units, 3, seed=2)
+        kind = LearnerKind(name, hidden=(4,), train=TrainConfig(epochs=1))
+        crossfit_gamma(data, grid_of(1.0, 1.5, 2.0), kind, plan)
+        # 2 arms x 3 folds; nn-single trains one network per location
+        assert calls == expected
 
     def test_fold_assignment_length_checked(self, two_arm_data):
         plan = make_folds(10, 2, seed=0)

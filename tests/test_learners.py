@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dtekit.errors import NonFiniteValue, ShapeMismatch, SingularDesign, TooFewUnits
+import dtekit.learners as learners
 from dtekit.learners import (
     DEFAULT_HIDDEN,
     LEARNER_KINDS,
@@ -12,6 +13,7 @@ from dtekit.learners import (
     LearnerKind,
     benchmark_training_cost,
     fit,
+    fit_many,
     predict,
 )
 from dtekit.nn import NetworkState, TrainConfig, bce_loss, forward, init_network, train
@@ -184,6 +186,115 @@ class TestNetworkLearners:
                 assert_array_equal(got_w, want_w)
         columns = [forward(state, spec, xs) for state in fitted.states]
         assert_array_equal(predict(fitted, x), np.hstack(columns))
+
+
+def ragged_problems(n_problems=3, n_outputs=2):
+    rng = np.random.default_rng(23)
+    problems = []
+    for n in (41, 58, 17, 58)[:n_problems]:
+        x = rng.random((n, 4))
+        y = x.sum(axis=1) + 0.2 * rng.standard_normal(n)
+        cuts = np.quantile(y, np.linspace(0.3, 0.7, n_outputs))
+        problems.append((x, (y[:, None] <= cuts[None, :]).astype(float)))
+    return [x for x, _ in problems], [y for _, y in problems]
+
+
+def counted_train_many(monkeypatch):
+    """Record the number of configs of every ``train_many`` call ``fit_many`` makes."""
+    calls = []
+    train_many = learners.train_many
+
+    def counting(xs, labels, spec, configs):
+        calls.append(len(configs))
+        return train_many(xs, labels, spec, configs)
+
+    monkeypatch.setattr(learners, "train_many", counting)
+    return calls
+
+
+class TestFitMany:
+    @pytest.mark.parametrize("name", LEARNER_KINDS)
+    def test_equals_fit_per_problem_bit_for_bit(self, name):
+        xs, labels = ragged_problems()
+        kinds = [small_nn_kind(name).with_seed(seed) for seed in (3, 1, 4)]
+        for kind, x, y, got in zip(kinds, xs, labels, fit_many(kinds, xs, labels)):
+            want = fit(kind, x, y)
+            assert got.kind == kind
+            assert_array_equal(got.x_mean, want.x_mean)
+            assert_array_equal(got.x_scale, want.x_scale)
+            assert len(got.states) == len(want.states)
+            for got_state, want_state in zip(got.states, want.states):
+                assert got_state.step == want_state.step
+                for a, b in zip(got_state.weights + got_state.biases, want_state.weights + want_state.biases):
+                    assert_array_equal(a, b)
+            assert_array_equal(predict(got, xs[0]), predict(want, xs[0]))
+
+    @pytest.mark.parametrize(("name", "expected"), [
+        ("nn-multi", [3]), ("nn-multi-monotone", [3]), ("nn-single", [2, 2, 2]), ("linear", []),
+    ])
+    def test_train_many_calls(self, monkeypatch, name, expected):
+        calls = counted_train_many(monkeypatch)
+        xs, labels = ragged_problems()
+        kinds = [small_nn_kind(name).with_seed(seed) for seed in range(3)]
+        assert len(list(fit_many(kinds, xs, labels))) == 3
+        assert calls == expected
+
+    @pytest.mark.parametrize(("name", "per_fit"), [("nn-single", [2]), ("linear", [])])
+    def test_one_problem_at_a_time_is_read_and_fitted(self, monkeypatch, name, per_fit):
+        calls = counted_train_many(monkeypatch)
+        xs, labels = ragged_problems(2)
+        read = []
+
+        def reading(arrays):
+            for i, array in enumerate(arrays):
+                read.append(i)
+                yield array
+
+        kinds = [small_nn_kind(name).with_seed(seed) for seed in range(2)]
+        fitted = fit_many(kinds, reading(xs), labels)
+        assert read == [] and calls == []
+        next(fitted)
+        assert read == [0] and calls == per_fit
+        next(fitted)
+        assert read == [0, 1] and calls == per_fit * 2
+
+    @pytest.mark.parametrize("change", [
+        {"kind": "nn-multi"},
+        {"hidden": (9,)},
+        {"hidden_activation": "sigmoid"},
+        {"transform": "softplus"},
+        {"ridge": 1e-3},
+        {"train": TrainConfig(epochs=4, batch_size=16, seed=5)},
+    ])
+    def test_kinds_may_differ_only_in_the_seed(self, monkeypatch, change):
+        calls = counted_train_many(monkeypatch)
+        xs, labels = ragged_problems(2)
+        kind = small_nn_kind("nn-multi-monotone")
+        with pytest.raises(ValueError, match="only in train.seed"):
+            fit_many([kind, replace(kind.with_seed(8), **change)], xs, labels)
+        assert calls == []
+
+    def test_every_problem_is_checked_before_training(self, monkeypatch):
+        calls = counted_train_many(monkeypatch)
+        xs, labels = ragged_problems(2)
+        kinds = [small_nn_kind("nn-multi").with_seed(seed) for seed in range(2)]
+        with pytest.raises(TooFewUnits):
+            fit_many(kinds, [xs[0], xs[1][:1]], [labels[0], labels[1][:1]])
+        with pytest.raises(ShapeMismatch):
+            fit_many(kinds, [xs[0], xs[1][:, :3]], labels)
+        with pytest.raises(ShapeMismatch):
+            fit_many(kinds, xs, [labels[0], labels[1][:, :1]])
+        assert calls == []
+
+    def test_needs_one_input_and_label_array_per_kind(self):
+        xs, labels = ragged_problems(2)
+        with pytest.raises(ValueError):
+            fit_many([], [], [])
+        with pytest.raises(ValueError):
+            fit_many([small_nn_kind("nn-multi")], xs, labels)
+        # the one-at-a-time kinds find out when they run out of problems
+        with pytest.raises(ValueError):
+            list(fit_many([LearnerKind("linear")], xs, labels))
 
 
 class TestInputValidation:

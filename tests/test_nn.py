@@ -66,6 +66,10 @@ class TestTrainConfig:
             {"learning_rate": np.inf},
             {"beta1": 1.0},
             {"clip_eps": 0.6},
+            {"adam_eps": 0.0},
+            {"adam_eps": -1e-8},
+            {"adam_eps": np.nan},
+            {"adam_eps": np.inf},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -372,6 +376,27 @@ class TestAdamStep:
         assert_array_equal(m, 0.5)
         assert_array_equal(v, 0.25)
 
+    def test_per_network_steps_equal_per_row_scalar_calls(self):
+        rng = np.random.default_rng(8)
+        config = TrainConfig(learning_rate=0.03)
+        steps = [1, 4, 4, 17, 250]
+        params, m = rng.standard_normal((2, 5, 9))
+        v = rng.random((5, 9))
+        grad = rng.standard_normal((5, 9))
+        grad[1, :3] = 0.0
+        rows = [(params[s].copy(), m[s].copy(), v[s].copy()) for s in range(5)]
+        adam_step(params, grad, m, v, np.array(steps), config)
+        for s, (p_s, m_s, v_s) in enumerate(rows):
+            adam_step(p_s, grad[s], m_s, v_s, steps[s], config)
+            assert_array_equal(params[s], p_s)
+            assert_array_equal(m[s], m_s)
+            assert_array_equal(v[s], v_s)
+
+    def test_per_network_steps_need_one_count_per_row(self):
+        params = np.zeros((3, 4))
+        with pytest.raises(ShapeMismatch):
+            adam_step(params, params, params.copy(), params.copy(), [1, 2], TrainConfig())
+
 
 def _reference_backward(weights, biases, spec, x, target, clip_eps):
     """Per-array backward pass written out from the formulas, one array per layer."""
@@ -518,9 +543,38 @@ class TestTracerContract:
         n, batch_size, epochs, n_nets = 29, 8, 2, 3
         rng = np.random.default_rng(1)
         configs = [TrainConfig(epochs=epochs, batch_size=batch_size, seed=s) for s in range(n_nets)]
-        states = train_many(rng.standard_normal((n, 2)), np.ones((n, n_nets)), spec_of((2, 3, 1)), configs)
+        x = rng.standard_normal((n, 2))
+        states = train_many([x] * n_nets, [np.ones((n, 1))] * n_nets, spec_of((2, 3, 1)), configs)
         assert len(states) == n_nets
         assert calls == ["backward", "adam_step"] * (epochs * math.ceil(n / batch_size))
+
+    def test_ragged_networks_make_one_call_per_run(self, monkeypatch):
+        batches = []
+        steps = []
+        backward, adam = nn.backward, nn.adam_step
+
+        def watched_backward(state, spec, x, *args, **kwargs):
+            batches.append(x.shape[:2])
+            return backward(state, spec, x, *args, **kwargs)
+
+        def watched_adam(params, grad, m, v, step, *args, **kwargs):
+            steps.append(np.asarray(step).tolist())
+            return adam(params, grad, m, v, step, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "backward", watched_backward)
+        monkeypatch.setattr(nn, "adam_step", watched_adam)
+        sizes = (10, 7, 3, 7)
+        rng = np.random.default_rng(2)
+        configs = [TrainConfig(epochs=2, batch_size=4, seed=s) for s in range(len(sizes))]
+        states = train_many([rng.standard_normal((n, 2)) for n in sizes],
+                            [np.ones((n, 1)) for n in sizes], spec_of((2, 3, 1)), configs)
+        # stacked largest first: 10, 7, 7, 3. Offset 0: the three full batches,
+        # then the 3; offset 4: the 10, then both 7s (3 rows each); offset 8: the 10
+        per_epoch = [(3, 4), (1, 3), (1, 4), (2, 3), (1, 2)]
+        assert batches == per_epoch * 2
+        # the 10 takes 3 batches an epoch, the 7s two, the 3 one
+        assert steps == [[1, 1, 1], 1, 2, 2, 3, [4, 3, 3], 2, 5, 4, 6]
+        assert [state.step for state in states] == [6, 4, 2, 4]
 
 
 class TestTrain:
@@ -577,33 +631,46 @@ def _monotone_labels(rng, n, k):
 class TestTrainMany:
     @settings(max_examples=30, deadline=None)
     @given(
-        n_nets=st.integers(1, 6),
-        n=st.integers(2, 40),
-        batch_size=st.integers(3, 9),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+        batch_size=st.integers(1, 8),
         head=st.sampled_from(["sigmoid", "monotone"]),
         hidden_activation=st.sampled_from(["relu", "sigmoid"]),
         transform=st.sampled_from(["exp", "softplus"]),
         data_seed=st.integers(0, 2**16),
     )
     def test_equals_a_loop_of_train_bit_for_bit(
-        self, n_nets, n, batch_size, head, hidden_activation, transform, data_seed
+        self, sizes, batch_size, head, hidden_activation, transform, data_seed
     ):
-        if n % batch_size == 0:
-            n += 1  # keep a short last batch
         k = 3 if head == "monotone" else 1
         spec = spec_of((3, 7, 5, k), head=head, hidden_activation=hidden_activation, transform=transform)
         rng = np.random.default_rng(data_seed)
-        x = rng.standard_normal((n, 3))
-        labels = np.hstack([_monotone_labels(rng, n, k) for _ in range(n_nets)])
+        xs = [rng.standard_normal((n, 3)) for n in sizes]
+        labels = [_monotone_labels(rng, n, k) for n in sizes]
         configs = [TrainConfig(epochs=2, batch_size=batch_size, seed=int(seed))
-                   for seed in rng.integers(0, 2**32, size=n_nets)]
-        stacked = train_many(x, labels, spec, configs)
-        assert len(stacked) == n_nets
-        for s, (config, got) in enumerate(zip(configs, stacked)):
-            want = train(x, labels[:, s * k:(s + 1) * k], spec, config)
-            assert got.step == want.step == 2 * math.ceil(n / batch_size)
+                   for seed in rng.integers(0, 2**32, size=len(sizes))]
+        stacked = train_many(xs, labels, spec, configs)
+        assert len(stacked) == len(sizes)
+        for x, y, config, got in zip(xs, labels, configs, stacked):
+            want = train(x, y, spec, config)
+            assert got.step == want.step == 2 * math.ceil(x.shape[0] / batch_size)
             assert_array_equal(np.concatenate([a.ravel() for a in _state_arrays(got)]),
                                np.concatenate([a.ravel() for a in _state_arrays(want)]))
+
+    @pytest.mark.parametrize("head", ["sigmoid", "monotone"])
+    def test_networks_with_different_step_counts_match_train(self, head):
+        # 4, 1 and 5 batches an epoch, given out of size order
+        sizes, k = (9, 3, 17), 2
+        spec = spec_of((2, 6, k), head=head)
+        rng = np.random.default_rng(12)
+        xs = [rng.standard_normal((n, 2)) for n in sizes]
+        labels = [_monotone_labels(rng, n, k) for n in sizes]
+        configs = [TrainConfig(epochs=3, batch_size=2 * k, seed=s) for s in (4, 5, 6)]
+        stacked = train_many(xs, labels, spec, configs)
+        assert [state.step for state in stacked] == [9, 3, 15]
+        for x, y, config, got in zip(xs, labels, configs, stacked):
+            want = train(x, y, spec, config)
+            for a, b in zip(_state_arrays(got), _state_arrays(want)):
+                assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
         "change",
@@ -613,24 +680,40 @@ class TestTrainMany:
     def test_configs_may_differ_only_in_seed(self, change):
         base = TrainConfig(epochs=1, seed=1)
         other = dataclasses.replace(base, seed=2, **change)
+        x, y = np.zeros((4, 2)), np.zeros((4, 1))
         with pytest.raises(ValueError, match="only in seed"):
-            train_many(np.zeros((4, 2)), np.zeros((4, 2)), spec_of((2, 3, 1)), [base, other])
+            train_many([x, x], [y, y], spec_of((2, 3, 1)), [base, other])
 
     def test_needs_a_config(self):
         with pytest.raises(ValueError):
-            train_many(np.zeros((4, 2)), np.zeros((4, 0)), spec_of((2, 3, 1)), [])
+            train_many([], [], spec_of((2, 3, 1)), [])
+
+    def test_one_input_and_one_label_array_per_config(self):
+        configs = [TrainConfig(epochs=1, seed=s) for s in range(3)]
+        x, y = np.zeros((4, 2)), np.zeros((4, 1))
+        with pytest.raises(ValueError):
+            train_many([x, x], [y, y, y], spec_of((2, 3, 1)), configs)
 
     def test_label_columns_must_match_the_networks(self):
-        configs = [TrainConfig(epochs=1, seed=s) for s in range(3)]
+        configs = [TrainConfig(epochs=1, seed=s) for s in range(2)]
+        x = np.zeros((4, 2))
         with pytest.raises(ShapeMismatch):
-            train_many(np.zeros((4, 2)), np.zeros((4, 2)), spec_of((2, 3, 1)), configs)
+            train_many([x, x], [np.zeros((4, 1)), np.zeros((4, 2))], spec_of((2, 3, 1)), configs)
+        with pytest.raises(ShapeMismatch):
+            train_many([x, x], [np.zeros((4, 1)), np.zeros((3, 1))], spec_of((2, 3, 1)), configs)
+
+    def test_every_network_needs_an_example(self):
+        configs = [TrainConfig(epochs=1, seed=s) for s in range(2)]
+        with pytest.raises(ShapeMismatch):
+            train_many([np.zeros((4, 2)), np.zeros((0, 2))], [np.zeros((4, 1)), np.zeros((0, 1))],
+                       spec_of((2, 3, 1)), configs)
 
     @pytest.mark.parametrize("bad_net", [0, 2, 3])
     def test_non_finite_gradient_in_one_network_writes_no_network(self, monkeypatch, bad_net):
         n_nets = 4
         rng = np.random.default_rng(6)
-        labels = (rng.random((12, n_nets)) < 0.5).astype(float)
-        labels[:, bad_net] = np.nan
+        labels = [(rng.random((12, 1)) < 0.5).astype(float) for _ in range(n_nets)]
+        labels[bad_net][:] = np.nan
         seen = []
         adam = nn.adam_step
 
@@ -643,8 +726,9 @@ class TestTrainMany:
 
         monkeypatch.setattr(nn, "adam_step", watched)
         configs = [TrainConfig(epochs=1, batch_size=4, seed=s) for s in range(n_nets)]
+        x = rng.standard_normal((12, 2))
         with pytest.raises(NonFiniteGradient):
-            train_many(rng.standard_normal((12, 2)), labels, spec_of((2, 3, 1)), configs)
+            train_many([x] * n_nets, labels, spec_of((2, 3, 1)), configs)
         # the first step already fails, and every network keeps its init
         [(before, after)] = seen
         assert before.shape[0] == n_nets

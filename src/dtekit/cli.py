@@ -342,7 +342,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--B", type=int, dest="n_draws", help="bootstrap repetitions")
     sub.add_argument("--alpha", type=float, help="band miscoverage level")
     sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--threads", type=int, help="worker processes for replications")
+    sub.add_argument("--threads", type=int, help="worker processes for replications (simulate)")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--functional", choices=("cdf", "dte", "pte"))
     sub.add_argument("--arm-pair", dest="arm_pair", help="two arm indices, e.g. 2,1")

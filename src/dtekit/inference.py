@@ -17,11 +17,20 @@ stacks the influence matrices of several estimates (empirical and adjusted,
 say) along the arm axis, and :func:`bootstrap_draws` draws each repetition's
 multipliers once and applies them to every estimate. Each estimate's band
 is bit-identical to the one :func:`bootstrap_band` computes for it alone.
+
+The pass fills its multipliers on T threads, T the CPUs the process may use.
+Every repetition has its own generator stream spawned from the seed, so a
+row's multipliers do not depend on which thread draws them, and each block
+of rows is multiplied as a whole with fixed operands once all its rows are
+filled. The draws are therefore bit-identical at any T.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -146,6 +155,24 @@ def multipliers(n_units: int, seed: int) -> np.ndarray:
     return multiplier_transform(rng.standard_normal(n_units), rng.standard_normal(n_units))
 
 
+def _draw_threads() -> int:
+    """Threads that fill each block of multipliers: the CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _check_draw_args(n_draws: int, seed: int) -> None:
+    """Reject a repetition count or seed that cannot give reproducible draws."""
+    if isinstance(n_draws, bool) or not isinstance(n_draws, (int, np.integer)):
+        raise ValueError(f"bootstrap repetitions must be an integer, got {n_draws!r}")
+    if n_draws < 2:
+        raise ValueError(f"need at least 2 bootstrap repetitions, got {n_draws}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def bootstrap_draws(
     theta: CdfEstimate,
     psi: InfluenceMatrix,
@@ -156,10 +183,20 @@ def bootstrap_draws(
 ) -> BootstrapDraws:
     """Perturbed copies of the CDF matrix, one per bootstrap repetition.
 
-    Repetition b uses its own generator stream spawned from ``seed``, so the
-    multipliers are reproducible and do not depend on how repetitions are
-    batched. The draw matmul is not: BLAS can round the last bit differently
+    Repetition b uses its own generator stream spawned from ``seed``: one
+    call draws its 2n standard normals, the first n and the last n feeding
+    :func:`multiplier_transform`. The multipliers are therefore reproducible
+    and do not depend on how repetitions are batched or which thread draws
+    them. The draw matmul is not: BLAS can round the last bit differently
     for other operand shapes, so the block size and the operands are fixed.
+
+    Each block of ``_DRAW_BLOCK`` rows is filled on T threads, T the CPUs
+    this process may use (at most the rows of a block): every thread fills a
+    contiguous run of the block's rows in place. Once the block is full, the
+    estimates' products run on the same threads, one task per estimate, each
+    on the whole block. The block size and the operands of every product are
+    the same at any T, so the draws are bit-identical at any T. The threads
+    live only for the call, so no thread is alive when a process forks.
 
     ``theta`` and ``psi`` may stack several estimates along the arm axis,
     ``arms_per_estimate`` arms each (default: all arms, one estimate). All
@@ -168,8 +205,7 @@ def bootstrap_draws(
     location) slab, so each estimate's draws are bit-identical to a pass of
     its own.
     """
-    if n_draws < 2:
-        raise ValueError(f"need at least 2 bootstrap repetitions, got {n_draws}")
+    _check_draw_args(n_draws, seed)
     k, n, m = psi.values.shape
     if theta.values.shape != (k, m):
         raise ShapeMismatch(f"theta shape {theta.values.shape} != ({k}, {m})")
@@ -183,17 +219,37 @@ def bootstrap_draws(
     children = np.random.SeedSequence(seed).spawn(n_draws)
     draws = np.empty((n_draws, k * m))
     block = np.empty((min(_DRAW_BLOCK, n_draws), n))
-    scratch = np.empty(n)
-    for start in range(0, n_draws, _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, n_draws)
-        rows = block[: stop - start]
-        for row, child in zip(rows, children[start:stop]):
-            rng = np.random.default_rng(child)
-            rng.standard_normal(n, out=row)
-            rng.standard_normal(n, out=scratch)
-            multiplier_transform(row, scratch, out=row)
-        for e, slab in enumerate(slabs):
-            draws[start:stop, e * per * m:(e + 1) * per * m] = rows @ slab / n
+    threads = min(_draw_threads(), len(block))
+    scratches = [np.empty(2 * n) for _ in range(threads)]
+
+    def fill(rows, streams, scratch):
+        for row, child in zip(rows, streams):
+            np.random.default_rng(child).standard_normal(2 * n, out=scratch)
+            multiplier_transform(scratch[:n], scratch[n:], out=row)
+
+    def product(rows, start, e):
+        draws[start:start + len(rows), e * per * m:(e + 1) * per * m] = rows @ slabs[e] / n
+
+    with ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext() as pool:
+
+        def run(tasks):
+            """Run (function, *args) tasks: the first on the calling thread, the rest on the pool if any."""
+            split = len(tasks) if pool is None else 1
+            pending = [pool.submit(*task) for task in tasks[split:]]
+            for function, *args in tasks[:split]:
+                function(*args)
+            for future in pending:
+                future.result()
+
+        for start in range(0, n_draws, _DRAW_BLOCK):
+            rows = block[: min(_DRAW_BLOCK, n_draws - start)]
+            # thread t fills the contiguous rows cuts[t]:cuts[t + 1] of the block
+            cuts = [len(rows) * t // threads for t in range(threads + 1)]
+            run([
+                (fill, rows[lo:hi], children[start + lo:start + hi], scratch)
+                for lo, hi, scratch in zip(cuts, cuts[1:], scratches)
+            ])
+            run([(product, rows, start, e) for e in range(len(slabs))])
     draws += theta.values.reshape(1, k * m)
     return BootstrapDraws(draws=draws.reshape(n_draws, k, m), seed=seed)
 
@@ -254,6 +310,7 @@ def bootstrap_bands(
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_draw_args(n_draws, seed)
     if kind not in _FUNCTIONALS:
         raise ValueError(f"functional must be cdf, dte, or pte, got {kind!r}")
     if not estimates:

@@ -1,4 +1,8 @@
 import inspect
+import itertools
+import os
+import sys
+import threading
 from statistics import NormalDist
 
 import numpy as np
@@ -155,6 +159,199 @@ class TestBootstrapDraws:
         psi = InfluenceMatrix(values=np.zeros((2, 5, 2)))
         with pytest.raises(ValueError):
             bootstrap_draws(self.theta, psi, 1, seed=0)
+
+
+def serial_draws(theta, psi, n_draws, seed, per):
+    """The draws of one serial pass: a fresh generator and two n-normal calls per row."""
+    k, n, m = psi.shape
+    slabs = [psi[first:first + per].transpose(1, 0, 2).reshape(n, per * m) for first in range(0, k, per)]
+    children = np.random.SeedSequence(seed).spawn(n_draws)
+    draws = np.empty((n_draws, k * m))
+    for start in range(0, n_draws, 256):
+        stop = min(start + 256, n_draws)
+        block = np.empty((stop - start, n))
+        for b in range(start, stop):
+            rng = np.random.default_rng(children[b])
+            m1, m2 = rng.standard_normal(n), rng.standard_normal(n)
+            block[b - start] = m1 / np.sqrt(2.0) + (np.square(m2) - 1.0) / 2.0
+        for e, slab in enumerate(slabs):
+            draws[start:stop, e * per * m:(e + 1) * per * m] = block @ slab / n
+    draws += theta.reshape(1, k * m)
+    return draws.reshape(n_draws, k, m)
+
+
+class TestThreadedFill:
+    """Rows of each multiplier block are filled on ``_draw_threads()`` threads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        threads=st.integers(1, 4),
+        n=st.integers(1, 60),
+        n_draws=st.sampled_from([2, 3, 4, 255, 256, 257, 513]),
+        n_estimates=st.integers(1, 3),
+        per=st.integers(1, 3),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+    )
+    def test_equals_a_serial_pass_bit_for_bit(self, threads, n, n_draws, n_estimates, per, m, seed):
+        rng = np.random.default_rng(seed)
+        k = n_estimates * per
+        psi = rng.standard_normal((k, n, m))
+        theta = np.sort(rng.random((k, m)), axis=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_draw_threads", lambda: threads)
+            got = bootstrap_draws(
+                CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
+                n_draws, seed, arms_per_estimate=per,
+            )
+        assert_array_equal(got.draws, serial_draws(theta, psi, n_draws, seed, per))
+
+    def test_more_threads_than_cpus_with_fast_switching(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        psi = rng.standard_normal((4, 50, 3))
+        theta = np.sort(rng.random((4, 3)), axis=1)
+        monkeypatch.setattr(inference, "_draw_threads", lambda: 2 * (os.cpu_count() or 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = bootstrap_draws(
+                CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
+                513, 8, arms_per_estimate=2,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert_array_equal(got.draws, serial_draws(theta, psi, 513, 8, 2))
+
+    @staticmethod
+    def thread_record(monkeypatch):
+        """Thread idents of every multiplier_transform call, and the pools' worker counts."""
+        idents, pools = [], []
+        transform = inference.multiplier_transform
+        pool_class = inference.ThreadPoolExecutor
+
+        def recorded(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return transform(*args, **kwargs)
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return pool_class(max_workers=max_workers)
+
+        monkeypatch.setattr(inference, "multiplier_transform", recorded)
+        monkeypatch.setattr(inference, "ThreadPoolExecutor", pool)
+        return idents, pools
+
+    def run(self, n_draws, n=30):
+        psi = InfluenceMatrix(values=np.random.default_rng(1).standard_normal((2, n, 2)))
+        theta = CdfEstimate(values=np.full((2, 2), 0.5), method="empirical")
+        return bootstrap_draws(theta, psi, n_draws, seed=4)
+
+    def test_calling_thread_and_pool_fill_rows(self, monkeypatch):
+        idents, pools = self.thread_record(monkeypatch)
+        monkeypatch.setattr(inference, "_draw_threads", lambda: 3)
+        self.run(300)
+        assert len(idents) == 300
+        # the pool starts a second worker only when its first is busy
+        assert len(set(idents)) in (2, 3)
+        assert threading.get_ident() in idents
+        assert pools == [2]
+
+    def test_one_thread_fills_inline_without_a_pool(self, monkeypatch):
+        idents, pools = self.thread_record(monkeypatch)
+        monkeypatch.setattr(inference, "_draw_threads", lambda: 1)
+        before = threading.active_count()
+        self.run(300)
+        assert set(idents) == {threading.get_ident()}
+        assert pools == []
+        assert threading.active_count() == before
+
+    def test_threads_capped_by_the_rows_of_a_block(self, monkeypatch):
+        _, pools = self.thread_record(monkeypatch)
+        monkeypatch.setattr(inference, "_draw_threads", lambda: 8)
+        self.run(3)
+        assert pools == [2]
+
+    def test_draw_threads_are_the_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert inference._draw_threads() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert inference._draw_threads() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert inference._draw_threads() == 1
+
+    @pytest.mark.parametrize("where", ["any", "worker"])
+    def test_a_failing_draw_raises_and_leaves_no_thread(self, monkeypatch, where):
+        transform = inference.multiplier_transform
+        count = itertools.count(1)
+        caller = threading.get_ident()
+        error = RuntimeError("multiplier failed")
+
+        def failing(*args, **kwargs):
+            call = next(count)
+            if (where == "any" and call == 300) or (where == "worker" and threading.get_ident() != caller):
+                raise error
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "multiplier_transform", failing)
+        monkeypatch.setattr(inference, "_draw_threads", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            self.run(600)
+        assert raised.value is error
+        assert threading.active_count() == before
+
+
+class TestDrawArguments:
+    """Seed and repetition count are checked before any influence or multiplier work."""
+
+    def setup_method(self):
+        self.theta = CdfEstimate(values=np.full((2, 2), 0.5), method="empirical")
+        self.psi = InfluenceMatrix(values=np.random.default_rng(3).standard_normal((2, 20, 2)))
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, 2.0, True, "3", np.float64(4.0)])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            bootstrap_draws(self.theta, self.psi, 50, seed=seed)
+
+    @pytest.mark.parametrize("n_draws", [300.0, True, "50", None, np.float64(50.0)])
+    def test_non_integer_repetitions_rejected(self, n_draws):
+        with pytest.raises(ValueError, match="bootstrap repetitions must be an integer"):
+            bootstrap_draws(self.theta, self.psi, n_draws, seed=0)
+
+    def test_numpy_integers_accepted(self):
+        want = bootstrap_draws(self.theta, self.psi, 50, seed=7)
+        got = bootstrap_draws(self.theta, self.psi, np.int64(50), seed=np.uint32(7))
+        assert_array_equal(got.draws, want.draws)
+
+    @pytest.mark.parametrize("call", ["bootstrap_band", "bootstrap_bands"])
+    @pytest.mark.parametrize(
+        ("n_draws", "seed", "message"),
+        [
+            (50, None, "seed must be a non-negative integer"),
+            (50, -3, "seed must be a non-negative integer"),
+            (50, False, "seed must be a non-negative integer"),
+            (300.0, 0, "bootstrap repetitions must be an integer"),
+            (1, 0, "need at least 2 bootstrap repetitions"),
+        ],
+    )
+    def test_bands_fail_before_influence_and_draws(self, monkeypatch, call, n_draws, seed, message):
+        data = make_experiment(seed=4, n=40)
+        grid = quantile_grid(data, [0.3, 0.6])
+        estimate = empirical_cdf(data, grid)
+        calls = []
+        for name in ("influence", "bootstrap_draws"):
+            fn = getattr(inference, name)
+
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(inference, name, counted)
+        estimates = estimate if call == "bootstrap_band" else (estimate,)
+        with pytest.raises(ValueError, match=message):
+            getattr(inference, call)(data, grid, estimates, n_draws=n_draws, seed=seed)
+        assert calls == []
 
 
 def constant_outcome_adjusted(n=40):
@@ -406,12 +603,15 @@ class TestTracerContract:
         ]
         csv_path.write_text("\n".join(rows) + "\n")
         calls = {"bootstrap_draws": 0, "multiplier_transform": 0}
+        # multiplier_transform runs on the fill threads
+        lock = threading.Lock()
 
         def counted(name):
             fn = getattr(inference, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                with lock:
+                    calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 

@@ -41,7 +41,6 @@ from .learners import (
     LEARNER_KINDS,
     FittedLearner,
     LearnerKind,
-    benchmark_training_cost,
     fit,
     fit_many,
     predict,
@@ -79,7 +78,6 @@ __all__ = [
     "SimulationReport",
     "TrainConfig",
     "adjusted_cdf",
-    "benchmark_training_cost",
     "bootstrap_band",
     "bootstrap_bands",
     "bootstrap_draws",

@@ -47,7 +47,7 @@ def derive_seed(*keys: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentData:
-    """A completed randomized experiment.
+    """A completed randomized experiment, validated once, where it is built.
 
     Attributes
     ----------
@@ -55,27 +55,60 @@ class ExperimentData:
     arms : (n,) int array with labels in 1..n_arms
     outcomes : (n,) float array
     n_arms : number of declared arms K; inferred as max(arms) when omitted
+    stats : per-arm counts and shares, computed at construction
+
+    Construction raises ShapeMismatch for arrays of the wrong rank or unequal
+    length, TooFewUnits for fewer than 2 units, NonFiniteValue for a
+    non-finite covariate or outcome, and EmptyArm for a non-integral arm
+    label, no declared arm, a label outside 1..K, or an arm without units.
+    Errors about one unit name its 0-based index.
     """
 
     covariates: np.ndarray
     arms: np.ndarray
     outcomes: np.ndarray
     n_arms: int = 0
+    stats: ArmStats = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = _frozen_array(self.covariates, ndim=2, name="covariates")
-        w = _frozen_array(self.arms, dtype=int, ndim=1, name="arms")
+        labels = np.asarray(self.arms)
+        if labels.dtype.kind == "f" and labels.ndim == 1:
+            # checked before the int cast, which would truncate 1.5 to arm 1
+            bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
+            if bad.size:
+                i = int(bad[0])
+                raise EmptyArm(f"arm labels must be integers (unit {i} has {labels[i]:g})")
+        w = _frozen_array(labels, dtype=int, ndim=1, name="arms")
         y = _frozen_array(self.outcomes, ndim=1, name="outcomes")
         if not (x.shape[0] == w.shape[0] == y.shape[0]):
             raise ShapeMismatch(
                 f"covariates ({x.shape[0]}), arms ({w.shape[0]}) and outcomes "
                 f"({y.shape[0]}) must share the unit dimension"
             )
-        k = int(self.n_arms) if self.n_arms else (int(w.max()) if w.size else 0)
+        n = y.shape[0]
+        if n < 2:
+            raise TooFewUnits(f"need at least 2 units, got {n}")
+        if not np.all(np.isfinite(x)):
+            i, j = np.argwhere(~np.isfinite(x))[0]
+            raise NonFiniteValue(f"covariates contain non-finite values (unit {i}, column {j})")
+        if not np.all(np.isfinite(y)):
+            i = np.flatnonzero(~np.isfinite(y))[0]
+            raise NonFiniteValue(f"outcomes contain non-finite values (unit {i})")
+        k = int(self.n_arms) if self.n_arms else int(w.max())
+        if k < 1:
+            raise EmptyArm("experiment declares no arms")
+        if w.min() < 1 or w.max() > k:
+            raise EmptyArm(f"arm labels must lie in 1..{k}")
+        counts = np.bincount(w, minlength=k + 1)[1:]
+        missing = np.flatnonzero(counts == 0)
+        if missing.size:
+            raise EmptyArm(f"arm {missing[0] + 1} has no units")
         object.__setattr__(self, "covariates", x)
         object.__setattr__(self, "arms", w)
         object.__setattr__(self, "outcomes", y)
         object.__setattr__(self, "n_arms", k)
+        object.__setattr__(self, "stats", ArmStats(counts=counts, shares=counts / float(n)))
 
     @property
     def n_units(self) -> int:
@@ -215,32 +248,14 @@ class EffectBand:
 
 
 def validate_experiment(data: ExperimentData, grid: LocationGrid | None = None) -> ArmStats:
-    """Check experiment invariants and return per-arm counts and shares.
+    """Return the per-arm counts and shares of an experiment.
 
-    Raises TooFewUnits, NonFiniteValue, or EmptyArm on violation; grid
-    problems surface from the LocationGrid itself.
+    Both arguments check their invariants when they are built, so there is
+    nothing left to check here: ``data`` raised TooFewUnits, NonFiniteValue
+    or EmptyArm at construction, and ``grid`` enforced order and finiteness
+    itself. The stats returned are the ones ``data`` carries.
     """
-    n = data.n_units
-    if n < 2:
-        raise TooFewUnits(f"need at least 2 units, got {n}")
-    if not np.all(np.isfinite(data.covariates)):
-        raise NonFiniteValue("covariates contain non-finite values")
-    if not np.all(np.isfinite(data.outcomes)):
-        raise NonFiniteValue("outcomes contain non-finite values")
-    k = data.n_arms
-    if k < 1:
-        raise EmptyArm("experiment declares no arms")
-    if data.arms.min() < 1 or data.arms.max() > k:
-        raise EmptyArm(f"arm labels must lie in 1..{k}")
-    counts = np.bincount(data.arms, minlength=k + 1)[1:]
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise EmptyArm(f"arm {missing[0] + 1} has no units")
-    if grid is not None:
-        # construction already enforced order and finiteness; re-assert cheaply
-        if np.any(np.diff(grid.locations) <= 0):
-            raise UnsortedGrid("grid locations must be strictly increasing")
-    return ArmStats(counts=counts, shares=counts / float(n))
+    return data.stats
 
 
 def indicator_labels(data: ExperimentData, grid: LocationGrid) -> np.ndarray:

@@ -20,14 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ArmStats,
     CdfEstimate,
     ConditionalCdfMatrix,
     ExperimentData,
     LocationGrid,
     derive_seed,
     indicator_labels,
-    validate_experiment,
 )
 from .errors import (
     DuplicateLocation,
@@ -94,7 +92,6 @@ def make_folds(n_units: int, n_folds: int, seed: int) -> CrossFitPlan:
 
 def empirical_cdf(data: ExperimentData, grid: LocationGrid) -> CdfEstimate:
     """Per-arm empirical CDF evaluated at every grid location."""
-    stats = validate_experiment(data, grid)
     values = np.empty((data.n_arms, grid.n_locations))
     for w in range(1, data.n_arms + 1):
         arm_y = np.sort(data.outcomes[data.arms == w])
@@ -117,7 +114,6 @@ def crossfit_gamma(
     and all K x L learners come from one :func:`~dtekit.learners.fit_many`
     call, so the network kinds with a shared trunk train as one stack.
     """
-    validate_experiment(data, grid)
     n = data.n_units
     if plan.fold_assignment.shape[0] != n:
         raise ShapeMismatch(
@@ -163,7 +159,6 @@ def adjusted_cdf(
     method: str = "adjusted",
 ) -> CdfEstimate:
     """Regression-adjusted CDF matrix from cross-fitted predictions."""
-    stats = validate_experiment(data, grid)
     preds = gamma.predictions
     if preds.shape != (data.n_arms, data.n_units, grid.n_locations):
         raise ShapeMismatch(
@@ -174,7 +169,7 @@ def adjusted_cdf(
     values = np.empty((data.n_arms, grid.n_locations))
     for w in range(1, data.n_arms + 1):
         own = data.arms == w
-        arm_term = (labels[own] - preds[w - 1, own]).sum(axis=0) / stats.counts[w - 1]
+        arm_term = (labels[own] - preds[w - 1, own]).sum(axis=0) / data.stats.counts[w - 1]
         all_term = preds[w - 1].mean(axis=0)
         values[w - 1] = arm_term + all_term
     return CdfEstimate(values=values, method=method)
@@ -248,7 +243,6 @@ def quantile_grid(data: ExperimentData, probs) -> LocationGrid:
         raise ValueError("quantile probabilities must lie strictly inside (0, 1)")
     if np.any(np.diff(probs) <= 0):
         raise UnsortedGrid("quantile probabilities must be strictly increasing")
-    validate_experiment(data)
     locations = np.quantile(data.outcomes, probs, method="inverted_cdf")
     collisions = np.flatnonzero(np.diff(locations) <= 0)
     if collisions.size:

@@ -43,7 +43,6 @@ from .core import (
     ExperimentData,
     LocationGrid,
     indicator_labels,
-    validate_experiment,
 )
 from .errors import DegenerateDraws, SameArm, ShapeMismatch, ZeroBaselineSE
 from .estimation import AdjustedEstimate
@@ -107,7 +106,6 @@ def influence(
     When ``theta`` is the adjusted estimate built from the same ``gamma``,
     every per-(arm, location) sample mean is zero up to rounding.
     """
-    stats = validate_experiment(data, grid)
     k, n, m = data.n_arms, data.n_units, grid.n_locations
     if theta.values.shape != (k, m):
         raise ShapeMismatch(f"theta shape {theta.values.shape} != ({k}, {m})")
@@ -121,7 +119,7 @@ def influence(
     values = np.empty((k, n, m))
     for w in range(1, k + 1):
         own = (data.arms == w).astype(float)[:, None]
-        share = stats.shares[w - 1]
+        share = data.stats.shares[w - 1]
         values[w - 1] = (
             own * (labels - preds[w - 1]) / share
             + preds[w - 1]

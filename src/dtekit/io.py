@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import EffectBand, ExperimentData
 from .errors import MissingColumn, NonFiniteValue, ParseError
-from .learners import BenchmarkRow
 from .simulation import SimulationReport
 
 __all__ = [
@@ -139,7 +138,7 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 
 
 def emit_report(report, path: str | Path) -> Path:
-    """Write a band, study report, or benchmark table as CSV.
+    """Write a band or a study report as CSV.
 
     Existing files are overwritten; the format depends only on the object,
     so identical inputs produce identical bytes.
@@ -169,12 +168,6 @@ def emit_report(report, path: str | Path) -> Path:
                     _fmt(report.reduction_pct[name][j]),
                 ])
         _write_rows(path, ["location", "method", "bias", "mse", "reduction_pct"], rows)
-    elif isinstance(report, (list, tuple)) and all(isinstance(r, BenchmarkRow) for r in report):
-        _write_rows(
-            path,
-            ["n_outputs", "fit_seconds", "baseline_seconds", "ratio"],
-            ([str(r.n_outputs), _fmt(r.fit_seconds), _fmt(r.baseline_seconds), _fmt(r.ratio)] for r in report),
-        )
     else:
         raise TypeError(f"cannot emit a report for {type(report).__name__}")
     return path

@@ -24,7 +24,6 @@ problem at a time, as the caller asks for them.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
@@ -39,11 +38,9 @@ __all__ = [
     "LEARNER_KINDS",
     "LearnerKind",
     "FittedLearner",
-    "BenchmarkRow",
     "fit",
     "fit_many",
     "predict",
-    "benchmark_training_cost",
 ]
 
 LEARNER_KINDS = ("linear", "nn-single", "nn-multi", "nn-multi-monotone")
@@ -232,62 +229,3 @@ def predict(fitted: FittedLearner, x: np.ndarray) -> np.ndarray:
         return np.hstack(columns)
     spec = kind.layer_spec(fitted.n_inputs, fitted.n_outputs)
     return forward(fitted.states[0], spec, xs)
-
-
-@dataclass(frozen=True)
-class BenchmarkRow:
-    """Joint fit cost at one output count against the looped one-output baseline."""
-
-    n_outputs: int
-    fit_seconds: float
-    baseline_seconds: float
-    ratio: float
-
-
-def _synthetic_problem(n_units: int, n_covariates: int, n_outputs: int, seed: int):
-    rng = np.random.default_rng(seed)
-    x = rng.random((n_units, n_covariates))
-    y = x.sum(axis=1) + rng.standard_normal(n_units)
-    probs = np.linspace(0.2, 0.8, n_outputs) if n_outputs > 1 else np.array([0.5])
-    cuts = np.quantile(y, probs)
-    labels = (y[:, None] <= cuts[None, :]).astype(float)
-    return x, labels
-
-
-def _timed_fit(kind: LearnerKind, x: np.ndarray, labels: np.ndarray, repeats: int) -> float:
-    best = np.inf
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        fit(kind, x, labels)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def benchmark_training_cost(
-    kind: LearnerKind,
-    n_units: int,
-    n_covariates: int,
-    output_sizes: tuple[int, ...],
-    repeats: int = 1,
-    seed: int = 0,
-) -> list[BenchmarkRow]:
-    """Compare one joint fit with M outputs against M separate one-output fits.
-
-    The baseline time is measured once on a single-output problem and scaled
-    by M, mirroring the per-location loop it stands in for. The row at M = 1
-    reuses that measurement, so its ratio is exactly 1.
-    """
-    x1, labels1 = _synthetic_problem(n_units, n_covariates, 1, seed)
-    single_seconds = _timed_fit(kind, x1, labels1, repeats)
-    rows = []
-    for m in output_sizes:
-        if m < 1:
-            raise ValueError("output sizes must be positive")
-        if m == 1:
-            joint = single_seconds
-        else:
-            x, labels = _synthetic_problem(n_units, n_covariates, m, seed)
-            joint = _timed_fit(kind, x, labels, repeats)
-        baseline = m * single_seconds
-        rows.append(BenchmarkRow(int(m), joint, baseline, joint / baseline))
-    return rows

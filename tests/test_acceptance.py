@@ -2,11 +2,13 @@
 
 Each test prints a single ``[ACCEPT-NN]`` verdict line (shown with ``-rA`` or
 on failure) and asserts the bar it names. The two Monte Carlo studies dominate
-the runtime and are module-scoped so each runs exactly once.
+the runtime and are module-scoped so each runs exactly once, on up to four
+worker processes.
 """
 
 import dataclasses
 import json
+import os
 import time
 from pathlib import Path
 
@@ -23,6 +25,8 @@ from dtekit.simulation import DEFAULT_QUANTILES, DgpConfig, oracle_dte, run_stud
 
 N_UNITS = 1000
 PROFILE = TrainConfig(learning_rate=0.01, batch_size=16, epochs=30, seed=0)
+# run_study is bit-identical at any worker count, so the studies run on up to four CPUs
+N_WORKERS = min(4, os.cpu_count() or 1)
 
 
 def _accept(num: int, name: str, ok: bool, detail: str) -> None:
@@ -50,6 +54,7 @@ def bias_study(oracle_cache):
         n_folds=2,
         n_oracle=4_000_000,
         cache_dir=oracle_cache,
+        n_workers=N_WORKERS,
     )
 
 
@@ -68,6 +73,7 @@ def reduction_study(oracle_cache):
         n_folds=2,
         n_oracle=4_000_000,
         cache_dir=oracle_cache,
+        n_workers=N_WORKERS,
     )
 
 

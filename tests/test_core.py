@@ -46,34 +46,41 @@ class TestValidateExperiment:
         assert stats.shares.sum() == pytest.approx(1.0)
 
     def test_declared_arm_missing(self):
-        with pytest.raises(EmptyArm):
-            validate_experiment(small_data([1, 1, 1], n_arms=2))
+        with pytest.raises(EmptyArm, match="arm 2 has no units"):
+            small_data([1, 1, 1], n_arms=2)
 
     def test_label_outside_declared_range(self):
-        with pytest.raises(EmptyArm):
-            validate_experiment(small_data([1, 3], n_arms=2))
+        with pytest.raises(EmptyArm, match=r"arm labels must lie in 1\.\.2"):
+            small_data([1, 3], n_arms=2)
 
     def test_single_unit(self):
         with pytest.raises(TooFewUnits):
-            validate_experiment(small_data([1]))
+            small_data([1])
 
     def test_nonfinite_outcome(self):
         with pytest.raises(NonFiniteValue):
-            validate_experiment(small_data([1, 2], outcomes=[0.0, np.nan]))
+            small_data([1, 2], outcomes=[0.0, np.nan])
 
     def test_nonfinite_covariate(self):
-        data = ExperimentData(
-            covariates=np.array([[0.0, np.inf], [1.0, 2.0]]),
-            arms=np.array([1, 2]),
-            outcomes=np.array([0.0, 1.0]),
-        )
         with pytest.raises(NonFiniteValue):
-            validate_experiment(data)
+            ExperimentData(
+                covariates=np.array([[0.0, np.inf], [1.0, 2.0]]),
+                arms=np.array([1, 2]),
+                outcomes=np.array([0.0, 1.0]),
+            )
 
     def test_grid_checked_against_data(self):
         data = small_data([1, 2, 1, 2])
         stats = validate_experiment(data, grid_of(0.5, 1.5))
         assert stats.counts.tolist() == [2, 2]
+
+    def test_returns_the_stats_the_data_carries(self):
+        data = small_data([1, 2, 2])
+        assert validate_experiment(data) is data.stats
+        assert_array_equal(data.stats.counts, [1, 2])
+        assert_array_equal(data.stats.shares, [1 / 3.0, 2 / 3.0])
+        with pytest.raises(ValueError):
+            data.stats.counts[0] = 5
 
     def test_mismatched_lengths(self):
         with pytest.raises(ShapeMismatch):
@@ -87,6 +94,50 @@ class TestValidateExperiment:
         data = small_data([1, 2])
         with pytest.raises(ValueError):
             data.outcomes[0] = 99.0
+
+
+class TestConstructionErrors:
+    def test_nonfinite_covariate_names_unit_and_column(self):
+        x = np.zeros((10, 3))
+        x[7, 2] = np.nan
+        x[8, 0] = np.inf
+        with pytest.raises(
+            NonFiniteValue, match=r"^covariates contain non-finite values \(unit 7, column 2\)$"
+        ):
+            ExperimentData(covariates=x, arms=np.tile([1, 2], 5), outcomes=np.arange(10.0))
+
+    def test_nonfinite_outcome_names_unit(self):
+        y = np.arange(6.0)
+        y[[3, 5]] = [-np.inf, np.nan]
+        with pytest.raises(NonFiniteValue, match=r"^outcomes contain non-finite values \(unit 3\)$"):
+            small_data([1, 2, 1, 2, 1, 2], outcomes=y)
+
+    def test_non_integral_arm_labels_rejected(self):
+        with pytest.raises(EmptyArm, match=r"arm labels must be integers \(unit 0 has 1\.5\)"):
+            ExperimentData(
+                covariates=np.zeros((4, 1)),
+                arms=np.array([1.5, 1.2, 2.9, 2.1]),
+                outcomes=np.arange(4.0),
+            )
+
+    @pytest.mark.parametrize("label", [2.5, np.nan, np.inf, -np.inf])
+    def test_first_bad_label_is_named(self, label):
+        with pytest.raises(EmptyArm, match=rf"unit 2 has {label:g}\)"):
+            ExperimentData(
+                covariates=np.zeros((4, 1)),
+                arms=np.array([1.0, 2.0, label, 0.5]),
+                outcomes=np.arange(4.0),
+            )
+
+    def test_integral_float_labels_accepted(self):
+        data = ExperimentData(
+            covariates=np.zeros((4, 1)),
+            arms=np.array([2.0, 1.0, 2.0, 2.0]),
+            outcomes=np.arange(4.0),
+        )
+        assert data.arms.dtype.kind == "i"
+        assert_array_equal(data.arms, [2, 1, 2, 2])
+        assert_array_equal(data.stats.counts, [1, 3])
 
 
 class TestLocationGrid:

@@ -430,3 +430,87 @@ class TestVarianceReduction:
         var_adj = np.var(adj, ddof=1)
         # theory puts the ratio near 0.62 for this design
         assert var_adj < 0.85 * var_emp
+
+
+def random_design(seed, n, n_arms, d):
+    """A random experiment whose arms each split evenly between two folds."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    arms = rng.permutation(np.arange(n) % n_arms + 1)
+    y = x.sum(axis=1) + 0.5 * arms + rng.standard_normal(n)
+    folds = np.empty(n, dtype=int)
+    for w in range(1, n_arms + 1):
+        own = np.flatnonzero(arms == w)
+        folds[own] = np.arange(own.size) % 2 + 1
+    data = ExperimentData(covariates=x, arms=arms, outcomes=y, n_arms=n_arms)
+    return data, CrossFitPlan(n_folds=2, seed=0, fold_assignment=folds)
+
+
+designs = {
+    "seed": st.integers(min_value=0, max_value=2**32 - 1),
+    "n": st.integers(min_value=60, max_value=120),
+    "n_arms": st.integers(min_value=2, max_value=3),
+    "d": st.integers(min_value=1, max_value=3),
+}
+PROBS = [0.2, 0.4, 0.6, 0.8]
+
+
+class TestInvariances:
+    @settings(max_examples=25, deadline=None)
+    @given(**designs)
+    def test_permuting_units(self, seed, n, n_arms, d):
+        data, plan = random_design(seed, n, n_arms, d)
+        order = np.random.default_rng(seed + 1).permutation(n)
+        permuted = ExperimentData(
+            covariates=data.covariates[order], arms=data.arms[order],
+            outcomes=data.outcomes[order], n_arms=n_arms,
+        )
+        permuted_plan = CrossFitPlan(n_folds=2, seed=0, fold_assignment=plan.fold_assignment[order])
+        grid = quantile_grid(data, PROBS)
+        assert_array_equal(quantile_grid(permuted, PROBS).locations, grid.locations)
+        assert_array_equal(empirical_cdf(permuted, grid).values, empirical_cdf(data, grid).values)
+        kind = LearnerKind("linear")
+        assert_allclose(
+            fit_adjusted(permuted, grid, kind, plan=permuted_plan).estimate.values,
+            fit_adjusted(data, grid, kind, plan=plan).estimate.values,
+            rtol=0.0, atol=1e-12,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(**designs)
+    def test_relabelling_arms_permutes_rows(self, seed, n, n_arms, d):
+        data, plan = random_design(seed, n, n_arms, d)
+        new_label = np.random.default_rng(seed + 2).permutation(n_arms) + 1
+        relabelled = ExperimentData(
+            covariates=data.covariates, arms=new_label[data.arms - 1],
+            outcomes=data.outcomes, n_arms=n_arms,
+        )
+        grid = quantile_grid(data, PROBS)
+        # row w of the original is row new_label[w] of the relabelled estimate
+        rows = new_label - 1
+        assert_array_equal(empirical_cdf(relabelled, grid).values[rows], empirical_cdf(data, grid).values)
+        kind = LearnerKind("linear")
+        assert_array_equal(
+            fit_adjusted(relabelled, grid, kind, plan=plan).estimate.values[rows],
+            fit_adjusted(data, grid, kind, plan=plan).estimate.values,
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=3, max_value=80),
+        n_arms=st.integers(min_value=1, max_value=3),
+        constants=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=9, max_size=9),
+    )
+    def test_any_constant_gamma_gives_the_empirical_cdf(self, seed, n, n_arms, constants):
+        data, plan = random_design(seed, n, n_arms, 1)
+        grid = grid_of(-1.0, 0.5, 2.0)
+        per_cell = np.reshape(constants, (3, 3))[:n_arms]
+        gamma = ConditionalCdfMatrix(
+            predictions=np.broadcast_to(per_cell[:, None, :], (n_arms, n, 3)).copy(),
+            fold_assignment=plan.fold_assignment,
+        )
+        assert_allclose(
+            adjusted_cdf(data, grid, gamma).values, empirical_cdf(data, grid).values,
+            rtol=0.0, atol=1e-12,
+        )

@@ -15,7 +15,6 @@ from dtekit.io import (
     write_points_csv,
     write_timings_csv,
 )
-from dtekit.learners import BenchmarkRow
 
 
 BASIC_CSV = """arm,outcome,x1,x2
@@ -163,13 +162,6 @@ class TestEmitReport:
         a = emit_report(small_band(), tmp_path / "band_a.csv").read_bytes()
         b = emit_report(small_band(), tmp_path / "band_b.csv").read_bytes()
         assert a == b
-
-    def test_benchmark_rows(self, tmp_path):
-        rows = [BenchmarkRow(1, 0.5, 0.5, 1.0), BenchmarkRow(4, 0.25, 2.0, 0.125)]
-        path = emit_report(rows, tmp_path / "bench.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n_outputs,fit_seconds,baseline_seconds,ratio"
-        assert lines[2] == "4,0.25,2,0.125"
 
     def test_unknown_report_type(self, tmp_path):
         with pytest.raises(TypeError):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dtekit.errors import NonFiniteValue, ShapeMismatch, SingularDesign, TooFewUnits
@@ -9,9 +10,7 @@ import dtekit.learners as learners
 from dtekit.learners import (
     DEFAULT_HIDDEN,
     LEARNER_KINDS,
-    BenchmarkRow,
     LearnerKind,
-    benchmark_training_cost,
     fit,
     fit_many,
     predict,
@@ -229,6 +228,26 @@ class TestFitMany:
                     assert_array_equal(a, b)
             assert_array_equal(predict(got, xs[0]), predict(want, xs[0]))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rows=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=4),
+        d=st.integers(min_value=1, max_value=4),
+        n_outputs=st.integers(min_value=1, max_value=4),
+        ridge=st.sampled_from([0.0, 1e-8, 0.5]),
+    )
+    def test_linear_equals_fit_per_problem_on_random_designs(self, seed, rows, d, n_outputs, ridge):
+        rng = np.random.default_rng(seed)
+        xs = [rng.standard_normal((d + 2 + extra, d)) for extra in rows]
+        labels = [(rng.random((x.shape[0], n_outputs)) < 0.5).astype(float) for x in xs]
+        kinds = [LearnerKind("linear", ridge=ridge).with_seed(i) for i in range(len(xs))]
+        for kind, x, y, got in zip(kinds, xs, labels, fit_many(kinds, xs, labels)):
+            want = fit(kind, x, y)
+            assert_array_equal(got.x_mean, want.x_mean)
+            assert_array_equal(got.x_scale, want.x_scale)
+            assert_array_equal(got.coef, want.coef)
+            assert_array_equal(predict(got, xs[0]), predict(want, xs[0]))
+
     @pytest.mark.parametrize(("name", "expected"), [
         ("nn-multi", [3]), ("nn-multi-monotone", [3]), ("nn-single", [2, 2, 2]), ("linear", []),
     ])
@@ -330,22 +349,3 @@ class TestInputValidation:
         with pytest.raises(NonFiniteValue):
             predict(fitted, bad)
 
-
-class TestBenchmark:
-    def test_rows_and_unit_ratio(self):
-        rows = benchmark_training_cost(LearnerKind("linear"), 50, 3, (1, 4), repeats=2)
-        assert [r.n_outputs for r in rows] == [1, 4]
-        assert all(isinstance(r, BenchmarkRow) for r in rows)
-        assert rows[0].ratio == 1.0
-        assert all(r.fit_seconds > 0 and r.baseline_seconds > 0 for r in rows)
-
-    def test_network_joint_fit_beats_loop(self):
-        kind = LearnerKind(
-            "nn-multi", hidden=(16,), train=TrainConfig(epochs=2, seed=0)
-        )
-        rows = benchmark_training_cost(kind, 200, 5, (8,), repeats=2)
-        assert rows[0].ratio < 1.0
-
-    def test_zero_output_size_rejected(self):
-        with pytest.raises(ValueError):
-            benchmark_training_cost(LearnerKind("linear"), 50, 3, (0,))

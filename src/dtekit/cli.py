@@ -5,7 +5,9 @@ Four subcommands: ``simulate`` runs the synthetic Monte Carlo study,
 times the learners on one synthetic dataset. Every run writes its outputs
 plus a ``manifest.json`` holding the fully resolved configuration; replaying
 a manifest with ``--from-manifest`` reproduces the data outputs byte for
-byte (timings excepted, since wall clocks are not replayable).
+byte (timings excepted, since wall clocks are not replayable). Networks train
+in the manifest's ``precision``; a manifest without that key predates it and
+trained in float64, so it replays in float64.
 
 Exit codes: 0 on success, 1 for domain errors (bad data, singular designs,
 unreadable files), 2 for usage errors (bad flags or configuration values).
@@ -86,6 +88,7 @@ class RunConfig:
     ridge: float = 1e-8
     transform: str = "exp"
     squash: str = "arctan"
+    precision: str = "float32"
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -118,8 +121,10 @@ class RunConfig:
         object.__setattr__(self, "arm_pair", pair)
         if self.mode in ("estimate", "bootstrap-band") and not self.input:
             raise ValueError(f"mode {self.mode} requires --input CSV")
-        # grid syntax is validated eagerly so bad values fail before any work
+        # grid syntax and training settings are validated eagerly so bad
+        # values fail as usage errors, before any work
         parse_grid_spec(self.grid)
+        _train_config(self)
 
 
 def parse_grid_spec(spec: str):
@@ -167,6 +172,16 @@ def parse_grid_spec(spec: str):
     raise ValueError(f"grid spec {spec!r} must start with probs=, list=, or range=")
 
 
+def _train_config(config: RunConfig) -> TrainConfig:
+    return TrainConfig(
+        learning_rate=config.learning_rate,
+        batch_size=config.batch_size,
+        epochs=config.epochs,
+        seed=config.seed,
+        precision=config.precision,
+    )
+
+
 def _learner_kind(config: RunConfig, name: str) -> LearnerKind | None:
     if name == "empirical":
         return None
@@ -176,12 +191,7 @@ def _learner_kind(config: RunConfig, name: str) -> LearnerKind | None:
         transform=config.transform,
         squash=config.squash,
         ridge=config.ridge,
-        train=TrainConfig(
-            learning_rate=config.learning_rate,
-            batch_size=config.batch_size,
-            epochs=config.epochs,
-            seed=config.seed,
-        ),
+        train=_train_config(config),
     )
 
 
@@ -197,7 +207,12 @@ def _config_dict(config: RunConfig) -> dict:
 
 
 def config_from_dict(payload: dict) -> RunConfig:
-    kwargs = {}
+    """The run configuration a manifest's config block records.
+
+    A block without ``precision`` was written when networks trained in float64
+    only, so it is read as float64 and replays byte for byte.
+    """
+    kwargs = {"precision": "float64"}
     names = {f.name for f in dataclasses.fields(RunConfig)}
     for key, value in payload.items():
         if key not in names:

@@ -36,7 +36,7 @@ from .errors import (
     TooFewUnits,
     UnsortedGrid,
 )
-from .learners import FittedLearner, LearnerKind, fit_many, predict
+from .learners import LearnerKind, fit_many, predict
 
 __all__ = [
     "CrossFitPlan",
@@ -144,12 +144,23 @@ def crossfit_gamma(
     matrix = ConditionalCdfMatrix(predictions=predictions, fold_assignment=folds)
     if kind.kind != "linear":
         # network heads cannot leave [0, 1]; catching it here catches engine bugs
-        if np.any(matrix.predictions < 0.0) or np.any(matrix.predictions > 1.0):
-            raise ShapeMismatch("network predictions left [0, 1]")
+        outside = (matrix.predictions < 0.0) | (matrix.predictions > 1.0)
+        if outside.any():
+            raise ShapeMismatch(f"network predictions left [0, 1] {_first_cell(outside)}")
     if kind.kind == "nn-multi-monotone" and grid.n_locations > 1:
-        if np.any(np.diff(matrix.predictions, axis=2) < 0.0):
-            raise ShapeMismatch("monotone head produced a decreasing prediction row")
+        # a decrease into location j + 1 is reported at location j + 1
+        falls = np.diff(matrix.predictions, axis=2) < 0.0
+        if falls.any():
+            raise ShapeMismatch(
+                f"monotone head produced a decreasing prediction row {_first_cell(falls, 1)}"
+            )
     return matrix
+
+
+def _first_cell(mask: np.ndarray, location_offset: int = 0) -> str:
+    """The first True (arm, unit, location) cell of ``mask``, as error text."""
+    arm, unit, location = np.argwhere(mask)[0]
+    return f"(arm {arm + 1}, unit {unit}, location {location + location_offset})"
 
 
 def adjusted_cdf(

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import derive_seed
 from .errors import NonFiniteValue, ShapeMismatch, SingularDesign, TooFewUnits
 from .nn import LayerSpec, NetworkState, TrainConfig, forward, train_many
 

@@ -4,13 +4,21 @@ Plain numpy throughout: fully connected layers, ReLU or sigmoid hidden
 activations, binary cross-entropy, exact reverse-mode gradients, and Adam.
 
 Training keeps each network's parameters, gradient and two Adam moments in
-one flat float64 vector apiece (:class:`FlatParams`). The per-layer weight
-matrices and bias vectors are reshaped views of that vector, laid out in the
-order the initializer draws them, so the Glorot draws are those of a
-per-array layout. ``backward`` writes into the flat gradient and
-``adam_step`` updates parameters and moments in place, with one finiteness
-check per step; the frozen :class:`NetworkState`, which copies the flat
-vectors, is built once, when training ends.
+one flat vector apiece (:class:`FlatParams`), in the precision the config
+names: float32 by default, or float64. The per-layer weight matrices and bias
+vectors are reshaped views of that vector, laid out in the order the
+initializer draws them, so the Glorot draws are those of a per-array layout;
+they are drawn in float64 and rounded once to the training precision.
+``backward`` and ``adam_step`` compute in the dtype of the parameters they
+are given. ``backward`` writes into the flat gradient and ``adam_step``
+updates parameters and moments in place, with one finiteness check per step;
+the frozen :class:`NetworkState`, which copies the flat vectors into float64,
+is built once, when training ends, so prediction runs in float64 whatever
+the training precision. In float32, Adam first moments that have decayed
+below the smallest normal float32 are set to 0 once an epoch, because
+subnormal arithmetic is many times slower and such a moment never decays on
+to 0 by itself. ``precision="float64"`` is what replays manifests that carry
+no precision, bit for bit.
 
 :func:`train_many` trains S networks of one shape at once, each on its own
 rows. Their buffers gain a leading network axis, ``(S, P)``, and a step is
@@ -30,9 +38,9 @@ makes on that network alone, every other operation is elementwise or
 reduces within one slice, and Adam keeps the operation order of the
 textbook formula, writing each intermediate into a preallocated scratch
 buffer instead of a fresh array; each network's bias corrections are the
-same Python floats a scalar step computes. Ragged sizes are handled by which
-rows a call covers, never by padding and masking, so no padded zero enters
-a sum. What shrinks is the Python and allocation overhead of each step,
+Python floats a scalar step computes, rounded to the training precision as a
+scalar step rounds them. Ragged sizes are handled by which rows a call
+covers, never by padding and masking, so no padded zero enters a sum. What shrinks is the Python and allocation overhead of each step,
 which the networks of one call pay once.
 
 Two output heads are supported. The plain head applies a sigmoid to each of
@@ -54,6 +62,7 @@ from scipy.special import expit
 from .errors import NonFiniteGradient, ShapeMismatch
 
 __all__ = [
+    "PRECISIONS",
     "LayerSpec",
     "TrainConfig",
     "NetworkState",
@@ -73,6 +82,8 @@ _TRANSFORMS = ("exp", "softplus")
 _SQUASHES = ("arctan", "tanh-half")
 
 DEFAULT_CLIP_EPS = 1e-7
+PRECISIONS = ("float32", "float64")
+_FLOAT32_TINY = np.finfo(np.float32).tiny
 
 
 @dataclass(frozen=True)
@@ -116,9 +127,18 @@ class LayerSpec:
         return self.widths[-1]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and loop settings for :func:`train` and :func:`train_many`."""
+    """Optimizer and loop settings for :func:`train` and :func:`train_many`.
+
+    ``precision`` is the dtype training computes in: the parameters, the
+    gradient, the Adam moments and scratch, and the epoch buffers. Trained
+    states are float64 copies either way.
+    """
 
     learning_rate: float = 0.01
     batch_size: int = 16
@@ -128,21 +148,36 @@ class TrainConfig:
     adam_eps: float = 1e-8
     clip_eps: float = DEFAULT_CLIP_EPS
     seed: int = 0
+    precision: str = "float32"
 
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be positive and finite")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+        for name in ("batch_size", "epochs"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.precision not in PRECISIONS:
+            raise ValueError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if not (0.0 < self.clip_eps < 0.5):
             raise ValueError("clip_eps must lie in (0, 0.5)")
+        # backward compares predictions with 1 - clip_eps in the training dtype;
+        # if that rounds to 1, the upper clamp silently disappears
+        if not self.dtype.type(1.0 - self.clip_eps) < 1.0:
+            raise ValueError(f"1 - clip_eps rounds to 1 in {self.precision}; use a larger clip_eps")
         # Adam divides by sqrt(v) + eps, and v stays 0 where every gradient was 0
-        if not (np.isfinite(self.adam_eps) and self.adam_eps > 0):
-            raise ValueError("adam_eps must be positive and finite")
+        if not (np.isfinite(self.adam_eps) and self.dtype.type(self.adam_eps) > 0):
+            raise ValueError(f"adam_eps must be positive and finite in {self.precision}")
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.dtype(self.precision)
 
 
 @dataclass(frozen=True)
@@ -177,7 +212,7 @@ class NetworkState:
 
 
 class FlatParams:
-    """One flat float64 vector with per-layer ``weights`` and ``biases`` views.
+    """One flat vector with per-layer ``weights`` and ``biases`` views.
 
     Layer by layer, the weight matrix comes first and its bias vector after
     it, which is the order :func:`init_network` draws them in. Writing to a
@@ -187,16 +222,18 @@ class FlatParams:
     With ``n_networks`` set, ``flat`` is ``(n_networks, P)``, one row per
     network, and every view gains the same leading network axis. With
     ``flat`` given, the views are laid over that array instead of a fresh
-    zero one; :meth:`rows` uses it to view a run of networks.
+    zero one of ``dtype``; :meth:`rows` uses it to view a run of networks.
     """
 
     __slots__ = ("flat", "weights", "biases")
 
-    def __init__(self, spec: LayerSpec, n_networks: int | None = None, flat: np.ndarray | None = None):
+    def __init__(self, spec: LayerSpec, n_networks: int | None = None, flat: np.ndarray | None = None,
+                 dtype=np.float64):
         lead = () if n_networks is None else (n_networks,)
         shapes = list(zip(spec.widths[:-1], spec.widths[1:]))
         if flat is None:
-            flat = np.zeros((*lead, sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)))
+            size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+            flat = np.zeros((*lead, size), dtype=dtype)
         self.flat = flat
         weights, biases, start = [], [], 0
         for fan_in, fan_out in shapes:
@@ -220,6 +257,7 @@ def init_network(spec: LayerSpec, seed: int = 0) -> NetworkState:
 
 
 def _glorot(weights, rng: np.random.Generator) -> None:
+    # drawn in float64 whatever the dtype of ``weights``, and rounded once
     for w in weights:
         fan_in, fan_out = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -244,7 +282,7 @@ def _hidden_in_place(spec: LayerSpec, z: np.ndarray) -> np.ndarray:
 def _hidden_grad(spec: LayerSpec, a: np.ndarray) -> np.ndarray:
     if spec.hidden_activation == "relu":
         # relu(z) > 0 exactly where z > 0, so the activation stands in for z
-        return (a > 0.0).astype(float)
+        return (a > 0.0).astype(a.dtype)
     return a * (1.0 - a)
 
 
@@ -269,12 +307,15 @@ def _squash(spec: LayerSpec, s: np.ndarray) -> np.ndarray:
 
 def _squash_grad(spec: LayerSpec, s: np.ndarray, out: np.ndarray) -> np.ndarray:
     if spec.squash == "arctan":
-        return (2.0 / np.pi) / (1.0 + s * s)
+        # s * s overflows to inf past ~1.8e19 in float32, and the slope is 0 there
+        with np.errstate(over="ignore"):
+            return (2.0 / np.pi) / (1.0 + s * s)
     return 0.5 * (1.0 - out * out)
 
 
 def _forward_cached(state: NetworkState | FlatParams, spec: LayerSpec, x: np.ndarray):
-    x = np.asarray(x, dtype=float)
+    # the engine computes in the dtype of the parameters it is given
+    x = np.asarray(x, dtype=state.weights[0].dtype)
     # stacked parameters take one batch per network: (S, batch, inputs)
     ndim = state.weights[0].ndim
     if x.ndim != ndim or x.shape[-1] != spec.n_inputs:
@@ -292,9 +333,13 @@ def _forward_cached(state: NetworkState | FlatParams, spec: LayerSpec, x: np.nda
         out = expit(z_last)
         head_cache = (z_last, None, None)
     else:
-        g = _transform(spec, z_last)
-        s = np.cumsum(g, axis=-1)
-        out = _squash(spec, s)
+        # exp overflows past ~88 in float32 (~709 in float64), and the prefix
+        # sum can overflow after it; an infinite s squashes to 1, and backward
+        # skips the product where every later output has saturated
+        with np.errstate(over="ignore"):
+            g = _transform(spec, z_last)
+            s = np.cumsum(g, axis=-1)
+            out = _squash(spec, s)
         head_cache = (z_last, g, s)
     return out, inputs, head_cache
 
@@ -332,10 +377,11 @@ def backward(
     written into ``out`` (a fresh FlatParams when it is None), which is
     returned. With stacked parameters, ``x`` is ``(S, batch, inputs)`` and
     ``target`` ``(S, batch, outputs)``; network s gets the gradient of its
-    own loss on slice s, and ``out`` must be stacked alike.
+    own loss on slice s, and ``out`` must be stacked alike. The pass computes
+    in the dtype of the parameters, and a fresh ``out`` takes that dtype.
     """
     pred, inputs, (z_last, g, s) = _forward_cached(state, spec, x)
-    target = np.asarray(target, dtype=float)
+    target = np.asarray(target, dtype=pred.dtype)
     if target.shape != pred.shape:
         raise ShapeMismatch(f"target shape {target.shape} != output shape {pred.shape}")
     # the loss of each network is the mean over its own batch and outputs
@@ -357,7 +403,7 @@ def backward(
                          out=np.zeros_like(ds_tail), where=ds_tail != 0.0)
 
     if out is None:
-        out = FlatParams(spec, pred.shape[0] if pred.ndim == 3 else None)
+        out = FlatParams(spec, pred.shape[0] if pred.ndim == 3 else None, dtype=pred.dtype)
     for layer in range(len(state.weights) - 1, -1, -1):
         np.matmul(inputs[layer].swapaxes(-1, -2), dz, out=out.weights[layer])
         dz.sum(axis=-2, out=out.biases[layer])
@@ -389,8 +435,9 @@ def adam_step(
 
     With stacked ``(S, P)`` buffers, ``step`` may give one count per network.
     Each row then divides by its own bias corrections, computed in Python
-    like the scalar ones, so row s ends as a scalar call with ``step[s]``
-    would leave it.
+    like the scalar ones and rounded to the dtype of ``params`` as a Python
+    float operand is, so row s ends as a scalar call with ``step[s]`` would
+    leave it.
     """
     if not np.isfinite(grad).all():
         raise NonFiniteGradient("gradient contains NaN or infinite entries")
@@ -402,8 +449,9 @@ def adam_step(
     else:
         if params.ndim != 2 or len(step) != params.shape[0]:
             raise ShapeMismatch(f"{len(step)} step counts for params of shape {params.shape}")
-        corr1 = np.array([[1.0 - b1 ** int(t)] for t in step])
-        corr2 = np.array([[1.0 - b2 ** int(t)] for t in step])
+        # a float64 array would send a float32 step through the float64 loop
+        corr1 = np.array([[1.0 - b1 ** int(t)] for t in step], dtype=params.dtype)
+        corr2 = np.array([[1.0 - b2 ** int(t)] for t in step], dtype=params.dtype)
     m *= b1
     m += np.multiply(1.0 - b1, grad, out=first)
     v *= b2
@@ -465,7 +513,9 @@ def train_many(
     ``(n_s, outputs)``; its Glorot draws and shuffle orders come from
     ``configs[s].seed``, so it ends bit-identical to ``train`` on that data
     with that config. The configs must agree on everything else; the sizes
-    n_s may differ.
+    n_s may differ. The inputs and labels are rounded once to the configs'
+    precision, which every training buffer shares. In float32, first moments
+    below the smallest normal float32 are set to 0 at the end of each epoch.
 
     The networks are stacked largest first, so at every batch offset those
     with a full batch left are a leading run of rows. Each epoch follows a
@@ -486,9 +536,9 @@ def train_many(
         raise ValueError(
             f"got {len(xs)} inputs and {len(labels)} label arrays for {len(configs)} configs"
         )
-    n_nets, k = len(configs), spec.n_outputs
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    labels = [np.asarray(t, dtype=float) for t in labels]
+    n_nets, k, dtype = len(configs), spec.n_outputs, config.dtype
+    xs = [np.asarray(x, dtype=dtype) for x in xs]
+    labels = [np.asarray(t, dtype=dtype) for t in labels]
     for x, t in zip(xs, labels):
         if x.ndim != 2 or x.shape[1] != spec.n_inputs:
             raise ShapeMismatch(f"x must be (n, {spec.n_inputs}), got {x.shape}")
@@ -500,10 +550,10 @@ def train_many(
     order = sorted(range(n_nets), key=lambda s: -xs[s].shape[0])
     sizes = [xs[s].shape[0] for s in order]
     rngs = [np.random.default_rng(configs[s].seed) for s in order]
-    params = FlatParams(spec, n_nets)
+    params = FlatParams(spec, n_nets, dtype=dtype)
     for row, rng in enumerate(rngs):
         _glorot([w[row] for w in params.weights], rng)
-    grad, m, v = (FlatParams(spec, n_nets) for _ in range(3))
+    grad, m, v = (FlatParams(spec, n_nets, dtype=dtype) for _ in range(3))
     scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
     batches = [-(-size // config.batch_size) for size in sizes]
     calls = []
@@ -518,8 +568,8 @@ def train_many(
             grad.rows(spec, 0, count), (scratch[0][:count], scratch[1][:count]),
         ))
     # row r's shuffled epoch fills x_epoch[r, :sizes[r]]; the rest is never read
-    x_epoch = np.empty((n_nets, sizes[0], spec.n_inputs))
-    t_epoch = np.empty((n_nets, sizes[0], k))
+    x_epoch = np.empty((n_nets, sizes[0], spec.n_inputs), dtype=dtype)
+    t_epoch = np.empty((n_nets, sizes[0], k), dtype=dtype)
     for epoch in range(config.epochs):
         for row, (s, rng) in enumerate(zip(order, rngs)):
             perm = rng.permutation(sizes[row])
@@ -529,6 +579,13 @@ def train_many(
             backward(run, spec, x_epoch[rows, batch], t_epoch[rows, batch], config.clip_eps, out=run_grad)
             step = epoch * run_batches + index + 1
             adam_step(run.flat, run_grad.flat, run_m, run_v, step, config, run_scratch)
+        if dtype == np.float32:
+            # a first moment whose gradient stays 0 decays into the float32
+            # subnormals and sticks there (b1 times a few ulps rounds back to
+            # itself), and every later step pays the slow subnormal arithmetic;
+            # float64 is not flushed, so manifests without a precision replay
+            # bit for bit
+            np.copyto(m.flat, 0.0, where=np.abs(m.flat) < _FLOAT32_TINY)
     del grad, scratch, calls  # free the step buffers before the frozen copies are made
     states = [None] * n_nets
     for row, s in enumerate(order):

@@ -88,12 +88,35 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(mode="simulate", grid="locations=1,2")
 
-    def test_round_trips_through_dict(self):
-        config = RunConfig(mode="simulate", seed=3, hidden=(32, 16))
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_round_trips_through_dict(self, precision):
+        config = RunConfig(mode="simulate", seed=3, hidden=(32, 16), precision=precision)
         import dataclasses
 
         payload = json.loads(json.dumps(dataclasses.asdict(config)))
         assert config_from_dict(payload) == config
+
+    def test_default_precision_is_float32(self):
+        assert RunConfig(mode="simulate").precision == "float32"
+
+    def test_dict_without_precision_reads_as_float64(self):
+        assert config_from_dict({"mode": "simulate"}).precision == "float64"
+
+    @pytest.mark.parametrize("field, value", [
+        ("precision", "float16"), ("epochs", 2.5), ("batch_size", 0), ("seed", -1),
+    ])
+    def test_bad_training_setting_fails_eagerly(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(mode="simulate", **{field: value})
+
+    def test_bad_training_setting_in_a_manifest_is_usage_error(self, tmp_path, experiment_csv):
+        out = tmp_path / "est"
+        assert run_cli("estimate", "--input", experiment_csv, "--grid", "list=2.0", "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["epochs"] = 2.5
+        bad = tmp_path / "bad-manifest.json"
+        bad.write_text(json.dumps(manifest))
+        assert run_cli("estimate", "--from-manifest", bad, "--out", tmp_path / "replay") == 2
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -188,6 +211,35 @@ class TestEstimateMode:
         rc = run_cli("estimate", "--from-manifest", first / "manifest.json", "--out", second)
         assert rc == 0
         assert (first / "points.csv").read_bytes() == (second / "points.csv").read_bytes()
+
+    def test_manifest_records_float32(self, tmp_path, experiment_csv):
+        out = tmp_path / "est"
+        rc = run_cli(
+            "estimate", "--input", experiment_csv, "--learner", "nn-single",
+            "--hidden", "4", "--epochs", 2, "--grid", "list=1.5,2.5", "--out", out,
+        )
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["precision"] == "float32"
+
+    def test_manifest_without_precision_replays_as_float64(self, tmp_path, experiment_csv):
+        flags = ("--input", experiment_csv, "--learner", "nn-multi-monotone", "--hidden", "4",
+                 "--epochs", 2, "--grid", "list=1.5,2.5,3.5")
+        ini = tmp_path / "float64.ini"
+        ini.write_text("[learner]\nprecision = float64\n")
+        wide, narrow = tmp_path / "float64", tmp_path / "float32"
+        assert run_cli("estimate", "--config", ini, *flags, "--out", wide) == 0
+        assert run_cli("estimate", *flags, "--out", narrow) == 0
+        # the training precision shows in the output bytes
+        assert (wide / "points.csv").read_bytes() != (narrow / "points.csv").read_bytes()
+        # a manifest from before the precision key: the float64 run, key deleted
+        manifest = json.loads((wide / "manifest.json").read_text())
+        del manifest["config"]["precision"]
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        replay = tmp_path / "replay"
+        assert run_cli("estimate", "--from-manifest", old, "--out", replay) == 0
+        assert (replay / "points.csv").read_bytes() == (wide / "points.csv").read_bytes()
+        assert json.loads((replay / "manifest.json").read_text())["config"]["precision"] == "float64"
 
     def test_missing_input_is_usage_error(self):
         assert run_cli("estimate", "--grid", "list=1.0") == 2
@@ -307,6 +359,11 @@ class TestConfigResolution:
         ini = tmp_path / "run.ini"
         ini.write_text("[options]\nseed = 1\n")
         assert run_cli("simulate", "--config", ini) == 2
+
+    def test_unknown_ini_precision_is_usage_error(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[learner]\nprecision = float16\n")
+        assert run_cli("simulate", "--config", ini, "--out", tmp_path / "sim") == 2
 
     def test_unknown_ini_key_is_usage_error(self, tmp_path):
         ini = tmp_path / "run.ini"

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import norm
 
+import dtekit.estimation as estimation
 import dtekit.learners as learners
 import dtekit.nn as nn
 from dtekit.core import CdfEstimate, ConditionalCdfMatrix, ExperimentData, derive_seed, indicator_labels
@@ -286,6 +289,30 @@ class TestCrossfitGamma:
         crossfit_gamma(data, grid_of(1.0, 1.5, 2.0), kind, plan)
         # 2 arms x 3 folds; nn-single trains one network per location
         assert calls == expected
+
+    @pytest.mark.parametrize(("bad_row", "message"), [
+        ((0.2, 1.5, 1.7), "network predictions left [0, 1] (arm 2, unit {unit}, location 1)"),
+        ((0.2, 0.5, 0.4), "monotone head produced a decreasing prediction row (arm 2, unit {unit}, location 2)"),
+    ])
+    def test_range_errors_name_the_first_bad_cell(self, monkeypatch, bad_row, message):
+        calls = []
+        predict_ = estimation.predict
+
+        def corrupting(model, x):
+            out = predict_(model, x)
+            calls.append(1)
+            # the fourth model is (arm 2, fold 2): spoil the row of its fourth unit
+            if len(calls) == 4:
+                out[3] = bad_row
+            return out
+
+        monkeypatch.setattr(estimation, "predict", corrupting)
+        data = make_experiment(seed=4, n=40)
+        plan = make_folds(data.n_units, 2, seed=2)
+        kind = LearnerKind("nn-multi-monotone", hidden=(4,), train=TrainConfig(epochs=1))
+        unit = np.flatnonzero(plan.fold_assignment == 2)[3]
+        with pytest.raises(ShapeMismatch, match=re.escape(message.format(unit=unit))):
+            crossfit_gamma(data, grid_of(1.0, 1.5, 2.0), kind, plan)
 
     def test_fold_assignment_length_checked(self, two_arm_data):
         plan = make_folds(10, 2, seed=0)

@@ -34,6 +34,17 @@ def spec_of(widths, head="sigmoid", **kwargs):
     return LayerSpec(widths=tuple(widths), head=head, **kwargs)
 
 
+# one spec per head, hidden activation, transform and squash
+ENGINE_SPECS = [
+    spec_of((4, 16, 8, 1)),
+    spec_of((4, 9, 3), hidden_activation="sigmoid"),
+    spec_of((4, 16, 8, 5), head="monotone", transform="exp", squash="arctan"),
+    spec_of((4, 9, 5), head="monotone", transform="softplus", squash="tanh-half",
+            hidden_activation="sigmoid"),
+]
+ENGINE_SPEC_IDS = ["sigmoid-relu", "sigmoid-sigmoid", "monotone-exp-arctan", "monotone-softplus-tanh"]
+
+
 class TestLayerSpec:
     def test_input_output_widths(self):
         spec = spec_of((4, 8, 3))
@@ -70,11 +81,38 @@ class TestTrainConfig:
             {"adam_eps": -1e-8},
             {"adam_eps": np.nan},
             {"adam_eps": np.inf},
+            {"batch_size": 16.5},
+            {"batch_size": 16.0},
+            {"batch_size": True},
+            {"epochs": 2.5},
+            {"epochs": True},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": False},
+            {"precision": "float16"},
+            # 1 - 1e-8 rounds to exactly 1.0 in float32, which drops the upper clamp
+            {"clip_eps": 1e-8},
+            # 1e-50 rounds to 0.0 in float32
+            {"adam_eps": 1e-50},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # the message names the rejected field
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             TrainConfig(**kwargs)
+
+    def test_float64_keeps_epsilons_that_float32_rounds_away(self):
+        config = TrainConfig(clip_eps=1e-8, adam_eps=1e-50, precision="float64")
+        assert (config.clip_eps, config.adam_eps) == (1e-8, 1e-50)
+
+    def test_numpy_integers_are_accepted(self):
+        config = TrainConfig(batch_size=np.int64(4), epochs=np.int32(2), seed=np.uint32(7))
+        state = train(np.ones((6, 2)), np.ones((6, 1)), spec_of((2, 3, 1)), config)
+        assert state.step == 2 * 2
+
+    def test_default_precision_is_float32(self):
+        assert TrainConfig().precision == "float32"
+        assert TrainConfig().dtype == np.float32
 
 
 class TestFlatParams:
@@ -315,20 +353,41 @@ class TestBackward:
     transform=st.sampled_from(["exp", "softplus"]),
     squash=st.sampled_from(["arctan", "tanh-half"]),
     hidden_activation=st.sampled_from(["relu", "sigmoid"]),
+    precision=st.sampled_from(nn.PRECISIONS),
 )
-def test_backward_is_finite_on_extreme_monotone_states(seed, scale, transform, squash, hidden_activation):
+def test_backward_is_finite_on_extreme_monotone_states(seed, scale, transform, squash, hidden_activation,
+                                                       precision):
     spec = spec_of(
         (3, 6, 5), head="monotone", transform=transform, squash=squash,
         hidden_activation=hidden_activation,
     )
     rng = np.random.default_rng(seed)
-    params = FlatParams(spec)
+    params = FlatParams(spec, dtype=precision)
     params.flat[:] = rng.uniform(-scale, scale, size=params.flat.size)
-    x = rng.standard_normal((16, 3))
+    x = rng.standard_normal((16, 3)).astype(precision)
     target = np.sort((rng.random((16, 5)) < 0.5).astype(float), axis=1)
     with np.errstate(over="ignore"):
         grads = backward(params, spec, x, target)
+    assert grads.flat.dtype == precision
     assert np.isfinite(grads.flat).all()
+
+
+@pytest.mark.parametrize("spec", ENGINE_SPECS, ids=ENGINE_SPEC_IDS)
+def test_float32_backward_agrees_with_float64(spec):
+    # float32 keeps ~7 significant digits. Over 50 seeds of these specs the
+    # worst gap was 4e-7 of the largest gradient entry; the bound is 1e-5
+    state = init_network(spec, seed=13)
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((32, 4))
+    target = _monotone_labels(rng, 32, spec.n_outputs)
+    params64 = FlatParams(spec)
+    for dst, src in zip((*params64.weights, *params64.biases), (*state.weights, *state.biases)):
+        dst[...] = src
+    params32 = FlatParams(spec, flat=params64.flat.astype(np.float32))
+    want = backward(params64, spec, x, target)
+    got = backward(params32, spec, x, target)
+    assert got.flat.dtype == np.float32 and want.flat.dtype == np.float64
+    assert np.max(np.abs(got.flat - want.flat)) <= 1e-5 * np.max(np.abs(want.flat))
 
 
 class TestAdamStep:
@@ -376,13 +435,16 @@ class TestAdamStep:
         assert_array_equal(m, 0.5)
         assert_array_equal(v, 0.25)
 
-    def test_per_network_steps_equal_per_row_scalar_calls(self):
+    @pytest.mark.parametrize("precision", nn.PRECISIONS)
+    def test_per_network_steps_equal_per_row_scalar_calls(self, precision):
         rng = np.random.default_rng(8)
-        config = TrainConfig(learning_rate=0.03)
+        config = TrainConfig(learning_rate=0.03, precision=precision)
         steps = [1, 4, 4, 17, 250]
-        params, m = rng.standard_normal((2, 5, 9))
-        v = rng.random((5, 9))
-        grad = rng.standard_normal((5, 9))
+        params, m = rng.standard_normal((2, 5, 9)).astype(precision)
+        # small parameters, so the last bit of each update reaches them
+        params *= 1e-3
+        v = rng.random((5, 9)).astype(precision)
+        grad = rng.standard_normal((5, 9)).astype(precision)
         grad[1, :3] = 0.0
         rows = [(params[s].copy(), m[s].copy(), v[s].copy()) for s in range(5)]
         adam_step(params, grad, m, v, np.array(steps), config)
@@ -430,20 +492,26 @@ def _reference_backward(weights, biases, spec, x, target, clip_eps):
         if layer > 0:
             da = dz @ weights[layer].T
             if spec.hidden_activation == "relu":
-                dz = da * (pre_acts[layer - 1] > 0.0).astype(float)
+                dz = da * (pre_acts[layer - 1] > 0.0).astype(da.dtype)
             else:
                 dz = da * (inputs[layer] * (1.0 - inputs[layer]))
     return grad_w, grad_b
 
 
 def _reference_train(x, labels, spec, config):
-    """Mini-batch Adam on separate per-layer arrays, each update a fresh array."""
+    """Mini-batch Adam on separate per-layer arrays, each update a fresh array.
+
+    Everything is computed in ``config.dtype``: the float64 Glorot draws are
+    rounded once, and the Python-float constants act on arrays of that dtype.
+    """
+    dtype = config.dtype
+    x, labels = x.astype(dtype), labels.astype(dtype)
     rng = np.random.default_rng(config.seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype))
+        biases.append(np.zeros(fan_out, dtype=dtype))
     n_layers = len(weights)
     params = weights + biases
     m = [np.zeros_like(a) for a in params]
@@ -463,27 +531,21 @@ def _reference_train(x, labels, spec, config):
                 m[i] = b1 * m[i] + (1.0 - b1) * g
                 v[i] = b2 * v[i] + (1.0 - b2) * g * g
                 params[i] = params[i] - lr * (m[i] / corr1) / (np.sqrt(v[i] / corr2) + eps)
+        if dtype == np.float32:
+            # each epoch ends by setting float32-subnormal first moments to 0
+            m = [np.where(np.abs(a) < np.finfo(np.float32).tiny, np.float32(0.0), a) for a in m]
     return params, m, v, t
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        spec_of((4, 16, 8, 1)),
-        spec_of((4, 9, 3), hidden_activation="sigmoid"),
-        spec_of((4, 16, 8, 5), head="monotone", transform="exp", squash="arctan"),
-        spec_of((4, 9, 5), head="monotone", transform="softplus", squash="tanh-half",
-                hidden_activation="sigmoid"),
-    ],
-    ids=["sigmoid-relu", "sigmoid-sigmoid", "monotone-exp-arctan", "monotone-softplus-tanh"],
-)
-def test_flat_engine_is_bit_identical_to_per_array_reference(spec):
+@pytest.mark.parametrize("spec", ENGINE_SPECS, ids=ENGINE_SPEC_IDS)
+@pytest.mark.parametrize("precision", nn.PRECISIONS)
+def test_flat_engine_is_bit_identical_to_per_array_reference(spec, precision):
     rng = np.random.default_rng(21)
     x = rng.standard_normal((70, 4))
     score = x @ rng.standard_normal(4)
     cuts = np.quantile(score, np.linspace(0.2, 0.8, spec.n_outputs))
     labels = (score[:, None] <= cuts[None, :]).astype(float)
-    config = TrainConfig(epochs=4, batch_size=16, seed=3)
+    config = TrainConfig(epochs=4, batch_size=16, seed=3, precision=precision)
     state = train(x, labels, spec, config)
     params, m, v, steps = _reference_train(x, labels, spec, config)
     n_layers = len(spec.widths) - 1
@@ -628,6 +690,30 @@ def _monotone_labels(rng, n, k):
     return np.sort((rng.random((n, k)) < 0.5).astype(float), axis=1)
 
 
+class TestSubnormalMoments:
+    """Once a gradient stays 0, b1 * m decays into the float32 subnormals and
+    sticks at a few ulps; float32 training flushes such moments once an epoch."""
+
+    def saturated_run(self, precision):
+        # with all-ones labels, one Adam step of 100 puts the sigmoid's input
+        # near 300, where it rounds to 1; past the clamp every gradient is 0
+        config = TrainConfig(learning_rate=100.0, batch_size=4, epochs=1200, precision=precision)
+        return train(np.ones((4, 2)), np.ones((4, 1)), spec_of((2, 1)), config)
+
+    def test_float32_first_moments_end_at_zero_not_subnormal(self):
+        state = self.saturated_run("float32")
+        m = np.concatenate([a.ravel() for a in (*state.m_weights, *state.m_biases)])
+        assert_array_equal(m, 0.0)
+        # the parameters did move, so the moments were not 0 all along
+        assert np.all(state.biases[0] > 50.0)
+
+    def test_float64_keeps_its_arithmetic(self):
+        # 0.9 ** 1199 of the first step's moment is ~1e-56: normal in float64, kept
+        state = self.saturated_run("float64")
+        m = np.concatenate([a.ravel() for a in (*state.m_weights, *state.m_biases)])
+        assert np.all(m != 0.0) and np.all(np.abs(m) < np.finfo(np.float32).tiny)
+
+
 class TestTrainMany:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -637,16 +723,17 @@ class TestTrainMany:
         hidden_activation=st.sampled_from(["relu", "sigmoid"]),
         transform=st.sampled_from(["exp", "softplus"]),
         data_seed=st.integers(0, 2**16),
+        precision=st.sampled_from(nn.PRECISIONS),
     )
     def test_equals_a_loop_of_train_bit_for_bit(
-        self, sizes, batch_size, head, hidden_activation, transform, data_seed
+        self, sizes, batch_size, head, hidden_activation, transform, data_seed, precision
     ):
         k = 3 if head == "monotone" else 1
         spec = spec_of((3, 7, 5, k), head=head, hidden_activation=hidden_activation, transform=transform)
         rng = np.random.default_rng(data_seed)
         xs = [rng.standard_normal((n, 3)) for n in sizes]
         labels = [_monotone_labels(rng, n, k) for n in sizes]
-        configs = [TrainConfig(epochs=2, batch_size=batch_size, seed=int(seed))
+        configs = [TrainConfig(epochs=2, batch_size=batch_size, seed=int(seed), precision=precision)
                    for seed in rng.integers(0, 2**32, size=len(sizes))]
         stacked = train_many(xs, labels, spec, configs)
         assert len(stacked) == len(sizes)
@@ -656,15 +743,16 @@ class TestTrainMany:
             assert_array_equal(np.concatenate([a.ravel() for a in _state_arrays(got)]),
                                np.concatenate([a.ravel() for a in _state_arrays(want)]))
 
+    @pytest.mark.parametrize("precision", nn.PRECISIONS)
     @pytest.mark.parametrize("head", ["sigmoid", "monotone"])
-    def test_networks_with_different_step_counts_match_train(self, head):
+    def test_networks_with_different_step_counts_match_train(self, head, precision):
         # 4, 1 and 5 batches an epoch, given out of size order
         sizes, k = (9, 3, 17), 2
         spec = spec_of((2, 6, k), head=head)
         rng = np.random.default_rng(12)
         xs = [rng.standard_normal((n, 2)) for n in sizes]
         labels = [_monotone_labels(rng, n, k) for n in sizes]
-        configs = [TrainConfig(epochs=3, batch_size=2 * k, seed=s) for s in (4, 5, 6)]
+        configs = [TrainConfig(epochs=3, batch_size=2 * k, seed=s, precision=precision) for s in (4, 5, 6)]
         stacked = train_many(xs, labels, spec, configs)
         assert [state.step for state in stacked] == [9, 3, 15]
         for x, y, config, got in zip(xs, labels, configs, stacked):

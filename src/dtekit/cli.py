@@ -47,13 +47,14 @@ from .io import (
     write_timings_csv,
 )
 from .learners import LEARNER_KINDS, LearnerKind
-from .nn import TrainConfig
+from .nn import TrainConfig, _is_integer
 from .simulation import DgpConfig, run_study
 from . import simulation
 
 __all__ = ["RunConfig", "run", "main"]
 
 _MODES = ("simulate", "estimate", "bootstrap-band", "benchmark")
+_INTEGER_FIELDS = ("n_units", "n_reps", "n_folds", "n_draws", "threads", "n_oracle")
 _METHOD_NAMES = ("empirical", *LEARNER_KINDS)
 
 
@@ -104,6 +105,12 @@ class RunConfig:
             raise ValueError(f"z_mode must be half-alpha or literal, got {self.z_mode!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # a NumPy integer would not serialize into the manifest
+            object.__setattr__(self, name, int(value))
         if self.n_folds < 2:
             raise ValueError("folds must be at least 2")
         if self.n_draws < 2:

@@ -18,6 +18,14 @@ say) along the arm axis, and :func:`bootstrap_draws` draws each repetition's
 multipliers once and applies them to every estimate. Each estimate's band
 is bit-identical to the one :func:`bootstrap_band` computes for it alone.
 
+Influence values are written once, where the draw pass reads them: in the
+usual case each estimate's (unit, arm x location) slab, n rows of k*m
+values, is a column block of one C-ordered (unit, estimate x arm x location)
+array, and the :class:`InfluenceMatrix` is a view of it. The empirical
+path's zero adjustment is the scalar 0.0, not an array. So a band run holds,
+beyond its inputs, one slab per estimate (n*k*m float64 values), the block
+of at most 256 x n multipliers, and the draws.
+
 The pass fills its multipliers on T threads, T the CPUs the process may use.
 Every repetition has its own generator stream spawned from the seed, so a
 row's multipliers do not depend on which thread draws them, and each block
@@ -76,6 +84,14 @@ class InfluenceMatrix:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _frozen(cls, values: np.ndarray) -> InfluenceMatrix:
+        """Freeze values this module has just written, without a copy; the writer keeps no reference."""
+        values.setflags(write=False)
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "values", values)
+        return psi
+
 
 @dataclass(frozen=True)
 class BootstrapDraws:
@@ -104,28 +120,58 @@ def influence(
 
     ``gamma=None`` means the zero adjustment, which is the empirical path.
     When ``theta`` is the adjusted estimate built from the same ``gamma``,
-    every per-(arm, location) sample mean is zero up to rounding.
+    every per-(arm, location) sample mean is zero up to rounding. The values
+    are laid out so that :func:`bootstrap_draws` multiplies them without a
+    copy (see :func:`_new_influence`).
     """
-    k, n, m = data.n_arms, data.n_units, grid.n_locations
+    return _stacked_influence(data, grid, [(theta, gamma)])
+
+
+def _new_influence(n_estimates: int, k: int, n: int, m: int) -> np.ndarray:
+    """Uninitialized (estimate x arm, unit, location) values, laid out for :func:`bootstrap_draws`.
+
+    The draw pass multiplies estimate e's values as the (n, k x m) slab
+    ``values[e*k:(e+1)*k].transpose(1, 0, 2).reshape(n, k*m)``. On this
+    layout that reshape is a view, so no slab is copied, and each slab is
+    the operand the pass forms from C-ordered values: a C-ordered block of
+    rows (whose rows lie n_estimates*k*m values apart), or, with one
+    location or one arm, where that reshape of C-ordered values is a view
+    already, the C-ordered values themselves.
+    """
+    if m == 1 or k == 1:
+        return np.empty((n_estimates * k, n, m))
+    return np.empty((n, n_estimates * k, m)).transpose(1, 0, 2)
+
+
+def _fill_influence(
+    values: np.ndarray,
+    data: ExperimentData,
+    labels: np.ndarray,
+    theta: CdfEstimate,
+    gamma: ConditionalCdfMatrix | None,
+) -> None:
+    """Write the influence values into ``values``, a (k, n, m) array or view, in place.
+
+    ``labels`` are the (n, m) indicator labels of the data on the grid. The
+    formula's operations run in the order of the written expression, so
+    every value rounds as it would computed out of place; the zero adjustment
+    is the scalar 0.0, which gives the same IEEE results as an array of zeros.
+    """
+    k, n, m = values.shape
     if theta.values.shape != (k, m):
         raise ShapeMismatch(f"theta shape {theta.values.shape} != ({k}, {m})")
-    if gamma is None:
-        preds = np.zeros((k, n, m))
-    else:
-        preds = gamma.predictions
-        if preds.shape != (k, n, m):
-            raise ShapeMismatch(f"gamma shape {preds.shape} != ({k}, {n}, {m})")
-    labels = indicator_labels(data, grid)
-    values = np.empty((k, n, m))
+    if gamma is not None and gamma.predictions.shape != (k, n, m):
+        raise ShapeMismatch(f"gamma shape {gamma.predictions.shape} != ({k}, {n}, {m})")
     for w in range(1, k + 1):
         own = (data.arms == w).astype(float)[:, None]
-        share = data.stats.shares[w - 1]
-        values[w - 1] = (
-            own * (labels - preds[w - 1]) / share
-            + preds[w - 1]
-            - theta.values[w - 1][None, :]
-        )
-    return InfluenceMatrix(values=values)
+        pred = 0.0 if gamma is None else gamma.predictions[w - 1]
+        # own * (labels - pred) / share + pred - theta_w
+        psi = values[w - 1]
+        np.subtract(labels, pred, out=psi)
+        np.multiply(own, psi, out=psi)
+        psi /= data.stats.shares[w - 1]
+        psi += pred
+        psi -= theta.values[w - 1][None, :]
 
 
 def multiplier_transform(m1: np.ndarray, m2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -199,9 +245,12 @@ def bootstrap_draws(
     ``theta`` and ``psi`` may stack several estimates along the arm axis,
     ``arms_per_estimate`` arms each (default: all arms, one estimate). All
     estimates share one multiplier pass. Every block of multipliers is
-    multiplied separately by each estimate's own contiguous (unit, arm x
-    location) slab, so each estimate's draws are bit-identical to a pass of
-    its own.
+    multiplied separately by each estimate's own (unit, arm x location) slab,
+    so each estimate's draws are bit-identical to a pass of its own. On the
+    values :func:`influence` and :func:`bootstrap_bands` build, the slabs
+    are views; on C-ordered values they are copied out once. A slab that is
+    a column block of a wider array reaches BLAS as the same operand with a
+    wider leading dimension.
     """
     _check_draw_args(n_draws, seed)
     k, n, m = psi.values.shape
@@ -210,6 +259,7 @@ def bootstrap_draws(
     per = k if arms_per_estimate is None else int(arms_per_estimate)
     if per < 1 or k % per:
         raise ShapeMismatch(f"{k} stacked arms do not split into estimates of {per} arms")
+    # views on the layout of _new_influence
     slabs = [
         psi.values[first:first + per].transpose(1, 0, 2).reshape(n, per * m)
         for first in range(0, k, per)
@@ -326,10 +376,7 @@ def bootstrap_bands(
     if kind == "pte" and grid.n_locations < 2:
         raise ShapeMismatch("interval probabilities need at least 2 locations")
 
-    # influence() checks that every theta has the data's k arms
-    psi = InfluenceMatrix(
-        values=np.concatenate([influence(data, grid, theta, gamma).values for theta, gamma in pieces])
-    )
+    psi = _stacked_influence(data, grid, pieces)
     stacked = CdfEstimate(
         values=np.concatenate([theta.values for theta, _ in pieces]),
         method="+".join(theta.method for theta, _ in pieces),
@@ -365,6 +412,16 @@ def bootstrap_bands(
             )
         )
     return tuple(bands)
+
+
+def _stacked_influence(data: ExperimentData, grid: LocationGrid, pieces) -> InfluenceMatrix:
+    """The influence values of every (theta, gamma) piece, written once and stacked along the arm axis."""
+    k = data.n_arms
+    values = _new_influence(len(pieces), k, data.n_units, grid.n_locations)
+    labels = indicator_labels(data, grid)
+    for e, (theta, gamma) in enumerate(pieces):
+        _fill_influence(values[e * k:(e + 1) * k], data, labels, theta, gamma)
+    return InfluenceMatrix._frozen(values)
 
 
 def se_reduction(baseline: EffectBand, adjusted: EffectBand) -> np.ndarray:

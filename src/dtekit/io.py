@@ -10,6 +10,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -52,30 +53,91 @@ def load_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> ExperimentDat
     Arm labels may be arbitrary strings; they map to 1..K in sorted order
     (numeric order when every label parses as a number). Row numbers in
     errors are physical file lines, header included.
+
+    The data rows are parsed by NumPy's C reader straight into one float64
+    table, every column in the same pass, so a row with too many or too few
+    cells fails it; the arm column and the columns the schema does not select
+    go through converters. Cells are read as Python's ``float`` reads them.
+    When the C pass raises or reads a non-finite value, the file is read
+    again by a row loop (:func:`_load_rows`), which either names the first
+    bad row and column or reads the spellings only ``float`` accepts (``1_0``,
+    lines of whitespace).
     """
     path = Path(path)
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path} is empty", row=1)
-        header = [h.strip() for h in header]
-        for name in (schema.arm, schema.outcome, *schema.covariates):
-            if name not in header:
-                raise MissingColumn(f"column {name!r} not found in {path}")
-        covariate_names = list(schema.covariates) or [
-            h for h in header if h not in (schema.arm, schema.outcome)
-        ]
-        if not covariate_names:
-            raise MissingColumn(f"{path} has no covariate columns")
-        arm_pos = header.index(schema.arm)
-        outcome_pos = header.index(schema.outcome)
-        cov_pos = [header.index(name) for name in covariate_names]
+        header, arm_pos, cells = _columns(csv.reader(handle), path, schema)
+        parsed = _parse_in_c(handle, len(header), arm_pos, cells)
+    if parsed is None:
+        return _load_rows(path, schema)
+    return _experiment(*parsed)
 
-        cells = [*zip(cov_pos, covariate_names), (outcome_pos, schema.outcome)]
+
+def _columns(reader, path: Path, schema: CsvSchema):
+    """Header cells, arm column position, and (position, name) of the covariates then the outcome."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path} is empty", row=1)
+    header = [h.strip() for h in header]
+    for name in (schema.arm, schema.outcome, *schema.covariates):
+        if name not in header:
+            raise MissingColumn(f"column {name!r} not found in {path}")
+    covariate_names = list(schema.covariates) or [
+        h for h in header if h not in (schema.arm, schema.outcome)
+    ]
+    if not covariate_names:
+        raise MissingColumn(f"{path} has no covariate columns")
+    names = [*covariate_names, schema.outcome]
+    return header, header.index(schema.arm), [(header.index(name), name) for name in names]
+
+
+def _parse_in_c(handle, n_columns: int, arm_pos: int, cells):
+    """The data rows after the header as (covariates, outcomes, labels, index), or None.
+
+    None means the row loop must read the file: the C reader raised, read a
+    non-finite value, found no data rows, or the arm column is also numeric.
+    """
+    numeric = [pos for pos, _ in cells]
+    if arm_pos in numeric:
+        return None
+    seen: dict[str, int] = {}
+
+    def label_index(cell: str) -> int:
+        return seen.setdefault(cell.strip(), len(seen))
+
+    converters = {pos: _unused_cell for pos in range(n_columns) if pos not in numeric}
+    converters[arm_pos] = label_index
+    # loadtxt skips empty lines but warns when no data row is left
+    for first in handle:
+        if first.strip("\r\n"):
+            break
+    else:
+        return None
+    try:
+        table = np.loadtxt(
+            chain((first,), handle), delimiter=",", comments=None, quotechar='"',
+            converters=converters, ndmin=2,
+        )
+    except ValueError:
+        return None
+    # the first data row sets the C reader's cell count, so check it against the header
+    values = table[:, numeric] if table.shape[1] == n_columns else None
+    if values is None or not np.isfinite(values).all():
+        return None
+    return values[:, :-1], values[:, -1], list(seen), table[:, arm_pos].astype(np.intp)
+
+
+def _unused_cell(cell: str) -> float:
+    return 0.0
+
+
+def _load_rows(path: Path, schema: CsvSchema) -> ExperimentData:
+    """Read the experiment one row at a time with Python's ``float``, naming the first bad cell."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header, arm_pos, cells = _columns(reader, path, schema)
         numeric_cells = itemgetter(*(pos for pos, _ in cells))
-        rows, arm_labels = [], []
+        rows, index, seen = [], [], {}
         for line, record in enumerate(reader, start=2):
             if not "".join(record).strip():
                 continue
@@ -91,24 +153,28 @@ def load_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> ExperimentDat
             if values is None or not all(map(math.isfinite, values)):
                 _raise_bad_cell(record, line, cells)
             rows.append(values)
-            arm_labels.append(record[arm_pos].strip())
-
-    labels_seen = sorted(set(arm_labels))
-    try:
-        numeric = {label: float(label) for label in labels_seen}
-        if all(np.isfinite(v) for v in numeric.values()):
-            labels_seen.sort(key=lambda label: (numeric[label], label))
-    except ValueError:
-        pass
-    code = {label: rank + 1 for rank, label in enumerate(labels_seen)}
-    arms = [code[label] for label in arm_labels]
+            index.append(seen.setdefault(record[arm_pos].strip(), len(seen)))
     # covariate columns, then the outcome column
     table = np.asarray(rows, dtype=float).reshape(len(rows), len(cells))
+    return _experiment(table[:, :-1], table[:, -1], list(seen), np.asarray(index, dtype=np.intp))
+
+
+def _experiment(covariates, outcomes, labels: list[str], index: np.ndarray) -> ExperimentData:
+    """Number the arm ``labels`` (distinct, in order of first appearance) and build the data.
+
+    ``index[i]`` is the position in ``labels`` of unit i's label.
+    """
+    order = sorted(labels)
+    try:
+        numeric = {label: float(label) for label in order}
+        if all(np.isfinite(v) for v in numeric.values()):
+            order.sort(key=lambda label: (numeric[label], label))
+    except ValueError:
+        pass
+    code = {label: rank + 1 for rank, label in enumerate(order)}
+    arms = np.asarray([code[label] for label in labels], dtype=int)[index]
     return ExperimentData(
-        covariates=table[:, :-1],
-        arms=np.asarray(arms, dtype=int),
-        outcomes=table[:, -1],
-        n_arms=len(set(arms)),
+        covariates=covariates, arms=arms, outcomes=outcomes, n_arms=len(labels)
     )
 
 

@@ -118,6 +118,39 @@ class TestRunConfig:
         bad.write_text(json.dumps(manifest))
         assert run_cli("estimate", "--from-manifest", bad, "--out", tmp_path / "replay") == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_units", 1000.5), ("n_reps", 2.5), ("n_folds", 2.5), ("n_draws", 300.5),
+        ("threads", 1.5), ("n_oracle", 1e5 + 0.5), ("n_draws", 300.0), ("n_folds", True),
+        ("threads", False), ("n_reps", "3"), ("n_units", None),
+    ])
+    def test_non_integral_integer_setting_fails_eagerly(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RunConfig(mode="simulate", **{field: value})
+
+    def test_numpy_integers_accepted_as_python_ints(self):
+        config = RunConfig(
+            mode="simulate", n_units=np.int64(200), n_reps=np.int32(3), n_folds=np.uint8(2),
+            n_draws=np.int64(100), threads=np.int16(1), n_oracle=np.int64(5000),
+        )
+        assert config == RunConfig(
+            mode="simulate", n_units=200, n_reps=3, n_folds=2, n_draws=100, threads=1, n_oracle=5000
+        )
+        assert all(type(getattr(config, name)) is int for name in ("n_units", "n_folds", "n_oracle"))
+        import dataclasses
+
+        json.dumps(dataclasses.asdict(config))
+
+    @pytest.mark.parametrize("field, value", [("n_folds", 2.5), ("n_draws", 300.5), ("n_folds", True)])
+    def test_non_integral_setting_in_a_manifest_is_usage_error(self, tmp_path, experiment_csv, field, value):
+        out = tmp_path / "est"
+        assert run_cli("estimate", "--input", experiment_csv, "--grid", "list=2.0", "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"][field] = value
+        bad = tmp_path / "bad-manifest.json"
+        bad.write_text(json.dumps(manifest))
+        assert run_cli("estimate", "--from-manifest", bad, "--out", tmp_path / "replay") == 2
+        assert not (tmp_path / "replay").exists()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             config_from_dict({"mode": "simulate", "bogus": 1})

@@ -3,6 +3,7 @@ import itertools
 import os
 import sys
 import threading
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -586,6 +587,93 @@ class TestSharedMultiplierPass:
         psi = InfluenceMatrix(values=np.zeros((3, 10, 2)))
         with pytest.raises(ShapeMismatch):
             bootstrap_draws(theta, psi, 5, seed=0, arms_per_estimate=2)
+
+
+class TestInfluenceSlabs:
+    """Influence values are written once, into the (unit, arm x location) slabs the draw pass multiplies."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        n_estimates=st.integers(1, 3),
+        per=st.integers(1, 3),
+        m=st.integers(1, 4),
+        n_draws=st.sampled_from([2, 5, 257]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_draws_equal_those_of_c_ordered_values(self, n, n_estimates, per, m, n_draws, seed):
+        rng = np.random.default_rng(seed)
+        k = n_estimates * per
+        values = inference._new_influence(n_estimates, per, n, m)
+        values[...] = rng.standard_normal((k, n, m))
+        psi = InfluenceMatrix._frozen(values)
+        # no slab is copied out of these values
+        for first in range(0, k, per):
+            assert psi.values[first:first + per].transpose(1, 0, 2).reshape(n, per * m).base is not None
+        theta = CdfEstimate(values=np.sort(rng.random((k, m)), axis=1), method="empirical")
+        c_ordered = InfluenceMatrix(values=np.ascontiguousarray(values))
+        got = bootstrap_draws(theta, psi, n_draws, seed, arms_per_estimate=per)
+        want = bootstrap_draws(theta, c_ordered, n_draws, seed, arms_per_estimate=per)
+        assert_array_equal(got.draws, want.draws)
+
+    def test_influence_equals_the_written_formula_bit_for_bit(self, two_arm_data):
+        grid = quantile_grid(two_arm_data, [0.2, 0.5, 0.8])
+        adjusted = fit_adjusted(two_arm_data, grid, LearnerKind("linear"))
+        empirical = empirical_cdf(two_arm_data, grid)
+        labels = (two_arm_data.outcomes[:, None] <= grid.locations[None, :]).astype(float)
+        for theta, preds in (
+            (empirical, np.zeros((2, two_arm_data.n_units, 3))),
+            (adjusted.estimate, adjusted.gamma.predictions),
+        ):
+            gamma = None if theta is empirical else adjusted.gamma
+            got = influence(two_arm_data, grid, theta, gamma).values
+            for w in (1, 2):
+                own = (two_arm_data.arms == w).astype(float)[:, None]
+                share = two_arm_data.stats.shares[w - 1]
+                want = own * (labels - preds[w - 1]) / share + preds[w - 1] - theta.values[w - 1][None, :]
+                assert got[w - 1].tobytes() == want.tobytes()
+
+    def test_band_influence_is_not_copied(self, monkeypatch):
+        data = make_experiment(seed=5, n=70)
+        grid = quantile_grid(data, [0.3, 0.6])
+        seen = []
+        draws = inference.bootstrap_draws
+
+        def recorded(theta, psi, *args, **kwargs):
+            seen.append(psi)
+            return draws(theta, psi, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "bootstrap_draws", recorded)
+        bootstrap_bands(data, grid, (empirical_cdf(data, grid), fit_adjusted(data, grid, LearnerKind("linear"))),
+                        n_draws=20, seed=1)
+        (psi,) = seen
+        # one C-ordered (unit, estimate x arm, location) array under the whole stack
+        base = psi.values.base
+        assert base.shape == (70, 2 * 2, 2) and base.flags.c_contiguous
+        assert not psi.values.flags.writeable
+
+    def test_band_peak_memory_is_the_block_and_one_slab_per_estimate(self, monkeypatch):
+        """tracemalloc peak of a two-estimate band run, against the memory it must hold.
+
+        The 256 x n multiplier block and the two (n, k x m) slabs, plus
+        3 n*m float64 values of headroom, which covers the two fill threads'
+        scratch of 2n values each, the (B, 2 x k x m) draws and their frozen
+        copy. A copy of the stacked influence values alone is 4 n*m values.
+        """
+        n, k, m, n_draws = 4000, 2, 9, 300
+        data = make_experiment(seed=8, n=n)
+        grid = quantile_grid(data, np.linspace(0.1, 0.9, m))
+        estimates = (empirical_cdf(data, grid), fit_adjusted(data, grid, LearnerKind("linear")))
+        monkeypatch.setattr(inference, "_draw_threads", lambda: 2)
+        tracemalloc.start()
+        try:
+            bootstrap_bands(data, grid, estimates, n_draws=n_draws, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 256 * n * 8
+        slabs = len(estimates) * n * k * m * 8
+        assert peak <= block + slabs + 3 * n * m * 8
 
 
 class TestTracerContract:

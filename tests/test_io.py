@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import dtekit.io as dio
 from dtekit.core import EffectBand
-from dtekit.errors import MissingColumn, NonFiniteValue, ParseError
+from dtekit.errors import DomainError, MissingColumn, NonFiniteValue, ParseError
 from dtekit.io import (
     CsvSchema,
     emit_report,
@@ -89,6 +91,13 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as excinfo:
             load_csv(write_text(tmp_path / "j.csv", text))
         assert excinfo.value.row == 3
+        # one cell too many, after a full row and as the first data row
+        for text, row in (
+            ("arm,outcome,x\n1,1.0,0.5\n2,2.0,0.6,7\n", 3),
+            ("arm,outcome,x\n1,1.0,0.5,9\n2,2.0,0.6,7\n", 2),
+        ):
+            with pytest.raises(ParseError, match=f"row {row} has 4 cells, header has 3"):
+                load_csv(write_text(tmp_path / "j.csv", text))
 
     def test_blank_lines_skipped(self, tmp_path):
         text = "arm,outcome,x\n1,1.0,0.5\n\n2,2.0,0.6\n\n"
@@ -137,6 +146,141 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as excinfo:
             load_csv(write_text(tmp_path / "s.csv", text))
         assert (excinfo.value.row, excinfo.value.column) == (3, "outcome")
+
+
+def quoted(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+padding = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def spelled(draw, cells, odd):
+    """A cell drawn from ``cells``, maybe padded and quoted; ``odd`` also allows a space before the quote."""
+    cell = draw(padding) + draw(cells) + draw(padding)
+    return draw(st.sampled_from([cell, quoted(cell), *([" " + quoted(cell)] if odd else [])]))
+
+
+numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: f"{v:.6g}"),
+    st.integers(-10**6, 10**6).map(str),
+)
+odd_numbers = st.sampled_from([
+    "1_0", "1_000.5", "-0.0", ".5", "5.", "1E-3", "+2", "nan", "-inf", "1e500", "", "oops",
+    "0x10", "1 2", "\u0661\u0662",
+])
+labels = st.sampled_from(["ctrl", "treat", "a,b", 'say "hi"', "1", "2", "10", "2.0", "-3", ""])
+notes = st.sampled_from(["id-7", "x y", "", "7", "n/a"])
+
+
+@st.composite
+def experiment_files(draw):
+    """CSV text, with the schema to read it by, that mixes what the C reader and the row loop must agree on.
+
+    About a quarter of the files may hold cells that only Python's ``float``
+    reads or that nothing reads, and a third may hold lines of whitespace or
+    empty cells, or a row a cell short or long; the rest are files the C
+    reader parses on its own.
+    """
+    n_covariates = draw(st.integers(1, 3))
+    n_notes = draw(st.integers(0, 2))
+    names = [f"x{j}" for j in range(n_covariates)] + [f"note{j}" for j in range(n_notes)]
+    header = draw(st.permutations(["arm", "outcome", *names]))
+    if n_notes or draw(st.booleans()):
+        chosen = draw(st.lists(st.sampled_from(names[:n_covariates]), min_size=1, unique=True))
+        schema = CsvSchema(covariates=tuple(chosen))
+    else:
+        schema = CsvSchema()
+    odd = draw(st.integers(0, 3)) == 0
+    number = st.one_of(numbers, odd_numbers) if odd else numbers
+
+    def row():
+        cells = []
+        for name in header:
+            if name == "arm":
+                cells.append(draw(spelled(labels, odd)))
+            elif name.startswith("note"):
+                cells.append(draw(spelled(notes, odd)))
+            else:
+                cells.append(draw(spelled(number, odd)))
+        return ",".join(cells)
+
+    quirks = ["spaces", "commas", "long", "short"] if draw(st.integers(0, 2)) == 0 else []
+    body = [row(), row()]
+    for kind in draw(st.lists(st.sampled_from(["row", "blank", *quirks]), max_size=6)):
+        if kind == "row":
+            body.append(row())
+        elif kind == "blank":
+            body.append("")
+        elif kind == "spaces":
+            body.append("   ")
+        elif kind == "commas":
+            body.append("," * (len(header) - 1))
+        elif kind == "long":
+            body.append(row() + ",1")
+        else:
+            body.append(row().rpartition(",")[0])
+    lines = [",".join(header), *draw(st.permutations(body))]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(lines) + draw(st.sampled_from([ending, ""]))
+    return text, schema
+
+
+def read_outcome(read, path, schema):
+    """Bit patterns of the arrays read, or the error type and message."""
+    try:
+        data = read(path, schema)
+    except DomainError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    arrays = (data.covariates, data.arms, data.outcomes)
+    return data.n_arms, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
+class TestCReaderMatchesRowLoop:
+    """``load_csv`` reads in NumPy's C reader; ``_load_rows`` is the row loop it falls back to."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(experiment_files())
+    def test_same_arrays_or_same_error(self, tmp_path_factory, case):
+        text, schema = case
+        path = tmp_path_factory.mktemp("csv") / "e.csv"
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+        assert read_outcome(load_csv, path, schema) == read_outcome(dio._load_rows, path, schema)
+
+    def row_loop_calls(self, monkeypatch, tmp_path, text, schema=CsvSchema()):
+        calls = []
+        row_loop = dio._load_rows
+
+        def counted(*args):
+            calls.append(args)
+            return row_loop(*args)
+
+        monkeypatch.setattr(dio, "_load_rows", counted)
+        load_csv(write_text(tmp_path / "t.csv", text), schema)
+        return len(calls)
+
+    def test_well_formed_file_never_reaches_the_row_loop(self, monkeypatch, tmp_path):
+        text = 'x,arm,outcome,note\r\n0.5, treat ,"1.5",a b\r\n\r\n-1e3,ctrl,2,\r\n'
+        assert self.row_loop_calls(monkeypatch, tmp_path, text, CsvSchema(covariates=("x",))) == 0
+
+    @pytest.mark.parametrize("text", [
+        "arm,outcome,x\n1,1_0,0.5\n2,2,0.6\n",
+        "arm,outcome,x\n1,1,0.5\n   \n2,2,0.6\n",
+        "arm,outcome,x\n1,1,0.5\n,,\n2,2,0.6\n",
+    ])
+    def test_spellings_only_float_reads_go_through_the_row_loop(self, monkeypatch, tmp_path, text):
+        assert self.row_loop_calls(monkeypatch, tmp_path, text) == 1
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="at least 2 units"):
+                load_csv(write_text(tmp_path / "u.csv", "arm,outcome,x\n\n\n"))
 
 
 def small_band():

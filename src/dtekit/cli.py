@@ -128,10 +128,11 @@ class RunConfig:
         object.__setattr__(self, "arm_pair", pair)
         if self.mode in ("estimate", "bootstrap-band") and not self.input:
             raise ValueError(f"mode {self.mode} requires --input CSV")
-        # grid syntax and training settings are validated eagerly so bad
-        # values fail as usage errors, before any work
+        # grid syntax, training and learner settings are validated eagerly so
+        # bad values fail as usage errors, before any work
         parse_grid_spec(self.grid)
         _train_config(self)
+        _learner_kinds(self)
 
 
 def parse_grid_spec(spec: str):
@@ -202,6 +203,12 @@ def _learner_kind(config: RunConfig, name: str) -> LearnerKind | None:
     )
 
 
+def _learner_kinds(config: RunConfig) -> dict[str, LearnerKind | None]:
+    """The learners the run's mode uses, by method name."""
+    names = {"simulate": config.methods, "benchmark": LEARNER_KINDS}.get(config.mode, (config.learner,))
+    return {name: _learner_kind(config, name) for name in names}
+
+
 def _resolve_grid(config: RunConfig, data):
     kind, values = parse_grid_spec(config.grid)
     if kind == "probs":
@@ -234,10 +241,9 @@ def _say(message: str) -> None:
 
 def _run_simulate(config: RunConfig, out: Path) -> dict:
     kind, values = parse_grid_spec(config.grid)
-    methods = {name: _learner_kind(config, name) for name in config.methods}
     report = run_study(
         DgpConfig(n_units=config.n_units, seed=config.seed),
-        methods,
+        _learner_kinds(config),
         n_reps=config.n_reps,
         n_folds=config.n_folds,
         probs=values if kind == "probs" else simulation.DEFAULT_QUANTILES,
@@ -262,7 +268,7 @@ def _estimate_pieces(config: RunConfig):
     plan = make_folds(data.n_units, config.n_folds, config.seed)
     empirical = empirical_cdf(data, grid)
     t0 = time.perf_counter()
-    adjusted = fit_adjusted(data, grid, _learner_kind(config, config.learner), plan)
+    adjusted = fit_adjusted(data, grid, _learner_kinds(config)[config.learner], plan)
     fit_seconds = time.perf_counter() - t0
     return data, grid, empirical, adjusted, fit_seconds
 
@@ -319,8 +325,7 @@ def _run_benchmark(config: RunConfig, out: Path) -> dict:
     grid = _resolve_grid(config, data)
     plan = make_folds(data.n_units, config.n_folds, config.seed)
     timings = {}
-    for name in LEARNER_KINDS:
-        kind = _learner_kind(config, name)
+    for name, kind in _learner_kinds(config).items():
         _say(f"[benchmark] timing {name}")
         t0 = time.perf_counter()
         crossfit_gamma(data, grid, kind, plan)

@@ -55,7 +55,8 @@ class LearnerKind:
     ``hidden`` lists the trunk widths shared by all network kinds; the final
     layer width is set by the number of label columns at fit time (1 per net
     for "nn-single"). ``ridge`` only affects "linear", ``train`` only the
-    network kinds.
+    network kinds. A network kind checks its architecture fields as
+    :class:`~dtekit.nn.LayerSpec` does; "linear" ignores them.
     """
 
     kind: str
@@ -70,10 +71,10 @@ class LearnerKind:
         if self.kind not in LEARNER_KINDS:
             raise ValueError(f"kind must be one of {LEARNER_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.kind != "linear" and any(h < 1 for h in self.hidden):
-            raise ValueError("hidden widths must be positive")
-        if self.ridge < 0:
-            raise ValueError("ridge penalty must be non-negative")
+        if self.kind != "linear":
+            self.layer_spec(1, 1)
+        if not (np.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError(f"ridge penalty must be non-negative and finite, got {self.ridge!r}")
 
     def with_seed(self, seed: int) -> "LearnerKind":
         return replace(self, train=replace(self.train, seed=int(seed)))

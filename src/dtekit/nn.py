@@ -11,10 +11,11 @@ initializer draws them, so the Glorot draws are those of a per-array layout;
 they are drawn in float64 and rounded once to the training precision.
 ``backward`` and ``adam_step`` compute in the dtype of the parameters they
 are given. ``backward`` writes into the flat gradient and ``adam_step``
-updates parameters and moments in place, with one finiteness check per step;
-the frozen :class:`NetworkState`, which copies the flat vectors into float64,
-is built once, when training ends, so prediction runs in float64 whatever
-the training precision. In float32, Adam first moments that have decayed
+updates parameters and moments in place, with one finiteness check per step.
+When training ends, the moments, gradient and other workspace are dropped,
+and the frozen :class:`NetworkState`, float64 copies of the parameters only,
+is built; prediction reads nothing else, and runs in float64 whatever the
+training precision. In float32, Adam first moments that have decayed
 below the smallest normal float32 are set to 0 once an epoch, because
 subnormal arithmetic is many times slower and such a moment never decays on
 to 0 by itself. ``precision="float64"`` is what replays manifests that carry
@@ -182,33 +183,22 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class NetworkState:
-    """Parameters plus Adam moment estimates, frozen.
+    """The parameters of one trained network, frozen.
 
-    ``step`` counts completed Adam updates and drives bias correction. The
-    state freezes its own read-only copies of the arrays it is given, so the
-    caller's arrays stay writable and nothing else can write to the state's.
+    The state freezes its own read-only float64 copies of the arrays it is
+    given, so the caller's arrays stay writable and nothing else can write to
+    the state's.
     """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    m_weights: tuple[np.ndarray, ...]
-    v_weights: tuple[np.ndarray, ...]
-    m_biases: tuple[np.ndarray, ...]
-    v_biases: tuple[np.ndarray, ...]
-    step: int = 0
 
     def __post_init__(self):
-        for name in ("weights", "biases", "m_weights", "v_weights", "m_biases", "v_biases"):
+        for name in ("weights", "biases"):
             arrays = tuple(np.array(a, dtype=float) for a in getattr(self, name))
             for a in arrays:
                 a.setflags(write=False)
             object.__setattr__(self, name, arrays)
-
-    @classmethod
-    def zeros(cls, spec: LayerSpec) -> "NetworkState":
-        """All-zero parameters and moments; handy for fixed-point checks."""
-        zeros = FlatParams(spec)
-        return cls(zeros.weights, zeros.biases, zeros.weights, zeros.weights, zeros.biases, zeros.biases)
 
 
 class FlatParams:
@@ -250,10 +240,10 @@ class FlatParams:
 
 
 def init_network(spec: LayerSpec, seed: int = 0) -> NetworkState:
-    """Glorot-uniform weights, zero biases, zero Adam moments."""
-    params, zeros = FlatParams(spec), FlatParams(spec)
+    """Glorot-uniform weights, zero biases."""
+    params = FlatParams(spec)
     _glorot(params.weights, np.random.default_rng(seed))
-    return _frozen(params, zeros, zeros, step=0)
+    return _frozen(params)
 
 
 def _glorot(weights, rng: np.random.Generator) -> None:
@@ -264,13 +254,9 @@ def _glorot(weights, rng: np.random.Generator) -> None:
         w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _frozen(params: FlatParams, m: FlatParams, v: FlatParams, step: int, network=()) -> NetworkState:
+def _frozen(params: FlatParams, network=()) -> NetworkState:
     """The state of one network; ``network`` indexes the network axis, if any."""
-    def pick(arrays):
-        return tuple(a[network] for a in arrays)
-
-    return NetworkState(pick(params.weights), pick(params.biases), pick(m.weights), pick(v.weights),
-                        pick(m.biases), pick(v.biases), step=step)
+    return NetworkState(tuple(w[network] for w in params.weights), tuple(b[network] for b in params.biases))
 
 
 def _hidden_in_place(spec: LayerSpec, z: np.ndarray) -> np.ndarray:
@@ -586,8 +572,9 @@ def train_many(
             # float64 is not flushed, so manifests without a precision replay
             # bit for bit
             np.copyto(m.flat, 0.0, where=np.abs(m.flat) < _FLOAT32_TINY)
-    del grad, scratch, calls  # free the step buffers before the frozen copies are made
+    # the frozen states hold parameters only: free the training buffers first
+    del grad, m, v, scratch, calls, x_epoch, t_epoch
     states = [None] * n_nets
     for row, s in enumerate(order):
-        states[s] = _frozen(params, m, v, config.epochs * batches[row], row)
+        states[s] = _frozen(params, row)
     return tuple(states)

@@ -155,6 +155,24 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             config_from_dict({"mode": "simulate", "bogus": 1})
 
+    @pytest.mark.parametrize("mode, fields", [
+        ("estimate", {"learner": "nn-multi", "hidden": (0,)}),
+        ("estimate", {"learner": "nn-multi-monotone", "transform": "cube"}),
+        ("estimate", {"ridge": float("nan")}),
+        ("simulate", {"methods": ("empirical", "nn-single"), "squash": "logistic"}),
+        ("simulate", {"methods": ("linear",), "ridge": -1.0}),
+        ("benchmark", {"hidden": (4, 0)}),
+    ])
+    def test_learners_of_the_mode_are_checked_eagerly(self, mode, fields):
+        with pytest.raises(ValueError):
+            RunConfig(mode=mode, input="x.csv", **fields)
+
+    def test_learners_the_mode_does_not_use_are_not_checked(self):
+        # a linear run ignores the network fields, so its manifests replay
+        # whatever they hold there
+        RunConfig(mode="estimate", input="x.csv", learner="linear", hidden=(0,), transform="cube")
+        RunConfig(mode="simulate", methods=("empirical", "linear"), squash="logistic")
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -402,6 +420,27 @@ class TestConfigResolution:
         ini = tmp_path / "run.ini"
         ini.write_text("[run]\nbogus = 1\n")
         assert run_cli("simulate", "--config", ini) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--ridge", "-1"),
+        ("--ridge", "nan"),
+        ("--ridge", "inf"),
+        ("--learner", "nn-multi", "--hidden", "0"),
+    ])
+    def test_bad_learner_flag_is_usage_error(self, tmp_path, capsys, experiment_csv, flags):
+        out = tmp_path / "est"
+        assert run_cli("estimate", "--input", experiment_csv, *flags, "--out", out) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_ini_transform_is_usage_error(self, tmp_path, capsys, experiment_csv):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[learner]\ntransform = cube\n")
+        out = tmp_path / "est"
+        assert run_cli("bootstrap-band", "--config", ini, "--input", experiment_csv,
+                       "--learner", "nn-multi-monotone", "--out", out) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_grid_flag_is_usage_error(self, tmp_path):
         assert run_cli("simulate", "--grid", "nope", "--out", tmp_path / "x") == 2

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from dtekit.learners import (
     fit_many,
     predict,
 )
-from dtekit.nn import NetworkState, TrainConfig, bce_loss, forward, init_network, train
+from dtekit.nn import FlatParams, NetworkState, TrainConfig, bce_loss, forward, init_network, train
 
 
 def small_nn_kind(kind, **kwargs):
@@ -46,9 +47,28 @@ class TestLearnerKind:
         with pytest.raises(ValueError):
             LearnerKind("linear", ridge=-1.0)
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ridge_rejected(self, ridge):
+        with pytest.raises(ValueError, match="ridge"):
+            LearnerKind("linear", ridge=ridge)
+
     def test_zero_hidden_width_rejected_for_networks(self):
         with pytest.raises(ValueError):
             LearnerKind("nn-multi", hidden=(0,))
+
+    @pytest.mark.parametrize("name", ["nn-single", "nn-multi", "nn-multi-monotone"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("transform", "cube", "transform"), ("squash", "logistic", "squash"),
+        ("hidden_activation", "gelu", "hidden_activation"), ("hidden", (4, 0), "widths"),
+    ])
+    def test_network_kinds_check_their_architecture(self, name, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            LearnerKind(name, **{field: value})
+
+    def test_linear_ignores_network_fields(self):
+        # manifests of linear runs replay whatever their network fields hold
+        kind = LearnerKind("linear", hidden=(0,), transform="cube", squash="logistic", hidden_activation="gelu")
+        assert kind.hidden == (0,)
 
     def test_with_seed_only_touches_train_seed(self):
         kind = small_nn_kind("nn-multi")
@@ -211,6 +231,33 @@ def counted_train_many(monkeypatch):
     return calls
 
 
+def _array_bytes(value) -> int:
+    """Bytes of every array reachable through dataclass fields and tuples."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if dataclasses.is_dataclass(value):
+        return sum(_array_bytes(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return sum(_array_bytes(item) for item in value)
+    return 0
+
+
+class TestFittedMemory:
+    """A fitted network learner holds its parameters and scaling, nothing else."""
+
+    def test_network_state_holds_parameters_only(self):
+        assert tuple(f.name for f in dataclasses.fields(NetworkState)) == ("weights", "biases")
+
+    @pytest.mark.parametrize("name, n_networks, n_outputs", [("nn-single", 2, 1), ("nn-multi-monotone", 1, 2)])
+    def test_array_bytes_are_parameters_and_scaling(self, problem, name, n_networks, n_outputs):
+        x, labels = problem
+        kind = small_nn_kind(name)
+        fitted = fit(kind, x, labels)
+        n_params = n_networks * FlatParams(kind.layer_spec(x.shape[1], n_outputs)).flat.size
+        assert len(fitted.states) == n_networks
+        assert _array_bytes(fitted) == 8 * n_params + fitted.x_mean.nbytes + fitted.x_scale.nbytes
+
+
 class TestFitMany:
     @pytest.mark.parametrize("name", LEARNER_KINDS)
     def test_equals_fit_per_problem_bit_for_bit(self, name):
@@ -223,7 +270,6 @@ class TestFitMany:
             assert_array_equal(got.x_scale, want.x_scale)
             assert len(got.states) == len(want.states)
             for got_state, want_state in zip(got.states, want.states):
-                assert got_state.step == want_state.step
                 for a, b in zip(got_state.weights + got_state.biases, want_state.weights + want_state.biases):
                     assert_array_equal(a, b)
             assert_array_equal(predict(got, xs[0]), predict(want, xs[0]))

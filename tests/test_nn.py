@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import inspect
 import math
+import types
 
 import numpy as np
 import pytest
@@ -32,6 +34,43 @@ LN2 = 0.6931471805599453
 
 def spec_of(widths, head="sigmoid", **kwargs):
     return LayerSpec(widths=tuple(widths), head=head, **kwargs)
+
+
+def zero_state(spec):
+    """All-zero parameters; handy for fixed-point checks."""
+    zeros = FlatParams(spec)
+    return NetworkState(zeros.weights, zeros.biases)
+
+
+@contextlib.contextmanager
+def watched_adam():
+    """Record what training hands ``nn.adam_step``.
+
+    ``steps`` collects each call's step count, or counts, one per network.
+    ``m`` and ``v`` end as the whole moment buffers the calls update, one row
+    per network in stacking order, as training left them; the trained states
+    keep no moments.
+    """
+    seen = types.SimpleNamespace(steps=[], m=None, v=None)
+    adam = nn.adam_step
+
+    def watched(params, grad, m, v, step, *args, **kwargs):
+        seen.steps.append(np.asarray(step).tolist())
+        # each call updates a run of rows, a view of the stacked buffer
+        seen.m = m if m.base is None else m.base
+        seen.v = v if v.base is None else v.base
+        return adam(params, grad, m, v, step, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nn, "adam_step", watched)
+        yield seen
+
+
+def trained_with_adam_record(x, labels, spec, config):
+    """``train`` on one network, with what it handed ``nn.adam_step``."""
+    with watched_adam() as seen:
+        state = train(x, labels, spec, config)
+    return state, seen
 
 
 # one spec per head, hidden activation, transform and squash
@@ -107,8 +146,8 @@ class TestTrainConfig:
 
     def test_numpy_integers_are_accepted(self):
         config = TrainConfig(batch_size=np.int64(4), epochs=np.int32(2), seed=np.uint32(7))
-        state = train(np.ones((6, 2)), np.ones((6, 1)), spec_of((2, 3, 1)), config)
-        assert state.step == 2 * 2
+        _, seen = trained_with_adam_record(np.ones((6, 2)), np.ones((6, 1)), spec_of((2, 3, 1)), config)
+        assert seen.steps == [1, 2, 3, 4]
 
     def test_default_precision_is_float32(self):
         assert TrainConfig().precision == "float32"
@@ -138,14 +177,13 @@ class TestFlatParams:
 
 
 def _state_arrays(state):
-    groups = ("weights", "biases", "m_weights", "v_weights", "m_biases", "v_biases")
-    return [a for group in groups for a in getattr(state, group)]
+    return [*state.weights, *state.biases]
 
 
 class TestNetworkState:
     def test_caller_arrays_stay_writable(self):
         w, b = np.zeros((2, 1)), np.zeros(1)
-        state = NetworkState((w,), (b,), (w,), (w,), (b,), (b,))
+        state = NetworkState((w,), (b,))
         assert w.flags.writeable and b.flags.writeable
         w[0, 0] = 3.0
         assert state.weights[0][0, 0] == 0.0
@@ -164,17 +202,17 @@ class TestNetworkState:
 class TestForward:
     def test_zero_state_sigmoid_head_is_half(self):
         spec = spec_of((3, 4, 2))
-        out = forward(NetworkState.zeros(spec), spec, np.random.default_rng(0).random((5, 3)))
+        out = forward(zero_state(spec), spec, np.random.default_rng(0).random((5, 3)))
         assert_array_equal(out, np.full((5, 2), 0.5))
 
     def test_zero_state_monotone_exp_arctan(self):
         spec = spec_of((3, 2), head="monotone", transform="exp", squash="arctan")
-        out = forward(NetworkState.zeros(spec), spec, np.zeros((1, 3)))
+        out = forward(zero_state(spec), spec, np.zeros((1, 3)))
         assert_allclose(out[0], ZERO_STATE_EXP_ARCTAN, rtol=1e-15)
 
     def test_zero_state_monotone_softplus_tanh(self):
         spec = spec_of((3, 2), head="monotone", transform="softplus", squash="tanh-half")
-        out = forward(NetworkState.zeros(spec), spec, np.zeros((1, 3)))
+        out = forward(zero_state(spec), spec, np.zeros((1, 3)))
         assert_allclose(out[0], ZERO_STATE_SOFTPLUS_TANH, rtol=1e-14)
 
     def test_monotone_rows_nondecreasing(self):
@@ -187,7 +225,7 @@ class TestForward:
     def test_wrong_input_width(self):
         spec = spec_of((3, 2))
         with pytest.raises(ShapeMismatch):
-            forward(NetworkState.zeros(spec), spec, np.zeros((2, 4)))
+            forward(zero_state(spec), spec, np.zeros((2, 4)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,11 +267,7 @@ def _with_param(state, which, layer, index, delta):
     bs = [b.copy() for b in state.biases]
     target = ws if which == "w" else bs
     target[layer][index] += delta
-    return NetworkState(
-        tuple(ws), tuple(bs),
-        state.m_weights, state.v_weights, state.m_biases, state.v_biases,
-        step=state.step,
-    )
+    return NetworkState(tuple(ws), tuple(bs))
 
 
 def finite_difference_grads(state, spec, x, target, h=1e-6):
@@ -277,7 +311,7 @@ class TestBackward:
     def test_single_sample_sigmoid_gradient(self):
         # no hidden layer: dL/dw = (p - t) x with p = 0.5 at the zero state
         spec = spec_of((3, 1))
-        state = NetworkState.zeros(spec)
+        state = zero_state(spec)
         x = np.array([[0.2, -1.0, 3.0]])
         grads = backward(state, spec, x, np.array([[1.0]]))
         assert_allclose(grads.weights[0][:, 0], -0.5 * x[0], rtol=1e-15)
@@ -311,11 +345,7 @@ class TestBackward:
 
     def test_saturated_outputs_get_zero_gradient(self):
         spec = spec_of((2, 1))
-        ws = NetworkState.zeros(spec)
-        state = NetworkState(
-            ws.weights, (np.array([40.0]),),
-            ws.m_weights, ws.v_weights, ws.m_biases, ws.v_biases,
-        )
+        state = NetworkState(zero_state(spec).weights, (np.array([40.0]),))
         grads = backward(state, spec, np.ones((3, 2)), np.zeros((3, 1)))
         assert_array_equal(grads.weights[0], np.zeros((2, 1)))
         assert_array_equal(grads.biases[0], np.zeros(1))
@@ -323,7 +353,7 @@ class TestBackward:
     def test_target_shape_mismatch(self):
         spec = spec_of((2, 1))
         with pytest.raises(ShapeMismatch):
-            backward(NetworkState.zeros(spec), spec, np.zeros((3, 2)), np.zeros((3, 2)))
+            backward(zero_state(spec), spec, np.zeros((3, 2)), np.zeros((3, 2)))
 
     def test_writes_into_the_given_buffer(self):
         spec = spec_of((3, 4, 2), head="monotone")
@@ -546,17 +576,20 @@ def test_flat_engine_is_bit_identical_to_per_array_reference(spec, precision):
     cuts = np.quantile(score, np.linspace(0.2, 0.8, spec.n_outputs))
     labels = (score[:, None] <= cuts[None, :]).astype(float)
     config = TrainConfig(epochs=4, batch_size=16, seed=3, precision=precision)
-    state = train(x, labels, spec, config)
+    state, seen = trained_with_adam_record(x, labels, spec, config)
     params, m, v, steps = _reference_train(x, labels, spec, config)
     n_layers = len(spec.widths) - 1
-    assert state.step == steps == 4 * 5
+    assert seen.steps == list(range(1, steps + 1)) and steps == 4 * 5
+    # the moments live in the flat buffers training hands adam_step
+    moments_m, moments_v = (FlatParams(spec, flat=buffer[0]) for buffer in (seen.m, seen.v))
+    assert seen.m.dtype == seen.v.dtype == precision
     for got, want in zip((*state.weights, *state.biases), params):
         assert_array_equal(got, want)
-    for got, want in zip((*state.m_weights, *state.m_biases), m):
+    for got, want in zip((*moments_m.weights, *moments_m.biases), m):
         assert_array_equal(got, want)
-    for got, want in zip((*state.v_weights, *state.v_biases), v):
+    for got, want in zip((*moments_v.weights, *moments_v.biases), v):
         assert_array_equal(got, want)
-    assert len(state.weights) == len(state.m_biases) == n_layers
+    assert len(state.weights) == len(moments_m.biases) == n_layers
 
 
 class TestTracerContract:
@@ -567,7 +600,7 @@ class TestTracerContract:
 
     def test_network_state_fields(self):
         names = {field.name for field in dataclasses.fields(NetworkState)}
-        groups = ("weights", "biases", "m_weights", "v_weights", "m_biases", "v_biases")
+        groups = ("weights", "biases")
         assert set(groups) <= names
         state = train(np.zeros((4, 2)), np.zeros((4, 1)), spec_of((2, 3, 1)), TrainConfig(epochs=1))
         for group in groups:
@@ -628,15 +661,15 @@ class TestTracerContract:
         sizes = (10, 7, 3, 7)
         rng = np.random.default_rng(2)
         configs = [TrainConfig(epochs=2, batch_size=4, seed=s) for s in range(len(sizes))]
-        states = train_many([rng.standard_normal((n, 2)) for n in sizes],
-                            [np.ones((n, 1)) for n in sizes], spec_of((2, 3, 1)), configs)
+        train_many([rng.standard_normal((n, 2)) for n in sizes],
+                   [np.ones((n, 1)) for n in sizes], spec_of((2, 3, 1)), configs)
         # stacked largest first: 10, 7, 7, 3. Offset 0: the three full batches,
         # then the 3; offset 4: the 10, then both 7s (3 rows each); offset 8: the 10
         per_epoch = [(3, 4), (1, 3), (1, 4), (2, 3), (1, 2)]
         assert batches == per_epoch * 2
-        # the 10 takes 3 batches an epoch, the 7s two, the 3 one
+        # the 10 takes 3 batches an epoch, the 7s two, the 3 one, so they end
+        # at steps 6, 4 and 2
         assert steps == [[1, 1, 1], 1, 2, 2, 3, [4, 3, 3], 2, 5, 4, 6]
-        assert [state.step for state in states] == [6, 4, 2, 4]
 
 
 class TestTrain:
@@ -657,8 +690,9 @@ class TestTrain:
         assert loss_after < 0.35
 
     def test_step_counts_updates(self):
-        state = train(self.x, self.labels, spec_of((3, 2, 1)), TrainConfig(epochs=2, batch_size=50))
-        assert state.step == 2 * 3
+        _, seen = trained_with_adam_record(self.x, self.labels, spec_of((3, 2, 1)),
+                                           TrainConfig(epochs=2, batch_size=50))
+        assert seen.steps == list(range(1, 2 * 3 + 1))
 
     def test_training_is_deterministic(self):
         spec = spec_of((3, 6, 1))
@@ -695,23 +729,29 @@ class TestSubnormalMoments:
     sticks at a few ulps; float32 training flushes such moments once an epoch."""
 
     def saturated_run(self, precision):
+        """The trained state and its final first moments, as training left them."""
         # with all-ones labels, one Adam step of 100 puts the sigmoid's input
         # near 300, where it rounds to 1; past the clamp every gradient is 0
         config = TrainConfig(learning_rate=100.0, batch_size=4, epochs=1200, precision=precision)
-        return train(np.ones((4, 2)), np.ones((4, 1)), spec_of((2, 1)), config)
+        state, seen = trained_with_adam_record(np.ones((4, 2)), np.ones((4, 1)), spec_of((2, 1)), config)
+        assert seen.m.dtype == precision and len(seen.steps) == 1200
+        return state, seen.m
 
     def test_float32_first_moments_end_at_zero_not_subnormal(self):
-        state = self.saturated_run("float32")
-        m = np.concatenate([a.ravel() for a in (*state.m_weights, *state.m_biases)])
+        state, m = self.saturated_run("float32")
         assert_array_equal(m, 0.0)
         # the parameters did move, so the moments were not 0 all along
         assert np.all(state.biases[0] > 50.0)
 
     def test_float64_keeps_its_arithmetic(self):
         # 0.9 ** 1199 of the first step's moment is ~1e-56: normal in float64, kept
-        state = self.saturated_run("float64")
-        m = np.concatenate([a.ravel() for a in (*state.m_weights, *state.m_biases)])
+        _, m = self.saturated_run("float64")
         assert np.all(m != 0.0) and np.all(np.abs(m) < np.finfo(np.float32).tiny)
+
+
+def _stacked_row(sizes, network):
+    """The row of ``network`` in train_many's buffers, which stack the largest first."""
+    return sorted(range(len(sizes)), key=lambda s: -sizes[s]).index(network)
 
 
 class TestTrainMany:
@@ -735,13 +775,17 @@ class TestTrainMany:
         labels = [_monotone_labels(rng, n, k) for n in sizes]
         configs = [TrainConfig(epochs=2, batch_size=batch_size, seed=int(seed), precision=precision)
                    for seed in rng.integers(0, 2**32, size=len(sizes))]
-        stacked = train_many(xs, labels, spec, configs)
+        with watched_adam() as stacked_adam:
+            stacked = train_many(xs, labels, spec, configs)
         assert len(stacked) == len(sizes)
-        for x, y, config, got in zip(xs, labels, configs, stacked):
-            want = train(x, y, spec, config)
-            assert got.step == want.step == 2 * math.ceil(x.shape[0] / batch_size)
+        for s, (x, y, config, got) in enumerate(zip(xs, labels, configs, stacked)):
+            want, seen = trained_with_adam_record(x, y, spec, config)
+            assert seen.steps[-1] == 2 * math.ceil(x.shape[0] / batch_size)
             assert_array_equal(np.concatenate([a.ravel() for a in _state_arrays(got)]),
                                np.concatenate([a.ravel() for a in _state_arrays(want)]))
+            row = _stacked_row(sizes, s)
+            assert_array_equal(stacked_adam.m[row], seen.m[0])
+            assert_array_equal(stacked_adam.v[row], seen.v[0])
 
     @pytest.mark.parametrize("precision", nn.PRECISIONS)
     @pytest.mark.parametrize("head", ["sigmoid", "monotone"])
@@ -753,12 +797,18 @@ class TestTrainMany:
         xs = [rng.standard_normal((n, 2)) for n in sizes]
         labels = [_monotone_labels(rng, n, k) for n in sizes]
         configs = [TrainConfig(epochs=3, batch_size=2 * k, seed=s, precision=precision) for s in (4, 5, 6)]
-        stacked = train_many(xs, labels, spec, configs)
-        assert [state.step for state in stacked] == [9, 3, 15]
-        for x, y, config, got in zip(xs, labels, configs, stacked):
-            want = train(x, y, spec, config)
+        with watched_adam() as stacked_adam:
+            stacked = train_many(xs, labels, spec, configs)
+        final_steps = []
+        for s, (x, y, config, got) in enumerate(zip(xs, labels, configs, stacked)):
+            want, seen = trained_with_adam_record(x, y, spec, config)
+            final_steps.append(seen.steps[-1])
             for a, b in zip(_state_arrays(got), _state_arrays(want)):
                 assert_array_equal(a, b)
+            row = _stacked_row(sizes, s)
+            assert_array_equal(stacked_adam.m[row], seen.m[0])
+            assert_array_equal(stacked_adam.v[row], seen.v[0])
+        assert final_steps == [9, 3, 15]
 
     @pytest.mark.parametrize(
         "change",

@@ -7,7 +7,9 @@ plus a ``manifest.json`` holding the fully resolved configuration; replaying
 a manifest with ``--from-manifest`` reproduces the data outputs byte for
 byte (timings excepted, since wall clocks are not replayable). Networks train
 in the manifest's ``precision``; a manifest without that key predates it and
-trained in float64, so it replays in float64.
+trained in float64, so it replays in float64. Bands draw their multipliers
+under the manifest's ``multiplier_scheme``; a manifest without that key
+predates it and replays on scheme 1.
 
 Exit codes: 0 on success, 1 for domain errors (bad data, singular designs,
 unreadable files), 2 for usage errors (bad flags or configuration values).
@@ -36,7 +38,7 @@ from .estimation import (
     pte,
     quantile_grid,
 )
-from .inference import bootstrap_bands, se_reduction
+from .inference import _check_multiplier_scheme, bootstrap_bands, se_reduction
 from .io import (
     CsvSchema,
     emit_report,
@@ -47,14 +49,14 @@ from .io import (
     write_timings_csv,
 )
 from .learners import LEARNER_KINDS, LearnerKind
-from .nn import TrainConfig, _is_integer
+from .nn import TrainConfig, _integers, _is_integer
 from .simulation import DgpConfig, run_study
 from . import simulation
 
 __all__ = ["RunConfig", "run", "main"]
 
 _MODES = ("simulate", "estimate", "bootstrap-band", "benchmark")
-_INTEGER_FIELDS = ("n_units", "n_reps", "n_folds", "n_draws", "threads", "n_oracle")
+_INTEGER_FIELDS = ("n_units", "n_reps", "n_folds", "n_draws", "threads", "n_oracle", "multiplier_scheme")
 _METHOD_NAMES = ("empirical", *LEARNER_KINDS)
 
 
@@ -90,6 +92,7 @@ class RunConfig:
     transform: str = "exp"
     squash: str = "arctan"
     precision: str = "float32"
+    multiplier_scheme: int = 2
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -119,8 +122,9 @@ class RunConfig:
             raise ValueError("threads must be at least 1")
         if self.n_units < 2:
             raise ValueError("n must be at least 2")
+        _check_multiplier_scheme(self.multiplier_scheme)
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(self, "hidden", _integers(self.hidden, "hidden widths"))
         object.__setattr__(self, "covariate_cols", tuple(self.covariate_cols))
         pair = tuple(int(a) for a in self.arm_pair)
         if len(pair) != 2:
@@ -224,9 +228,11 @@ def config_from_dict(payload: dict) -> RunConfig:
     """The run configuration a manifest's config block records.
 
     A block without ``precision`` was written when networks trained in float64
-    only, so it is read as float64 and replays byte for byte.
+    only, so it is read as float64; a block without ``multiplier_scheme`` was
+    written when bands read each repetition's multipliers as one chunk, so it
+    is read as scheme 1. Either way it replays byte for byte.
     """
-    kwargs = {"precision": "float64"}
+    kwargs = {"precision": "float64", "multiplier_scheme": 1}
     names = {f.name for f in dataclasses.fields(RunConfig)}
     for key, value in payload.items():
         if key not in names:
@@ -306,6 +312,7 @@ def _run_bootstrap_band(config: RunConfig, out: Path) -> dict:
         alpha=config.alpha,
         seed=config.seed,
         literal_upper_quantile=literal,
+        multiplier_scheme=config.multiplier_scheme,
     )
     band_emp, band_adj = bootstrap_bands(data, grid, (empirical, adjusted), **common)
     outputs = [

@@ -259,7 +259,10 @@ def validate_experiment(data: ExperimentData, grid: LocationGrid | None = None) 
 
 
 def indicator_labels(data: ExperimentData, grid: LocationGrid) -> np.ndarray:
-    """Binary matrix 1{Y_i <= y_j}, one row per unit, one column per location."""
-    y = data.outcomes
-    labels = (y[:, None] <= grid.locations[None, :]).astype(float)
-    return labels
+    """Bool matrix 1{Y_i <= y_j}, one row per unit, one column per location.
+
+    Bool holds an eighth of float64's bytes, and its 0/1 values convert to
+    float exactly, so arithmetic with float operands rounds as it would on
+    float labels.
+    """
+    return data.outcomes[:, None] <= grid.locations[None, :]

@@ -22,15 +22,22 @@ Influence values are written once, where the draw pass reads them: in the
 usual case each estimate's (unit, arm x location) slab, n rows of k*m
 values, is a column block of one C-ordered (unit, estimate x arm x location)
 array, and the :class:`InfluenceMatrix` is a view of it. The empirical
-path's zero adjustment is the scalar 0.0, not an array. So a band run holds,
-beyond its inputs, one slab per estimate (n*k*m float64 values), the block
-of at most 256 x n multipliers, and the draws.
+path's zero adjustment is the scalar 0.0, not an array.
+
+Multipliers are drawn in chunks of units. Under multiplier scheme 2, the
+default, repetition b reads its stream in chunks of 8,192 units, and each
+estimate's draws sum the products of the chunks in chunk order; scheme 1,
+which manifests written before the scheme was recorded replay on, reads all
+n units as one chunk. The two schemes give the same bytes whenever
+n <= 8,192. So a band run holds, beyond its inputs, one slab per estimate
+(n*k*m float64 values), a block of at most 256 x 8,192 multipliers
+(256 x n under scheme 1), and the draws.
 
 The pass fills its multipliers on T threads, T the CPUs the process may use.
 Every repetition has its own generator stream spawned from the seed, so a
-row's multipliers do not depend on which thread draws them, and each block
-of rows is multiplied as a whole with fixed operands once all its rows are
-filled. The draws are therefore bit-identical at any T.
+row's multipliers do not depend on which thread draws them, and each chunk
+of a block of rows is multiplied as a whole with fixed operands once all its
+rows are filled. The draws are therefore bit-identical at any T.
 """
 
 from __future__ import annotations
@@ -68,6 +75,9 @@ __all__ = [
 ]
 
 _DRAW_BLOCK = 256
+# units per chunk of a repetition's multiplier stream under scheme 2
+_CHUNK_UNITS = 8192
+_MULTIPLIER_SCHEMES = (1, 2)
 _FUNCTIONALS = ("cdf", "dte", "pte")
 
 
@@ -193,10 +203,42 @@ def multiplier_transform(m1: np.ndarray, m2: np.ndarray, out: np.ndarray | None 
     return out
 
 
-def multipliers(n_units: int, seed: int) -> np.ndarray:
-    """One multiplier per unit from a fresh seeded stream."""
+def multipliers(n_units: int, seed: int, *, multiplier_scheme: int = 2) -> np.ndarray:
+    """One multiplier per unit from a fresh seeded stream.
+
+    The stream is read in the chunks :func:`bootstrap_draws` reads a
+    repetition's stream in: under scheme 2 chunks of 8,192 units, under
+    scheme 1 one chunk of all units. Each chunk of w units takes one
+    ``standard_normal(2w)`` call, the first w values and the last w feeding
+    :func:`multiplier_transform`.
+    """
     rng = np.random.default_rng(seed)
-    return multiplier_transform(rng.standard_normal(n_units), rng.standard_normal(n_units))
+    out = np.empty(n_units)
+    for lo, hi in _chunks(n_units, multiplier_scheme):
+        normals = rng.standard_normal(2 * (hi - lo))
+        multiplier_transform(normals[:hi - lo], normals[hi - lo:], out=out[lo:hi])
+    return out
+
+
+def _check_multiplier_scheme(multiplier_scheme: int) -> None:
+    """Reject a multiplier scheme other than 1 or 2."""
+    if (
+        isinstance(multiplier_scheme, bool)
+        or not isinstance(multiplier_scheme, (int, np.integer))
+        or multiplier_scheme not in _MULTIPLIER_SCHEMES
+    ):
+        raise ValueError(f"multiplier_scheme must be 1 or 2, got {multiplier_scheme!r}")
+
+
+def _chunks(n: int, multiplier_scheme: int) -> list[tuple[int, int]]:
+    """The unit ranges [lo, hi) a repetition's stream is read in, in order.
+
+    Scheme 2 reads chunks of ``_CHUNK_UNITS`` units, scheme 1 one chunk of
+    all n units.
+    """
+    _check_multiplier_scheme(multiplier_scheme)
+    size = _CHUNK_UNITS if multiplier_scheme == 2 else max(n, 1)
+    return [(lo, min(lo + size, n)) for lo in range(0, max(n, 1), size)]
 
 
 def _draw_threads() -> int:
@@ -224,27 +266,35 @@ def bootstrap_draws(
     seed: int,
     *,
     arms_per_estimate: int | None = None,
+    multiplier_scheme: int = 2,
 ) -> BootstrapDraws:
     """Perturbed copies of the CDF matrix, one per bootstrap repetition.
 
-    Repetition b uses its own generator stream spawned from ``seed``: one
-    call draws its 2n standard normals, the first n and the last n feeding
-    :func:`multiplier_transform`. The multipliers are therefore reproducible
-    and do not depend on how repetitions are batched or which thread draws
-    them. The draw matmul is not: BLAS can round the last bit differently
-    for other operand shapes, so the block size and the operands are fixed.
+    Repetition b uses its own generator stream spawned from ``seed`` and
+    reads it in chunks of units (see :func:`multipliers`): under scheme 2
+    chunks of 8,192 units, under scheme 1 one chunk of all n. Each chunk of
+    w units takes one call for 2w standard normals, the first w and the last
+    w feeding :func:`multiplier_transform`. The multipliers are therefore
+    reproducible and do not depend on how repetitions are batched or which
+    thread draws them. The draw matmul is not: BLAS can round the last bit
+    differently for other operand shapes, so the block size, the chunks and
+    the operands are fixed.
 
-    Each block of ``_DRAW_BLOCK`` rows is filled on T threads, T the CPUs
+    Repetitions run in blocks of ``_DRAW_BLOCK`` rows, and each block runs
+    chunk by chunk. Each chunk of a block is filled on T threads, T the CPUs
     this process may use (at most the rows of a block): every thread fills a
-    contiguous run of the block's rows in place. Once the block is full, the
-    estimates' products run on the same threads, one task per estimate, each
-    on the whole block. The block size and the operands of every product are
-    the same at any T, so the draws are bit-identical at any T. The threads
-    live only for the call, so no thread is alive when a process forks.
+    contiguous run of the block's rows in place, with generators it makes at
+    the block's first chunk and keeps for its later ones. Once the chunk is
+    full, the estimates' products run on the same threads, one task per
+    estimate, each on the whole chunk: the first chunk's product is assigned
+    and later ones are added, and the sum is divided by n once. The block
+    size, the chunks and the operands of every product are the same at any
+    T, so the draws are bit-identical at any T. The threads live only for
+    the call, so no thread is alive when a process forks.
 
     ``theta`` and ``psi`` may stack several estimates along the arm axis,
     ``arms_per_estimate`` arms each (default: all arms, one estimate). All
-    estimates share one multiplier pass. Every block of multipliers is
+    estimates share one multiplier pass. Every chunk of multipliers is
     multiplied separately by each estimate's own (unit, arm x location) slab,
     so each estimate's draws are bit-identical to a pass of its own. On the
     values :func:`influence` and :func:`bootstrap_bands` build, the slabs
@@ -259,6 +309,7 @@ def bootstrap_draws(
     per = k if arms_per_estimate is None else int(arms_per_estimate)
     if per < 1 or k % per:
         raise ShapeMismatch(f"{k} stacked arms do not split into estimates of {per} arms")
+    chunks = _chunks(n, multiplier_scheme)
     # views on the layout of _new_influence
     slabs = [
         psi.values[first:first + per].transpose(1, 0, 2).reshape(n, per * m)
@@ -266,17 +317,27 @@ def bootstrap_draws(
     ]
     children = np.random.SeedSequence(seed).spawn(n_draws)
     draws = np.empty((n_draws, k * m))
-    block = np.empty((min(_DRAW_BLOCK, n_draws), n))
-    threads = min(_draw_threads(), len(block))
-    scratches = [np.empty(2 * n) for _ in range(threads)]
+    rows_per_block = min(_DRAW_BLOCK, n_draws)
+    width = chunks[0][1] - chunks[0][0]
+    block = np.empty(rows_per_block * width)
+    threads = min(_draw_threads(), rows_per_block)
+    scratches = [np.empty(2 * width) for _ in range(threads)]
 
-    def fill(rows, streams, scratch):
-        for row, child in zip(rows, streams):
-            np.random.default_rng(child).standard_normal(2 * n, out=scratch)
-            multiplier_transform(scratch[:n], scratch[n:], out=row)
+    def fill(rows, streams, generators, scratch):
+        if not generators:
+            generators.extend(np.random.default_rng(child) for child in streams)
+        w = rows.shape[1]
+        normals, m1, m2 = scratch[:2 * w], scratch[:w], scratch[w:2 * w]
+        for row, generator in zip(rows, generators):
+            generator.standard_normal(2 * w, out=normals)
+            multiplier_transform(m1, m2, out=row)
 
-    def product(rows, start, e):
-        draws[start:start + len(rows), e * per * m:(e + 1) * per * m] = rows @ slabs[e] / n
+    def product(rows, start, e, lo, hi):
+        out = draws[start:start + len(rows), e * per * m:(e + 1) * per * m]
+        if lo == 0:
+            out[...] = rows @ slabs[e][lo:hi]
+        else:
+            out += rows @ slabs[e][lo:hi]
 
     with ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext() as pool:
 
@@ -290,14 +351,19 @@ def bootstrap_draws(
                 future.result()
 
         for start in range(0, n_draws, _DRAW_BLOCK):
-            rows = block[: min(_DRAW_BLOCK, n_draws - start)]
+            height = min(_DRAW_BLOCK, n_draws - start)
             # thread t fills the contiguous rows cuts[t]:cuts[t + 1] of the block
-            cuts = [len(rows) * t // threads for t in range(threads + 1)]
-            run([
-                (fill, rows[lo:hi], children[start + lo:start + hi], scratch)
-                for lo, hi, scratch in zip(cuts, cuts[1:], scratches)
-            ])
-            run([(product, rows, start, e) for e in range(len(slabs))])
+            cuts = [height * t // threads for t in range(threads + 1)]
+            generators = [[] for _ in range(threads)]
+            for lo, hi in chunks:
+                # a C-ordered (height, hi - lo) operand, whatever the chunk's width
+                rows = block[:height * (hi - lo)].reshape(height, hi - lo)
+                run([
+                    (fill, rows[a:b], children[start + a:start + b], own, scratch)
+                    for a, b, own, scratch in zip(cuts, cuts[1:], generators, scratches)
+                ])
+                run([(product, rows, start, e, lo, hi) for e in range(len(slabs))])
+    draws /= n
     draws += theta.values.reshape(1, k * m)
     return BootstrapDraws(draws=draws.reshape(n_draws, k, m), seed=seed)
 
@@ -323,6 +389,8 @@ def bootstrap_band(
     alpha: float = 0.05,
     seed: int = 0,
     literal_upper_quantile: bool = False,
+    *,
+    multiplier_scheme: int = 2,
 ) -> EffectBand:
     """Pointwise multiplier-bootstrap confidence band for a CDF functional.
 
@@ -330,10 +398,13 @@ def bootstrap_band(
     AdjustedEstimate carrying its cross-fitted predictions. By default the
     band half-width uses the two-sided normal quantile z_{1 - alpha/2};
     ``literal_upper_quantile`` switches to z_{1 - alpha}. This is the
-    one-estimate case of :func:`bootstrap_bands`.
+    one-estimate case of :func:`bootstrap_bands`. ``multiplier_scheme``
+    picks how repetitions read their multiplier streams (see
+    :func:`bootstrap_draws`).
     """
     (band,) = bootstrap_bands(
-        data, grid, (estimate,), kind, arm_pair, n_draws, alpha, seed, literal_upper_quantile
+        data, grid, (estimate,), kind, arm_pair, n_draws, alpha, seed, literal_upper_quantile,
+        multiplier_scheme=multiplier_scheme,
     )
     return band
 
@@ -348,6 +419,8 @@ def bootstrap_bands(
     alpha: float = 0.05,
     seed: int = 0,
     literal_upper_quantile: bool = False,
+    *,
+    multiplier_scheme: int = 2,
 ) -> tuple[EffectBand, ...]:
     """One band per estimate, all from one shared multiplier pass.
 
@@ -359,6 +432,7 @@ def bootstrap_bands(
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _check_draw_args(n_draws, seed)
+    _check_multiplier_scheme(multiplier_scheme)
     if kind not in _FUNCTIONALS:
         raise ValueError(f"functional must be cdf, dte, or pte, got {kind!r}")
     if not estimates:
@@ -381,7 +455,9 @@ def bootstrap_bands(
         values=np.concatenate([theta.values for theta, _ in pieces]),
         method="+".join(theta.method for theta, _ in pieces),
     )
-    draws = bootstrap_draws(stacked, psi, n_draws, seed, arms_per_estimate=k)
+    draws = bootstrap_draws(
+        stacked, psi, n_draws, seed, arms_per_estimate=k, multiplier_scheme=multiplier_scheme
+    )
 
     q = 1.0 - alpha if literal_upper_quantile else 1.0 - alpha / 2.0
     z = NormalDist().inv_cdf(q)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NonFiniteValue, ShapeMismatch, SingularDesign, TooFewUnits
-from .nn import LayerSpec, NetworkState, TrainConfig, forward, train_many
+from .nn import LayerSpec, NetworkState, TrainConfig, _integers, forward, train_many
 
 __all__ = [
     "LEARNER_KINDS",
@@ -70,7 +70,7 @@ class LearnerKind:
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
             raise ValueError(f"kind must be one of {LEARNER_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(self, "hidden", _integers(self.hidden, "hidden widths"))
         if self.kind != "linear":
             self.layer_spec(1, 1)
         if not (np.isfinite(self.ridge) and self.ridge >= 0):

@@ -105,7 +105,7 @@ class LayerSpec:
     squash: str = "arctan"
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        object.__setattr__(self, "widths", _integers(self.widths, "layer widths"))
         if len(self.widths) < 2:
             raise ValueError("widths must at least contain input and output sizes")
         if any(w < 1 for w in self.widths):
@@ -130,6 +130,15 @@ class LayerSpec:
 
 def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    """``values`` as Python ints; a bool, float or other non-integer entry is a ValueError."""
+    values = tuple(values)
+    for value in values:
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be integers, got {value!r}")
+    return tuple(int(value) for value in values)
 
 
 @dataclass(frozen=True)

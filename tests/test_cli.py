@@ -102,6 +102,18 @@ class TestRunConfig:
     def test_dict_without_precision_reads_as_float64(self):
         assert config_from_dict({"mode": "simulate"}).precision == "float64"
 
+    def test_default_multiplier_scheme_is_2(self):
+        assert RunConfig(mode="simulate").multiplier_scheme == 2
+
+    def test_dict_without_multiplier_scheme_reads_as_1(self):
+        assert config_from_dict({"mode": "simulate"}).multiplier_scheme == 1
+        assert config_from_dict({"mode": "simulate", "multiplier_scheme": 2}).multiplier_scheme == 2
+
+    @pytest.mark.parametrize("value", [0, 3, -1])
+    def test_unknown_multiplier_scheme_fails_eagerly(self, value):
+        with pytest.raises(ValueError, match="multiplier_scheme must be 1 or 2"):
+            RunConfig(mode="simulate", multiplier_scheme=value)
+
     @pytest.mark.parametrize("field, value", [
         ("precision", "float16"), ("epochs", 2.5), ("batch_size", 0), ("seed", -1),
     ])
@@ -121,7 +133,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("field, value", [
         ("n_units", 1000.5), ("n_reps", 2.5), ("n_folds", 2.5), ("n_draws", 300.5),
         ("threads", 1.5), ("n_oracle", 1e5 + 0.5), ("n_draws", 300.0), ("n_folds", True),
-        ("threads", False), ("n_reps", "3"), ("n_units", None),
+        ("threads", False), ("n_reps", "3"), ("n_units", None), ("multiplier_scheme", 2.0),
+        ("multiplier_scheme", True),
     ])
     def test_non_integral_integer_setting_fails_eagerly(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -149,6 +162,33 @@ class TestRunConfig:
         bad = tmp_path / "bad-manifest.json"
         bad.write_text(json.dumps(manifest))
         assert run_cli("estimate", "--from-manifest", bad, "--out", tmp_path / "replay") == 2
+        assert not (tmp_path / "replay").exists()
+
+    @pytest.mark.parametrize("hidden", [(2.5,), (4, True), (np.float64(3.0),), ("3",)])
+    def test_non_integral_hidden_width_fails_eagerly(self, hidden):
+        with pytest.raises(ValueError, match="hidden widths must be integers"):
+            RunConfig(mode="estimate", input="x.csv", learner="nn-multi", hidden=hidden)
+
+    def test_numpy_integer_hidden_widths_accepted_as_python_ints(self):
+        config = RunConfig(mode="simulate", hidden=(np.int64(8), np.uint8(4)))
+        assert config.hidden == (8, 4) and all(type(h) is int for h in config.hidden)
+
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", [2.5, True]), ("multiplier_scheme", 3), ("multiplier_scheme", 1.0),
+    ])
+    def test_bad_band_setting_in_a_manifest_is_usage_error(self, tmp_path, capsys, experiment_csv, field, value):
+        out = tmp_path / "band"
+        assert run_cli(
+            "bootstrap-band", "--input", experiment_csv, "--learner", "nn-multi", "--hidden", "4",
+            "--epochs", 1, "--grid", "list=2.0", "--B", 20, "--out", out,
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"][field] = value
+        bad = tmp_path / "bad-manifest.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("bootstrap-band", "--from-manifest", bad, "--out", tmp_path / "replay") == 2
+        assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "replay").exists()
 
     def test_unknown_key_rejected(self):
@@ -359,6 +399,81 @@ class TestBootstrapBandMode:
         )
         assert rc == 0
         assert len((out / "band_empirical.csv").read_text().splitlines()) == 3
+
+
+    @pytest.fixture
+    def wide_csv(self, tmp_path):
+        """An experiment of 9,000 units: more than one 8,192-unit multiplier chunk."""
+        rng = np.random.default_rng(17)
+        n = 9000
+        x = rng.random((n, 2))
+        arms = 1 + (rng.random(n) < 0.5)
+        y = x.sum(axis=1) + 0.5 * (arms - 1) + rng.standard_normal(n)
+        path = tmp_path / "wide.csv"
+        rows = [f"{a},{yi:.17g},{x1:.17g},{x2:.17g}" for a, yi, (x1, x2) in zip(arms, y, x)]
+        path.write_text("arm,outcome,x1,x2\n" + "\n".join(rows) + "\n")
+        return path
+
+    BAND_FILES = ("band_empirical.csv", "band_linear.csv", "se_reduction.csv")
+
+    def outputs(self, out):
+        return [(out / name).read_bytes() for name in self.BAND_FILES]
+
+    def test_manifest_without_multiplier_scheme_replays_on_scheme_1(self, tmp_path, wide_csv):
+        new = tmp_path / "new"
+        assert run_cli(
+            "bootstrap-band", "--input", wide_csv, "--learner", "linear",
+            "--grid", "probs=0.25,0.5,0.75", "--B", 40, "--out", new,
+        ) == 0
+        manifest = json.loads((new / "manifest.json").read_text())
+        assert manifest["config"]["multiplier_scheme"] == 2
+        replay = tmp_path / "replay"
+        assert run_cli("bootstrap-band", "--from-manifest", new / "manifest.json", "--out", replay) == 0
+        assert self.outputs(replay) == self.outputs(new)
+        # a manifest from before the scheme key, and one naming scheme 1
+        replays = []
+        for name, scheme in (("old", None), ("one", 1)):
+            config = dict(manifest["config"])
+            if scheme is None:
+                del config["multiplier_scheme"]
+            else:
+                config["multiplier_scheme"] = scheme
+            path = tmp_path / f"{name}-manifest.json"
+            path.write_text(json.dumps(dict(manifest, config=config)))
+            assert run_cli("bootstrap-band", "--from-manifest", path, "--out", tmp_path / name) == 0
+            replays.append(tmp_path / name)
+            recorded = json.loads((tmp_path / name / "manifest.json").read_text())["config"]
+            assert recorded["multiplier_scheme"] == 1
+        assert self.outputs(replays[0]) == self.outputs(replays[1])
+        # past one chunk the schemes draw other multipliers
+        assert self.outputs(replays[0])[0] != self.outputs(new)[0]
+
+
+class TestBoolLabels:
+    """Indicator labels are bool; every output is byte-identical to float64 labels."""
+
+    @staticmethod
+    def float_labels(monkeypatch):
+        from dtekit import core, estimation, inference
+
+        def as_float(data, grid):
+            return core.indicator_labels(data, grid).astype(float)
+
+        monkeypatch.setattr(estimation, "indicator_labels", as_float)
+        monkeypatch.setattr(inference, "indicator_labels", as_float)
+
+    @pytest.mark.parametrize("mode", ["estimate", "bootstrap-band"])
+    @pytest.mark.parametrize("learner", ["linear", "nn-multi-monotone"])
+    def test_outputs_equal_those_of_float_labels(self, tmp_path, monkeypatch, experiment_csv, mode, learner):
+        flags = (mode, "--input", experiment_csv, "--learner", learner, "--hidden", "4",
+                 "--epochs", 2, "--grid", "list=1.5,2.5,3.5", "--B", 60)
+        assert run_cli(*flags, "--out", tmp_path / "bool") == 0
+        with monkeypatch.context() as patch:
+            self.float_labels(patch)
+            assert run_cli(*flags, "--out", tmp_path / "float") == 0
+        names = json.loads((tmp_path / "bool" / "manifest.json").read_text())["outputs"]
+        for name in names:
+            assert (tmp_path / "bool" / name).read_bytes() == (tmp_path / "float" / name).read_bytes()
 
 
 class TestBenchmarkMode:

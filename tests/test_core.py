@@ -167,6 +167,11 @@ class TestIndicatorLabels:
         labels = indicator_labels(data, grid_of(4.0, 5.0, 6.0))
         assert_array_equal(labels, [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
 
+    def test_labels_are_bool(self):
+        data = small_data([1, 2, 1], outcomes=[1.0, 2.0, 3.0])
+        labels = indicator_labels(data, grid_of(1.5, 2.5))
+        assert labels.dtype == np.bool_ and labels.shape == (3, 2)
+
     def test_boundary_is_closed(self):
         data = small_data([1, 1, 2], outcomes=[1.0, 2.0, 3.0])
         labels = indicator_labels(data, grid_of(2.0))
@@ -192,7 +197,8 @@ def test_indicator_rows_nondecreasing(outcomes, locations):
     data = small_data(np.ones(len(outcomes), dtype=np.int64), outcomes=outcomes)
     grid = LocationGrid(locations=np.sort(np.asarray(locations, dtype=float)))
     labels = indicator_labels(data, grid)
-    assert np.all(np.diff(labels, axis=1) >= 0.0)
+    # np.diff of bool values is their inequality, so compare as integers
+    assert np.all(np.diff(labels.astype(int), axis=1) >= 0)
     assert set(np.unique(labels)) <= {0.0, 1.0}
 
 

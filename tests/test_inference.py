@@ -128,6 +128,28 @@ class TestMultipliers:
         assert_array_equal(multipliers(50, seed=3), multipliers(50, seed=3))
         assert not np.array_equal(multipliers(50, seed=3), multipliers(50, seed=4))
 
+    @pytest.mark.parametrize("n", [1, 400, 8192, 8193, 20_000])
+    def test_scheme_1_draws_all_units_in_one_call(self, n):
+        rng = np.random.default_rng(6)
+        m1, m2 = rng.standard_normal(n), rng.standard_normal(n)
+        want = m1 / np.sqrt(2.0) + (np.square(m2) - 1.0) / 2.0
+        assert_array_equal(multipliers(n, seed=6, multiplier_scheme=1), want)
+
+    @pytest.mark.parametrize("n", [1, 400, 8192, 8193, 16_384, 20_000])
+    def test_scheme_2_reads_the_stream_in_chunks(self, n):
+        rng = np.random.default_rng(6)
+        want = []
+        for lo in range(0, n, 8192):
+            w = min(lo + 8192, n) - lo
+            normals = rng.standard_normal(2 * w)
+            want.append(normals[:w] / np.sqrt(2.0) + (np.square(normals[w:]) - 1.0) / 2.0)
+        got = multipliers(n, seed=6)
+        assert_array_equal(got, np.concatenate(want))
+        if n <= 8192:
+            assert_array_equal(got, multipliers(n, seed=6, multiplier_scheme=1))
+        else:
+            assert not np.array_equal(got, multipliers(n, seed=6, multiplier_scheme=1))
+
 
 class TestBootstrapDraws:
     def setup_method(self):
@@ -179,6 +201,108 @@ def serial_draws(theta, psi, n_draws, seed, per):
             draws[start:stop, e * per * m:(e + 1) * per * m] = block @ slab / n
     draws += theta.reshape(1, k * m)
     return draws.reshape(n_draws, k, m)
+
+
+def chunked_draws(theta, psi, n_draws, seed, per, chunk=8192):
+    """The draws of multiplier scheme 2, one repetition and one chunk at a time.
+
+    Repetition b's generator draws 2w standard normals for each chunk of w
+    units; each estimate's draw sums the chunks' multiplier-slab products.
+    """
+    k, n, m = psi.shape
+    slabs = [psi[first:first + per].transpose(1, 0, 2).reshape(n, per * m) for first in range(0, k, per)]
+    children = np.random.SeedSequence(seed).spawn(n_draws)
+    draws = np.zeros((n_draws, k * m))
+    for b in range(n_draws):
+        rng = np.random.default_rng(children[b])
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            normals = rng.standard_normal(2 * (hi - lo))
+            xi = normals[:hi - lo] / np.sqrt(2.0) + (np.square(normals[hi - lo:]) - 1.0) / 2.0
+            draws[b] += np.concatenate([xi @ slab[lo:hi] for slab in slabs])
+    draws = draws / n + theta.reshape(1, k * m)
+    return draws.reshape(n_draws, k, m)
+
+
+class TestMultiplierSchemes:
+    """Scheme 1 reads each repetition's stream as one chunk of n units, scheme 2 in chunks of 8,192."""
+
+    @staticmethod
+    def problem(n, seed=7):
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal((4, n, 3))
+        theta = np.sort(rng.random((4, 3)), axis=1)
+        return theta, psi
+
+    def draws(self, monkeypatch, theta, psi, threads, **kwargs):
+        monkeypatch.setattr(inference, "_draw_threads", lambda: threads)
+        return bootstrap_draws(
+            CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
+            300, 11, arms_per_estimate=2, **kwargs,
+        ).draws
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n", [37, 400, 9000, 20_000])
+    def test_scheme_1_equals_the_one_chunk_pass_bit_for_bit(self, monkeypatch, n, threads):
+        theta, psi = self.problem(n)
+        got = self.draws(monkeypatch, theta, psi, threads, multiplier_scheme=1)
+        assert_array_equal(got, serial_draws(theta, psi, 300, 11, 2))
+
+    @pytest.mark.parametrize("n", [1, 37, 400, 8192])
+    def test_schemes_agree_bit_for_bit_up_to_one_chunk(self, monkeypatch, n):
+        theta, psi = self.problem(n)
+        assert_array_equal(
+            self.draws(monkeypatch, theta, psi, 2),
+            self.draws(monkeypatch, theta, psi, 2, multiplier_scheme=1),
+        )
+
+    @pytest.mark.parametrize("n", [8193, 16_384, 20_000])
+    def test_scheme_2_sums_the_chunk_products(self, monkeypatch, n):
+        theta, psi = self.problem(n)
+        runs = [self.draws(monkeypatch, theta, psi, threads) for threads in (1, 2, 3)]
+        for got in runs[1:]:
+            assert_array_equal(got, runs[0])
+        assert_allclose(runs[0], chunked_draws(theta, psi, 300, 11, 2), rtol=0, atol=1e-12)
+        assert not np.array_equal(runs[0], self.draws(monkeypatch, theta, psi, 1, multiplier_scheme=1))
+
+    def test_block_memory_does_not_grow_with_n(self, monkeypatch):
+        """tracemalloc peak of a two-estimate pass over 5 chunks and one unit.
+
+        The 64 x 8,192 block, two fill threads' scratch of 2 x 8,192 values
+        each, the draws and their frozen copy, and 256 KiB for the generators
+        and matmul temporaries. A block n wide alone is 64 x 40,961 values.
+        """
+        n, k, m, n_draws = 5 * 8192 + 1, 2, 3, 64
+        values = inference._new_influence(2, k, n, m)
+        values[...] = np.random.default_rng(2).standard_normal((2 * k, n, m))
+        psi = InfluenceMatrix._frozen(values)
+        theta = CdfEstimate(values=np.full((2 * k, m), 0.5), method="empirical")
+        monkeypatch.setattr(inference, "_draw_threads", lambda: 2)
+        tracemalloc.start()
+        try:
+            bootstrap_draws(theta, psi, n_draws, seed=3, arms_per_estimate=k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = n_draws * 8192 * 8
+        scratch = 2 * 2 * 8192 * 8
+        draws = 2 * n_draws * 2 * k * m * 8
+        assert peak <= block + scratch + draws + 256 * 1024
+
+    @pytest.mark.parametrize("scheme", [0, 3, True, 2.0, "2", None])
+    def test_unknown_scheme_rejected(self, scheme):
+        theta, psi = self.problem(5)
+        with pytest.raises(ValueError, match="multiplier_scheme must be 1 or 2"):
+            bootstrap_draws(
+                CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
+                10, 0, multiplier_scheme=scheme,
+            )
+        with pytest.raises(ValueError, match="multiplier_scheme must be 1 or 2"):
+            multipliers(5, seed=0, multiplier_scheme=scheme)
+
+    def test_numpy_integer_scheme_accepted(self):
+        assert_array_equal(multipliers(9000, seed=1, multiplier_scheme=np.int64(1)),
+                           multipliers(9000, seed=1, multiplier_scheme=1))
 
 
 class TestThreadedFill:
@@ -304,7 +428,7 @@ class TestThreadedFill:
 
 
 class TestDrawArguments:
-    """Seed and repetition count are checked before any influence or multiplier work."""
+    """Seed, repetition count and multiplier scheme are checked before any influence or multiplier work."""
 
     def setup_method(self):
         self.theta = CdfEstimate(values=np.full((2, 2), 0.5), method="empirical")
@@ -327,21 +451,22 @@ class TestDrawArguments:
 
     @pytest.mark.parametrize("call", ["bootstrap_band", "bootstrap_bands"])
     @pytest.mark.parametrize(
-        ("n_draws", "seed", "message"),
+        ("n_draws", "seed", "scheme", "message"),
         [
-            (50, None, "seed must be a non-negative integer"),
-            (50, -3, "seed must be a non-negative integer"),
-            (50, False, "seed must be a non-negative integer"),
-            (300.0, 0, "bootstrap repetitions must be an integer"),
-            (1, 0, "need at least 2 bootstrap repetitions"),
+            (50, None, 2, "seed must be a non-negative integer"),
+            (50, -3, 2, "seed must be a non-negative integer"),
+            (50, False, 2, "seed must be a non-negative integer"),
+            (300.0, 0, 2, "bootstrap repetitions must be an integer"),
+            (1, 0, 2, "need at least 2 bootstrap repetitions"),
+            (50, 0, 3, "multiplier_scheme must be 1 or 2"),
         ],
     )
-    def test_bands_fail_before_influence_and_draws(self, monkeypatch, call, n_draws, seed, message):
+    def test_bands_fail_before_influence_and_draws(self, monkeypatch, call, n_draws, seed, scheme, message):
         data = make_experiment(seed=4, n=40)
         grid = quantile_grid(data, [0.3, 0.6])
         estimate = empirical_cdf(data, grid)
         calls = []
-        for name in ("influence", "bootstrap_draws"):
+        for name in ("influence", "_stacked_influence", "bootstrap_draws"):
             fn = getattr(inference, name)
 
             def counted(*args, _name=name, _fn=fn, **kwargs):
@@ -351,7 +476,9 @@ class TestDrawArguments:
             monkeypatch.setattr(inference, name, counted)
         estimates = estimate if call == "bootstrap_band" else (estimate,)
         with pytest.raises(ValueError, match=message):
-            getattr(inference, call)(data, grid, estimates, n_draws=n_draws, seed=seed)
+            getattr(inference, call)(
+                data, grid, estimates, n_draws=n_draws, seed=seed, multiplier_scheme=scheme
+            )
         assert calls == []
 
 

@@ -52,6 +52,16 @@ class TestLearnerKind:
         with pytest.raises(ValueError, match="ridge"):
             LearnerKind("linear", ridge=ridge)
 
+    @pytest.mark.parametrize("name", LEARNER_KINDS)
+    @pytest.mark.parametrize("hidden", [(2.5, True), (4, 2.0), (True,)])
+    def test_non_integral_hidden_width_rejected(self, name, hidden):
+        with pytest.raises(ValueError, match="hidden widths must be integers"):
+            LearnerKind(name, hidden=hidden)
+
+    def test_numpy_integer_hidden_widths_accepted_as_python_ints(self):
+        kind = LearnerKind("nn-multi", hidden=(np.int32(6), np.int64(3)))
+        assert kind.hidden == (6, 3) and all(type(h) is int for h in kind.hidden)
+
     def test_zero_hidden_width_rejected_for_networks(self):
         with pytest.raises(ValueError):
             LearnerKind("nn-multi", hidden=(0,))

@@ -105,6 +105,15 @@ class TestLayerSpec:
         with pytest.raises(ValueError):
             LayerSpec(**kwargs)
 
+    @pytest.mark.parametrize("widths", [(3.9, 2, True), (4, 2.0), (4, True), (4, "2"), (np.float64(4.0), 2)])
+    def test_non_integral_widths_rejected(self, widths):
+        with pytest.raises(ValueError, match="layer widths must be integers"):
+            LayerSpec(widths=widths)
+
+    def test_numpy_integer_widths_accepted_as_python_ints(self):
+        spec = LayerSpec(widths=(np.int64(4), np.uint8(3), 1))
+        assert spec.widths == (4, 3, 1) and all(type(w) is int for w in spec.widths)
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize(

@@ -12,7 +12,8 @@ under the manifest's ``multiplier_scheme``; a manifest without that key
 predates it and replays on scheme 1.
 
 Exit codes: 0 on success, 1 for domain errors (bad data, singular designs,
-unreadable files), 2 for usage errors (bad flags or configuration values).
+unreadable files), 2 for usage errors (bad flags or configuration values,
+such as a curve no data can satisfy), which are raised before any file is written.
 """
 
 from __future__ import annotations
@@ -27,18 +28,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LocationGrid
+from .core import LocationGrid, _integers, _is_integer
 from .errors import DomainError
 from .estimation import (
-    dte,
+    _FUNCTIONALS,
+    _check_curve,
+    _check_probabilities,
+    _curve,
     empirical_cdf,
     fit_adjusted,
     make_folds,
     crossfit_gamma,
-    pte,
     quantile_grid,
 )
-from .inference import _check_multiplier_scheme, bootstrap_bands, se_reduction
+from .inference import _check_band_settings, bootstrap_bands, se_reduction
 from .io import (
     CsvSchema,
     emit_report,
@@ -49,7 +52,7 @@ from .io import (
     write_timings_csv,
 )
 from .learners import LEARNER_KINDS, LearnerKind
-from .nn import TrainConfig, _integers, _is_integer
+from .nn import TrainConfig
 from .simulation import DgpConfig, run_study
 from . import simulation
 
@@ -58,6 +61,9 @@ __all__ = ["RunConfig", "run", "main"]
 _MODES = ("simulate", "estimate", "bootstrap-band", "benchmark")
 _INTEGER_FIELDS = ("n_units", "n_reps", "n_folds", "n_draws", "threads", "n_oracle", "multiplier_scheme")
 _METHOD_NAMES = ("empirical", *LEARNER_KINDS)
+_Z_MODES = ("half-alpha", "literal")
+# the modes that form a curve of an arm pair; the others ignore those fields
+_CURVE_MODES = ("estimate", "bootstrap-band")
 
 
 @dataclass(frozen=True)
@@ -102,12 +108,8 @@ class RunConfig:
         for name in self.methods:
             if name not in _METHOD_NAMES:
                 raise ValueError(f"unknown method {name!r}; choose from {_METHOD_NAMES}")
-        if self.functional not in ("cdf", "dte", "pte"):
-            raise ValueError(f"functional must be cdf, dte, or pte, got {self.functional!r}")
-        if self.z_mode not in ("half-alpha", "literal"):
-            raise ValueError(f"z_mode must be half-alpha or literal, got {self.z_mode!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+        if self.z_mode not in _Z_MODES:
+            raise ValueError(f"z_mode must be one of {_Z_MODES}, got {self.z_mode!r}")
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
             if not _is_integer(value):
@@ -116,25 +118,25 @@ class RunConfig:
             object.__setattr__(self, name, int(value))
         if self.n_folds < 2:
             raise ValueError("folds must be at least 2")
-        if self.n_draws < 2:
-            raise ValueError("B must be at least 2")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         if self.n_units < 2:
             raise ValueError("n must be at least 2")
-        _check_multiplier_scheme(self.multiplier_scheme)
+        _check_band_settings(self.functional, self.n_draws, self.alpha, self.seed, self.multiplier_scheme)
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "hidden", _integers(self.hidden, "hidden widths"))
         object.__setattr__(self, "covariate_cols", tuple(self.covariate_cols))
-        pair = tuple(int(a) for a in self.arm_pair)
+        pair = _integers(self.arm_pair, "arm pair")
         if len(pair) != 2:
             raise ValueError("arm_pair must hold exactly two arm labels")
         object.__setattr__(self, "arm_pair", pair)
-        if self.mode in ("estimate", "bootstrap-band") and not self.input:
+        if self.mode in _CURVE_MODES and not self.input:
             raise ValueError(f"mode {self.mode} requires --input CSV")
-        # grid syntax, training and learner settings are validated eagerly so
-        # bad values fail as usage errors, before any work
-        parse_grid_spec(self.grid)
+        # grid syntax, curve, training and learner settings are validated
+        # eagerly so bad values fail as usage errors, before any work
+        _, grid_values = parse_grid_spec(self.grid)
+        if self.mode in _CURVE_MODES:
+            _check_curve(self.functional, pair, len(grid_values))
         _train_config(self)
         _learner_kinds(self)
 
@@ -142,14 +144,12 @@ class RunConfig:
 def parse_grid_spec(spec: str):
     """Parse a grid argument into ("probs" | "list" | "range", values)."""
     spec = spec.strip()
-    if "=" not in spec:
+    prefix, _, body = (part.strip() for part in spec.partition("="))
+    if prefix not in ("probs", "list", "range"):
         raise ValueError(
             f"grid spec {spec!r} needs a prefix: probs=a:b:step, probs=p1,p2,..., "
             "list=v1,v2,..., or range=lo:hi"
         )
-    prefix, _, body = spec.partition("=")
-    prefix = prefix.strip()
-    body = body.strip()
     try:
         if prefix == "probs":
             if ":" in body:
@@ -163,25 +163,16 @@ def parse_grid_spec(spec: str):
                 values = np.round(np.linspace(start, stop, count), 12)
             else:
                 values = np.asarray([float(p) for p in body.split(",")], dtype=float)
-            if np.any(values <= 0.0) or np.any(values >= 1.0):
-                raise ValueError("probabilities must lie strictly inside (0, 1)")
-            if np.any(np.diff(values) <= 0):
-                raise ValueError("probabilities must be strictly increasing")
-            return "probs", values
+            return "probs", _check_probabilities(values)
         if prefix == "list":
             values = np.asarray([float(v) for v in body.split(",")], dtype=float)
-            if np.any(np.diff(values) <= 0):
-                raise ValueError("list locations must be strictly increasing")
-            return "list", values
-        if prefix == "range":
+        else:
             lo_s, _, hi_s = body.partition(":")
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ValueError("range must not be empty")
-            return "range", np.arange(lo, hi + 1, dtype=float)
-    except ValueError as exc:
+            values = np.arange(int(lo_s), int(hi_s) + 1, dtype=float)
+        LocationGrid(locations=values)
+        return prefix, values
+    except (ValueError, DomainError) as exc:
         raise ValueError(f"bad grid spec {spec!r}: {exc}") from None
-    raise ValueError(f"grid spec {spec!r} must start with probs=, list=, or range=")
 
 
 def _train_config(config: RunConfig) -> TrainConfig:
@@ -271,39 +262,32 @@ def _estimate_pieces(config: RunConfig):
         CsvSchema(arm=config.arm_col, outcome=config.outcome_col, covariates=config.covariate_cols),
     )
     grid = _resolve_grid(config, data)
+    # the arms' upper bound, checked before the fit
+    pair = _check_curve(config.functional, config.arm_pair, grid.n_locations, data.n_arms)
     plan = make_folds(data.n_units, config.n_folds, config.seed)
     empirical = empirical_cdf(data, grid)
     t0 = time.perf_counter()
     adjusted = fit_adjusted(data, grid, _learner_kinds(config)[config.learner], plan)
     fit_seconds = time.perf_counter() - t0
-    return data, grid, empirical, adjusted, fit_seconds
-
-
-def _functional_values(config: RunConfig, estimate):
-    w, v = config.arm_pair
-    if config.functional == "cdf":
-        return estimate.values[w - 1]
-    if config.functional == "dte":
-        return dte(estimate, w, v)
-    return pte(estimate, w, v)
+    return data, grid, pair, empirical, adjusted, fit_seconds
 
 
 def _run_estimate(config: RunConfig, out: Path) -> dict:
-    data, grid, empirical, adjusted, fit_seconds = _estimate_pieces(config)
+    _, grid, pair, empirical, adjusted, fit_seconds = _estimate_pieces(config)
     locations = grid.locations if config.functional != "pte" else grid.locations[1:]
     points = write_points_csv(
         out / "points.csv",
         locations,
         {
-            "empirical": _functional_values(config, empirical),
-            config.learner: _functional_values(config, adjusted.estimate),
+            "empirical": _curve(empirical.values, config.functional, *pair),
+            config.learner: _curve(adjusted.estimate.values, config.functional, *pair),
         },
     )
     return {"outputs": [points], "timings": {"fit_seconds": fit_seconds}}
 
 
 def _run_bootstrap_band(config: RunConfig, out: Path) -> dict:
-    data, grid, empirical, adjusted, fit_seconds = _estimate_pieces(config)
+    data, grid, _, empirical, adjusted, fit_seconds = _estimate_pieces(config)
     literal = config.z_mode == "literal"
     common = dict(
         kind=config.functional,
@@ -378,9 +362,9 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="master seed")
     sub.add_argument("--threads", type=int, help="worker processes for replications (simulate)")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--functional", choices=("cdf", "dte", "pte"))
+    sub.add_argument("--functional", choices=_FUNCTIONALS)
     sub.add_argument("--arm-pair", dest="arm_pair", help="two arm indices, e.g. 2,1")
-    sub.add_argument("--z-mode", dest="z_mode", choices=("half-alpha", "literal"))
+    sub.add_argument("--z-mode", dest="z_mode", choices=_Z_MODES)
     sub.add_argument("--n-oracle", type=int, dest="n_oracle", help="oracle draw size (simulate)")
     sub.add_argument("--input", help="experiment CSV (estimate, bootstrap-band)")
     sub.add_argument("--arm-col", dest="arm_col", help="arm column name")
@@ -471,7 +455,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args, args.mode)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, DomainError) as exc:
         _say(f"usage error: {exc}")
         return 2
     except OSError as exc:

@@ -33,11 +33,30 @@ __all__ = [
 
 
 def _frozen_array(values, dtype=float, ndim: int | None = None, name: str = "array") -> np.ndarray:
+    """A read-only copy of ``values``; the caller's array stays writable."""
     arr = np.array(values, dtype=dtype, copy=True)
     if ndim is not None and arr.ndim != ndim:
         raise ShapeMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _is_real(value, kinds=(int, float, np.integer, np.floating)) -> bool:
+    """Whether ``value`` is a number of one of ``kinds``; a bool is not a number here."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return _is_real(value, (int, np.integer))
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    """``values`` as Python ints; a bool, float or other non-integer entry is a ValueError."""
+    values = tuple(values)
+    for value in values:
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be integers, got {value!r}")
+    return tuple(int(value) for value in values)
 
 
 def derive_seed(*keys: int) -> int:

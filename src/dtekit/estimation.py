@@ -24,6 +24,8 @@ from .core import (
     ConditionalCdfMatrix,
     ExperimentData,
     LocationGrid,
+    _frozen_array,
+    _integers,
     derive_seed,
     indicator_labels,
 )
@@ -52,6 +54,7 @@ __all__ = [
 ]
 
 _FOLD_SEED_TAG = 7001
+_FUNCTIONALS = ("cdf", "dte", "pte")
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,7 @@ class CrossFitPlan:
     fold_assignment: np.ndarray
 
     def __post_init__(self):
-        folds = np.array(self.fold_assignment, dtype=int, copy=True)
-        folds.setflags(write=False)
-        object.__setattr__(self, "fold_assignment", folds)
+        object.__setattr__(self, "fold_assignment", _frozen_array(self.fold_assignment, dtype=int))
 
 
 @dataclass(frozen=True)
@@ -202,18 +203,46 @@ def fit_adjusted(
     return AdjustedEstimate(estimate=estimate, gamma=gamma, plan=plan, kind=kind)
 
 
-def _check_arm_pair(estimate: CdfEstimate, arm: int, other_arm: int) -> None:
-    k = estimate.n_arms
-    if not (1 <= arm <= k and 1 <= other_arm <= k):
-        raise ShapeMismatch(f"arm pair ({arm}, {other_arm}) out of range 1..{k}")
-    if arm == other_arm:
+def _check_functional(kind: str) -> None:
+    if kind not in _FUNCTIONALS:
+        raise ValueError(f"functional must be cdf, dte, or pte, got {kind!r}")
+
+
+def _check_curve(kind: str, arm_pair, n_locations: int, n_arms: int | None = None) -> tuple[int, int]:
+    """The arm pair of a cdf, dte or pte curve on ``n_locations`` locations, checked, as ints.
+
+    ``n_arms=None`` leaves the arms' upper bound to a call that knows the data.
+    """
+    _check_functional(kind)
+    arm, other_arm = _integers(arm_pair, "arm pair")
+    if min(arm, other_arm) < 1 or (n_arms is not None and max(arm, other_arm) > n_arms):
+        raise ShapeMismatch(f"arm pair ({arm}, {other_arm}) out of range 1..{n_arms or 'K'}")
+    if kind != "cdf" and arm == other_arm:
         raise SameArm(f"cannot contrast arm {arm} with itself")
+    if kind == "pte" and n_locations < 2:
+        raise GridTooSmall("interval probabilities need at least 2 locations")
+    return arm, other_arm
+
+
+def _curve(values: np.ndarray, kind: str, arm: int, other_arm: int, lower_tail: bool = False) -> np.ndarray:
+    """The cdf, dte or pte curve of a (..., arm, location) CDF array, on a pair :func:`_check_curve` returned.
+
+    ``lower_tail`` puts the pte interval (-inf, y_1] first, as F(y_1) - 0.
+    """
+    row = values[..., arm - 1, :]
+    if kind == "cdf":
+        return row
+    other = values[..., other_arm - 1, :]
+    if kind == "dte":
+        return row - other
+    tail = {"prepend": 0.0} if lower_tail else {}
+    return np.diff(row, axis=-1, **tail) - np.diff(other, axis=-1, **tail)
 
 
 def dte(estimate: CdfEstimate, arm: int, other_arm: int) -> np.ndarray:
     """Distributional treatment effect F_arm(y) - F_other(y) on the grid."""
-    _check_arm_pair(estimate, arm, other_arm)
-    return estimate.values[arm - 1] - estimate.values[other_arm - 1]
+    pair = _check_curve("dte", (arm, other_arm), estimate.n_locations, estimate.n_arms)
+    return _curve(estimate.values, "dte", *pair)
 
 
 def pte(
@@ -227,17 +256,22 @@ def pte(
     Interval j covers (y_j, y_{j+1}], giving M - 1 values for M locations.
     With ``include_lower_tail`` the interval (-inf, y_1] is prepended.
     """
-    _check_arm_pair(estimate, arm, other_arm)
-    if estimate.n_locations < 2 and not include_lower_tail:
-        raise GridTooSmall("interval probabilities need at least 2 locations")
-    fa = estimate.values[arm - 1]
-    fb = estimate.values[other_arm - 1]
-    cell_a = np.diff(fa)
-    cell_b = np.diff(fb)
-    if include_lower_tail:
-        cell_a = np.concatenate([[fa[0]], cell_a])
-        cell_b = np.concatenate([[fb[0]], cell_b])
-    return cell_a - cell_b
+    # the lower tail is one more interval, so one location is then enough
+    n_cuts = estimate.n_locations + bool(include_lower_tail)
+    pair = _check_curve("pte", (arm, other_arm), n_cuts, estimate.n_arms)
+    return _curve(estimate.values, "pte", *pair, lower_tail=include_lower_tail)
+
+
+def _check_probabilities(probs) -> np.ndarray:
+    """``probs`` as a float array of quantile probabilities, checked."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ShapeMismatch("probs must be a non-empty 1-dimensional sequence")
+    if np.any(~np.isfinite(probs)) or np.any(probs <= 0.0) or np.any(probs >= 1.0):
+        raise ValueError("quantile probabilities must lie strictly inside (0, 1)")
+    if np.any(np.diff(probs) <= 0):
+        raise UnsortedGrid("quantile probabilities must be strictly increasing")
+    return probs
 
 
 def quantile_grid(data: ExperimentData, probs) -> LocationGrid:
@@ -247,13 +281,7 @@ def quantile_grid(data: ExperimentData, probs) -> LocationGrid:
     observed outcome value. Colliding locations are rejected rather than
     deduplicated.
     """
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
-        raise ShapeMismatch("probs must be a non-empty 1-dimensional sequence")
-    if np.any(~np.isfinite(probs)) or np.any(probs <= 0.0) or np.any(probs >= 1.0):
-        raise ValueError("quantile probabilities must lie strictly inside (0, 1)")
-    if np.any(np.diff(probs) <= 0):
-        raise UnsortedGrid("quantile probabilities must be strictly increasing")
+    probs = _check_probabilities(probs)
     locations = np.quantile(data.outcomes, probs, method="inverted_cdf")
     collisions = np.flatnonzero(np.diff(locations) <= 0)
     if collisions.size:

@@ -9,8 +9,9 @@ with pihat_w the sample share of arm w. Bootstrap repetition b perturbs the
 estimate along the influence directions with i.i.d. mean-zero, variance-one
 multipliers xi_i = m1_i / sqrt(2) + (m2_i^2 - 1) / 2 built from two standard
 normals, then re-applies the functional of interest (a CDF row, a DTE, or a
-PTE). Pointwise standard errors are the square root of the sample variance
-across repetitions, and bands are point +/- z * SE.
+PTE) with the curve code and checks of :mod:`dtekit.estimation`. Pointwise
+standard errors are the square root of the sample variance across
+repetitions, and bands are point +/- z * SE.
 
 The bands of one run share one multiplier pass: :func:`bootstrap_bands`
 stacks the influence matrices of several estimates (empirical and adjusted,
@@ -57,10 +58,12 @@ from .core import (
     EffectBand,
     ExperimentData,
     LocationGrid,
+    _frozen_array,
+    _is_integer,
     indicator_labels,
 )
-from .errors import DegenerateDraws, SameArm, ShapeMismatch, ZeroBaselineSE
-from .estimation import AdjustedEstimate
+from .errors import DegenerateDraws, ShapeMismatch, ZeroBaselineSE
+from .estimation import AdjustedEstimate, _check_curve, _check_functional, _curve
 
 __all__ = [
     "InfluenceMatrix",
@@ -78,7 +81,6 @@ _DRAW_BLOCK = 256
 # units per chunk of a repetition's multiplier stream under scheme 2
 _CHUNK_UNITS = 8192
 _MULTIPLIER_SCHEMES = (1, 2)
-_FUNCTIONALS = ("cdf", "dte", "pte")
 
 
 @dataclass(frozen=True)
@@ -88,11 +90,7 @@ class InfluenceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
-        if v.ndim != 3:
-            raise ShapeMismatch(f"influence values must be 3-dimensional, got {v.shape}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen_array(self.values, ndim=3, name="influence values"))
 
     @classmethod
     def _frozen(cls, values: np.ndarray) -> InfluenceMatrix:
@@ -111,9 +109,7 @@ class BootstrapDraws:
     seed: int
 
     def __post_init__(self):
-        d = np.array(self.draws, dtype=float, copy=True)
-        d.setflags(write=False)
-        object.__setattr__(self, "draws", d)
+        object.__setattr__(self, "draws", _frozen_array(self.draws))
 
     @property
     def n_draws(self) -> int:
@@ -222,11 +218,7 @@ def multipliers(n_units: int, seed: int, *, multiplier_scheme: int = 2) -> np.nd
 
 def _check_multiplier_scheme(multiplier_scheme: int) -> None:
     """Reject a multiplier scheme other than 1 or 2."""
-    if (
-        isinstance(multiplier_scheme, bool)
-        or not isinstance(multiplier_scheme, (int, np.integer))
-        or multiplier_scheme not in _MULTIPLIER_SCHEMES
-    ):
+    if not _is_integer(multiplier_scheme) or multiplier_scheme not in _MULTIPLIER_SCHEMES:
         raise ValueError(f"multiplier_scheme must be 1 or 2, got {multiplier_scheme!r}")
 
 
@@ -251,12 +243,21 @@ def _draw_threads() -> int:
 
 def _check_draw_args(n_draws: int, seed: int) -> None:
     """Reject a repetition count or seed that cannot give reproducible draws."""
-    if isinstance(n_draws, bool) or not isinstance(n_draws, (int, np.integer)):
+    if not _is_integer(n_draws):
         raise ValueError(f"bootstrap repetitions must be an integer, got {n_draws!r}")
     if n_draws < 2:
         raise ValueError(f"need at least 2 bootstrap repetitions, got {n_draws}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_band_settings(kind: str, n_draws: int, alpha: float, seed: int, multiplier_scheme: int) -> None:
+    """Reject band settings no data can satisfy, before any influence or multiplier work."""
+    _check_functional(kind)
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_draw_args(n_draws, seed)
+    _check_multiplier_scheme(multiplier_scheme)
 
 
 def bootstrap_draws(
@@ -368,17 +369,6 @@ def bootstrap_draws(
     return BootstrapDraws(draws=draws.reshape(n_draws, k, m), seed=seed)
 
 
-def _apply_functional(values: np.ndarray, kind: str, arm: int, other_arm: int) -> np.ndarray:
-    """Map a (..., arm, location) CDF array to its cdf, dte or pte curve."""
-    row = values[..., arm - 1, :]
-    if kind == "cdf":
-        return row
-    other = values[..., other_arm - 1, :]
-    if kind == "dte":
-        return row - other
-    return np.diff(row, axis=-1) - np.diff(other, axis=-1)
-
-
 def bootstrap_band(
     data: ExperimentData,
     grid: LocationGrid,
@@ -429,26 +419,15 @@ def bootstrap_bands(
     each band is bit-identical to that call's; the multipliers are drawn
     once instead of once per estimate.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_draw_args(n_draws, seed)
-    _check_multiplier_scheme(multiplier_scheme)
-    if kind not in _FUNCTIONALS:
-        raise ValueError(f"functional must be cdf, dte, or pte, got {kind!r}")
+    _check_band_settings(kind, n_draws, alpha, seed, multiplier_scheme)
     if not estimates:
         raise ValueError("need at least one estimate")
+    arm, other_arm = _check_curve(kind, arm_pair, grid.n_locations, data.n_arms)
     pieces = [
         (e.estimate, e.gamma) if isinstance(e, AdjustedEstimate) else (e, None)
         for e in estimates
     ]
-    arm, other_arm = int(arm_pair[0]), int(arm_pair[1])
     k = data.n_arms
-    if not (1 <= arm <= k and 1 <= other_arm <= k):
-        raise ShapeMismatch(f"arm pair ({arm}, {other_arm}) out of range 1..{k}")
-    if kind != "cdf" and arm == other_arm:
-        raise SameArm(f"cannot contrast arm {arm} with itself")
-    if kind == "pte" and grid.n_locations < 2:
-        raise ShapeMismatch("interval probabilities need at least 2 locations")
 
     psi = _stacked_influence(data, grid, pieces)
     stacked = CdfEstimate(
@@ -467,8 +446,8 @@ def bootstrap_bands(
         arms = slice(e * k, (e + 1) * k)
         # the (repetition, arm, location) layout of a pass of its own, for the same std reduction
         own = np.ascontiguousarray(draws.draws[:, arms])
-        curves = _apply_functional(own, kind, arm, other_arm)
-        point = _apply_functional(theta.values, kind, arm, other_arm)
+        curves = _curve(own, kind, arm, other_arm)
+        point = _curve(theta.values, kind, arm, other_arm)
         degenerate = np.all(psi.values[arms] == 0.0)
         if not degenerate and bool(np.all(curves == curves[0])):
             raise DegenerateDraws("bootstrap repetitions collapsed to one curve")

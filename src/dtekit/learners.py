@@ -30,8 +30,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .core import _integers, _is_real
 from .errors import NonFiniteValue, ShapeMismatch, SingularDesign, TooFewUnits
-from .nn import LayerSpec, NetworkState, TrainConfig, _integers, forward, train_many
+from .nn import LayerSpec, NetworkState, TrainConfig, forward, train_many
 
 __all__ = [
     "LEARNER_KINDS",
@@ -73,8 +74,8 @@ class LearnerKind:
         object.__setattr__(self, "hidden", _integers(self.hidden, "hidden widths"))
         if self.kind != "linear":
             self.layer_spec(1, 1)
-        if not (np.isfinite(self.ridge) and self.ridge >= 0):
-            raise ValueError(f"ridge penalty must be non-negative and finite, got {self.ridge!r}")
+        if not (_is_real(self.ridge) and np.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError(f"ridge penalty must be a non-negative finite number, got {self.ridge!r}")
 
     def with_seed(self, seed: int) -> "LearnerKind":
         return replace(self, train=replace(self.train, seed=int(seed)))

@@ -60,6 +60,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
+from .core import _frozen_array, _integers, _is_integer, _is_real
 from .errors import NonFiniteGradient, ShapeMismatch
 
 __all__ = [
@@ -128,19 +129,6 @@ class LayerSpec:
         return self.widths[-1]
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _integers(values, name: str) -> tuple[int, ...]:
-    """``values`` as Python ints; a bool, float or other non-integer entry is a ValueError."""
-    values = tuple(values)
-    for value in values:
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be integers, got {value!r}")
-    return tuple(int(value) for value in values)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer and loop settings for :func:`train` and :func:`train_many`.
@@ -161,8 +149,8 @@ class TrainConfig:
     precision: str = "float32"
 
     def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive and finite")
+        if not (_is_real(self.learning_rate) and np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a positive finite number, got {self.learning_rate!r}")
         for name in ("batch_size", "epochs"):
             value = getattr(self, name)
             if not _is_integer(value):
@@ -204,10 +192,7 @@ class NetworkState:
 
     def __post_init__(self):
         for name in ("weights", "biases"):
-            arrays = tuple(np.array(a, dtype=float) for a in getattr(self, name))
-            for a in arrays:
-                a.setflags(write=False)
-            object.__setattr__(self, name, arrays)
+            object.__setattr__(self, name, tuple(_frozen_array(a) for a in getattr(self, name)))
 
 
 class FlatParams:

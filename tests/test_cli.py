@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from dtekit.cli import RunConfig, config_from_dict, main, parse_grid_spec
-from dtekit.estimation import dte, empirical_cdf
+from dtekit.estimation import dte, empirical_cdf, fit_adjusted, make_folds, pte
 from dtekit.io import load_csv
+from dtekit.learners import LearnerKind
 
 EXPERIMENT_CSV = """arm,outcome,x1,x2
 ctrl,1.1,0.11,0.92
@@ -64,6 +65,9 @@ class TestParseGridSpec:
             "list=3,2",
             "range=6:3",
             "range=a:b",
+            "list=0,nan,1",
+            "list=-inf,0",
+            "probs=0.2,nan",
         ],
     )
     def test_bad_specs_rejected(self, spec):
@@ -175,6 +179,9 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("hidden", [2.5, True]), ("multiplier_scheme", 3), ("multiplier_scheme", 1.0),
+        ("arm_pair", [2.7, True]), ("arm_pair", ["2", "1"]), ("arm_pair", [0, 1]), ("arm_pair", [2, 2]),
+        ("functional", "pte"), ("learning_rate", True), ("ridge", True),
+        ("grid", "list=0,nan,1"), ("grid", "list=-inf,0"),
     ])
     def test_bad_band_setting_in_a_manifest_is_usage_error(self, tmp_path, capsys, experiment_csv, field, value):
         out = tmp_path / "band"
@@ -250,6 +257,15 @@ class TestSimulateMode:
         assert rc == 0
         assert (first / "study.csv").read_bytes() == (second / "study.csv").read_bytes()
 
+    def test_curve_settings_are_not_checked(self, tmp_path):
+        # simulate forms no curve of an arm pair, so its manifests replay
+        # whatever they hold there
+        rc = run_cli(
+            "simulate", "--n", 150, "--reps", 1, "--methods", "empirical", "--grid", "probs=0.5",
+            "--n-oracle", 10000, "--arm-pair", "2,2", "--functional", "pte", "--out", tmp_path / "sim",
+        )
+        assert rc == 0
+
     def test_manifest_mode_mismatch(self, tmp_path):
         out = tmp_path / "sim"
         run_cli(
@@ -261,23 +277,40 @@ class TestSimulateMode:
 
 
 class TestEstimateMode:
-    def test_points_match_library_values(self, tmp_path, experiment_csv):
+    @pytest.mark.parametrize("functional", ["cdf", "dte", "pte"])
+    def test_points_match_library_values(self, tmp_path, experiment_csv, functional):
         out = tmp_path / "est"
         rc = run_cli(
-            "estimate", "--input", experiment_csv, "--learner", "linear",
+            "estimate", "--input", experiment_csv, "--learner", "linear", "--functional", functional,
             "--grid", "list=1.0,2.0,3.0", "--out", out,
         )
         assert rc == 0
         lines = (out / "points.csv").read_text().splitlines()
         assert lines[0] == "location,empirical,linear"
-        assert len(lines) == 4
+        assert len(lines) == (3 if functional == "pte" else 4)
 
         from conftest import grid_of
 
         data = load_csv(experiment_csv)
-        expected = dte(empirical_cdf(data, grid_of(1.0, 2.0, 3.0)), 2, 1)
-        parsed = np.array([float(line.split(",")[1]) for line in lines[1:]])
-        assert_allclose(parsed, expected, rtol=1e-15)
+        grid = grid_of(1.0, 2.0, 3.0)
+        parsed = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
+        for column, theta in enumerate([
+            empirical_cdf(data, grid),
+            fit_adjusted(data, grid, LearnerKind("linear"), make_folds(data.n_units, 2, 0)).estimate,
+        ]):
+            want = {"cdf": theta.values[1], "dte": dte(theta, 2, 1), "pte": pte(theta, 2, 1)}[functional]
+            assert_array_equal(parsed[:, column], want)
+
+    def test_arm_beyond_the_data_fails_before_the_fit(self, tmp_path, capsys, monkeypatch, experiment_csv):
+        from dtekit import cli
+
+        monkeypatch.setattr(cli, "fit_adjusted", None)
+        rc = run_cli(
+            "estimate", "--input", experiment_csv, "--grid", "list=2.0", "--arm-pair", "3,1",
+            "--out", tmp_path / "est",
+        )
+        assert rc == 1
+        assert "out of range 1..2" in capsys.readouterr().err
 
     def test_string_labels_map_to_sorted_arms(self, tmp_path, experiment_csv):
         # ctrl -> 1, treat -> 2; treated outcomes are larger, so the
@@ -548,6 +581,22 @@ class TestConfigResolution:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["estimate", "bootstrap-band"])
+    @pytest.mark.parametrize("flags", [
+        pytest.param(("--arm-pair", "0,1"), id="arm-below-1"),
+        pytest.param(("--arm-pair", "2,2"), id="dte-same-arm"),
+        pytest.param(("--functional", "pte", "--arm-pair", "1,1"), id="pte-same-arm"),
+        pytest.param(("--functional", "pte", "--grid", "list=1.0"), id="pte-one-location"),
+        pytest.param(("--grid", "list=0,nan,1"), id="nan-location"),
+        pytest.param(("--grid", "list=-inf,0"), id="infinite-location"),
+        pytest.param(("--grid", "probs=0.2,nan"), id="nan-probability"),
+    ])
+    def test_bad_curve_flag_is_usage_error(self, tmp_path, capsys, experiment_csv, mode, flags):
+        out = tmp_path / "est"
+        assert run_cli(mode, "--input", experiment_csv, *flags, "--out", out) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_ini_transform_is_usage_error(self, tmp_path, capsys, experiment_csv):
         ini = tmp_path / "run.ini"
         ini.write_text("[learner]\ntransform = cube\n")
@@ -556,6 +605,13 @@ class TestConfigResolution:
                        "--learner", "nn-multi-monotone", "--out", out) == 2
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_manifest_without_config_block_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps({"outputs": []}))
+        assert run_cli("estimate", "--from-manifest", bad, "--out", tmp_path / "est") == 2
+        assert "no config block" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
 
     def test_bad_grid_flag_is_usage_error(self, tmp_path):
         assert run_cli("simulate", "--grid", "nope", "--out", tmp_path / "x") == 2

@@ -383,6 +383,15 @@ class TestEffects:
         est = self.make_estimate([0.2, 0.6], [0.1, 0.5])
         with pytest.raises(ShapeMismatch):
             dte(est, 1, 3)
+        with pytest.raises(ShapeMismatch, match=r"out of range 1\.\.2"):
+            pte(est, 0, 1)
+
+    @pytest.mark.parametrize("effect", [dte, pte])
+    @pytest.mark.parametrize("arms", [(2.7, 1), (True, 2), ("2", 1)])
+    def test_non_integer_arm_rejected(self, effect, arms):
+        est = self.make_estimate([0.2, 0.6], [0.1, 0.5])
+        with pytest.raises(ValueError, match="arm pair must be integers"):
+            effect(est, *arms)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -22,15 +22,18 @@ from dtekit.core import (
 )
 from dtekit.errors import (
     DegenerateDraws,
+    GridTooSmall,
     SameArm,
     ShapeMismatch,
     ZeroBaselineSE,
 )
 from dtekit.estimation import (
     AdjustedEstimate,
+    dte,
     empirical_cdf,
     fit_adjusted,
     make_folds,
+    pte,
     quantile_grid,
 )
 from dtekit.inference import (
@@ -568,13 +571,33 @@ class TestBootstrapBand:
         assert_array_equal(band.locations, grid.locations[1:])
         assert band.point.shape == (2,)
 
-    def test_dte_point_matches_estimate(self, two_arm_data):
+    @pytest.mark.parametrize("kind", ["cdf", "dte", "pte"])
+    def test_dte_point_matches_estimate(self, two_arm_data, kind):
+        grid = quantile_grid(two_arm_data, [0.25, 0.5, 0.75])
+        theta = empirical_cdf(two_arm_data, grid)
+        band = bootstrap_band(two_arm_data, grid, theta, kind=kind, arm_pair=(2, 1), n_draws=80)
+        want = {"cdf": theta.values[1], "dte": dte(theta, 2, 1), "pte": pte(theta, 2, 1)}[kind]
+        assert band.point.tobytes() == want.tobytes()
+
+    def test_pte_band_on_one_location_rejected(self, two_arm_data):
         grid = quantile_grid(two_arm_data, [0.5])
         theta = empirical_cdf(two_arm_data, grid)
-        band = bootstrap_band(two_arm_data, grid, theta, arm_pair=(2, 1), n_draws=80)
-        assert band.point[0] == pytest.approx(
-            theta.values[1, 0] - theta.values[0, 0], abs=1e-15
-        )
+        with pytest.raises(GridTooSmall, match="interval probabilities need at least 2 locations"):
+            bootstrap_band(two_arm_data, grid, theta, kind="pte", n_draws=50)
+
+    @pytest.mark.parametrize("arm_pair", [(2.7, 1), (2, True), ("2", "1"), (np.float64(2.0), 1)])
+    def test_non_integer_arm_rejected(self, two_arm_data, arm_pair):
+        grid = quantile_grid(two_arm_data, [0.5])
+        theta = empirical_cdf(two_arm_data, grid)
+        with pytest.raises(ValueError, match="arm pair must be integers"):
+            bootstrap_band(two_arm_data, grid, theta, arm_pair=arm_pair, n_draws=50)
+
+    def test_numpy_integer_arms_accepted_as_python_ints(self, two_arm_data):
+        grid = quantile_grid(two_arm_data, [0.5])
+        theta = empirical_cdf(two_arm_data, grid)
+        band = bootstrap_band(two_arm_data, grid, theta, arm_pair=(np.int64(2), np.uint8(1)), n_draws=50)
+        assert_same_band(band, bootstrap_band(two_arm_data, grid, theta, arm_pair=(2, 1), n_draws=50))
+        assert all(type(arm) is int for arm in band.arm_pair)
 
     def test_same_arm_contrast_rejected(self, two_arm_data):
         grid = quantile_grid(two_arm_data, [0.5])

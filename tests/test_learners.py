@@ -47,7 +47,7 @@ class TestLearnerKind:
         with pytest.raises(ValueError):
             LearnerKind("linear", ridge=-1.0)
 
-    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf, True])
     def test_non_finite_ridge_rejected(self, ridge):
         with pytest.raises(ValueError, match="ridge"):
             LearnerKind("linear", ridge=ridge)

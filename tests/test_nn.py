@@ -123,6 +123,7 @@ class TestTrainConfig:
             {"batch_size": 0},
             {"learning_rate": 0.0},
             {"learning_rate": np.inf},
+            {"learning_rate": True},
             {"beta1": 1.0},
             {"clip_eps": 0.6},
             {"adam_eps": 0.0},

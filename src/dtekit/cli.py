@@ -59,7 +59,7 @@ from . import simulation
 __all__ = ["RunConfig", "run", "main"]
 
 _MODES = ("simulate", "estimate", "bootstrap-band", "benchmark")
-_INTEGER_FIELDS = ("n_units", "n_reps", "n_folds", "n_draws", "threads", "n_oracle", "multiplier_scheme")
+_INTEGER_FIELDS = ("seed", "n_units", "n_reps", "n_folds", "n_draws", "threads", "n_oracle", "multiplier_scheme")
 _METHOD_NAMES = ("empirical", *LEARNER_KINDS)
 _Z_MODES = ("half-alpha", "literal")
 # the modes that form a curve of an arm pair; the others ignore those fields
@@ -360,7 +360,11 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--B", type=int, dest="n_draws", help="bootstrap repetitions")
     sub.add_argument("--alpha", type=float, help="band miscoverage level")
     sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--threads", type=int, help="worker processes for replications (simulate)")
+    sub.add_argument(
+        "--threads", type=int,
+        help="worker processes for replications (simulate); with more than 1, each replication's fits "
+             "stay in its worker instead of fanning out over the CPUs",
+    )
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--functional", choices=_FUNCTIONALS)
     sub.add_argument("--arm-pair", dest="arm_pair", help="two arm indices, e.g. 2,1")

@@ -7,6 +7,7 @@ arm and one column per location.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,14 @@ def _integers(values, name: str) -> tuple[int, ...]:
         if not _is_integer(value):
             raise ValueError(f"{name} must be integers, got {value!r}")
     return tuple(int(value) for value in values)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may use: the multiplier fill's threads and a fit fan-out's processes."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def derive_seed(*keys: int) -> int:

@@ -113,7 +113,9 @@ def crossfit_gamma(
     unit was assigned to. No unit is ever predicted by a model it trained.
     Every (arm, fold) training split is checked before any learner trains,
     and all K x L learners come from one :func:`~dtekit.learners.fit_many`
-    call, so the network kinds with a shared trunk train as one stack.
+    call, so the network fits fan out over the usable CPUs and the kinds with
+    a shared trunk train as one stack per process; the predictions are
+    bit-identical at any CPU count.
     """
     n = data.n_units
     if plan.fold_assignment.shape[0] != n:

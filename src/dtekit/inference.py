@@ -43,7 +43,6 @@ rows are filled. The draws are therefore bit-identical at any T.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -52,6 +51,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from . import core
 from .core import (
     CdfEstimate,
     ConditionalCdfMatrix,
@@ -233,14 +233,6 @@ def _chunks(n: int, multiplier_scheme: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, max(n, 1), size)]
 
 
-def _draw_threads() -> int:
-    """Threads that fill each block of multipliers: the CPUs this process may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _check_draw_args(n_draws: int, seed: int) -> None:
     """Reject a repetition count or seed that cannot give reproducible draws."""
     if not _is_integer(n_draws):
@@ -321,7 +313,7 @@ def bootstrap_draws(
     rows_per_block = min(_DRAW_BLOCK, n_draws)
     width = chunks[0][1] - chunks[0][0]
     block = np.empty(rows_per_block * width)
-    threads = min(_draw_threads(), rows_per_block)
+    threads = min(core._usable_cpus(), rows_per_block)
     scratches = [np.empty(2 * width) for _ in range(threads)]
 
     def fill(rows, streams, generators, scratch):

@@ -16,20 +16,35 @@ Covariates are z-scored with statistics of the training split; the fitted
 statistics travel with the learner and are re-applied at prediction time.
 
 :func:`fit_many` fits one learner kind on several problems, such as the
-(arm, fold) splits of cross-fitting. The shared-trunk network kinds train
-all of them in one stacked :func:`~dtekit.nn.train_many` call,
-bit-identical to fitting each alone; "linear" and "nn-single" fit one
-problem at a time, as the caller asks for them.
+(arm, fold) splits of cross-fitting. "linear" fits one problem at a time,
+as the caller asks for them. The network kinds fit on T processes, T the
+CPUs the process may use, at most one per problem. With T = 1 the
+shared-trunk kinds train all problems in one stacked
+:func:`~dtekit.nn.train_many` call, bit-identical to fitting each alone,
+and "nn-single" fits one problem at a time, as "linear" does. With T > 1
+the problems are split into T contiguous groups, and each forked process
+fits its group exactly as one process fits them all. Splitting a stack into
+smaller stacks does not change a bit, so the learners are bit-identical at
+any T; "nn-single" then trains every problem before its first learner is
+yielded. T is 1 on one CPU, for a single problem (:func:`fit`), on a
+platform without ``fork``, in a process that runs other threads, and inside
+the replication workers of :func:`~dtekit.simulation.run_study`, whose pool
+already spans the CPUs.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import traceback
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from . import core
 from .core import _integers, _is_real
 from .errors import NonFiniteValue, ShapeMismatch, SingularDesign, TooFewUnits
 from .nn import LayerSpec, NetworkState, TrainConfig, forward, train_many
@@ -156,15 +171,16 @@ def fit_many(
 ) -> Iterator[FittedLearner]:
     """Train one learner per problem ``(kinds[i], xs[i], labels[i])``; yield them in order.
 
-    The kinds may differ only in ``train.seed``. The network kinds with one
-    shared trunk read and check every problem, which must then share their
-    covariate and label column counts (the row counts may differ), and train
-    them all in one stacked :func:`~dtekit.nn.train_many` call before this
-    returns. "linear" and "nn-single" read, check and fit each problem only
-    when its learner is asked for, so with iterators for ``xs`` and
-    ``labels`` the caller holds one problem and one learner at a time;
-    "nn-single" then makes one stacked call over its M locations, as
-    :func:`fit` does.
+    The kinds may differ only in ``train.seed``. "linear" reads, checks and
+    fits each problem only when its learner is asked for, so with iterators
+    for ``xs`` and ``labels`` the caller holds one problem and one learner at
+    a time. The network kinds fit on T processes (see the module docstring).
+    With T > 1, or for the kinds with one shared trunk, they read and check
+    every problem, and train them all, before this returns; the shared-trunk
+    kinds' problems must then share their covariate and label column counts
+    (the row counts may differ). "nn-single" with T = 1 is lazy like
+    "linear"; it makes one stacked call over the M locations of a problem,
+    as :func:`fit` does.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -173,9 +189,104 @@ def fit_many(
     if any(k.with_seed(kind.train.seed) != kind for k in kinds):
         raise ValueError("learner kinds may differ only in train.seed")
     problems = zip(kinds, xs, labels, strict=True)
-    if kind.kind in ("nn-multi", "nn-multi-monotone"):
-        return iter(_fit_stacked(kinds, [_check_training_inputs(x, y) for _, x, y in problems]))
-    return (_fit_one(k, *_check_training_inputs(x, y)) for k, x, y in problems)
+    processes = 1 if kind.kind == "linear" else _fit_processes(len(kinds))
+    if kind.kind == "linear" or (kind.kind == "nn-single" and processes == 1):
+        return (_fit_one(k, *_check_training_inputs(x, y)) for k, x, y in problems)
+    checked = [_check_training_inputs(x, y) for _, x, y in problems]
+    if kind.kind != "nn-single":
+        n_inputs, n_outputs = checked[0][0].shape[1], checked[0][1].shape[1]
+        if any(x.shape[1] != n_inputs or y.shape[1] != n_outputs for x, y in checked):
+            raise ShapeMismatch("problems must share their covariate and label column counts")
+    if processes == 1:
+        return iter(_fit_group(kinds, checked))
+    return iter(_fit_forked(kinds, checked, processes))
+
+
+# set in the replication workers of simulation.run_study, whose pool already spans the CPUs
+_in_process = False
+
+
+def _fit_in_process() -> None:
+    """Keep every fit of this process in-process; a process pool's initializer."""
+    global _in_process
+    _in_process = True
+
+
+def _fit_processes(n_problems: int) -> int:
+    """Processes a fan-out of ``n_problems`` network problems runs on; 1 means in-process.
+
+    A process that runs other threads does not fork: a lock one of them holds
+    would stay locked in the child.
+    """
+    if _in_process or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(core._usable_cpus(), n_problems)
+
+
+def _fit_group(kinds: tuple[LearnerKind, ...], problems) -> list[FittedLearner]:
+    """Fit checked network problems in one process, as :func:`fit_many` does on one CPU."""
+    if kinds[0].kind == "nn-single":
+        return [_fit_one(k, x, y) for k, (x, y) in zip(kinds, problems)]
+    return _fit_stacked(kinds, problems)
+
+
+def _send_group(sender, kinds: tuple[LearnerKind, ...], problems) -> None:
+    """A forked fit process's work: fit its group, then send the learners or the error and traceback."""
+    try:
+        result = _fit_group(kinds, problems)
+    except Exception as exc:
+        result = exc, traceback.format_exc()
+    sender.send(result)
+    sender.close()
+
+
+def _fit_forked(kinds: tuple[LearnerKind, ...], problems, processes: int) -> list[FittedLearner]:
+    """Fit checked network problems in ``processes`` contiguous groups, one forked process each.
+
+    A forked process inherits its group with the parent's memory, so only
+    the fitted learners cross a pipe, and they are read on the calling
+    thread. The processes live for this call: each has been reaped when it
+    returns or raises, and a process's error is raised here with its type
+    and message. Unpickled arrays are writable, so each state is frozen
+    again here.
+    """
+    context = multiprocessing.get_context("fork")
+    cuts = [len(kinds) * t // processes for t in range(processes + 1)]
+    children, fitted = [], []
+    try:
+        for lo, hi in zip(cuts, cuts[1:]):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_send_group, args=(sender, kinds[lo:hi], problems[lo:hi]))
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        for (child, receiver), lo in zip(children, cuts):
+            try:
+                group = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"a fit process exited with code {child.exitcode} before it sent its learners"
+                ) from None
+            if isinstance(group, tuple):
+                error, trace = group
+                raise error from RuntimeError(f"in a fit process:\n{trace}")
+            fitted.extend(
+                FittedLearner(
+                    kind, f.n_inputs, f.n_outputs, f.x_mean, f.x_scale,
+                    states=tuple(NetworkState(s.weights, s.biases) for s in f.states),
+                )
+                for kind, f in zip(kinds[lo:], group)
+            )
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
+    return fitted
 
 
 def _fit_one(kind: LearnerKind, x: np.ndarray, labels: np.ndarray) -> FittedLearner:
@@ -195,8 +306,6 @@ def _fit_one(kind: LearnerKind, x: np.ndarray, labels: np.ndarray) -> FittedLear
 
 def _fit_stacked(kinds: tuple[LearnerKind, ...], problems) -> list[FittedLearner]:
     n_inputs, n_outputs = problems[0][0].shape[1], problems[0][1].shape[1]
-    if any(x.shape[1] != n_inputs or y.shape[1] != n_outputs for x, y in problems):
-        raise ShapeMismatch("problems must share their covariate and label column counts")
     stats = [_standardize_stats(x) for x, _ in problems]
     states = train_many(
         [(x - mean) / scale for (x, _), (mean, scale) in zip(problems, stats)],

@@ -30,7 +30,7 @@ from .estimation import (
     make_folds,
     quantile_grid,
 )
-from .learners import LearnerKind
+from .learners import LearnerKind, _fit_in_process
 
 __all__ = [
     "DgpConfig",
@@ -240,6 +240,9 @@ def run_study(
     identical data and folds within a replication; every replication derives
     its own seeds from ``config.seed``. Replications can run in a worker pool
     (``n_workers`` > 1); aggregation does not depend on completion order.
+    The pool already spreads the work over the CPUs, so the fits inside its
+    workers run in-process instead of fanning out (see
+    :mod:`dtekit.learners`).
     """
     if n_reps < 1:
         raise ValueError("n_reps must be positive")
@@ -262,7 +265,7 @@ def run_study(
         for rep in range(n_reps)
     ]
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=_fit_in_process) as pool:
             results = list(pool.map(_replicate, tasks))
     else:
         results = [_replicate(t) for t in tasks]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from dtekit.cli import RunConfig, config_from_dict, main, parse_grid_spec
+from dtekit.cli import RunConfig, config_from_dict, main, parse_grid_spec, run
 from dtekit.estimation import dte, empirical_cdf, fit_adjusted, make_folds, pte
 from dtekit.io import load_csv
 from dtekit.learners import LearnerKind
@@ -138,7 +138,7 @@ class TestRunConfig:
         ("n_units", 1000.5), ("n_reps", 2.5), ("n_folds", 2.5), ("n_draws", 300.5),
         ("threads", 1.5), ("n_oracle", 1e5 + 0.5), ("n_draws", 300.0), ("n_folds", True),
         ("threads", False), ("n_reps", "3"), ("n_units", None), ("multiplier_scheme", 2.0),
-        ("multiplier_scheme", True),
+        ("multiplier_scheme", True), ("seed", 3.0), ("seed", True),
     ])
     def test_non_integral_integer_setting_fails_eagerly(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -255,6 +255,19 @@ class TestSimulateMode:
             "simulate", "--from-manifest", first / "manifest.json", "--out", second
         )
         assert rc == 0
+        assert (first / "study.csv").read_bytes() == (second / "study.csv").read_bytes()
+
+    def test_numpy_integer_seed_writes_a_manifest_that_replays(self, tmp_path):
+        first = tmp_path / "first"
+        config = RunConfig(
+            mode="simulate", seed=np.int64(3), n_units=150, n_reps=2, methods=("empirical", "linear"),
+            grid="probs=0.3,0.7", n_oracle=20000, out=str(first),
+        )
+        assert type(config.seed) is int
+        run(config)
+        assert json.loads((first / "manifest.json").read_text())["config"]["seed"] == 3
+        second = tmp_path / "second"
+        assert run_cli("simulate", "--from-manifest", first / "manifest.json", "--out", second) == 0
         assert (first / "study.csv").read_bytes() == (second / "study.csv").read_bytes()
 
     def test_curve_settings_are_not_checked(self, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import norm
 
+import dtekit.core as core
 import dtekit.estimation as estimation
 import dtekit.learners as learners
 import dtekit.nn as nn
@@ -275,6 +276,8 @@ class TestCrossfitGamma:
         ("nn-multi-monotone", [6]), ("nn-single", [3] * 6),
     ])
     def test_train_many_calls_per_crossfit(self, monkeypatch, name, expected):
+        # in-process: a count made in a forked fit process never reaches this one
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
         calls = []
         train_many = learners.train_many
 
@@ -289,6 +292,38 @@ class TestCrossfitGamma:
         crossfit_gamma(data, grid_of(1.0, 1.5, 2.0), kind, plan)
         # 2 arms x 3 folds; nn-single trains one network per location
         assert calls == expected
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        name=st.sampled_from(["nn-single", "nn-multi", "nn-multi-monotone"]),
+        precision=st.sampled_from(nn.PRECISIONS),
+        processes=st.integers(2, 4),
+        arm_sizes=st.lists(st.integers(8, 30), min_size=2, max_size=2, unique=True),
+        n_folds=st.integers(2, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fan_out_is_bit_identical(self, name, precision, processes, arm_sizes, n_folds, seed):
+        rng = np.random.default_rng(seed)
+        arms = rng.permutation(np.repeat([1, 2], arm_sizes))
+        x = rng.random((arms.size, 3))
+        y = x.sum(axis=1) + 0.5 * (arms - 1) + 0.3 * rng.standard_normal(arms.size)
+        data = ExperimentData(covariates=x, arms=arms, outcomes=y, n_arms=2)
+        grid = quantile_grid(data, (0.25, 0.5, 0.75))
+        # folds dealt round-robin within each arm, so every (arm, fold) split has training units
+        folds = np.empty(arms.size, dtype=int)
+        for w in (1, 2):
+            folds[arms == w] = 1 + np.arange(np.sum(arms == w)) % n_folds
+        plan = CrossFitPlan(n_folds=n_folds, seed=seed, fold_assignment=folds)
+        train = TrainConfig(epochs=2, batch_size=8, seed=seed, precision=precision)
+        kind = LearnerKind(name, hidden=(5,), train=train)
+        predictions = {}
+        for cpus in (1, processes):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "_usable_cpus", lambda: cpus)
+                # 2 arms x n_folds problems
+                assert learners._fit_processes(2 * n_folds) == min(cpus, 2 * n_folds)
+                predictions[cpus] = crossfit_gamma(data, grid, kind, plan).predictions.tobytes()
+        assert predictions[processes] == predictions[1]
 
     @pytest.mark.parametrize(("bad_row", "message"), [
         ((0.2, 1.5, 1.7), "network predictions left [0, 1] (arm 2, unit {unit}, location 1)"),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import dtekit.core as core
 import dtekit.inference as inference
 from dtekit.cli import main
 
@@ -238,7 +239,7 @@ class TestMultiplierSchemes:
         return theta, psi
 
     def draws(self, monkeypatch, theta, psi, threads, **kwargs):
-        monkeypatch.setattr(inference, "_draw_threads", lambda: threads)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: threads)
         return bootstrap_draws(
             CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
             300, 11, arms_per_estimate=2, **kwargs,
@@ -280,7 +281,7 @@ class TestMultiplierSchemes:
         values[...] = np.random.default_rng(2).standard_normal((2 * k, n, m))
         psi = InfluenceMatrix._frozen(values)
         theta = CdfEstimate(values=np.full((2 * k, m), 0.5), method="empirical")
-        monkeypatch.setattr(inference, "_draw_threads", lambda: 2)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         tracemalloc.start()
         try:
             bootstrap_draws(theta, psi, n_draws, seed=3, arms_per_estimate=k)
@@ -309,7 +310,7 @@ class TestMultiplierSchemes:
 
 
 class TestThreadedFill:
-    """Rows of each multiplier block are filled on ``_draw_threads()`` threads."""
+    """Rows of each multiplier block are filled on ``core._usable_cpus()`` threads."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -327,7 +328,7 @@ class TestThreadedFill:
         psi = rng.standard_normal((k, n, m))
         theta = np.sort(rng.random((k, m)), axis=1)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(inference, "_draw_threads", lambda: threads)
+            patch.setattr(core, "_usable_cpus", lambda: threads)
             got = bootstrap_draws(
                 CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
                 n_draws, seed, arms_per_estimate=per,
@@ -338,7 +339,7 @@ class TestThreadedFill:
         rng = np.random.default_rng(12)
         psi = rng.standard_normal((4, 50, 3))
         theta = np.sort(rng.random((4, 3)), axis=1)
-        monkeypatch.setattr(inference, "_draw_threads", lambda: 2 * (os.cpu_count() or 1))
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2 * (os.cpu_count() or 1))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -376,7 +377,7 @@ class TestThreadedFill:
 
     def test_calling_thread_and_pool_fill_rows(self, monkeypatch):
         idents, pools = self.thread_record(monkeypatch)
-        monkeypatch.setattr(inference, "_draw_threads", lambda: 3)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
         self.run(300)
         assert len(idents) == 300
         # the pool starts a second worker only when its first is busy
@@ -386,7 +387,7 @@ class TestThreadedFill:
 
     def test_one_thread_fills_inline_without_a_pool(self, monkeypatch):
         idents, pools = self.thread_record(monkeypatch)
-        monkeypatch.setattr(inference, "_draw_threads", lambda: 1)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
         before = threading.active_count()
         self.run(300)
         assert set(idents) == {threading.get_ident()}
@@ -395,18 +396,20 @@ class TestThreadedFill:
 
     def test_threads_capped_by_the_rows_of_a_block(self, monkeypatch):
         _, pools = self.thread_record(monkeypatch)
-        monkeypatch.setattr(inference, "_draw_threads", lambda: 8)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 8)
         self.run(3)
         assert pools == [2]
 
     def test_draw_threads_are_the_usable_cpus(self, monkeypatch):
+        # one owner, in core, which the fit fan-out of learners reads too
+        assert not hasattr(inference, "_draw_threads")
         if hasattr(os, "sched_getaffinity"):
-            assert inference._draw_threads() == len(os.sched_getaffinity(0))
+            assert core._usable_cpus() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert inference._draw_threads() == 3
+        assert core._usable_cpus() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert inference._draw_threads() == 1
+        assert core._usable_cpus() == 1
 
     @pytest.mark.parametrize("where", ["any", "worker"])
     def test_a_failing_draw_raises_and_leaves_no_thread(self, monkeypatch, where):
@@ -422,7 +425,7 @@ class TestThreadedFill:
             return transform(*args, **kwargs)
 
         monkeypatch.setattr(inference, "multiplier_transform", failing)
-        monkeypatch.setattr(inference, "_draw_threads", lambda: 2)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as raised:
             self.run(600)
@@ -814,7 +817,7 @@ class TestInfluenceSlabs:
         data = make_experiment(seed=8, n=n)
         grid = quantile_grid(data, np.linspace(0.1, 0.9, m))
         estimates = (empirical_cdf(data, grid), fit_adjusted(data, grid, LearnerKind("linear")))
-        monkeypatch.setattr(inference, "_draw_threads", lambda: 2)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         tracemalloc.start()
         try:
             bootstrap_bands(data, grid, estimates, n_draws=n_draws, seed=3)

@@ -1,4 +1,7 @@
 import dataclasses
+import multiprocessing
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dtekit.errors import NonFiniteValue, ShapeMismatch, SingularDesign, TooFewUnits
+from dtekit.errors import NonFiniteGradient, NonFiniteValue, ShapeMismatch, SingularDesign, TooFewUnits
+import dtekit.core as core
 import dtekit.learners as learners
+import dtekit.simulation as simulation
 from dtekit.learners import (
     DEFAULT_HIDDEN,
     LEARNER_KINDS,
@@ -228,8 +233,22 @@ def ragged_problems(n_problems=3, n_outputs=2):
     return [x for x, _ in problems], [y for _, y in problems]
 
 
+def assert_same_learners(got, want):
+    assert got.kind == want.kind
+    assert_array_equal(got.x_mean, want.x_mean)
+    assert_array_equal(got.x_scale, want.x_scale)
+    assert len(got.states) == len(want.states)
+    for got_state, want_state in zip(got.states, want.states):
+        for a, b in zip(got_state.weights + got_state.biases, want_state.weights + want_state.biases):
+            assert a.tobytes() == b.tobytes()
+
+
 def counted_train_many(monkeypatch):
-    """Record the number of configs of every ``train_many`` call ``fit_many`` makes."""
+    """Record the number of configs of every ``train_many`` call ``fit_many`` makes.
+
+    The fits stay in-process: a count made in a forked process never reaches this one.
+    """
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
     calls = []
     train_many = learners.train_many
 
@@ -276,12 +295,7 @@ class TestFitMany:
         for kind, x, y, got in zip(kinds, xs, labels, fit_many(kinds, xs, labels)):
             want = fit(kind, x, y)
             assert got.kind == kind
-            assert_array_equal(got.x_mean, want.x_mean)
-            assert_array_equal(got.x_scale, want.x_scale)
-            assert len(got.states) == len(want.states)
-            for got_state, want_state in zip(got.states, want.states):
-                for a, b in zip(got_state.weights + got_state.biases, want_state.weights + want_state.biases):
-                    assert_array_equal(a, b)
+            assert_same_learners(got, want)
             assert_array_equal(predict(got, xs[0]), predict(want, xs[0]))
 
     @settings(max_examples=40, deadline=None)
@@ -370,6 +384,126 @@ class TestFitMany:
         # the one-at-a-time kinds find out when they run out of problems
         with pytest.raises(ValueError):
             list(fit_many([LearnerKind("linear")], xs, labels))
+
+
+class TestFanOut:
+    """Network problems fit on one forked process per usable CPU, at most one per problem."""
+
+    @staticmethod
+    def no_fork(monkeypatch, cpus=4):
+        """Offer ``cpus`` CPUs, and fail any fit that would fork."""
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+
+        def forked(*args):
+            raise AssertionError("a fit forked")
+
+        monkeypatch.setattr(learners, "_fit_forked", forked)
+
+    @pytest.mark.parametrize("name", ["nn-single", "nn-multi", "nn-multi-monotone"])
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_equals_in_process_bit_for_bit(self, monkeypatch, name, cpus):
+        xs, labels = ragged_problems(4)
+        kinds = [small_nn_kind(name).with_seed(seed) for seed in (3, 1, 4, 1)]
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+        want = list(fit_many(kinds, xs, labels))
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        assert learners._fit_processes(4) == min(cpus, 4)
+        got = list(fit_many(kinds, xs, labels))
+        assert len(got) == 4
+        for g, w in zip(got, want):
+            assert_same_learners(g, w)
+            # rebuilt from writable unpickled arrays, frozen again
+            assert all(not a.flags.writeable for state in g.states for a in state.weights + state.biases)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(("cpus", "n_problems", "expected"), [(1, 4, 1), (2, 4, 2), (8, 3, 3), (8, 1, 1)])
+    def test_one_process_per_cpu_at_most_one_per_problem(self, monkeypatch, cpus, n_problems, expected):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        assert learners._fit_processes(n_problems) == expected
+
+    def test_a_process_with_other_threads_does_not_fork(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            assert learners._fit_processes(4) == 1
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert learners._fit_processes(4) == 4
+
+    def test_a_child_error_is_raised_with_its_type_and_message(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        parent = os.getpid()
+        train_many = learners.train_many
+
+        def failing_in_a_child(xs, labels, spec, configs):
+            # inherited by the forked fit processes
+            if os.getpid() != parent:
+                raise NonFiniteGradient(f"gradient of {len(configs)} networks is not finite")
+            return train_many(xs, labels, spec, configs)
+
+        monkeypatch.setattr(learners, "train_many", failing_in_a_child)
+        xs, labels = ragged_problems(3)
+        kinds = [small_nn_kind("nn-multi").with_seed(seed) for seed in range(3)]
+        with pytest.raises(NonFiniteGradient) as raised:
+            fit_many(kinds, xs, labels)
+        # problems 0:1 and 1:3 go to the two processes; the first group's error is raised
+        assert type(raised.value) is NonFiniteGradient
+        assert str(raised.value) == "gradient of 1 networks is not finite"
+        # the child's traceback travels as the cause
+        assert "failing_in_a_child" in str(raised.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_a_process_that_dies_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(learners, "_fit_group", lambda kinds, problems: os._exit(3))
+        xs, labels = ragged_problems(2)
+        kinds = [small_nn_kind("nn-multi").with_seed(seed) for seed in range(2)]
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            fit_many(kinds, xs, labels)
+        assert multiprocessing.active_children() == []
+
+    def test_nn_single_trains_every_problem_before_it_yields(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        xs, labels = ragged_problems(2)
+        read = []
+
+        def reading(arrays):
+            for i, array in enumerate(arrays):
+                read.append(i)
+                yield array
+
+        kinds = [small_nn_kind("nn-single").with_seed(seed) for seed in range(2)]
+        fit_many(kinds, reading(xs), labels)
+        assert read == [0, 1]
+
+    @pytest.mark.parametrize("name", ["nn-single", "nn-multi-monotone"])
+    def test_fit_never_forks(self, monkeypatch, problem, name):
+        self.no_fork(monkeypatch)
+        x, labels = problem
+        assert fit(small_nn_kind(name), x, labels).n_outputs == 2
+
+    def test_linear_never_forks(self, monkeypatch):
+        self.no_fork(monkeypatch)
+        xs, labels = ragged_problems(4)
+        kinds = [LearnerKind("linear").with_seed(seed) for seed in range(4)]
+        assert len(list(fit_many(kinds, xs, labels))) == 4
+
+    def test_replication_workers_fit_in_process(self, monkeypatch):
+        # the forked replication workers inherit the patch; a fan-out in one fails the study
+        self.no_fork(monkeypatch)
+        config = simulation.DgpConfig(n_units=60, seed=5)
+        methods = {"nn-multi": LearnerKind("nn-multi", hidden=(4,), train=TrainConfig(epochs=1))}
+        study = dict(n_reps=2, probs=(0.3, 0.7), n_oracle=2_000)
+        report = simulation.run_study(config, methods, n_workers=2, **study)
+        assert report.n_reps == 2
+        assert multiprocessing.active_children() == []
+        # in the calling process the same fits would fan out
+        with pytest.raises(AssertionError, match="a fit forked"):
+            simulation.run_study(config, methods, n_workers=1, **study)
 
 
 class TestInputValidation:

@@ -9,7 +9,10 @@ byte (timings excepted, since wall clocks are not replayable). Networks train
 in the manifest's ``precision``; a manifest without that key predates it and
 trained in float64, so it replays in float64. Bands draw their multipliers
 under the manifest's ``multiplier_scheme``; a manifest without that key
-predates it and replays on scheme 1.
+predates it and replays on scheme 1. No setting sizes a run's processes or
+threads: they follow the CPUs the process may use, so ``taskset`` limits
+them. A manifest's ``threads`` key, from when ``simulate --threads`` sized a
+replication pool, is ignored.
 
 Exit codes: 0 on success, 1 for domain errors (bad data, singular designs,
 unreadable files), 2 for usage errors (bad flags or configuration values,
@@ -28,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LocationGrid, _integers, _is_integer
+from .core import LocationGrid, _integer, _integers
 from .errors import DomainError
 from .estimation import (
     _FUNCTIONALS,
@@ -59,7 +62,7 @@ from . import simulation
 __all__ = ["RunConfig", "run", "main"]
 
 _MODES = ("simulate", "estimate", "bootstrap-band", "benchmark")
-_INTEGER_FIELDS = ("seed", "n_units", "n_reps", "n_folds", "n_draws", "threads", "n_oracle", "multiplier_scheme")
+_INTEGER_FIELDS = ("seed", "n_units", "n_reps", "n_folds", "n_draws", "n_oracle", "multiplier_scheme")
 _METHOD_NAMES = ("empirical", *LEARNER_KINDS)
 _Z_MODES = ("half-alpha", "literal")
 # the modes that form a curve of an arm pair; the others ignore those fields
@@ -81,7 +84,6 @@ class RunConfig:
     grid: str = "probs=0.05:0.95:0.05"
     n_draws: int = 5000
     alpha: float = 0.05
-    threads: int = 1
     functional: str = "dte"
     arm_pair: tuple[int, int] = (2, 1)
     z_mode: str = "half-alpha"
@@ -111,15 +113,10 @@ class RunConfig:
         if self.z_mode not in _Z_MODES:
             raise ValueError(f"z_mode must be one of {_Z_MODES}, got {self.z_mode!r}")
         for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
             # a NumPy integer would not serialize into the manifest
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_folds < 2:
             raise ValueError("folds must be at least 2")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         if self.n_units < 2:
             raise ValueError("n must be at least 2")
         _check_band_settings(self.functional, self.n_draws, self.alpha, self.seed, self.multiplier_scheme)
@@ -211,21 +208,21 @@ def _resolve_grid(config: RunConfig, data):
     return LocationGrid(locations=values)
 
 
-def _config_dict(config: RunConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def config_from_dict(payload: dict) -> RunConfig:
     """The run configuration a manifest's config block records.
 
     A block without ``precision`` was written when networks trained in float64
     only, so it is read as float64; a block without ``multiplier_scheme`` was
     written when bands read each repetition's multipliers as one chunk, so it
-    is read as scheme 1. Either way it replays byte for byte.
+    is read as scheme 1. Either way it replays byte for byte. A ``threads`` key
+    sized the replication pool of ``simulate``, which no longer exists; the
+    report never depended on it, so the key is dropped.
     """
     kwargs = {"precision": "float64", "multiplier_scheme": 1}
     names = {f.name for f in dataclasses.fields(RunConfig)}
     for key, value in payload.items():
+        if key == "threads":
+            continue
         if key not in names:
             raise ValueError(f"unknown configuration key {key!r}")
         kwargs[key] = tuple(value) if isinstance(value, list) else value
@@ -246,7 +243,6 @@ def _run_simulate(config: RunConfig, out: Path) -> dict:
         probs=values if kind == "probs" else simulation.DEFAULT_QUANTILES,
         n_oracle=config.n_oracle,
         cache_dir=out / "oracle-cache",
-        n_workers=config.threads,
         locations=None if kind == "probs" else values,
     )
     study_path = emit_report(report, out / "study.csv")
@@ -338,7 +334,7 @@ def run(config: RunConfig) -> dict:
     result = worker(config, out)
     manifest = write_manifest(
         out / "manifest.json",
-        _config_dict(config),
+        dataclasses.asdict(config),
         [p.name for p in result["outputs"]],
         result["timings"],
     )
@@ -360,11 +356,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--B", type=int, dest="n_draws", help="bootstrap repetitions")
     sub.add_argument("--alpha", type=float, help="band miscoverage level")
     sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument(
-        "--threads", type=int,
-        help="worker processes for replications (simulate); with more than 1, each replication's fits "
-             "stay in its worker instead of fanning out over the CPUs",
-    )
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--functional", choices=_FUNCTIONALS)
     sub.add_argument("--arm-pair", dest="arm_pair", help="two arm indices, e.g. 2,1")

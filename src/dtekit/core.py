@@ -3,11 +3,18 @@
 Arms are integer labels 1..K. Evaluation locations are a strictly increasing
 grid of outcome values; all CDF-like quantities are matrices with one row per
 arm and one column per location.
+
+The private helpers here have one owner each: integer checks, read-only
+copies, the CPUs the process may use, and :func:`_fan_out`, the one place
+the package forks processes.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +58,13 @@ def _is_integer(value) -> bool:
     return _is_real(value, (int, np.integer))
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; a bool, float or other non-integer is a ValueError naming ``name``."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _integers(values, name: str) -> tuple[int, ...]:
     """``values`` as Python ints; a bool, float or other non-integer entry is a ValueError."""
     values = tuple(values)
@@ -61,11 +75,87 @@ def _integers(values, name: str) -> tuple[int, ...]:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may use: the multiplier fill's threads and a fit fan-out's processes."""
+    """The CPUs this process may use: the multiplier fill's threads and a fan-out's processes."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+# set in a process that _fan_out forked: its parent already spans the CPUs
+_forked = False
+
+
+def _fan_out_processes(n_items: int) -> int:
+    """The processes :func:`_fan_out` runs ``n_items`` items on; 1 means the calling process.
+
+    A process that runs other threads does not fork, since a lock one of them
+    holds would stay locked in the child, and neither does a process that
+    :func:`_fan_out` forked.
+    """
+    if _forked or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), n_items)
+
+
+def _fan_out(function, items: list) -> list:
+    """``function`` over T contiguous groups of ``items``, their results concatenated in order.
+
+    ``function`` maps a list of items to a list of results. T is
+    :func:`_fan_out_processes`; at T = 1 this is ``function(items)``, in the
+    calling process. Otherwise each group runs in its own forked process,
+    which inherits the items with the parent's memory, and only the results
+    cross a pipe, read on the calling thread. The processes live for this
+    call: each has been reaped when it returns or raises. A process's error
+    is raised here with its type and message, and its traceback as the
+    cause; a process that dies before it sends is a RuntimeError.
+    """
+    processes = _fan_out_processes(len(items))
+    if processes <= 1:
+        return function(items)
+    context = multiprocessing.get_context("fork")
+    cuts = [len(items) * t // processes for t in range(processes + 1)]
+    children, results = [], []
+    try:
+        for lo, hi in zip(cuts, cuts[1:]):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_run_forked, args=(sender, function, items[lo:hi]))
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        for child, receiver in children:
+            try:
+                failure, group = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"a forked process exited with code {child.exitcode} before it sent its results"
+                ) from None
+            if failure:
+                error, trace = failure
+                raise error from RuntimeError(f"in a forked process:\n{trace}")
+            results.extend(group)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
+    return results
+
+
+def _run_forked(sender, function, items: list) -> None:
+    """A forked process's work: run ``function`` on its group, then send the results or the error."""
+    global _forked
+    _forked = True
+    try:
+        message = None, function(items)
+    except Exception as exc:
+        message = (exc, traceback.format_exc()), None
+    sender.send(message)
+    sender.close()
 
 
 def derive_seed(*keys: int) -> int:

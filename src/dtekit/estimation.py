@@ -25,6 +25,7 @@ from .core import (
     ExperimentData,
     LocationGrid,
     _frozen_array,
+    _integer,
     _integers,
     derive_seed,
     indicator_labels,
@@ -81,6 +82,7 @@ class AdjustedEstimate:
 
 def make_folds(n_units: int, n_folds: int, seed: int) -> CrossFitPlan:
     """Shuffle units once and deal them round-robin into folds."""
+    n_units, n_folds, seed = _integer(n_units, "n_units"), _integer(n_folds, "n_folds"), _integer(seed, "seed")
     if n_folds < 2:
         raise ValueError(f"cross-fitting needs at least 2 folds, got {n_folds}")
     if n_units < n_folds:
@@ -113,9 +115,8 @@ def crossfit_gamma(
     unit was assigned to. No unit is ever predicted by a model it trained.
     Every (arm, fold) training split is checked before any learner trains,
     and all K x L learners come from one :func:`~dtekit.learners.fit_many`
-    call, so the network fits fan out over the usable CPUs and the kinds with
-    a shared trunk train as one stack per process; the predictions are
-    bit-identical at any CPU count.
+    call, so the network fits fan out over the usable CPUs and train as one
+    stack per process; the predictions are bit-identical at any CPU count.
     """
     n = data.n_units
     if plan.fold_assignment.shape[0] != n:

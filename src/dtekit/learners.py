@@ -17,27 +17,21 @@ statistics travel with the learner and are re-applied at prediction time.
 
 :func:`fit_many` fits one learner kind on several problems, such as the
 (arm, fold) splits of cross-fitting. "linear" fits one problem at a time,
-as the caller asks for them. The network kinds fit on T processes, T the
-CPUs the process may use, at most one per problem. With T = 1 the
-shared-trunk kinds train all problems in one stacked
-:func:`~dtekit.nn.train_many` call, bit-identical to fitting each alone,
-and "nn-single" fits one problem at a time, as "linear" does. With T > 1
-the problems are split into T contiguous groups, and each forked process
-fits its group exactly as one process fits them all. Splitting a stack into
-smaller stacks does not change a bit, so the learners are bit-identical at
-any T; "nn-single" then trains every problem before its first learner is
-yielded. T is 1 on one CPU, for a single problem (:func:`fit`), on a
-platform without ``fork``, in a process that runs other threads, and inside
-the replication workers of :func:`~dtekit.simulation.run_study`, whose pool
-already spans the CPUs.
+as the caller asks for them. The network kinds train all their problems in
+one stacked :func:`~dtekit.nn.train_many` call ("nn-single" as M width-1
+networks per problem), fanned out by :func:`~dtekit.core._fan_out`: with T
+processes, T the CPUs the process may use and at most one per problem, the
+problems are split into T contiguous groups and each forked process trains
+its group's stack. Splitting a stack into smaller stacks does not change a
+bit, so the learners are bit-identical to fitting each problem alone, at
+any T. T is 1 on one CPU, for a single problem (:func:`fit`), on a platform
+without ``fork``, in a process that runs other threads, and in a process
+the fan-out forked, such as a replication of
+:func:`~dtekit.simulation.run_study`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
-import traceback
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
@@ -174,13 +168,9 @@ def fit_many(
     The kinds may differ only in ``train.seed``. "linear" reads, checks and
     fits each problem only when its learner is asked for, so with iterators
     for ``xs`` and ``labels`` the caller holds one problem and one learner at
-    a time. The network kinds fit on T processes (see the module docstring).
-    With T > 1, or for the kinds with one shared trunk, they read and check
-    every problem, and train them all, before this returns; the shared-trunk
-    kinds' problems must then share their covariate and label column counts
-    (the row counts may differ). "nn-single" with T = 1 is lazy like
-    "linear"; it makes one stacked call over the M locations of a problem,
-    as :func:`fit` does.
+    a time. The network kinds read and check every problem, and train them
+    all (see the module docstring), before this returns; their problems must
+    share their covariate and label column counts (the row counts may differ).
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -189,133 +179,48 @@ def fit_many(
     if any(k.with_seed(kind.train.seed) != kind for k in kinds):
         raise ValueError("learner kinds may differ only in train.seed")
     problems = zip(kinds, xs, labels, strict=True)
-    processes = 1 if kind.kind == "linear" else _fit_processes(len(kinds))
-    if kind.kind == "linear" or (kind.kind == "nn-single" and processes == 1):
-        return (_fit_one(k, *_check_training_inputs(x, y)) for k, x, y in problems)
-    checked = [_check_training_inputs(x, y) for _, x, y in problems]
-    if kind.kind != "nn-single":
-        n_inputs, n_outputs = checked[0][0].shape[1], checked[0][1].shape[1]
-        if any(x.shape[1] != n_inputs or y.shape[1] != n_outputs for x, y in checked):
-            raise ShapeMismatch("problems must share their covariate and label column counts")
-    if processes == 1:
-        return iter(_fit_group(kinds, checked))
-    return iter(_fit_forked(kinds, checked, processes))
-
-
-# set in the replication workers of simulation.run_study, whose pool already spans the CPUs
-_in_process = False
-
-
-def _fit_in_process() -> None:
-    """Keep every fit of this process in-process; a process pool's initializer."""
-    global _in_process
-    _in_process = True
-
-
-def _fit_processes(n_problems: int) -> int:
-    """Processes a fan-out of ``n_problems`` network problems runs on; 1 means in-process.
-
-    A process that runs other threads does not fork: a lock one of them holds
-    would stay locked in the child.
-    """
-    if _in_process or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return min(core._usable_cpus(), n_problems)
-
-
-def _fit_group(kinds: tuple[LearnerKind, ...], problems) -> list[FittedLearner]:
-    """Fit checked network problems in one process, as :func:`fit_many` does on one CPU."""
-    if kinds[0].kind == "nn-single":
-        return [_fit_one(k, x, y) for k, (x, y) in zip(kinds, problems)]
-    return _fit_stacked(kinds, problems)
-
-
-def _send_group(sender, kinds: tuple[LearnerKind, ...], problems) -> None:
-    """A forked fit process's work: fit its group, then send the learners or the error and traceback."""
-    try:
-        result = _fit_group(kinds, problems)
-    except Exception as exc:
-        result = exc, traceback.format_exc()
-    sender.send(result)
-    sender.close()
-
-
-def _fit_forked(kinds: tuple[LearnerKind, ...], problems, processes: int) -> list[FittedLearner]:
-    """Fit checked network problems in ``processes`` contiguous groups, one forked process each.
-
-    A forked process inherits its group with the parent's memory, so only
-    the fitted learners cross a pipe, and they are read on the calling
-    thread. The processes live for this call: each has been reaped when it
-    returns or raises, and a process's error is raised here with its type
-    and message. Unpickled arrays are writable, so each state is frozen
-    again here.
-    """
-    context = multiprocessing.get_context("fork")
-    cuts = [len(kinds) * t // processes for t in range(processes + 1)]
-    children, fitted = [], []
-    try:
-        for lo, hi in zip(cuts, cuts[1:]):
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_send_group, args=(sender, kinds[lo:hi], problems[lo:hi]))
-            child.start()
-            sender.close()
-            children.append((child, receiver))
-        for (child, receiver), lo in zip(children, cuts):
-            try:
-                group = receiver.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"a fit process exited with code {child.exitcode} before it sent its learners"
-                ) from None
-            if isinstance(group, tuple):
-                error, trace = group
-                raise error from RuntimeError(f"in a fit process:\n{trace}")
-            fitted.extend(
-                FittedLearner(
-                    kind, f.n_inputs, f.n_outputs, f.x_mean, f.x_scale,
-                    states=tuple(NetworkState(s.weights, s.biases) for s in f.states),
-                )
-                for kind, f in zip(kinds[lo:], group)
-            )
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
-        raise
-    finally:
-        for child, receiver in children:
-            child.join()
-            receiver.close()
-    return fitted
-
-
-def _fit_one(kind: LearnerKind, x: np.ndarray, labels: np.ndarray) -> FittedLearner:
-    n_outputs = labels.shape[1]
-    mean, scale = _standardize_stats(x)
-    xs = (x - mean) / scale
     if kind.kind == "linear":
-        design = np.hstack([xs, np.ones((xs.shape[0], 1))])
-        coef = _solve_ridge(design, labels, kind.ridge)
-        return FittedLearner(kind, x.shape[1], n_outputs, mean, scale, coef=coef)
-    seeds = np.random.SeedSequence(kind.train.seed).generate_state(n_outputs)
-    configs = [replace(kind.train, seed=int(seed)) for seed in seeds]
-    columns = [labels[:, j:j + 1] for j in range(n_outputs)]
-    states = train_many([xs] * n_outputs, columns, kind.layer_spec(x.shape[1], 1), configs)
-    return FittedLearner(kind, x.shape[1], n_outputs, mean, scale, states=states)
+        return (_fit_linear(k, *_check_training_inputs(x, y)) for k, x, y in problems)
+    checked = [(k, *_check_training_inputs(x, y)) for k, x, y in problems]
+    n_inputs, n_outputs = checked[0][1].shape[1], checked[0][2].shape[1]
+    if any(x.shape[1] != n_inputs or y.shape[1] != n_outputs for _, x, y in checked):
+        raise ShapeMismatch("problems must share their covariate and label column counts")
+    return iter(core._fan_out(_fit_stacked, checked))
 
 
-def _fit_stacked(kinds: tuple[LearnerKind, ...], problems) -> list[FittedLearner]:
-    n_inputs, n_outputs = problems[0][0].shape[1], problems[0][1].shape[1]
-    stats = [_standardize_stats(x) for x, _ in problems]
-    states = train_many(
-        [(x - mean) / scale for (x, _), (mean, scale) in zip(problems, stats)],
-        [y for _, y in problems],
-        kinds[0].layer_spec(n_inputs, n_outputs),
-        [k.train for k in kinds],
-    )
+def _fit_linear(kind: LearnerKind, x: np.ndarray, labels: np.ndarray) -> FittedLearner:
+    mean, scale = _standardize_stats(x)
+    design = np.hstack([(x - mean) / scale, np.ones((x.shape[0], 1))])
+    coef = _solve_ridge(design, labels, kind.ridge)
+    return FittedLearner(kind, x.shape[1], labels.shape[1], mean, scale, coef=coef)
+
+
+def _fit_stacked(problems: list) -> list[FittedLearner]:
+    """Fit checked network problems ``(kind, x, labels)`` in one stacked ``train_many`` call.
+
+    "nn-single" trains M width-1 networks per problem, one per label column,
+    seeded from the problem's seed; the other kinds train one M-output
+    network per problem.
+    """
+    kind = problems[0][0]
+    n_inputs, n_outputs = problems[0][1].shape[1], problems[0][2].shape[1]
+    per_problem = n_outputs if kind.kind == "nn-single" else 1
+    stats = [_standardize_stats(x) for _, x, _ in problems]
+    xs, columns, configs = [], [], []
+    for (k, x, y), (mean, scale) in zip(problems, stats):
+        xs += [(x - mean) / scale] * per_problem
+        if per_problem == 1:
+            columns.append(y)
+            configs.append(k.train)
+        else:
+            columns += [y[:, j:j + 1] for j in range(n_outputs)]
+            seeds = np.random.SeedSequence(k.train.seed).generate_state(n_outputs)
+            configs += [replace(k.train, seed=int(seed)) for seed in seeds]
+    spec = kind.layer_spec(n_inputs, n_outputs // per_problem)
+    states = train_many(xs, columns, spec, configs)
     return [
-        FittedLearner(k, n_inputs, n_outputs, mean, scale, states=(state,))
-        for k, (mean, scale), state in zip(kinds, stats, states)
+        FittedLearner(k, n_inputs, n_outputs, mean, scale, states=states[i * per_problem:(i + 1) * per_problem])
+        for i, ((k, _, _), (mean, scale)) in enumerate(zip(problems, stats))
     ]
 
 

@@ -184,7 +184,8 @@ class NetworkState:
 
     The state freezes its own read-only float64 copies of the arrays it is
     given, so the caller's arrays stay writable and nothing else can write to
-    the state's.
+    the state's. Unpickling goes through the constructor too, so a state
+    that crossed a pipe comes back frozen.
     """
 
     weights: tuple[np.ndarray, ...]
@@ -193,6 +194,9 @@ class NetworkState:
     def __post_init__(self):
         for name in ("weights", "biases"):
             object.__setattr__(self, name, tuple(_frozen_array(a) for a in getattr(self, name)))
+
+    def __reduce__(self):
+        return NetworkState, (self.weights, self.biases)
 
 
 class FlatParams:

@@ -6,6 +6,12 @@ plus standard normal noise. The last two covariates only enter for treated
 units, so treatment shifts outcomes upward and the treated-minus-control DTE
 is negative everywhere, largest in magnitude near the middle of the
 distribution.
+
+:func:`run_study` runs its replications through :func:`~dtekit.core._fan_out`:
+on T forked processes, T the CPUs the process may use and at most one per
+replication, each running a contiguous run of replications. Every
+replication derives its own seeds, so the report is bit-identical at any T.
+A replication's fits do not fork again.
 """
 
 from __future__ import annotations
@@ -14,13 +20,13 @@ import hashlib
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import ConditionalCdfMatrix, ExperimentData, LocationGrid, derive_seed
+from . import core
+from .core import ConditionalCdfMatrix, ExperimentData, LocationGrid, _integer, derive_seed
 from .errors import DuplicateLocation, ShapeMismatch
 from .estimation import (
     adjusted_cdf,
@@ -30,7 +36,7 @@ from .estimation import (
     make_folds,
     quantile_grid,
 )
-from .learners import LearnerKind, _fit_in_process
+from .learners import LearnerKind
 
 __all__ = [
     "DgpConfig",
@@ -71,6 +77,8 @@ class DgpConfig:
     noise_sd: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_units", "seed", "n_covariates"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_units < 1:
             raise ValueError("n_units must be positive")
         if self.n_covariates < 3:
@@ -116,7 +124,7 @@ def oracle_dte(
     are evaluated at identical outcome values. With a cache directory the
     draw is computed once per configuration.
     """
-    if n_oracle < 1:
+    if _integer(n_oracle, "n_oracle") < 1:
         raise ValueError("n_oracle must be positive")
     if locations is not None:
         marks, mark_kind = np.asarray(locations, dtype=float), "locations"
@@ -221,6 +229,10 @@ def _replicate(args) -> tuple[int, dict]:
     return rep, out
 
 
+def _replicate_all(tasks: list) -> list[tuple[int, dict]]:
+    return [_replicate(task) for task in tasks]
+
+
 def run_study(
     config: DgpConfig,
     methods: dict[str, LearnerKind | None],
@@ -229,7 +241,6 @@ def run_study(
     probs=DEFAULT_QUANTILES,
     n_oracle: int = DEFAULT_ORACLE_UNITS,
     cache_dir: str | Path | None = None,
-    n_workers: int = 1,
     locations=None,
 ) -> SimulationReport:
     """Monte Carlo comparison of estimators on the synthetic benchmark.
@@ -238,13 +249,10 @@ def run_study(
     unadjusted empirical estimator. The empirical method is always included
     because it is the baseline of the MSE-reduction column. All methods see
     identical data and folds within a replication; every replication derives
-    its own seeds from ``config.seed``. Replications can run in a worker pool
-    (``n_workers`` > 1); aggregation does not depend on completion order.
-    The pool already spreads the work over the CPUs, so the fits inside its
-    workers run in-process instead of fanning out (see
-    :mod:`dtekit.learners`).
+    its own seeds from ``config.seed``, so the report does not depend on how
+    many processes the replications fan out over (see the module docstring).
     """
-    if n_reps < 1:
+    if _integer(n_reps, "n_reps") < 1:
         raise ValueError("n_reps must be positive")
     entries: list[tuple[str, LearnerKind | None]] = []
     if not any(k is None for k in methods.values()):
@@ -264,12 +272,7 @@ def run_study(
         (config, config.seed, rep, entries, grid.locations, truth, n_folds)
         for rep in range(n_reps)
     ]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers, initializer=_fit_in_process) as pool:
-            results = list(pool.map(_replicate, tasks))
-    else:
-        results = [_replicate(t) for t in tasks]
-    for rep, per_method in results:
+    for rep, per_method in core._fan_out(_replicate_all, tasks):
         for name, (err, elapsed) in per_method.items():
             errors[name][rep] = err
             seconds[name] += elapsed

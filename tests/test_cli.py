@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -136,8 +137,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("n_units", 1000.5), ("n_reps", 2.5), ("n_folds", 2.5), ("n_draws", 300.5),
-        ("threads", 1.5), ("n_oracle", 1e5 + 0.5), ("n_draws", 300.0), ("n_folds", True),
-        ("threads", False), ("n_reps", "3"), ("n_units", None), ("multiplier_scheme", 2.0),
+        ("n_oracle", 1e5 + 0.5), ("n_draws", 300.0), ("n_folds", True),
+        ("n_reps", "3"), ("n_units", None), ("multiplier_scheme", 2.0),
         ("multiplier_scheme", True), ("seed", 3.0), ("seed", True),
     ])
     def test_non_integral_integer_setting_fails_eagerly(self, field, value):
@@ -147,14 +148,12 @@ class TestRunConfig:
     def test_numpy_integers_accepted_as_python_ints(self):
         config = RunConfig(
             mode="simulate", n_units=np.int64(200), n_reps=np.int32(3), n_folds=np.uint8(2),
-            n_draws=np.int64(100), threads=np.int16(1), n_oracle=np.int64(5000),
+            n_draws=np.int64(100), n_oracle=np.int64(5000),
         )
         assert config == RunConfig(
-            mode="simulate", n_units=200, n_reps=3, n_folds=2, n_draws=100, threads=1, n_oracle=5000
+            mode="simulate", n_units=200, n_reps=3, n_folds=2, n_draws=100, n_oracle=5000
         )
         assert all(type(getattr(config, name)) is int for name in ("n_units", "n_folds", "n_oracle"))
-        import dataclasses
-
         json.dumps(dataclasses.asdict(config))
 
     @pytest.mark.parametrize("field, value", [("n_folds", 2.5), ("n_draws", 300.5), ("n_folds", True)])
@@ -201,6 +200,16 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             config_from_dict({"mode": "simulate", "bogus": 1})
+
+    def test_threads_key_of_an_old_manifest_is_dropped(self):
+        assert config_from_dict({"mode": "simulate", "threads": 2}) == config_from_dict({"mode": "simulate"})
+        assert "threads" not in {f.name for f in dataclasses.fields(RunConfig)}
+
+    def test_threads_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["simulate", "--threads", "2"])
+        assert raised.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode, fields", [
         ("estimate", {"learner": "nn-multi", "hidden": (0,)}),
@@ -256,6 +265,24 @@ class TestSimulateMode:
         )
         assert rc == 0
         assert (first / "study.csv").read_bytes() == (second / "study.csv").read_bytes()
+
+    def test_manifest_with_threads_replays_byte_for_byte(self, tmp_path):
+        first = tmp_path / "first"
+        rc = run_cli(
+            "simulate", "--n", 150, "--reps", 3, "--methods", "empirical,linear,nn-multi",
+            "--grid", "probs=0.3,0.7", "--n-oracle", 20000, "--seed", 5, "--hidden", 4,
+            "--epochs", 1, "--out", first,
+        )
+        assert rc == 0
+        # manifests written while simulate --threads sized a replication pool record it
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["config"]["threads"] = 2
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        second = tmp_path / "second"
+        assert run_cli("simulate", "--from-manifest", old, "--out", second) == 0
+        assert (first / "study.csv").read_bytes() == (second / "study.csv").read_bytes()
+        assert "threads" not in json.loads((second / "manifest.json").read_text())["config"]
 
     def test_numpy_integer_seed_writes_a_manifest_that_replays(self, tmp_path):
         first = tmp_path / "first"

@@ -1,8 +1,14 @@
+import multiprocessing
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
+import dtekit.core as core
 from dtekit.core import (
     ExperimentData,
     LocationGrid,
@@ -230,3 +236,120 @@ def test_make_experiment_helper_shape():
     assert data.n_units == 30
     assert data.n_covariates == 3
     assert validate_experiment(data).counts.sum() == 30
+
+
+def pids(group):
+    """A fan-out function: each item with the process that handled it."""
+    return [(os.getpid(), item) for item in group]
+
+
+class TestFanOut:
+    """``core._fan_out`` runs contiguous groups on forked processes, one per usable CPU."""
+
+    @staticmethod
+    def no_pipe(monkeypatch):
+        def failing(*args):
+            raise AssertionError("the fan-out forked")
+
+        monkeypatch.setattr(multiprocessing, "get_context", failing)
+
+    @pytest.mark.parametrize(("cpus", "sizes"), [(2, [5, 5]), (3, [3, 3, 4]), (4, [2, 3, 2, 3]), (20, [1] * 10)])
+    def test_groups_are_contiguous_and_in_order(self, monkeypatch, cpus, sizes):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        items = list(range(10))
+        got = core._fan_out(pids, items)
+        assert [item for _, item in got] == items
+        # one process per group, none of them this one, each handling a contiguous run
+        runs = [[got[0][0], 0]]
+        for pid, _ in got[1:]:
+            if pid == runs[-1][0]:
+                runs[-1][1] += 1
+            else:
+                runs.append([pid, 0])
+        assert [count + 1 for _, count in runs] == sizes
+        assert len({pid for pid, _ in runs}) == len(sizes)
+        assert os.getpid() not in {pid for pid, _ in runs}
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(("cpus", "n_items", "expected"), [(1, 4, 1), (2, 4, 2), (8, 3, 3), (8, 1, 1)])
+    def test_one_process_per_cpu_at_most_one_per_item(self, monkeypatch, cpus, n_items, expected):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        assert core._fan_out_processes(n_items) == expected
+
+    @pytest.mark.parametrize(("cpus", "n_items"), [(1, 4), (8, 1)])
+    def test_one_process_runs_in_this_one_without_a_pipe(self, monkeypatch, cpus, n_items):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        self.no_pipe(monkeypatch)
+        items = list(range(n_items))
+        seen = []
+
+        def function(group):
+            seen.append(group)
+            return pids(group)
+
+        assert core._fan_out(function, items) == [(os.getpid(), item) for item in items]
+        assert len(seen) == 1 and seen[0] is items
+
+    def test_a_child_error_keeps_its_type_and_message(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+
+        def failing_group(group):
+            raise KeyError(f"group starting at {group[0]}")
+
+        with pytest.raises(KeyError) as raised:
+            core._fan_out(failing_group, list(range(4)))
+        # the first group's error is raised
+        assert type(raised.value) is KeyError
+        assert raised.value.args == ("group starting at 0",)
+        # the child's traceback travels as the cause
+        assert isinstance(raised.value.__cause__, RuntimeError)
+        assert "failing_group" in str(raised.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_is_a_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            core._fan_out(lambda group: os._exit(3), list(range(2)))
+        assert multiprocessing.active_children() == []
+
+    def test_every_child_is_reaped_when_one_fails(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
+
+        def first_fails(group):
+            if group[0] == 0:
+                raise ValueError("first group")
+            time.sleep(60)
+            return group
+
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="first group"):
+            core._fan_out(first_fails, list(range(3)))
+        # the sleeping children were terminated, not waited for
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_a_forked_process_does_not_fork_again(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        nested = core._fan_out(lambda group: [(os.getpid(), core._fan_out(pids, list(range(4))))], [0, 1])
+        for outer, inner in nested:
+            assert [pid for pid, _ in inner] == [outer] * 4
+        assert not core._forked
+
+    def test_a_process_with_other_threads_does_not_fork(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            assert core._fan_out_processes(4) == 1
+            assert core._fan_out(pids, [0, 1]) == [(os.getpid(), 0), (os.getpid(), 1)]
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert core._fan_out_processes(4) == 4
+
+    def test_no_fork_without_os_fork(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
+        monkeypatch.delattr(os, "fork")
+        assert core._fan_out_processes(4) == 1

@@ -273,7 +273,7 @@ class TestCrossfitGamma:
         assert_array_equal(got.predictions, want)
 
     @pytest.mark.parametrize(("name", "expected"), [
-        ("nn-multi-monotone", [6]), ("nn-single", [3] * 6),
+        ("nn-multi-monotone", [6]), ("nn-single", [18]),
     ])
     def test_train_many_calls_per_crossfit(self, monkeypatch, name, expected):
         # in-process: a count made in a forked fit process never reaches this one
@@ -290,7 +290,7 @@ class TestCrossfitGamma:
         plan = make_folds(data.n_units, 3, seed=2)
         kind = LearnerKind(name, hidden=(4,), train=TrainConfig(epochs=1))
         crossfit_gamma(data, grid_of(1.0, 1.5, 2.0), kind, plan)
-        # 2 arms x 3 folds; nn-single trains one network per location
+        # 2 arms x 3 folds in one stack; nn-single stacks one network per location
         assert calls == expected
 
     @settings(max_examples=12, deadline=None)
@@ -321,7 +321,7 @@ class TestCrossfitGamma:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(core, "_usable_cpus", lambda: cpus)
                 # 2 arms x n_folds problems
-                assert learners._fit_processes(2 * n_folds) == min(cpus, 2 * n_folds)
+                assert core._fan_out_processes(2 * n_folds) == min(cpus, 2 * n_folds)
                 predictions[cpus] = crossfit_gamma(data, grid, kind, plan).predictions.tobytes()
         assert predictions[processes] == predictions[1]
 

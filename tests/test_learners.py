@@ -1,7 +1,6 @@
 import dataclasses
 import multiprocessing
 import os
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -319,7 +318,7 @@ class TestFitMany:
             assert_array_equal(predict(got, xs[0]), predict(want, xs[0]))
 
     @pytest.mark.parametrize(("name", "expected"), [
-        ("nn-multi", [3]), ("nn-multi-monotone", [3]), ("nn-single", [2, 2, 2]), ("linear", []),
+        ("nn-multi", [3]), ("nn-multi-monotone", [3]), ("nn-single", [6]), ("linear", []),
     ])
     def test_train_many_calls(self, monkeypatch, name, expected):
         calls = counted_train_many(monkeypatch)
@@ -328,9 +327,7 @@ class TestFitMany:
         assert len(list(fit_many(kinds, xs, labels))) == 3
         assert calls == expected
 
-    @pytest.mark.parametrize(("name", "per_fit"), [("nn-single", [2]), ("linear", [])])
-    def test_one_problem_at_a_time_is_read_and_fitted(self, monkeypatch, name, per_fit):
-        calls = counted_train_many(monkeypatch)
+    def test_linear_reads_and_fits_one_problem_at_a_time(self):
         xs, labels = ragged_problems(2)
         read = []
 
@@ -339,13 +336,13 @@ class TestFitMany:
                 read.append(i)
                 yield array
 
-        kinds = [small_nn_kind(name).with_seed(seed) for seed in range(2)]
+        kinds = [LearnerKind("linear").with_seed(seed) for seed in range(2)]
         fitted = fit_many(kinds, reading(xs), labels)
-        assert read == [] and calls == []
+        assert read == []
         next(fitted)
-        assert read == [0] and calls == per_fit
+        assert read == [0]
         next(fitted)
-        assert read == [0, 1] and calls == per_fit * 2
+        assert read == [0, 1]
 
     @pytest.mark.parametrize("change", [
         {"kind": "nn-multi"},
@@ -397,7 +394,7 @@ class TestFanOut:
         def forked(*args):
             raise AssertionError("a fit forked")
 
-        monkeypatch.setattr(learners, "_fit_forked", forked)
+        monkeypatch.setattr(multiprocessing, "get_context", forked)
 
     @pytest.mark.parametrize("name", ["nn-single", "nn-multi", "nn-multi-monotone"])
     @pytest.mark.parametrize("cpus", [2, 3, 8])
@@ -407,32 +404,14 @@ class TestFanOut:
         monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
         want = list(fit_many(kinds, xs, labels))
         monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
-        assert learners._fit_processes(4) == min(cpus, 4)
+        assert core._fan_out_processes(4) == min(cpus, 4)
         got = list(fit_many(kinds, xs, labels))
         assert len(got) == 4
         for g, w in zip(got, want):
             assert_same_learners(g, w)
-            # rebuilt from writable unpickled arrays, frozen again
+            # unpickled through the constructor, so frozen again
             assert all(not a.flags.writeable for state in g.states for a in state.weights + state.biases)
         assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize(("cpus", "n_problems", "expected"), [(1, 4, 1), (2, 4, 2), (8, 3, 3), (8, 1, 1)])
-    def test_one_process_per_cpu_at_most_one_per_problem(self, monkeypatch, cpus, n_problems, expected):
-        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
-        assert learners._fit_processes(n_problems) == expected
-
-    def test_a_process_with_other_threads_does_not_fork(self, monkeypatch):
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait, args=(10,))
-        other.start()
-        try:
-            assert learners._fit_processes(4) == 1
-        finally:
-            release.set()
-            other.join(10)
-        assert not other.is_alive()
-        assert learners._fit_processes(4) == 4
 
     def test_a_child_error_is_raised_with_its_type_and_message(self, monkeypatch):
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
@@ -459,15 +438,16 @@ class TestFanOut:
 
     def test_a_process_that_dies_is_an_error(self, monkeypatch):
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(learners, "_fit_group", lambda kinds, problems: os._exit(3))
+        monkeypatch.setattr(learners, "_fit_stacked", lambda problems: os._exit(3))
         xs, labels = ragged_problems(2)
         kinds = [small_nn_kind("nn-multi").with_seed(seed) for seed in range(2)]
         with pytest.raises(RuntimeError, match="exited with code 3"):
             fit_many(kinds, xs, labels)
         assert multiprocessing.active_children() == []
 
-    def test_nn_single_trains_every_problem_before_it_yields(self, monkeypatch):
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_nn_single_trains_every_problem_before_it_yields(self, monkeypatch, cpus):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
         xs, labels = ragged_problems(2)
         read = []
 
@@ -493,17 +473,31 @@ class TestFanOut:
         assert len(list(fit_many(kinds, xs, labels))) == 4
 
     def test_replication_workers_fit_in_process(self, monkeypatch):
-        # the forked replication workers inherit the patch; a fan-out in one fails the study
-        self.no_fork(monkeypatch)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
+        parent = os.getpid()
+        forks = []
+        get_context = multiprocessing.get_context
+
+        def recording(method=None):
+            # inherited by the forked replications; a fork in one fails the study
+            if os.getpid() != parent:
+                raise AssertionError("a replication's fit forked")
+            forks.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", recording)
         config = simulation.DgpConfig(n_units=60, seed=5)
         methods = {"nn-multi": LearnerKind("nn-multi", hidden=(4,), train=TrainConfig(epochs=1))}
-        study = dict(n_reps=2, probs=(0.3, 0.7), n_oracle=2_000)
-        report = simulation.run_study(config, methods, n_workers=2, **study)
+        study = dict(probs=(0.3, 0.7), n_oracle=2_000)
+        report = simulation.run_study(config, methods, n_reps=2, **study)
         assert report.n_reps == 2
+        # the replications fanned out once; their fits stayed in their processes
+        assert forks == ["fork"]
         assert multiprocessing.active_children() == []
-        # in the calling process the same fits would fan out
-        with pytest.raises(AssertionError, match="a fit forked"):
-            simulation.run_study(config, methods, n_workers=1, **study)
+        # one replication runs in this process, and its fits fan out
+        forks.clear()
+        simulation.run_study(config, methods, n_reps=1, **study)
+        assert forks == ["fork"]
 
 
 class TestInputValidation:

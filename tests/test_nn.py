@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import inspect
 import math
+import pickle
 import types
 
 import numpy as np
@@ -207,6 +208,16 @@ class TestNetworkState:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0.0
+
+    def test_pickle_round_trip_stays_frozen(self):
+        rng = np.random.default_rng(6)
+        state = train(rng.standard_normal((12, 2)), np.ones((12, 2)), spec_of((2, 3, 2)),
+                      TrainConfig(epochs=1, batch_size=4))
+        copy = pickle.loads(pickle.dumps(state))
+        assert type(copy) is NetworkState
+        for got, want in zip(_state_arrays(copy), _state_arrays(state)):
+            assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+            assert not got.flags.writeable
 
 
 class TestForward:

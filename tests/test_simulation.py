@@ -1,7 +1,10 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import dtekit.core as core
 import dtekit.simulation as simulation
 from dtekit.core import ConditionalCdfMatrix, indicator_labels
 from dtekit.errors import DuplicateLocation, ShapeMismatch
@@ -126,9 +129,18 @@ class TestOracle:
         # chunk boundaries reseed, so the values differ, but not the answer
         assert np.max(np.abs(whole - chunked)) < 0.03
 
-    def test_bad_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            oracle_dte(DgpConfig(n_units=100), n_oracle=0)
+    @pytest.mark.parametrize(("make", "message"), [
+        (lambda: oracle_dte(DgpConfig(n_units=100), n_oracle=0), "n_oracle must be positive"),
+        (lambda: oracle_dte(DgpConfig(n_units=100), n_oracle=1e4), "n_oracle must be an integer"),
+        (lambda: DgpConfig(n_units=1000.5), "n_units must be an integer"),
+        (lambda: DgpConfig(n_units=100, seed=1.5), "seed must be an integer"),
+        (lambda: make_folds(10, 2.0, 1), "n_folds must be an integer"),
+        (lambda: make_folds(10, 2, 1.5), "seed must be an integer"),
+        (lambda: make_folds(True, 2, 1), "n_units must be an integer"),
+    ])
+    def test_bad_sizes_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 class TestRunStudy:
@@ -166,18 +178,26 @@ class TestRunStudy:
         variance = np.square(mc_se) * report.n_reps * (report.n_reps - 1) / report.n_reps
         assert_allclose(mse, np.square(bias) + variance, rtol=1e-10)
 
-    def test_parallel_matches_serial_exactly(self):
+    def test_parallel_matches_serial_exactly(self, monkeypatch):
         config = DgpConfig(n_units=120, seed=3)
         kwargs = dict(
-            methods={"linear": LearnerKind("linear")},
+            methods={
+                "linear": LearnerKind("linear"),
+                "nn-single": LearnerKind("nn-single", hidden=(4,), train=TrainConfig(epochs=1)),
+            },
             n_reps=4,
             n_oracle=20_000,
         )
-        serial = run_study(config, n_workers=1, **kwargs)
-        parallel = run_study(config, n_workers=2, **kwargs)
-        for name in serial.methods:
-            assert_array_equal(serial.bias[name], parallel.bias[name])
-            assert_array_equal(serial.mse[name], parallel.mse[name])
+        reports = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+            reports[cpus] = run_study(config, **kwargs)
+            assert multiprocessing.active_children() == []
+        serial = reports[1]
+        for parallel in reports[2], reports[3]:
+            for name in serial.methods:
+                for field in ("bias", "bias_mc_se", "mse", "reduction_pct"):
+                    assert getattr(serial, field)[name].tobytes() == getattr(parallel, field)[name].tobytes()
 
     def test_linear_adjustment_reduces_mse_here(self):
         report = run_study(
@@ -208,12 +228,15 @@ class TestRunStudy:
                 n_oracle=10_000,
             )
 
-    def test_zero_reps_rejected(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(("n_reps", "message"), [
+        (0, "n_reps must be positive"), (True, "n_reps must be an integer"), (2.0, "n_reps must be an integer"),
+    ])
+    def test_zero_reps_rejected(self, n_reps, message):
+        with pytest.raises(ValueError, match=message):
             run_study(
                 DgpConfig(n_units=100, seed=0),
                 methods={"empirical": None},
-                n_reps=0,
+                n_reps=n_reps,
                 n_oracle=10_000,
             )
 

@@ -1,18 +1,19 @@
 """Command line interface.
 
-Four subcommands: ``simulate`` runs the synthetic Monte Carlo study,
-``estimate`` and ``bootstrap-band`` work on a CSV experiment, ``benchmark``
-times the learners on one synthetic dataset. Every run writes its outputs
+Three subcommands: ``simulate`` runs the synthetic Monte Carlo study and
+records each method's fit seconds per replication, ``estimate`` and
+``bootstrap-band`` work on a CSV experiment. Every run writes its outputs
 plus a ``manifest.json`` holding the fully resolved configuration; replaying
-a manifest with ``--from-manifest`` reproduces the data outputs byte for
-byte (timings excepted, since wall clocks are not replayable). Networks train
-in the manifest's ``precision``; a manifest without that key predates it and
-trained in float64, so it replays in float64. Bands draw their multipliers
-under the manifest's ``multiplier_scheme``; a manifest without that key
-predates it and replays on scheme 1. No setting sizes a run's processes or
-threads: they follow the CPUs the process may use, so ``taskset`` limits
-them. A manifest's ``threads`` key, from when ``simulate --threads`` sized a
-replication pool, is ignored.
+a manifest with ``--from-manifest`` reproduces every output file byte for
+byte. Wall times live only in the manifest's ``timings_seconds``, since wall
+clocks are not replayable. Networks train in the manifest's ``precision``; a
+manifest without that key predates it and trained in float64, so it replays
+in float64. Bands draw their multipliers under the manifest's
+``multiplier_scheme``; a manifest without that key predates it and replays
+on scheme 1. No setting sizes a run's processes or threads: they follow the
+CPUs the process may use, so ``taskset`` limits them. A manifest's
+``threads`` key, from when ``simulate --threads`` sized a replication pool,
+is ignored.
 
 Exit codes: 0 on success, 1 for domain errors (bad data, singular designs,
 unreadable files), 2 for usage errors (bad flags or configuration values,
@@ -41,7 +42,6 @@ from .estimation import (
     empirical_cdf,
     fit_adjusted,
     make_folds,
-    crossfit_gamma,
     quantile_grid,
 )
 from .inference import _check_band_settings, bootstrap_bands, se_reduction
@@ -52,7 +52,6 @@ from .io import (
     load_manifest,
     write_manifest,
     write_points_csv,
-    write_timings_csv,
 )
 from .learners import LEARNER_KINDS, LearnerKind
 from .nn import TrainConfig
@@ -61,7 +60,7 @@ from . import simulation
 
 __all__ = ["RunConfig", "run", "main"]
 
-_MODES = ("simulate", "estimate", "bootstrap-band", "benchmark")
+_MODES = ("simulate", "estimate", "bootstrap-band")
 _INTEGER_FIELDS = ("seed", "n_units", "n_reps", "n_folds", "n_draws", "n_oracle", "multiplier_scheme")
 _METHOD_NAMES = ("empirical", *LEARNER_KINDS)
 _Z_MODES = ("half-alpha", "literal")
@@ -197,7 +196,7 @@ def _learner_kind(config: RunConfig, name: str) -> LearnerKind | None:
 
 def _learner_kinds(config: RunConfig) -> dict[str, LearnerKind | None]:
     """The learners the run's mode uses, by method name."""
-    names = {"simulate": config.methods, "benchmark": LEARNER_KINDS}.get(config.mode, (config.learner,))
+    names = config.methods if config.mode == "simulate" else (config.learner,)
     return {name: _learner_kind(config, name) for name in names}
 
 
@@ -306,21 +305,6 @@ def _run_bootstrap_band(config: RunConfig, out: Path) -> dict:
     return {"outputs": outputs, "timings": {"fit_seconds": fit_seconds}}
 
 
-def _run_benchmark(config: RunConfig, out: Path) -> dict:
-    dgp = DgpConfig(n_units=config.n_units, seed=config.seed)
-    data = simulation.generate(dgp)
-    grid = _resolve_grid(config, data)
-    plan = make_folds(data.n_units, config.n_folds, config.seed)
-    timings = {}
-    for name, kind in _learner_kinds(config).items():
-        _say(f"[benchmark] timing {name}")
-        t0 = time.perf_counter()
-        crossfit_gamma(data, grid, kind, plan)
-        timings[name] = time.perf_counter() - t0
-    path = write_timings_csv(out / "timings.csv", timings)
-    return {"outputs": [path], "timings": timings}
-
-
 def run(config: RunConfig) -> dict:
     """Execute one configured run and write its outputs plus the manifest."""
     out = Path(config.out)
@@ -329,7 +313,6 @@ def run(config: RunConfig) -> dict:
         "simulate": _run_simulate,
         "estimate": _run_estimate,
         "bootstrap-band": _run_bootstrap_band,
-        "benchmark": _run_benchmark,
     }[config.mode]
     result = worker(config, out)
     manifest = write_manifest(
@@ -347,7 +330,7 @@ def run(config: RunConfig) -> dict:
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI file with [run] and [learner] sections")
     sub.add_argument("--from-manifest", help="replay the configuration of an emitted manifest.json")
-    sub.add_argument("--n", type=int, dest="n_units", help="number of units (simulate, benchmark)")
+    sub.add_argument("--n", type=int, dest="n_units", help="number of units (simulate)")
     sub.add_argument("--reps", type=int, dest="n_reps", help="Monte Carlo replications (simulate)")
     sub.add_argument("--folds", type=int, dest="n_folds", help="cross-fitting folds")
     sub.add_argument("--learner", choices=LEARNER_KINDS, help="adjustment learner")
@@ -440,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", "Monte Carlo study on the synthetic benchmark"),
         ("estimate", "point estimates from an experiment CSV"),
         ("bootstrap-band", "estimates with multiplier-bootstrap bands"),
-        ("benchmark", "per-learner cross-fitting wall times"),
     ):
         _add_common_flags(subs.add_parser(mode, help=text))
     return parser
@@ -458,10 +440,7 @@ def main(argv=None) -> int:
         return 1
     try:
         run(config)
-    except DomainError as exc:
-        _say(f"error: {type(exc).__name__}: {exc}")
-        return 1
-    except (OSError, ValueError) as exc:
+    except (DomainError, OSError, ValueError) as exc:
         _say(f"error: {type(exc).__name__}: {exc}")
         return 1
     return 0

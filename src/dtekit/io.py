@@ -251,17 +251,6 @@ def write_points_csv(path: str | Path, locations, columns: dict) -> Path:
     return path
 
 
-def write_timings_csv(path: str | Path, seconds: dict) -> Path:
-    """Per-method timing table (method, fit_seconds)."""
-    path = Path(path)
-    _write_rows(
-        path,
-        ["method", "fit_seconds"],
-        ([name, _fmt(value)] for name, value in seconds.items()),
-    )
-    return path
-
-
 def write_manifest(path: str | Path, config: dict, outputs: list[str], timings: dict | None = None) -> Path:
     """JSON record of the resolved configuration, outputs, and wall times.
 

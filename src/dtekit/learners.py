@@ -114,8 +114,19 @@ class FittedLearner:
 
 
 def _standardize_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
+    """Per-column mean and scale of ``x``; a column whose mean or scale overflows is a NonFiniteValue.
+
+    An infinite scale would z-score its column to 0, so the learner would
+    silently ignore that covariate.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        scale = x.std(axis=0)
+    bad = np.flatnonzero(~np.isfinite(mean) | ~np.isfinite(scale))
+    if bad.size:
+        raise NonFiniteValue(
+            f"covariate column {bad[0]} is too large to standardize: its mean or scale overflows"
+        )
     scale = np.where(scale < 1e-12, 1.0, scale)
     return mean, scale
 

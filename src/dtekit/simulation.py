@@ -7,6 +7,12 @@ units, so treatment shifts outcomes upward and the treated-minus-control DTE
 is negative everywhere, largest in magnitude near the middle of the
 distribution.
 
+The ground truth is the empirical DTE of one large independent draw,
+computed by :mod:`~dtekit.estimation` as for any experiment, and every
+replication fits its methods through
+:func:`~dtekit.estimation.fit_adjusted`, so this module keeps no estimator
+of its own.
+
 :func:`run_study` runs its replications through :func:`~dtekit.core._fan_out`:
 on T forked processes, T the CPUs the process may use and at most one per
 replication, each running a contiguous run of replications. Every
@@ -16,6 +22,7 @@ A replication's fits do not fork again.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import tempfile
@@ -27,15 +34,8 @@ import numpy as np
 
 from . import core
 from .core import ConditionalCdfMatrix, ExperimentData, LocationGrid, _integer, derive_seed
-from .errors import DuplicateLocation, ShapeMismatch
-from .estimation import (
-    adjusted_cdf,
-    crossfit_gamma,
-    dte,
-    empirical_cdf,
-    make_folds,
-    quantile_grid,
-)
+from .errors import ShapeMismatch
+from .estimation import dte, empirical_cdf, fit_adjusted, make_folds, quantile_grid
 from .learners import LearnerKind
 
 __all__ = [
@@ -119,10 +119,14 @@ def oracle_dte(
 ) -> tuple[LocationGrid, np.ndarray]:
     """Ground-truth treated-minus-control DTE from one large independent draw.
 
-    The grid is fixed at pooled-sample quantiles of the same draw (or at the
-    explicit ``locations`` when given), so the truth and every replication
-    are evaluated at identical outcome values. With a cache directory the
-    draw is computed once per configuration.
+    The truth is the empirical DTE of that draw: its outcomes and arms form
+    one covariate-free :class:`~dtekit.core.ExperimentData`, evaluated by
+    :func:`~dtekit.estimation.empirical_cdf` and
+    :func:`~dtekit.estimation.dte`. The grid is fixed at the draw's
+    pooled-sample quantiles, by :func:`~dtekit.estimation.quantile_grid`
+    (or at the explicit ``locations`` when given), so the truth and every
+    replication are evaluated at identical outcome values. With a cache
+    directory the draw is computed once per configuration.
     """
     if _integer(n_oracle, "n_oracle") < 1:
         raise ValueError("n_oracle must be positive")
@@ -150,20 +154,11 @@ def oracle_dte(
         ys.append(y)
         ws.append(w)
     y = np.concatenate(ys)
-    w = np.concatenate(ws)
-
-    if locations is not None:
-        grid = LocationGrid(locations=marks)
-    else:
-        cuts = np.quantile(y, marks, method="inverted_cdf")
-        if np.any(np.diff(cuts) <= 0):
-            raise DuplicateLocation("oracle quantiles collide; thin the probability list")
-        grid = LocationGrid(locations=cuts)
-    treated = np.sort(y[w == 1])
-    control = np.sort(y[w == 0])
-    f_treated = np.searchsorted(treated, grid.locations, side="right") / treated.size
-    f_control = np.searchsorted(control, grid.locations, side="right") / control.size
-    truth = f_treated - f_control
+    data = ExperimentData(
+        covariates=np.empty((y.size, 0)), arms=np.concatenate(ws) + 1, outcomes=y, n_arms=2
+    )
+    grid = LocationGrid(marks) if locations is not None else quantile_grid(data, marks)
+    truth = dte(empirical_cdf(data, grid), TREATED_ARM, CONTROL_ARM)
 
     if cache_file is not None:
         _write_atomically(cache_file, locations=grid.locations, truth=truth)
@@ -206,31 +201,35 @@ class SimulationReport:
     n_oracle: int
 
 
-def _replicate(args) -> tuple[int, dict]:
-    """One replication: shared data and folds, every method on the same draw."""
-    (config, master_seed, rep, methods, locations, truth, n_folds) = args
-    grid = LocationGrid(locations)
-    data = generate(replace(config, seed=derive_seed(master_seed, _DATA_TAG, rep)))
-    plan = make_folds(data.n_units, n_folds, derive_seed(master_seed, _FOLD_TAG, rep))
-    out = {}
-    for index, (name, kind) in enumerate(methods):
-        if kind is None:
-            t0 = time.perf_counter()
-            estimate = empirical_cdf(data, grid)
-            elapsed = time.perf_counter() - t0
-        else:
-            seeded = kind.with_seed(derive_seed(master_seed, _TRAIN_TAG, rep, index))
-            t0 = time.perf_counter()
-            gamma = crossfit_gamma(data, grid, seeded, plan)
-            elapsed = time.perf_counter() - t0
-            estimate = adjusted_cdf(data, grid, gamma, method=kind.kind)
-        effect = dte(estimate, TREATED_ARM, CONTROL_ARM)
-        out[name] = (effect - truth, elapsed)
-    return rep, out
+def _replicate(
+    config: DgpConfig,
+    methods: list[tuple[str, LearnerKind | None]],
+    grid: LocationGrid,
+    truth: np.ndarray,
+    n_folds: int,
+    reps: list[int],
+) -> list[dict]:
+    """Replications ``reps``: each one's DTE error and fit seconds by method name.
 
-
-def _replicate_all(tasks: list) -> list[tuple[int, dict]]:
-    return [_replicate(task) for task in tasks]
+    Within a replication every method sees the same data and folds; each
+    replication derives its seeds from ``config.seed`` and its index.
+    """
+    out = []
+    for rep in reps:
+        data = generate(replace(config, seed=derive_seed(config.seed, _DATA_TAG, rep)))
+        plan = make_folds(data.n_units, n_folds, derive_seed(config.seed, _FOLD_TAG, rep))
+        per_method = {}
+        for index, (name, kind) in enumerate(methods):
+            t0 = time.perf_counter()
+            if kind is None:
+                estimate = empirical_cdf(data, grid)
+            else:
+                seeded = kind.with_seed(derive_seed(config.seed, _TRAIN_TAG, rep, index))
+                estimate = fit_adjusted(data, grid, seeded, plan).estimate
+            elapsed = time.perf_counter() - t0
+            per_method[name] = (dte(estimate, TREATED_ARM, CONTROL_ARM) - truth, elapsed)
+        out.append(per_method)
+    return out
 
 
 def run_study(
@@ -268,11 +267,8 @@ def run_study(
     errors = {name: np.empty((n_reps, m)) for name in names}
     seconds = {name: 0.0 for name in names}
 
-    tasks = [
-        (config, config.seed, rep, entries, grid.locations, truth, n_folds)
-        for rep in range(n_reps)
-    ]
-    for rep, per_method in core._fan_out(_replicate_all, tasks):
+    replicate = functools.partial(_replicate, config, entries, grid, truth, n_folds)
+    for rep, per_method in enumerate(core._fan_out(replicate, list(range(n_reps)))):
         for name, (err, elapsed) in per_method.items():
             errors[name][rep] = err
             seconds[name] += elapsed

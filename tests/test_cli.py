@@ -217,7 +217,6 @@ class TestRunConfig:
         ("estimate", {"ridge": float("nan")}),
         ("simulate", {"methods": ("empirical", "nn-single"), "squash": "logistic"}),
         ("simulate", {"methods": ("linear",), "ridge": -1.0}),
-        ("benchmark", {"hidden": (4, 0)}),
     ])
     def test_learners_of_the_mode_are_checked_eagerly(self, mode, fields):
         with pytest.raises(ValueError):
@@ -250,6 +249,20 @@ class TestSimulateMode:
         assert manifest["config"]["mode"] == "simulate"
         assert manifest["config"]["n_units"] == 150
         assert "study.csv" in manifest["outputs"]
+
+    def test_every_method_records_its_fit_seconds(self, tmp_path):
+        methods = ("empirical", "linear", "nn-single", "nn-multi", "nn-multi-monotone")
+        out = tmp_path / "sim"
+        rc = run_cli(
+            "simulate", "--n", 150, "--reps", 1, "--methods", ",".join(methods),
+            "--grid", "probs=0.3,0.7", "--n-oracle", 10000, "--hidden", 4, "--epochs", 1,
+            "--out", out,
+        )
+        assert rc == 0
+        timings = json.loads((out / "manifest.json").read_text())["timings_seconds"]
+        assert sorted(timings) == sorted(f"fit_seconds_per_rep:{name}" for name in methods)
+        for seconds in timings.values():
+            assert np.isfinite(seconds) and seconds > 0.0
 
     def test_manifest_replay_reproduces_bytes(self, tmp_path):
         first = tmp_path / "first"
@@ -433,6 +446,21 @@ class TestEstimateMode:
         assert rc == 1
         assert "arm" in capsys.readouterr().err
 
+    def test_overflowing_covariate_is_named_without_a_traceback(self, tmp_path, capsys):
+        # x2, the last column, times 1e200: its std overflows, which once
+        # dropped the column silently
+        header, *rows = EXPERIMENT_CSV.splitlines()
+        huge = tmp_path / "huge.csv"
+        huge.write_text("\n".join([header, *(row + "e200" for row in rows)]) + "\n")
+        rc = run_cli(
+            "estimate", "--input", huge, "--learner", "linear", "--grid", "list=1.5,2.5,3.5",
+            "--out", tmp_path / "out",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "NonFiniteValue" in err and "covariate column 1" in err
+        assert "Traceback" not in err
+
     def test_custom_column_names(self, tmp_path):
         csv_path = tmp_path / "named.csv"
         csv_path.write_text(
@@ -549,21 +577,6 @@ class TestBoolLabels:
             assert (tmp_path / "bool" / name).read_bytes() == (tmp_path / "float" / name).read_bytes()
 
 
-class TestBenchmarkMode:
-    def test_times_all_learners(self, tmp_path):
-        out = tmp_path / "bench"
-        rc = run_cli(
-            "benchmark", "--n", 120, "--epochs", 1, "--hidden", "4",
-            "--grid", "probs=0.3,0.7", "--seed", 1, "--out", out,
-        )
-        assert rc == 0
-        lines = (out / "timings.csv").read_text().splitlines()
-        assert lines[0] == "method,fit_seconds"
-        assert [line.split(",")[0] for line in lines[1:]] == [
-            "linear", "nn-single", "nn-multi", "nn-multi-monotone",
-        ]
-
-
 class TestConfigResolution:
     def test_ini_file_feeds_defaults(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -660,6 +673,13 @@ class TestConfigResolution:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("estimate", "--learner", "forest", "--input", "x.csv")
         assert excinfo.value.code == 2
+
+    def test_benchmark_mode_is_gone(self, tmp_path):
+        out = tmp_path / "bench"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("benchmark", "--n", 120, "--out", out)
+        assert excinfo.value.code == 2
+        assert not out.exists()
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

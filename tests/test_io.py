@@ -15,7 +15,6 @@ from dtekit.io import (
     load_manifest,
     write_manifest,
     write_points_csv,
-    write_timings_csv,
 )
 
 
@@ -327,7 +326,7 @@ class TestEmitReport:
         assert [line.split(",")[0] for line in lines[1:]] == ["60", "100"]
 
 
-class TestPointsAndTimings:
+class TestPointsCsv:
     def test_points_columns_ordered(self, tmp_path):
         path = write_points_csv(
             tmp_path / "points.csv",
@@ -343,10 +342,6 @@ class TestPointsAndTimings:
         path = write_points_csv(tmp_path / "p.csv", [1.0], {"v": [value]})
         read_back = float(path.read_text().splitlines()[1].split(",")[1])
         assert read_back == value
-
-    def test_timings_layout(self, tmp_path):
-        path = write_timings_csv(tmp_path / "t.csv", {"linear": 0.5})
-        assert path.read_text().splitlines() == ["method,fit_seconds", "linear,0.5"]
 
 
 class TestManifest:

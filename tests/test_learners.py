@@ -146,8 +146,8 @@ class TestLinear:
     def test_standardization_stats_stored(self, problem):
         x, labels = problem
         fitted = fit(LearnerKind("linear"), x, labels)
-        assert_allclose(fitted.x_mean, x.mean(axis=0))
-        assert_allclose(fitted.x_scale, x.std(axis=0))
+        assert_array_equal(fitted.x_mean, x.mean(axis=0))
+        assert_array_equal(fitted.x_scale, x.std(axis=0))
 
     def test_constant_column_scale_falls_back_to_one(self):
         x = np.hstack([np.random.default_rng(0).random((30, 2)), np.full((30, 1), 7.0)])
@@ -518,6 +518,15 @@ class TestInputValidation:
         x[0, 0] = np.nan
         with pytest.raises(NonFiniteValue):
             fit(LearnerKind("linear"), x, np.ones((5, 1)))
+
+    @pytest.mark.parametrize("kind", [LearnerKind("linear"), small_nn_kind("nn-multi-monotone")], ids=lambda k: k.kind)
+    def test_overflowing_covariate_scale_is_named(self, problem, kind):
+        # the std of a column near 1e200 overflows; an infinite scale would
+        # z-score the column to 0 and the learner would drop it unnoticed
+        x, labels = problem
+        x = x * np.array([1.0, 1.0, 1e200, 1.0])
+        with pytest.raises(NonFiniteValue, match="covariate column 2"):
+            fit(kind, x, labels)
 
     def test_predict_wrong_width(self, problem):
         x, labels = problem

@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 
 import numpy as np
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import dtekit.core as core
 import dtekit.simulation as simulation
 from dtekit.core import ConditionalCdfMatrix, indicator_labels
-from dtekit.errors import DuplicateLocation, ShapeMismatch
+from dtekit.errors import DuplicateLocation, ShapeMismatch, TooFewUnits, UnsortedGrid
 from dtekit.estimation import make_folds, crossfit_gamma, quantile_grid
 from dtekit.learners import LearnerKind
 from dtekit.nn import TrainConfig
@@ -128,6 +129,26 @@ class TestOracle:
         _, chunked = oracle_dte(config, n_oracle=30_000)
         # chunk boundaries reseed, so the values differ, but not the answer
         assert np.max(np.abs(whole - chunked)) < 0.03
+
+    # digests of the grid and truth bytes: a change to either moves every study's errors
+    @pytest.mark.parametrize(("marks", "digest"), [
+        (dict(probs=DEFAULT_QUANTILES), "16b13f4633c651bdd3d41c155a346cdc0425b660cdf19e8bfb4905b88435925e"),
+        (dict(locations=[20.0, 60.0, 100.0, 140.0]), "466c3c89f5408217928033aca1605e3ce6c57685a8c3f8802035e6f62026723f"),
+    ])
+    def test_grid_and_truth_bytes_are_pinned(self, marks, digest):
+        grid, truth = oracle_dte(DgpConfig(n_units=1000, seed=1010), n_oracle=100_000, **marks)
+        assert hashlib.sha256(grid.locations.tobytes() + truth.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(("settings", "error", "message"), [
+        (dict(probs=(0.7, 0.3)), UnsortedGrid, "strictly increasing"),
+        (dict(probs=(0.0, 0.5)), ValueError, r"strictly inside \(0, 1\)"),
+        (dict(probs=(0.5, 1.5)), ValueError, r"strictly inside \(0, 1\)"),
+        (dict(probs=(0.01, 0.02), n_oracle=10), DuplicateLocation, "quantiles 0.01 and 0.02"),
+        (dict(n_oracle=1), TooFewUnits, "at least 2 units"),
+    ])
+    def test_draw_and_grid_are_checked_as_an_experiment_is(self, settings, error, message):
+        with pytest.raises(error, match=message):
+            oracle_dte(DgpConfig(n_units=100, seed=0), **{"n_oracle": 5_000, **settings})
 
     @pytest.mark.parametrize(("make", "message"), [
         (lambda: oracle_dte(DgpConfig(n_units=100), n_oracle=0), "n_oracle must be positive"),

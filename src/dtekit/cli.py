@@ -55,7 +55,7 @@ from .io import (
 )
 from .learners import LEARNER_KINDS, LearnerKind
 from .nn import TrainConfig
-from .simulation import DgpConfig, run_study
+from .simulation import DgpConfig, _check_study_settings, run_study
 from . import simulation
 
 __all__ = ["RunConfig", "run", "main"]
@@ -133,6 +133,8 @@ class RunConfig:
         _, grid_values = parse_grid_spec(self.grid)
         if self.mode in _CURVE_MODES:
             _check_curve(self.functional, pair, len(grid_values))
+        else:
+            _check_study_settings(self.n_oracle, self.n_reps)
         _train_config(self)
         _learner_kinds(self)
 
@@ -327,34 +329,38 @@ def run(config: RunConfig) -> dict:
     return result
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI file with [run] and [learner] sections")
-    sub.add_argument("--from-manifest", help="replay the configuration of an emitted manifest.json")
-    sub.add_argument("--n", type=int, dest="n_units", help="number of units (simulate)")
-    sub.add_argument("--reps", type=int, dest="n_reps", help="Monte Carlo replications (simulate)")
-    sub.add_argument("--folds", type=int, dest="n_folds", help="cross-fitting folds")
-    sub.add_argument("--learner", choices=LEARNER_KINDS, help="adjustment learner")
-    sub.add_argument("--methods", help="comma list of methods to compare (simulate)")
-    sub.add_argument("--grid", help="probs=a:b:step | probs=p1,p2,... | list=v1,... | range=lo:hi")
-    sub.add_argument("--B", type=int, dest="n_draws", help="bootstrap repetitions")
-    sub.add_argument("--alpha", type=float, help="band miscoverage level")
-    sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--functional", choices=_FUNCTIONALS)
-    sub.add_argument("--arm-pair", dest="arm_pair", help="two arm indices, e.g. 2,1")
-    sub.add_argument("--z-mode", dest="z_mode", choices=_Z_MODES)
-    sub.add_argument("--n-oracle", type=int, dest="n_oracle", help="oracle draw size (simulate)")
-    sub.add_argument("--input", help="experiment CSV (estimate, bootstrap-band)")
-    sub.add_argument("--arm-col", dest="arm_col", help="arm column name")
-    sub.add_argument("--outcome-col", dest="outcome_col", help="outcome column name")
-    sub.add_argument("--covariates", dest="covariate_cols", help="comma list of covariate columns")
-    sub.add_argument("--epochs", type=int, help="training epochs")
-    sub.add_argument("--batch-size", type=int, dest="batch_size")
-    sub.add_argument("--learning-rate", type=float, dest="learning_rate")
-    sub.add_argument("--hidden", help="comma list of hidden widths, e.g. 128,64")
-    sub.add_argument("--ridge", type=float, help="ridge penalty of the linear learner")
-    sub.add_argument("--transform", choices=("exp", "softplus"), help="monotone head transform")
-    sub.add_argument("--squash", choices=("arctan", "tanh-half"), help="monotone head squash")
+def _add_common_flags(sub: argparse.ArgumentParser) -> dict[str, str]:
+    """Add the flags every mode takes; return the flag of each destination."""
+    actions = [
+        sub.add_argument("--config", help="INI file with [run] and [learner] sections"),
+        sub.add_argument("--from-manifest", help="replay the configuration of an emitted manifest.json"),
+        sub.add_argument("--n", type=int, dest="n_units", help="number of units (simulate)"),
+        sub.add_argument("--reps", type=int, dest="n_reps", help="Monte Carlo replications (simulate)"),
+        sub.add_argument("--folds", type=int, dest="n_folds", help="cross-fitting folds"),
+        sub.add_argument("--learner", choices=LEARNER_KINDS, help="adjustment learner"),
+        sub.add_argument("--methods", help="comma list of methods to compare (simulate)"),
+        sub.add_argument("--grid", help="probs=a:b:step | probs=p1,p2,... | list=v1,... | range=lo:hi"),
+        sub.add_argument("--B", type=int, dest="n_draws", help="bootstrap repetitions"),
+        sub.add_argument("--alpha", type=float, help="band miscoverage level"),
+        sub.add_argument("--seed", type=int, help="master seed"),
+        sub.add_argument("--out", help="output directory"),
+        sub.add_argument("--functional", choices=_FUNCTIONALS),
+        sub.add_argument("--arm-pair", dest="arm_pair", help="two arm indices, e.g. 2,1"),
+        sub.add_argument("--z-mode", dest="z_mode", choices=_Z_MODES),
+        sub.add_argument("--n-oracle", type=int, dest="n_oracle", help="oracle draw size (simulate)"),
+        sub.add_argument("--input", help="experiment CSV (estimate, bootstrap-band)"),
+        sub.add_argument("--arm-col", dest="arm_col", help="arm column name"),
+        sub.add_argument("--outcome-col", dest="outcome_col", help="outcome column name"),
+        sub.add_argument("--covariates", dest="covariate_cols", help="comma list of covariate columns"),
+        sub.add_argument("--epochs", type=int, help="training epochs"),
+        sub.add_argument("--batch-size", type=int, dest="batch_size"),
+        sub.add_argument("--learning-rate", type=float, dest="learning_rate"),
+        sub.add_argument("--hidden", help="comma list of hidden widths, e.g. 128,64"),
+        sub.add_argument("--ridge", type=float, help="ridge penalty of the linear learner"),
+        sub.add_argument("--transform", choices=("exp", "softplus"), help="monotone head transform"),
+        sub.add_argument("--squash", choices=("arctan", "tanh-half"), help="monotone head squash"),
+    ]
+    return {action.dest: action.option_strings[0] for action in actions}
 
 
 _TUPLE_KEYS = {
@@ -393,6 +399,12 @@ def _load_ini(path: str) -> dict:
 
 def _resolve_config(args: argparse.Namespace, mode: str) -> RunConfig:
     if args.from_manifest:
+        # a replay takes every setting from the manifest; any other flag would be ignored
+        flags = _add_common_flags(argparse.ArgumentParser())
+        given = [flag for name, flag in flags.items()
+                 if getattr(args, name) is not None and name not in ("from_manifest", "out")]
+        if given:
+            raise ValueError(f"--from-manifest takes no other flag than --out, got {', '.join(given)}")
         payload = load_manifest(args.from_manifest)
         if payload.get("mode") != mode:
             raise ValueError(

@@ -14,6 +14,7 @@ P(Y <= y_j | X). Four kinds are available:
 
 Covariates are z-scored with statistics of the training split; the fitted
 statistics travel with the learner and are re-applied at prediction time.
+Every column that varies is divided by its own standard deviation, however small.
 
 :func:`fit_many` fits one learner kind on several problems, such as the
 (arm, fold) splits of cross-fitting. "linear" fits one problem at a time,
@@ -62,16 +63,16 @@ DEFAULT_HIDDEN = (128, 64)
 class LearnerKind:
     """A learner family plus its hyperparameters.
 
-    ``hidden`` lists the trunk widths shared by all network kinds; the final
-    layer width is set by the number of label columns at fit time (1 per net
-    for "nn-single"). ``ridge`` only affects "linear", ``train`` only the
-    network kinds. A network kind checks its architecture fields as
-    :class:`~dtekit.nn.LayerSpec` does; "linear" ignores them.
+    ``hidden`` lists the trunk widths shared by all network kinds, whose
+    hidden layers are ReLU; the final layer width is set by the number of
+    label columns at fit time (1 per net for "nn-single"). ``ridge`` only
+    affects "linear", ``train`` only the network kinds. A network kind checks
+    its architecture fields as :class:`~dtekit.nn.LayerSpec` does; "linear"
+    ignores them.
     """
 
     kind: str
     hidden: tuple[int, ...] = DEFAULT_HIDDEN
-    hidden_activation: str = "relu"
     transform: str = "exp"
     squash: str = "arctan"
     ridge: float = DEFAULT_RIDGE
@@ -93,7 +94,6 @@ class LearnerKind:
         head = "monotone" if self.kind == "nn-multi-monotone" else "sigmoid"
         return LayerSpec(
             widths=(n_inputs, *self.hidden, n_outputs),
-            hidden_activation=self.hidden_activation,
             head=head,
             transform=self.transform,
             squash=self.squash,
@@ -114,10 +114,15 @@ class FittedLearner:
 
 
 def _standardize_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and scale of ``x``; a column whose mean or scale overflows is a NonFiniteValue.
+    """Per-column mean and scale of ``x``; a column that cannot be z-scored is a NonFiniteValue.
 
-    An infinite scale would z-score its column to 0, so the learner would
-    silently ignore that covariate.
+    Each column is divided by its own standard deviation. A scale that
+    overflows to inf would z-score its column to 0, and the learner would
+    silently ignore that covariate; the scale of a column that varies must
+    not underflow to a subnormal or to 0 either. Both raise. A constant
+    column, max equal to min, is divided by 1.0 when its rounding-noise
+    scale is below 1e-12: that was once the cut-off for every column, so
+    constant columns keep their bytes.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=0)
@@ -127,7 +132,13 @@ def _standardize_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NonFiniteValue(
             f"covariate column {bad[0]} is too large to standardize: its mean or scale overflows"
         )
-    scale = np.where(scale < 1e-12, 1.0, scale)
+    constant = x.max(axis=0) == x.min(axis=0)
+    tiny = np.flatnonzero(~constant & (scale < np.finfo(float).tiny))
+    if tiny.size:
+        raise NonFiniteValue(
+            f"covariate column {tiny[0]} varies too little to standardize: its scale underflows"
+        )
+    scale = np.where(constant & (scale < 1e-12), 1.0, scale)
     return mean, scale
 
 

@@ -83,9 +83,18 @@ _HEADS = ("sigmoid", "monotone")
 _TRANSFORMS = ("exp", "softplus")
 _SQUASHES = ("arctan", "tanh-half")
 
-DEFAULT_CLIP_EPS = 1e-7
 PRECISIONS = ("float32", "float64")
 _FLOAT32_TINY = np.finfo(np.float32).tiny
+
+# Adam's betas and epsilon are the defaults of Kingma & Ba (2015), *Adam: A
+# Method for Stochastic Optimization*, ICLR; the loss clamps predictions to
+# [_CLIP_EPS, 1 - _CLIP_EPS]. Both hold in float32 as well as in float64:
+# 1 - _CLIP_EPS rounds to below 1, so the upper clamp stays, and _ADAM_EPS
+# rounds to a positive number, so Adam never divides by a v that stayed 0.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+_CLIP_EPS = 1e-7
 
 
 @dataclass(frozen=True)
@@ -131,20 +140,17 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and loop settings for :func:`train` and :func:`train_many`.
+    """The settings a run gives :func:`train` and :func:`train_many`.
 
     ``precision`` is the dtype training computes in: the parameters, the
     gradient, the Adam moments and scratch, and the epoch buffers. Trained
-    states are float64 copies either way.
+    states are float64 copies either way. Adam's betas and epsilon and the
+    loss clamp are constants of this module, not settings.
     """
 
     learning_rate: float = 0.01
     batch_size: int = 16
     epochs: int = 30
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    clip_eps: float = DEFAULT_CLIP_EPS
     seed: int = 0
     precision: str = "float32"
 
@@ -161,17 +167,6 @@ class TrainConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.precision not in PRECISIONS:
             raise ValueError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not (0.0 < self.clip_eps < 0.5):
-            raise ValueError("clip_eps must lie in (0, 0.5)")
-        # backward compares predictions with 1 - clip_eps in the training dtype;
-        # if that rounds to 1, the upper clamp silently disappears
-        if not self.dtype.type(1.0 - self.clip_eps) < 1.0:
-            raise ValueError(f"1 - clip_eps rounds to 1 in {self.precision}; use a larger clip_eps")
-        # Adam divides by sqrt(v) + eps, and v stays 0 where every gradient was 0
-        if not (np.isfinite(self.adam_eps) and self.dtype.type(self.adam_eps) > 0):
-            raise ValueError(f"adam_eps must be positive and finite in {self.precision}")
 
     @property
     def dtype(self) -> np.dtype:
@@ -334,16 +329,16 @@ def forward(state: NetworkState, spec: LayerSpec, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def bce_loss(pred: np.ndarray, target: np.ndarray, clip_eps: float = DEFAULT_CLIP_EPS) -> float:
+def bce_loss(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean binary cross-entropy over every prediction entry.
 
-    Predictions are clamped to [clip_eps, 1 - clip_eps] inside the loss only.
+    Predictions are clamped to [1e-7, 1 - 1e-7] inside the loss only.
     """
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ShapeMismatch(f"pred shape {pred.shape} != target shape {target.shape}")
-    p = np.clip(pred, clip_eps, 1.0 - clip_eps)
+    p = np.clip(pred, _CLIP_EPS, 1.0 - _CLIP_EPS)
     return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log1p(-p)))
 
 
@@ -352,7 +347,6 @@ def backward(
     spec: LayerSpec,
     x: np.ndarray,
     target: np.ndarray,
-    clip_eps: float = DEFAULT_CLIP_EPS,
     out: FlatParams | None = None,
 ) -> FlatParams:
     """Exact gradients of bce_loss(forward(x), target) for every parameter.
@@ -371,12 +365,12 @@ def backward(
     # the loss of each network is the mean over its own batch and outputs
     scale = 1.0 / (pred.shape[-2] * pred.shape[-1])
     # the loss clamps, so its gradient vanishes wherever the clamp is active
-    interior = (pred > clip_eps) & (pred < 1.0 - clip_eps)
+    interior = (pred > _CLIP_EPS) & (pred < 1.0 - _CLIP_EPS)
     if spec.head == "sigmoid":
         # d loss / d z through the sigmoid collapses to (p - t)
         dz = np.where(interior, pred - target, 0.0) * scale
     else:
-        p = np.clip(pred, clip_eps, 1.0 - clip_eps)
+        p = np.clip(pred, _CLIP_EPS, 1.0 - _CLIP_EPS)
         dp = np.where(interior, (p - target) / (p * (1.0 - p)), 0.0) * scale
         ds = dp * _squash_grad(spec, s, pred)
         # s_j collects every g(z_m) with m <= j, so z_m hears from all j >= m
@@ -426,7 +420,7 @@ def adam_step(
     if not np.isfinite(grad).all():
         raise NonFiniteGradient("gradient contains NaN or infinite entries")
     first, second = (np.empty_like(params), np.empty_like(params)) if scratch is None else scratch
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = _BETA1, _BETA2
     if np.ndim(step) == 0:
         corr1 = 1.0 - b1 ** int(step)
         corr2 = 1.0 - b2 ** int(step)
@@ -444,7 +438,7 @@ def adam_step(
     v += scaled
     denom = np.divide(v, corr2, out=second)
     np.sqrt(denom, out=denom)
-    denom += config.adam_eps
+    denom += _ADAM_EPS
     update = np.divide(m, corr1, out=first)
     update *= config.learning_rate
     update /= denom
@@ -560,7 +554,7 @@ def train_many(
             np.take(xs[s], perm, axis=0, out=x_epoch[row, :sizes[row]])
             np.take(labels[s], perm, axis=0, out=t_epoch[row, :sizes[row]])
         for rows, batch, index, run_batches, run, run_m, run_v, run_grad, run_scratch in calls:
-            backward(run, spec, x_epoch[rows, batch], t_epoch[rows, batch], config.clip_eps, out=run_grad)
+            backward(run, spec, x_epoch[rows, batch], t_epoch[rows, batch], out=run_grad)
             step = epoch * run_batches + index + 1
             adam_step(run.flat, run_grad.flat, run_m, run_v, step, config, run_scratch)
         if dtype == np.float32:

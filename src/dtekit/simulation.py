@@ -105,6 +105,18 @@ def generate(config: DgpConfig) -> ExperimentData:
     return ExperimentData(covariates=x, arms=w + 1, outcomes=y, n_arms=2)
 
 
+def _check_study_settings(n_oracle: int, n_reps: int = 1) -> None:
+    """Reject study sizes no draw can satisfy, before anything is drawn or written.
+
+    The oracle draw is an experiment of its own, and one unit can never fill
+    both arms of an :class:`~dtekit.core.ExperimentData`.
+    """
+    if _integer(n_reps, "n_reps") < 1:
+        raise ValueError(f"n_reps must be positive, got {n_reps}")
+    if _integer(n_oracle, "n_oracle") < 2:
+        raise ValueError(f"n_oracle must be at least 2, got {n_oracle}")
+
+
 def _oracle_cache_key(config: DgpConfig, marks: np.ndarray, kind: str, n_oracle: int) -> str:
     payload = repr((config, kind, tuple(np.asarray(marks, dtype=float)), int(n_oracle)))
     return hashlib.blake2s(payload.encode(), digest_size=8).hexdigest()
@@ -128,8 +140,7 @@ def oracle_dte(
     replication are evaluated at identical outcome values. With a cache
     directory the draw is computed once per configuration.
     """
-    if _integer(n_oracle, "n_oracle") < 1:
-        raise ValueError("n_oracle must be positive")
+    _check_study_settings(n_oracle)
     if locations is not None:
         marks, mark_kind = np.asarray(locations, dtype=float), "locations"
     else:
@@ -251,8 +262,7 @@ def run_study(
     its own seeds from ``config.seed``, so the report does not depend on how
     many processes the replications fan out over (see the module docstring).
     """
-    if _integer(n_reps, "n_reps") < 1:
-        raise ValueError("n_reps must be positive")
+    _check_study_settings(n_oracle, n_reps)
     entries: list[tuple[str, LearnerKind | None]] = []
     if not any(k is None for k in methods.values()):
         entries.append(("empirical", None))

@@ -222,6 +222,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(mode=mode, input="x.csv", **fields)
 
+    def test_study_sizes_are_checked_only_in_simulate(self):
+        # the curve modes draw no oracle and run no replications
+        RunConfig(mode="estimate", input="x.csv", n_reps=0, n_oracle=0)
+        with pytest.raises(ValueError, match="n_oracle"):
+            RunConfig(mode="simulate", n_oracle=1)
+
     def test_learners_the_mode_does_not_use_are_not_checked(self):
         # a linear run ignores the network fields, so its manifests replay
         # whatever they hold there
@@ -461,6 +467,21 @@ class TestEstimateMode:
         assert "NonFiniteValue" in err and "covariate column 1" in err
         assert "Traceback" not in err
 
+    def test_underflowing_covariate_is_named_without_a_traceback(self, tmp_path, capsys):
+        # x2 times 1e-300: its squared deviations underflow, so its std is 0
+        # although the column varies
+        header, *rows = EXPERIMENT_CSV.splitlines()
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("\n".join([header, *(row + "e-300" for row in rows)]) + "\n")
+        rc = run_cli(
+            "estimate", "--input", tiny, "--learner", "linear", "--grid", "list=1.5,2.5,3.5",
+            "--out", tmp_path / "out",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "NonFiniteValue" in err and "covariate column 1" in err
+        assert "Traceback" not in err
+
     def test_custom_column_names(self, tmp_path):
         csv_path = tmp_path / "named.csv"
         csv_path.write_text(
@@ -665,6 +686,33 @@ class TestConfigResolution:
         assert run_cli("estimate", "--from-manifest", bad, "--out", tmp_path / "est") == 2
         assert "no config block" in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
+
+    @pytest.mark.parametrize("flags", [("--reps", "0"), ("--n-oracle", "0"), ("--n-oracle", "1")])
+    def test_study_size_no_draw_can_satisfy_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", *flags, "--out", out) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, flags", [
+        ("estimate", ("--seed", "5", "--learner", "nn-single", "--grid", "probs=0.5", "--input", "nowhere.csv")),
+        ("estimate", ("--config", "run.ini")),
+        ("simulate", ("--seed", "5")),
+    ])
+    def test_flags_beside_a_manifest_are_usage_errors(self, tmp_path, capsys, experiment_csv, mode, flags):
+        # a replay takes every setting from its manifest, so another flag would be ignored
+        first = tmp_path / "first"
+        written = {
+            "estimate": ("--input", experiment_csv, "--grid", "list=1.5,2.5"),
+            "simulate": ("--n", 150, "--reps", 1, "--methods", "empirical", "--n-oracle", 2000),
+        }[mode]
+        assert run_cli(mode, *written, "--out", first) == 0
+        out = tmp_path / "replay"
+        assert run_cli(mode, "--from-manifest", first / "manifest.json", *flags, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert all(flag in err for flag in flags if flag.startswith("--"))
+        assert not out.exists()
 
     def test_bad_grid_flag_is_usage_error(self, tmp_path):
         assert run_cli("simulate", "--grid", "nope", "--out", tmp_path / "x") == 2

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dtekit.errors import NonFiniteGradient, NonFiniteValue, ShapeMismatch, SingularDesign, TooFewUnits
@@ -42,6 +42,15 @@ def problem():
     return x, labels
 
 
+def informative_problem():
+    """400 rows whose labels hinge on column 1 more than on the other two."""
+    rng = np.random.default_rng(47)
+    x = rng.random((400, 3))
+    y = x[:, 0] + 3.0 * x[:, 1] + x[:, 2] + 0.3 * rng.standard_normal(400)
+    cuts = np.quantile(y, [0.25, 0.5, 0.75])
+    return x, (y[:, None] <= cuts[None, :]).astype(float)
+
+
 class TestLearnerKind:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -72,8 +81,7 @@ class TestLearnerKind:
 
     @pytest.mark.parametrize("name", ["nn-single", "nn-multi", "nn-multi-monotone"])
     @pytest.mark.parametrize("field, value, message", [
-        ("transform", "cube", "transform"), ("squash", "logistic", "squash"),
-        ("hidden_activation", "gelu", "hidden_activation"), ("hidden", (4, 0), "widths"),
+        ("transform", "cube", "transform"), ("squash", "logistic", "squash"), ("hidden", (4, 0), "widths"),
     ])
     def test_network_kinds_check_their_architecture(self, name, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -81,7 +89,7 @@ class TestLearnerKind:
 
     def test_linear_ignores_network_fields(self):
         # manifests of linear runs replay whatever their network fields hold
-        kind = LearnerKind("linear", hidden=(0,), transform="cube", squash="logistic", hidden_activation="gelu")
+        kind = LearnerKind("linear", hidden=(0,), transform="cube", squash="logistic")
         assert kind.hidden == (0,)
 
     def test_with_seed_only_touches_train_seed(self):
@@ -97,6 +105,11 @@ class TestLearnerKind:
         assert mono.layer_spec(4, 3).head == "monotone"
         assert flat.layer_spec(4, 3).head == "sigmoid"
         assert mono.layer_spec(4, 3).widths == (4, 6, 3)
+
+    def test_fields(self):
+        # hidden layers are always ReLU, so no field chooses their activation
+        names = [f.name for f in dataclasses.fields(LearnerKind)]
+        assert names == ["kind", "hidden", "transform", "squash", "ridge", "train"]
 
     def test_default_hidden(self):
         assert LearnerKind("nn-multi").hidden == DEFAULT_HIDDEN
@@ -155,6 +168,23 @@ class TestLinear:
         assert fitted.x_scale[2] == 1.0
         assert np.all(np.isfinite(predict(fitted, x)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(u=st.floats(-150.0, 150.0), c=st.floats(-5.0, 5.0))
+    # a scale below 1e-12 was once replaced by 1.0, which z-scored the column
+    # to about 0 and moved these predictions by 0.71 at a = 1e-13
+    @example(u=-13.0, c=0.0)
+    @example(u=-150.0, c=5.0)
+    @example(u=150.0, c=-5.0)
+    def test_affine_map_of_a_column_leaves_predictions(self, u, c):
+        # z-scoring undoes x -> a*x + a*c for any a whose scale neither overflows nor underflows
+        x, labels = informative_problem()
+        want = predict(fit(LearnerKind("linear"), x, labels), x)
+        a = 10.0 ** u
+        mapped = x.copy()
+        mapped[:, 1] = a * x[:, 1] + a * c
+        got = predict(fit(LearnerKind("linear"), mapped, labels), mapped)
+        assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
 
 class TestNetworkLearners:
     @pytest.mark.parametrize("name", ["nn-single", "nn-multi", "nn-multi-monotone"])
@@ -191,6 +221,12 @@ class TestNetworkLearners:
         assert bce_loss(predict(fitted, x), labels) < bce_loss(
             forward(initial, spec, xs), labels
         )
+
+    def test_column_with_a_tiny_spread_keeps_its_scale(self, problem):
+        x, labels = problem
+        x = x * np.array([1.0, 1.0, 1e-13, 1.0])
+        fitted = fit(small_nn_kind("nn-multi-monotone"), x, labels)
+        assert_array_equal(fitted.x_scale, x.std(axis=0))
 
     def test_single_and_multi_share_architecture_at_one_output(self):
         single = small_nn_kind("nn-single").layer_spec(4, 1)
@@ -347,7 +383,6 @@ class TestFitMany:
     @pytest.mark.parametrize("change", [
         {"kind": "nn-multi"},
         {"hidden": (9,)},
-        {"hidden_activation": "sigmoid"},
         {"transform": "softplus"},
         {"ridge": 1e-3},
         {"train": TrainConfig(epochs=4, batch_size=16, seed=5)},
@@ -525,6 +560,15 @@ class TestInputValidation:
         # z-score the column to 0 and the learner would drop it unnoticed
         x, labels = problem
         x = x * np.array([1.0, 1.0, 1e200, 1.0])
+        with pytest.raises(NonFiniteValue, match="covariate column 2"):
+            fit(kind, x, labels)
+
+    @pytest.mark.parametrize("kind", [LearnerKind("linear"), small_nn_kind("nn-multi-monotone")], ids=lambda k: k.kind)
+    def test_underflowing_covariate_scale_is_named(self, problem, kind):
+        # the squared deviations of a column near 1e-300 underflow to 0, so
+        # its std is 0 although the column varies
+        x, labels = problem
+        x = x * np.array([1.0, 1.0, 1e-300, 1.0])
         with pytest.raises(NonFiniteValue, match="covariate column 2"):
             fit(kind, x, labels)
 

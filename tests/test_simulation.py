@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import dtekit.core as core
 import dtekit.simulation as simulation
 from dtekit.core import ConditionalCdfMatrix, indicator_labels
-from dtekit.errors import DuplicateLocation, ShapeMismatch, TooFewUnits, UnsortedGrid
+from dtekit.errors import DuplicateLocation, ShapeMismatch, UnsortedGrid
 from dtekit.estimation import make_folds, crossfit_gamma, quantile_grid
 from dtekit.learners import LearnerKind
 from dtekit.nn import TrainConfig
@@ -144,14 +144,15 @@ class TestOracle:
         (dict(probs=(0.0, 0.5)), ValueError, r"strictly inside \(0, 1\)"),
         (dict(probs=(0.5, 1.5)), ValueError, r"strictly inside \(0, 1\)"),
         (dict(probs=(0.01, 0.02), n_oracle=10), DuplicateLocation, "quantiles 0.01 and 0.02"),
-        (dict(n_oracle=1), TooFewUnits, "at least 2 units"),
     ])
     def test_draw_and_grid_are_checked_as_an_experiment_is(self, settings, error, message):
         with pytest.raises(error, match=message):
             oracle_dte(DgpConfig(n_units=100, seed=0), **{"n_oracle": 5_000, **settings})
 
     @pytest.mark.parametrize(("make", "message"), [
-        (lambda: oracle_dte(DgpConfig(n_units=100), n_oracle=0), "n_oracle must be positive"),
+        # one unit cannot fill both arms of the oracle draw
+        (lambda: oracle_dte(DgpConfig(n_units=100), n_oracle=1), "n_oracle must be at least 2, got 1"),
+        (lambda: oracle_dte(DgpConfig(n_units=100), n_oracle=0), "n_oracle must be at least 2, got 0"),
         (lambda: oracle_dte(DgpConfig(n_units=100), n_oracle=1e4), "n_oracle must be an integer"),
         (lambda: DgpConfig(n_units=1000.5), "n_units must be an integer"),
         (lambda: DgpConfig(n_units=100, seed=1.5), "seed must be an integer"),
@@ -260,6 +261,11 @@ class TestRunStudy:
                 n_reps=n_reps,
                 n_oracle=10_000,
             )
+
+    def test_one_oracle_unit_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_draw", lambda *args: pytest.fail("drew before checking"))
+        with pytest.raises(ValueError, match="n_oracle must be at least 2, got 1"):
+            run_study(DgpConfig(n_units=100, seed=0), methods={"empirical": None}, n_reps=1, n_oracle=1)
 
 
 class TestClassificationMetrics:

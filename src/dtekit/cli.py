@@ -2,8 +2,9 @@
 
 Three subcommands: ``simulate`` runs the synthetic Monte Carlo study and
 records each method's fit seconds per replication, ``estimate`` and
-``bootstrap-band`` work on a CSV experiment. Every run writes its outputs
-plus a ``manifest.json`` holding the fully resolved configuration; replaying
+``bootstrap-band`` work on a CSV experiment. Each mode takes the flags and
+INI keys of only the settings it reads (``_SETTINGS``). Every run writes its
+outputs plus a ``manifest.json`` holding the fully resolved configuration; replaying
 a manifest with ``--from-manifest`` reproduces every output file byte for
 byte. Wall times live only in the manifest's ``timings_seconds``, since wall
 clocks are not replayable. Networks train in the manifest's ``precision``; a
@@ -64,8 +65,49 @@ _MODES = ("simulate", "estimate", "bootstrap-band")
 _INTEGER_FIELDS = ("seed", "n_units", "n_reps", "n_folds", "n_draws", "n_oracle", "multiplier_scheme")
 _METHOD_NAMES = ("empirical", *LEARNER_KINDS)
 _Z_MODES = ("half-alpha", "literal")
-# the modes that form a curve of an arm pair; the others ignore those fields
-_CURVE_MODES = ("estimate", "bootstrap-band")
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """A comma list such as ``empirical,linear``, blank entries dropped."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    """A comma list of integers such as ``128,64``."""
+    return tuple(int(part) for part in _names(text))
+
+
+_SIMULATE, _CURVE, _BAND = ("simulate",), ("estimate", "bootstrap-band"), ("bootstrap-band",)
+# field: (flag or None for an INI-only key, parser or choices, modes that read it, help)
+_SETTINGS = {
+    "out": ("--out", str, _MODES, "output directory"),
+    "seed": ("--seed", int, _MODES, "master seed"),
+    "n_units": ("--n", int, _SIMULATE, "number of units"),
+    "n_reps": ("--reps", int, _SIMULATE, "Monte Carlo replications"),
+    "n_folds": ("--folds", int, _MODES, "cross-fitting folds"),
+    "learner": ("--learner", LEARNER_KINDS, _CURVE, "adjustment learner"),
+    "methods": ("--methods", _names, _SIMULATE, "comma list of methods to compare"),
+    "grid": ("--grid", str, _MODES, "probs=a:b:step | probs=p1,p2,... | list=v1,... | range=lo:hi"),
+    "n_draws": ("--B", int, _BAND, "bootstrap repetitions"),
+    "alpha": ("--alpha", float, _BAND, "band miscoverage level"),
+    "functional": ("--functional", _FUNCTIONALS, _CURVE, "curve of the arm pair"),
+    "arm_pair": ("--arm-pair", _ints, _CURVE, "two arm indices, e.g. 2,1"),
+    "z_mode": ("--z-mode", _Z_MODES, _BAND, "critical value of the band"),
+    "n_oracle": ("--n-oracle", int, _SIMULATE, "oracle draw size"),
+    "input": ("--input", str, _CURVE, "experiment CSV"),
+    "arm_col": ("--arm-col", str, _CURVE, "arm column name"),
+    "outcome_col": ("--outcome-col", str, _CURVE, "outcome column name"),
+    "covariate_cols": ("--covariates", _names, _CURVE, "comma list of covariate columns"),
+    "epochs": ("--epochs", int, _MODES, "training epochs"),
+    "batch_size": ("--batch-size", int, _MODES, "training batch size"),
+    "learning_rate": ("--learning-rate", float, _MODES, "Adam learning rate"),
+    "hidden": ("--hidden", _ints, _MODES, "comma list of hidden widths, e.g. 128,64"),
+    "ridge": ("--ridge", float, _MODES, "ridge penalty of the linear learner"),
+    "transform": ("--transform", ("exp", "softplus"), _MODES, "monotone head transform"),
+    "squash": ("--squash", ("arctan", "tanh-half"), _MODES, "monotone head squash"),
+    "precision": (None, str, _MODES, None),
+    "multiplier_scheme": (None, int, _BAND, None),
+}
 
 
 @dataclass(frozen=True)
@@ -104,37 +146,38 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.learner not in LEARNER_KINDS:
-            raise ValueError(f"learner must be one of {LEARNER_KINDS}, got {self.learner!r}")
-        for name in self.methods:
-            if name not in _METHOD_NAMES:
-                raise ValueError(f"unknown method {name!r}; choose from {_METHOD_NAMES}")
-        if self.z_mode not in _Z_MODES:
-            raise ValueError(f"z_mode must be one of {_Z_MODES}, got {self.z_mode!r}")
         for name in _INTEGER_FIELDS:
             # a NumPy integer would not serialize into the manifest
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.n_folds < 2:
-            raise ValueError("folds must be at least 2")
-        if self.n_units < 2:
-            raise ValueError("n must be at least 2")
-        _check_band_settings(self.functional, self.n_draws, self.alpha, self.seed, self.multiplier_scheme)
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "hidden", _integers(self.hidden, "hidden widths"))
         object.__setattr__(self, "covariate_cols", tuple(self.covariate_cols))
-        pair = _integers(self.arm_pair, "arm pair")
-        if len(pair) != 2:
-            raise ValueError("arm_pair must hold exactly two arm labels")
-        object.__setattr__(self, "arm_pair", pair)
-        if self.mode in _CURVE_MODES and not self.input:
-            raise ValueError(f"mode {self.mode} requires --input CSV")
-        # grid syntax, curve, training and learner settings are validated
-        # eagerly so bad values fail as usage errors, before any work
+        object.__setattr__(self, "arm_pair", _integers(self.arm_pair, "arm pair"))
+        if self.n_folds < 2:
+            raise ValueError("folds must be at least 2")
+        # each mode checks only the settings it reads, eagerly, so bad values
+        # fail as usage errors before any work
         _, grid_values = parse_grid_spec(self.grid)
-        if self.mode in _CURVE_MODES:
-            _check_curve(self.functional, pair, len(grid_values))
-        else:
+        if self.mode == "simulate":
+            if self.n_units < 2:
+                raise ValueError("n must be at least 2")
             _check_study_settings(self.n_oracle, self.n_reps)
+            for i, name in enumerate(self.methods):
+                if name not in _METHOD_NAMES:
+                    raise ValueError(f"unknown method {name!r}; choose from {_METHOD_NAMES}")
+                if name in self.methods[:i]:
+                    raise ValueError(f"method {name!r} is listed twice")
+        else:
+            if not self.input:
+                raise ValueError(f"mode {self.mode} requires --input CSV")
+            if len(self.arm_pair) != 2:
+                raise ValueError("arm_pair must hold exactly two arm labels")
+            _check_curve(self.functional, self.arm_pair, len(grid_values))
+            _schema(self)
+        if self.mode == "bootstrap-band":
+            if self.z_mode not in _Z_MODES:
+                raise ValueError(f"z_mode must be one of {_Z_MODES}, got {self.z_mode!r}")
+            _check_band_settings(self.functional, self.n_draws, self.alpha, self.seed, self.multiplier_scheme)
         _train_config(self)
         _learner_kinds(self)
 
@@ -158,6 +201,8 @@ def parse_grid_spec(spec: str):
                 if step <= 0 or stop < start:
                     raise ValueError("probs range must increase")
                 count = int(round((stop - start) / step)) + 1
+                if abs((stop - start) / step - (count - 1)) > 1e-9:
+                    raise ValueError(f"step {step:g} does not divide {stop:g} - {start:g}")
                 values = np.round(np.linspace(start, stop, count), 12)
             else:
                 values = np.asarray([float(p) for p in body.split(",")], dtype=float)
@@ -200,6 +245,10 @@ def _learner_kinds(config: RunConfig) -> dict[str, LearnerKind | None]:
     """The learners the run's mode uses, by method name."""
     names = config.methods if config.mode == "simulate" else (config.learner,)
     return {name: _learner_kind(config, name) for name in names}
+
+
+def _schema(config: RunConfig) -> CsvSchema:
+    return CsvSchema(arm=config.arm_col, outcome=config.outcome_col, covariates=config.covariate_cols)
 
 
 def _resolve_grid(config: RunConfig, data):
@@ -254,10 +303,7 @@ def _run_simulate(config: RunConfig, out: Path) -> dict:
 
 
 def _estimate_pieces(config: RunConfig):
-    data = load_csv(
-        config.input,
-        CsvSchema(arm=config.arm_col, outcome=config.outcome_col, covariates=config.covariate_cols),
-    )
+    data = load_csv(config.input, _schema(config))
     grid = _resolve_grid(config, data)
     # the arms' upper bound, checked before the fit
     pair = _check_curve(config.functional, config.arm_pair, grid.n_locations, data.n_arms)
@@ -329,62 +375,12 @@ def run(config: RunConfig) -> dict:
     return result
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> dict[str, str]:
-    """Add the flags every mode takes; return the flag of each destination."""
-    actions = [
-        sub.add_argument("--config", help="INI file with [run] and [learner] sections"),
-        sub.add_argument("--from-manifest", help="replay the configuration of an emitted manifest.json"),
-        sub.add_argument("--n", type=int, dest="n_units", help="number of units (simulate)"),
-        sub.add_argument("--reps", type=int, dest="n_reps", help="Monte Carlo replications (simulate)"),
-        sub.add_argument("--folds", type=int, dest="n_folds", help="cross-fitting folds"),
-        sub.add_argument("--learner", choices=LEARNER_KINDS, help="adjustment learner"),
-        sub.add_argument("--methods", help="comma list of methods to compare (simulate)"),
-        sub.add_argument("--grid", help="probs=a:b:step | probs=p1,p2,... | list=v1,... | range=lo:hi"),
-        sub.add_argument("--B", type=int, dest="n_draws", help="bootstrap repetitions"),
-        sub.add_argument("--alpha", type=float, help="band miscoverage level"),
-        sub.add_argument("--seed", type=int, help="master seed"),
-        sub.add_argument("--out", help="output directory"),
-        sub.add_argument("--functional", choices=_FUNCTIONALS),
-        sub.add_argument("--arm-pair", dest="arm_pair", help="two arm indices, e.g. 2,1"),
-        sub.add_argument("--z-mode", dest="z_mode", choices=_Z_MODES),
-        sub.add_argument("--n-oracle", type=int, dest="n_oracle", help="oracle draw size (simulate)"),
-        sub.add_argument("--input", help="experiment CSV (estimate, bootstrap-band)"),
-        sub.add_argument("--arm-col", dest="arm_col", help="arm column name"),
-        sub.add_argument("--outcome-col", dest="outcome_col", help="outcome column name"),
-        sub.add_argument("--covariates", dest="covariate_cols", help="comma list of covariate columns"),
-        sub.add_argument("--epochs", type=int, help="training epochs"),
-        sub.add_argument("--batch-size", type=int, dest="batch_size"),
-        sub.add_argument("--learning-rate", type=float, dest="learning_rate"),
-        sub.add_argument("--hidden", help="comma list of hidden widths, e.g. 128,64"),
-        sub.add_argument("--ridge", type=float, help="ridge penalty of the linear learner"),
-        sub.add_argument("--transform", choices=("exp", "softplus"), help="monotone head transform"),
-        sub.add_argument("--squash", choices=("arctan", "tanh-half"), help="monotone head squash"),
-    ]
-    return {action.dest: action.option_strings[0] for action in actions}
+def _mode_flags(mode: str) -> dict[str, str]:
+    """The flag of each setting ``mode`` reads, by field name."""
+    return {name: flag for name, (flag, _, modes, _) in _SETTINGS.items() if flag and mode in modes}
 
 
-_TUPLE_KEYS = {
-    "methods": str,
-    "covariate_cols": str,
-    "hidden": int,
-    "arm_pair": int,
-}
-
-
-def _coerce(key: str, value: str):
-    if key in _TUPLE_KEYS:
-        caster = _TUPLE_KEYS[key]
-        return tuple(caster(part.strip()) for part in str(value).split(",") if str(part).strip())
-    field_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    kind = field_types.get(key, "str")
-    if kind == "int":
-        return int(value)
-    if kind == "float":
-        return float(value)
-    return str(value)
-
-
-def _load_ini(path: str) -> dict:
+def _load_ini(path: str, mode: str) -> dict:
     parser = configparser.ConfigParser()
     with open(path) as handle:
         parser.read_file(handle)
@@ -393,16 +389,23 @@ def _load_ini(path: str) -> dict:
         if section not in ("run", "learner"):
             raise ValueError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
-            merged[key] = _coerce(key, value)
+            _, parse, modes, _ = _SETTINGS.get(key, (None, None, (), None))
+            if mode not in modes:
+                raise ValueError(f"mode {mode} reads no config key {key!r}")
+            if not isinstance(parse, tuple):
+                value = parse(value)
+            elif value not in parse:
+                raise ValueError(f"{key} must be one of {parse}, got {value!r}")
+            merged[key] = value
     return merged
 
 
 def _resolve_config(args: argparse.Namespace, mode: str) -> RunConfig:
+    flags = _mode_flags(mode)
     if args.from_manifest:
         # a replay takes every setting from the manifest; any other flag would be ignored
-        flags = _add_common_flags(argparse.ArgumentParser())
-        given = [flag for name, flag in flags.items()
-                 if getattr(args, name) is not None and name not in ("from_manifest", "out")]
+        given = [flag for name, flag in {"config": "--config", **flags}.items()
+                 if name != "out" and getattr(args, name) is not None]
         if given:
             raise ValueError(f"--from-manifest takes no other flag than --out, got {', '.join(given)}")
         payload = load_manifest(args.from_manifest)
@@ -413,15 +416,8 @@ def _resolve_config(args: argparse.Namespace, mode: str) -> RunConfig:
         if args.out is not None:
             payload = dict(payload, out=args.out)
         return config_from_dict(payload)
-    values: dict = {}
-    if args.config:
-        values.update(_load_ini(args.config))
-    for key in (f.name for f in dataclasses.fields(RunConfig)):
-        if key == "mode":
-            continue
-        provided = getattr(args, key, None)
-        if provided is not None:
-            values[key] = _coerce(key, provided) if isinstance(provided, str) else provided
+    values = _load_ini(args.config, mode) if args.config else {}
+    values.update((name, getattr(args, name)) for name in flags if getattr(args, name) is not None)
     return RunConfig(mode=mode, **values)
 
 
@@ -436,7 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("estimate", "point estimates from an experiment CSV"),
         ("bootstrap-band", "estimates with multiplier-bootstrap bands"),
     ):
-        _add_common_flags(subs.add_parser(mode, help=text))
+        sub = subs.add_parser(mode, help=text)
+        sub.add_argument("--config", help="INI file of the mode's settings in [run] and [learner] sections")
+        sub.add_argument("--from-manifest", help="replay the configuration of an emitted manifest.json")
+        for name, flag in _mode_flags(mode).items():
+            _, parse, _, note = _SETTINGS[name]
+            kind = {"choices": parse} if isinstance(parse, tuple) else {"type": parse}
+            sub.add_argument(flag, dest=name, help=note, **kind)
     return parser
 
 

@@ -35,12 +35,22 @@ class CsvSchema:
     """Column roles for an experiment CSV.
 
     ``covariates=()`` means every column other than the arm and outcome
-    columns, in header order.
+    columns, in header order. A column has one role: the arm and outcome
+    columns differ, and a covariate is neither of them nor listed twice.
     """
 
     arm: str = "arm"
     outcome: str = "outcome"
     covariates: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.arm == self.outcome:
+            raise ValueError(f"column {self.arm!r} cannot be both the arm and the outcome")
+        for i, name in enumerate(self.covariates):
+            if name in (self.arm, self.outcome):
+                raise ValueError(f"covariate {name!r} is the arm or the outcome column")
+            if name in self.covariates[:i]:
+                raise ValueError(f"covariate {name!r} is listed twice")
 
 
 def _fmt(value) -> str:

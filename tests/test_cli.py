@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -69,11 +70,17 @@ class TestParseGridSpec:
             "list=0,nan,1",
             "list=-inf,0",
             "probs=0.2,nan",
+            "probs=0.1:0.9:0.3",
+            "probs=0.1:0.5:0.15",
         ],
     )
     def test_bad_specs_rejected(self, spec):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
             parse_grid_spec(spec)
+
+    def test_probs_range_keeps_its_step(self):
+        kind, values = parse_grid_spec("probs=0.1:0.9:0.1")
+        assert_array_equal(values, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
 
 
 class TestRunConfig:
@@ -117,7 +124,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("value", [0, 3, -1])
     def test_unknown_multiplier_scheme_fails_eagerly(self, value):
         with pytest.raises(ValueError, match="multiplier_scheme must be 1 or 2"):
-            RunConfig(mode="simulate", multiplier_scheme=value)
+            RunConfig(mode="bootstrap-band", input="x.csv", multiplier_scheme=value)
 
     @pytest.mark.parametrize("field, value", [
         ("precision", "float16"), ("epochs", 2.5), ("batch_size", 0), ("seed", -1),
@@ -228,6 +235,10 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="n_oracle"):
             RunConfig(mode="simulate", n_oracle=1)
 
+    def test_repeated_method_fails_eagerly(self):
+        with pytest.raises(ValueError, match="'linear' is listed twice"):
+            RunConfig(mode="simulate", methods=("empirical", "linear", "linear"))
+
     def test_learners_the_mode_does_not_use_are_not_checked(self):
         # a linear run ignores the network fields, so its manifests replay
         # whatever they hold there
@@ -237,6 +248,14 @@ class TestRunConfig:
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def exit_code(*argv):
+    """The exit code of a CLI run, whether it returns or argparse exits."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestSimulateMode:
@@ -316,14 +335,25 @@ class TestSimulateMode:
         assert run_cli("simulate", "--from-manifest", first / "manifest.json", "--out", second) == 0
         assert (first / "study.csv").read_bytes() == (second / "study.csv").read_bytes()
 
-    def test_curve_settings_are_not_checked(self, tmp_path):
-        # simulate forms no curve of an arm pair, so its manifests replay
-        # whatever they hold there
-        rc = run_cli(
-            "simulate", "--n", 150, "--reps", 1, "--methods", "empirical", "--grid", "probs=0.5",
-            "--n-oracle", 10000, "--arm-pair", "2,2", "--functional", "pte", "--out", tmp_path / "sim",
-        )
-        assert rc == 0
+    def test_manifest_with_values_simulate_ignores_replays_byte_for_byte(self, tmp_path):
+        # simulate refuses other modes' flags, yet a manifest written while it
+        # accepted them holds their values, and it replays
+        flags = ("simulate", "--n", 150, "--reps", 1, "--methods", "empirical,linear",
+                 "--grid", "probs=0.5", "--n-oracle", 10000)
+        ignored = ("--arm-pair", "2,2", "--functional", "pte", "--B", 7, "--learner", "nn-single")
+        assert exit_code(*flags, *ignored, "--out", tmp_path / "refused") == 2
+        assert not (tmp_path / "refused").exists()
+        first = tmp_path / "first"
+        assert run_cli(*flags, "--out", first) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["config"].update(arm_pair=[2, 2], functional="pte", n_draws=7, learner="nn-single")
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        second = tmp_path / "second"
+        assert run_cli("simulate", "--from-manifest", old, "--out", second) == 0
+        assert (first / "study.csv").read_bytes() == (second / "study.csv").read_bytes()
+        replayed = json.loads((second / "manifest.json").read_text())["config"]
+        assert replayed == dict(manifest["config"], out=str(second))
 
     def test_manifest_mode_mismatch(self, tmp_path):
         out = tmp_path / "sim"
@@ -588,7 +618,9 @@ class TestBoolLabels:
     @pytest.mark.parametrize("learner", ["linear", "nn-multi-monotone"])
     def test_outputs_equal_those_of_float_labels(self, tmp_path, monkeypatch, experiment_csv, mode, learner):
         flags = (mode, "--input", experiment_csv, "--learner", learner, "--hidden", "4",
-                 "--epochs", 2, "--grid", "list=1.5,2.5,3.5", "--B", 60)
+                 "--epochs", 2, "--grid", "list=1.5,2.5,3.5")
+        if mode == "bootstrap-band":
+            flags += ("--B", 60)
         assert run_cli(*flags, "--out", tmp_path / "bool") == 0
         with monkeypatch.context() as patch:
             self.float_labels(patch)
@@ -596,6 +628,126 @@ class TestBoolLabels:
         names = json.loads((tmp_path / "bool" / "manifest.json").read_text())["outputs"]
         for name in names:
             assert (tmp_path / "bool" / name).read_bytes() == (tmp_path / "float" / name).read_bytes()
+
+
+# each mode's flags and INI keys, spelled out here rather than read from the CLI
+TRAINING_FLAGS = ("--epochs", "--batch-size", "--learning-rate", "--hidden", "--ridge", "--transform", "--squash")
+CURVE_FLAGS = ("--learner", "--functional", "--arm-pair", "--input", "--arm-col", "--outcome-col", "--covariates")
+MODE_FLAGS = {
+    "simulate": {"--config", "--from-manifest", "--out", "--seed", "--folds", "--grid", *TRAINING_FLAGS,
+                 "--n", "--reps", "--methods", "--n-oracle"},
+    "estimate": {"--config", "--from-manifest", "--out", "--seed", "--folds", "--grid", *TRAINING_FLAGS,
+                 *CURVE_FLAGS},
+    "bootstrap-band": {"--config", "--from-manifest", "--out", "--seed", "--folds", "--grid", *TRAINING_FLAGS,
+                       *CURVE_FLAGS, "--B", "--alpha", "--z-mode"},
+}
+TRAINING_KEYS = ("epochs", "batch_size", "learning_rate", "hidden", "ridge", "transform", "squash", "precision")
+CURVE_KEYS = ("learner", "functional", "arm_pair", "input", "arm_col", "outcome_col", "covariate_cols")
+MODE_KEYS = {
+    "simulate": {"out", "seed", "n_folds", "grid", *TRAINING_KEYS, "n_units", "n_reps", "methods", "n_oracle"},
+    "estimate": {"out", "seed", "n_folds", "grid", *TRAINING_KEYS, *CURVE_KEYS},
+    "bootstrap-band": {"out", "seed", "n_folds", "grid", *TRAINING_KEYS, *CURVE_KEYS,
+                       "n_draws", "alpha", "z_mode", "multiplier_scheme"},
+}
+# a value each flag and key would take in a run of its own mode
+FLAG_VALUES = {
+    "--n": "150", "--reps": "1", "--methods": "empirical", "--n-oracle": "2000", "--learner": "linear",
+    "--functional": "dte", "--arm-pair": "2,1", "--input": "x.csv", "--arm-col": "arm",
+    "--outcome-col": "outcome", "--covariates": "x1", "--B": "5", "--alpha": "0.1", "--z-mode": "literal",
+}
+KEY_VALUES = {
+    "n_units": "150", "n_reps": "1", "methods": "empirical", "n_oracle": "2000", "learner": "linear",
+    "functional": "dte", "arm_pair": "2,1", "input": "x.csv", "arm_col": "arm", "outcome_col": "outcome",
+    "covariate_cols": "x1", "n_draws": "5", "alpha": "0.1", "z_mode": "literal", "multiplier_scheme": "1",
+}
+
+
+def foreign(table):
+    """(mode, name) for every flag or key of another mode that ``mode`` does not read."""
+    every = set().union(*table.values())
+    return [(mode, name) for mode, own in table.items() for name in sorted(every - own)]
+
+
+class TestModeInterface:
+    """Each mode takes only the flags and INI keys it reads."""
+
+    @pytest.fixture
+    def quick_run(self, experiment_csv):
+        def flags(mode):
+            # a valid, fast run of the mode, so a foreign setting is the only fault
+            if mode == "simulate":
+                return ("simulate", "--n", 150, "--reps", 1, "--methods", "empirical",
+                        "--n-oracle", 2000, "--grid", "probs=0.5")
+            band = ("--B", 20) if mode == "bootstrap-band" else ()
+            return (mode, "--input", experiment_csv, "--learner", "linear", "--grid", "list=2.0", *band)
+        return flags
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    def test_help_lists_exactly_the_mode_flags(self, capsys, mode):
+        assert exit_code(mode, "--help") == 0
+        shown = set(re.findall(r"(?<![\w-])--[A-Za-z][-A-Za-z]*", capsys.readouterr().out))
+        assert shown == MODE_FLAGS[mode] | {"--help"}
+
+    @pytest.mark.parametrize("mode, flag", foreign(MODE_FLAGS))
+    def test_flag_of_another_mode_is_usage_error(self, tmp_path, capsys, quick_run, mode, flag):
+        out = tmp_path / "out"
+        assert exit_code(*quick_run(mode), flag, FLAG_VALUES[flag], "--out", out) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, key", foreign(MODE_KEYS))
+    def test_ini_key_of_another_mode_is_usage_error(self, tmp_path, capsys, quick_run, mode, key):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\n{key} = {KEY_VALUES[key]}\n")
+        out = tmp_path / "out"
+        assert exit_code(*quick_run(mode), "--config", ini, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and repr(key) in err and mode in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", sorted(MODE_KEYS))
+    def test_ini_takes_every_key_of_the_mode(self, tmp_path, experiment_csv, mode):
+        values = {"out": str(tmp_path / "ini-out"), "seed": "3", "n_folds": "2", "grid": "list=2.0",
+                  "epochs": "2", "batch_size": "8", "learning_rate": "0.02", "hidden": "4", "ridge": "1e-6",
+                  "transform": "softplus", "squash": "tanh-half", "precision": "float64", **KEY_VALUES}
+        if mode == "simulate":
+            values["grid"] = "probs=0.5"
+        values["input"] = str(experiment_csv)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\n" + "".join(f"{key} = {values[key]}\n" for key in sorted(MODE_KEYS[mode])))
+        out = tmp_path / "flag-out"
+        assert exit_code(mode, "--config", ini, "--out", out) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["seed"] == 3 and config["precision"] == "float64" and config["ridge"] == 1e-6
+
+    @pytest.mark.parametrize("key, value", [
+        ("learner", "forest"), ("transform", "cube"), ("squash", "logistic"), ("hidden", "4.5"),
+    ])
+    def test_ini_value_the_flag_would_refuse_is_usage_error(self, tmp_path, capsys, quick_run, key, value):
+        # the linear learner reads no transform or squash, yet the flags refuse these values
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[learner]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert exit_code(*quick_run("bootstrap-band"), "--config", ini, "--out", out) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_method_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "dup"
+        assert run_cli("simulate", "--n", 150, "--reps", 1, "--methods", "empirical,linear,linear",
+                       "--n-oracle", 2000, "--grid", "probs=0.5", "--out", out) == 2
+        assert "'linear' is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--covariates", "x1,outcome"), ("--covariates", "arm,x2"), ("--covariates", "x1,x1"),
+        ("--outcome-col", "arm"),
+    ])
+    def test_column_with_two_roles_is_usage_error(self, tmp_path, capsys, quick_run, flags):
+        out = tmp_path / "est"
+        assert run_cli(*quick_run("estimate"), *flags, "--out", out) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigResolution:

@@ -58,6 +58,18 @@ class TestLoadCsv:
         data = load_csv(write_text(tmp_path / "d.csv", text), schema)
         assert_array_equal(data.covariates, [[30.0, 10.0], [60.0, 40.0]])
 
+    @pytest.mark.parametrize("schema, message", [
+        (dict(covariates=("x", "outcome")), "covariate 'outcome' is the arm or the outcome"),
+        (dict(covariates=("arm",)), "covariate 'arm' is the arm or the outcome"),
+        (dict(covariates=("x", "x")), "covariate 'x' is listed twice"),
+        (dict(arm="y", outcome="y"), "'y' cannot be both the arm and the outcome"),
+    ])
+    def test_column_with_two_roles_rejected(self, tmp_path, schema, message):
+        # the learner would predict 1{Y <= y} from Y itself, or fit one column twice
+        path = write_text(tmp_path / "roles.csv", "arm,outcome,x,y\n1,1.0,0.1,5\n2,2.0,0.2,6\n")
+        with pytest.raises(ValueError, match=message):
+            load_csv(path, CsvSchema(**schema))
+
     def test_all_other_columns_become_covariates(self, tmp_path):
         text = "x1,arm,x2,outcome\n0.1,1,0.2,1.0\n0.3,2,0.4,2.0\n"
         data = load_csv(write_text(tmp_path / "e.csv", text))

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LocationGrid, _integer, _integers
+from .core import LocationGrid, _integer, _integers, _is_real
 from .errors import DomainError
 from .estimation import (
     _FUNCTIONALS,
@@ -62,7 +62,6 @@ from . import simulation
 __all__ = ["RunConfig", "run", "main"]
 
 _MODES = ("simulate", "estimate", "bootstrap-band")
-_INTEGER_FIELDS = ("seed", "n_units", "n_reps", "n_folds", "n_draws", "n_oracle", "multiplier_scheme")
 _METHOD_NAMES = ("empirical", *LEARNER_KINDS)
 _Z_MODES = ("half-alpha", "literal")
 
@@ -146,9 +145,16 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        for name in _INTEGER_FIELDS:
-            # a NumPy integer would not serialize into the manifest
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name, (_, parse, _, _) in _SETTINGS.items():
+            # Python numbers, since a NumPy scalar would not serialize into the manifest
+            value = getattr(self, name)
+            if parse is int:
+                value = _integer(value, name)
+            elif parse is float:
+                if not _is_real(value):
+                    raise ValueError(f"{name} must be a number, got {value!r}")
+                value = float(value)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "hidden", _integers(self.hidden, "hidden widths"))
         object.__setattr__(self, "covariate_cols", tuple(self.covariate_cols))
@@ -421,12 +427,22 @@ def _resolve_config(args: argparse.Namespace, mode: str) -> RunConfig:
     return RunConfig(mode=mode, **values)
 
 
+class _ModeParser(argparse.ArgumentParser):
+    """A mode's parser, which reports the arguments it does not know with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtekit",
         description="Distributional treatment effect estimation and benchmarking",
     )
-    subs = parser.add_subparsers(dest="mode", required=True)
+    subs = parser.add_subparsers(dest="mode", required=True, parser_class=_ModeParser)
     for mode, text in (
         ("simulate", "Monte Carlo study on the synthetic benchmark"),
         ("estimate", "point estimates from an experiment CSV"),

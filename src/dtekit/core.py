@@ -75,7 +75,7 @@ def _integers(values, name: str) -> tuple[int, ...]:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may use: the multiplier fill's threads and a fan-out's processes."""
+    """The CPUs this process may use, which size :func:`_fan_out`'s processes."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:

@@ -31,22 +31,21 @@ estimate's draws sum the products of the chunks in chunk order; scheme 1,
 which manifests written before the scheme was recorded replay on, reads all
 n units as one chunk. The two schemes give the same bytes whenever
 n <= 8,192. So a band run holds, beyond its inputs, one slab per estimate
-(n*k*m float64 values), a block of at most 256 x 8,192 multipliers
-(256 x n under scheme 1), and the draws.
+(n*k*m float64 values), the draws, and in each process that draws a block
+of at most 256 x 8,192 multipliers (256 x n under scheme 1).
 
-The pass fills its multipliers on T threads, T the CPUs the process may use.
-Every repetition has its own generator stream spawned from the seed, so a
-row's multipliers do not depend on which thread draws them, and each chunk
-of a block of rows is multiplied as a whole with fixed operands once all its
-rows are filled. The draws are therefore bit-identical at any T.
+The pass hands its blocks of 256 repetitions to :func:`dtekit.core._fan_out`:
+each forked process inherits the slabs and sends back only its draws. Every
+repetition has its own generator stream spawned from the seed, and each
+chunk of a block is multiplied as a whole with fixed operands, so the draws
+are bit-identical at any number of processes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -59,6 +58,7 @@ from .core import (
     ExperimentData,
     LocationGrid,
     _frozen_array,
+    _integer,
     _is_integer,
     indicator_labels,
 )
@@ -269,21 +269,15 @@ def bootstrap_draws(
     w units takes one call for 2w standard normals, the first w and the last
     w feeding :func:`multiplier_transform`. The multipliers are therefore
     reproducible and do not depend on how repetitions are batched or which
-    thread draws them. The draw matmul is not: BLAS can round the last bit
+    process draws them. The draw matmul is not: BLAS can round the last bit
     differently for other operand shapes, so the block size, the chunks and
     the operands are fixed.
 
-    Repetitions run in blocks of ``_DRAW_BLOCK`` rows, and each block runs
-    chunk by chunk. Each chunk of a block is filled on T threads, T the CPUs
-    this process may use (at most the rows of a block): every thread fills a
-    contiguous run of the block's rows in place, with generators it makes at
-    the block's first chunk and keeps for its later ones. Once the chunk is
-    full, the estimates' products run on the same threads, one task per
-    estimate, each on the whole chunk: the first chunk's product is assigned
-    and later ones are added, and the sum is divided by n once. The block
-    size, the chunks and the operands of every product are the same at any
-    T, so the draws are bit-identical at any T. The threads live only for
-    the call, so no thread is alive when a process forks.
+    Repetitions run in blocks of ``_DRAW_BLOCK`` rows (see
+    :func:`_draw_blocks`), which :func:`dtekit.core._fan_out` spreads over
+    forked processes, and each draw is divided by n once. The block size,
+    the chunks and the operands of every product are the same in any
+    process, so the draws are bit-identical at any number of processes.
 
     ``theta`` and ``psi`` may stack several estimates along the arm axis,
     ``arms_per_estimate`` arms each (default: all arms, one estimate). All
@@ -299,7 +293,7 @@ def bootstrap_draws(
     k, n, m = psi.values.shape
     if theta.values.shape != (k, m):
         raise ShapeMismatch(f"theta shape {theta.values.shape} != ({k}, {m})")
-    per = k if arms_per_estimate is None else int(arms_per_estimate)
+    per = k if arms_per_estimate is None else _integer(arms_per_estimate, "arms_per_estimate")
     if per < 1 or k % per:
         raise ShapeMismatch(f"{k} stacked arms do not split into estimates of {per} arms")
     chunks = _chunks(n, multiplier_scheme)
@@ -309,56 +303,43 @@ def bootstrap_draws(
         for first in range(0, k, per)
     ]
     children = np.random.SeedSequence(seed).spawn(n_draws)
-    draws = np.empty((n_draws, k * m))
-    rows_per_block = min(_DRAW_BLOCK, n_draws)
-    width = chunks[0][1] - chunks[0][0]
-    block = np.empty(rows_per_block * width)
-    threads = min(core._usable_cpus(), rows_per_block)
-    scratches = [np.empty(2 * width) for _ in range(threads)]
-
-    def fill(rows, streams, generators, scratch):
-        if not generators:
-            generators.extend(np.random.default_rng(child) for child in streams)
-        w = rows.shape[1]
-        normals, m1, m2 = scratch[:2 * w], scratch[:w], scratch[w:2 * w]
-        for row, generator in zip(rows, generators):
-            generator.standard_normal(2 * w, out=normals)
-            multiplier_transform(m1, m2, out=row)
-
-    def product(rows, start, e, lo, hi):
-        out = draws[start:start + len(rows), e * per * m:(e + 1) * per * m]
-        if lo == 0:
-            out[...] = rows @ slabs[e][lo:hi]
-        else:
-            out += rows @ slabs[e][lo:hi]
-
-    with ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext() as pool:
-
-        def run(tasks):
-            """Run (function, *args) tasks: the first on the calling thread, the rest on the pool if any."""
-            split = len(tasks) if pool is None else 1
-            pending = [pool.submit(*task) for task in tasks[split:]]
-            for function, *args in tasks[:split]:
-                function(*args)
-            for future in pending:
-                future.result()
-
-        for start in range(0, n_draws, _DRAW_BLOCK):
-            height = min(_DRAW_BLOCK, n_draws - start)
-            # thread t fills the contiguous rows cuts[t]:cuts[t + 1] of the block
-            cuts = [height * t // threads for t in range(threads + 1)]
-            generators = [[] for _ in range(threads)]
-            for lo, hi in chunks:
-                # a C-ordered (height, hi - lo) operand, whatever the chunk's width
-                rows = block[:height * (hi - lo)].reshape(height, hi - lo)
-                run([
-                    (fill, rows[a:b], children[start + a:start + b], own, scratch)
-                    for a, b, own, scratch in zip(cuts, cuts[1:], generators, scratches)
-                ])
-                run([(product, rows, start, e, lo, hi) for e in range(len(slabs))])
+    blocks = [children[start:start + _DRAW_BLOCK] for start in range(0, n_draws, _DRAW_BLOCK)]
+    draws = np.concatenate(core._fan_out(partial(_draw_blocks, slabs, chunks), blocks))
     draws /= n
     draws += theta.values.reshape(1, k * m)
     return BootstrapDraws(draws=draws.reshape(n_draws, k, m), seed=seed)
+
+
+def _draw_blocks(slabs: list[np.ndarray], chunks: list[tuple[int, int]], blocks: list) -> list[np.ndarray]:
+    """The draws of each block of repetition streams, not yet divided by n.
+
+    A block runs chunk by chunk: each row fills the chunk's multipliers from
+    its own generator, then each estimate's draws gain the product of the
+    whole chunk with the chunk's rows of its slab.
+    """
+    width = chunks[0][1] - chunks[0][0]
+    block = np.empty(max(map(len, blocks)) * width)
+    normals = np.empty(2 * width)
+    columns = slabs[0].shape[1]
+    results = []
+    for streams in blocks:
+        generators = [np.random.default_rng(stream) for stream in streams]
+        draws = np.empty((len(streams), len(slabs) * columns))
+        for lo, hi in chunks:
+            w = hi - lo
+            # a C-ordered (rows, w) operand, whatever the chunk's width
+            rows = block[:len(streams) * w].reshape(len(streams), w)
+            for row, generator in zip(rows, generators):
+                generator.standard_normal(2 * w, out=normals[:2 * w])
+                multiplier_transform(normals[:w], normals[w:2 * w], out=row)
+            for e, slab in enumerate(slabs):
+                out = draws[:, e * columns:(e + 1) * columns]
+                if lo == 0:
+                    out[...] = rows @ slab[lo:hi]
+                else:
+                    out += rows @ slab[lo:hi]
+        results.append(draws)
+    return results
 
 
 def bootstrap_band(

@@ -274,9 +274,10 @@ def write_manifest(path: str | Path, config: dict, outputs: list[str], timings: 
         "outputs": sorted(outputs),
         "timings_seconds": timings or {},
     }
+    # serialized before the file is opened, so a value JSON cannot hold leaves no partial manifest
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)
     return path
 
 

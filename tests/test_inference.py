@@ -1,7 +1,6 @@
 import inspect
-import itertools
+import multiprocessing
 import os
-import sys
 import threading
 import tracemalloc
 from statistics import NormalDist
@@ -272,16 +271,17 @@ class TestMultiplierSchemes:
     def test_block_memory_does_not_grow_with_n(self, monkeypatch):
         """tracemalloc peak of a two-estimate pass over 5 chunks and one unit.
 
-        The 64 x 8,192 block, two fill threads' scratch of 2 x 8,192 values
-        each, the draws and their frozen copy, and 256 KiB for the generators
-        and matmul temporaries. A block n wide alone is 64 x 40,961 values.
+        The 64 x 8,192 block, a scratch of 2 x 8,192 normals, the draws and
+        their frozen copy, and 256 KiB for the generators and matmul
+        temporaries. A block n wide alone is 64 x 40,961 values. On one CPU
+        the block is drawn in this process, where tracemalloc sees it.
         """
         n, k, m, n_draws = 5 * 8192 + 1, 2, 3, 64
         values = inference._new_influence(2, k, n, m)
         values[...] = np.random.default_rng(2).standard_normal((2 * k, n, m))
         psi = InfluenceMatrix._frozen(values)
         theta = CdfEstimate(values=np.full((2 * k, m), 0.5), method="empirical")
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
         tracemalloc.start()
         try:
             bootstrap_draws(theta, psi, n_draws, seed=3, arms_per_estimate=k)
@@ -289,7 +289,7 @@ class TestMultiplierSchemes:
         finally:
             tracemalloc.stop()
         block = n_draws * 8192 * 8
-        scratch = 2 * 2 * 8192 * 8
+        scratch = 2 * 8192 * 8
         draws = 2 * n_draws * 2 * k * m * 8
         assert peak <= block + scratch + draws + 256 * 1024
 
@@ -309,12 +309,12 @@ class TestMultiplierSchemes:
                            multipliers(9000, seed=1, multiplier_scheme=1))
 
 
-class TestThreadedFill:
-    """Rows of each multiplier block are filled on ``core._usable_cpus()`` threads."""
+class TestFanOutDraws:
+    """Blocks of 256 repetitions are drawn on ``core._fan_out``, in forked processes when it forks."""
 
     @settings(max_examples=60, deadline=None)
     @given(
-        threads=st.integers(1, 4),
+        cpus=st.integers(1, 4),
         n=st.integers(1, 60),
         n_draws=st.sampled_from([2, 3, 4, 255, 256, 257, 513]),
         n_estimates=st.integers(1, 3),
@@ -322,87 +322,103 @@ class TestThreadedFill:
         m=st.integers(1, 3),
         seed=st.integers(0, 2**32),
     )
-    def test_equals_a_serial_pass_bit_for_bit(self, threads, n, n_draws, n_estimates, per, m, seed):
+    def test_equals_a_serial_pass_bit_for_bit(self, cpus, n, n_draws, n_estimates, per, m, seed):
         rng = np.random.default_rng(seed)
         k = n_estimates * per
         psi = rng.standard_normal((k, n, m))
         theta = np.sort(rng.random((k, m)), axis=1)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "_usable_cpus", lambda: threads)
+            patch.setattr(core, "_usable_cpus", lambda: cpus)
             got = bootstrap_draws(
                 CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
                 n_draws, seed, arms_per_estimate=per,
             )
         assert_array_equal(got.draws, serial_draws(theta, psi, n_draws, seed, per))
 
-    def test_more_threads_than_cpus_with_fast_switching(self, monkeypatch):
+    def test_more_usable_cpus_than_cores(self, monkeypatch):
         rng = np.random.default_rng(12)
         psi = rng.standard_normal((4, 50, 3))
         theta = np.sort(rng.random((4, 3)), axis=1)
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2 * (os.cpu_count() or 1))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = bootstrap_draws(
-                CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
-                513, 8, arms_per_estimate=2,
-            )
-        finally:
-            sys.setswitchinterval(interval)
+        got = bootstrap_draws(
+            CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
+            513, 8, arms_per_estimate=2,
+        )
         assert_array_equal(got.draws, serial_draws(theta, psi, 513, 8, 2))
 
     @staticmethod
-    def thread_record(monkeypatch):
-        """Thread idents of every multiplier_transform call, and the pools' worker counts."""
-        idents, pools = [], []
+    def pid_record(monkeypatch, path):
+        """Append the pid of every multiplier_transform call to ``path``, which forked processes share."""
         transform = inference.multiplier_transform
-        pool_class = inference.ThreadPoolExecutor
 
         def recorded(*args, **kwargs):
-            idents.append(threading.get_ident())
+            with open(path, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
             return transform(*args, **kwargs)
 
-        def pool(max_workers):
-            pools.append(max_workers)
-            return pool_class(max_workers=max_workers)
-
         monkeypatch.setattr(inference, "multiplier_transform", recorded)
-        monkeypatch.setattr(inference, "ThreadPoolExecutor", pool)
-        return idents, pools
+        return lambda: [int(line) for line in path.read_text().split()]
 
     def run(self, n_draws, n=30):
         psi = InfluenceMatrix(values=np.random.default_rng(1).standard_normal((2, n, 2)))
         theta = CdfEstimate(values=np.full((2, 2), 0.5), method="empirical")
         return bootstrap_draws(theta, psi, n_draws, seed=4)
 
-    def test_calling_thread_and_pool_fill_rows(self, monkeypatch):
-        idents, pools = self.thread_record(monkeypatch)
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
-        self.run(300)
-        assert len(idents) == 300
-        # the pool starts a second worker only when its first is busy
-        assert len(set(idents)) in (2, 3)
-        assert threading.get_ident() in idents
-        assert pools == [2]
+    def test_blocks_fill_in_forked_processes(self, monkeypatch, tmp_path):
+        pids = self.pid_record(monkeypatch, tmp_path / "pids")
+        fan_out, items = core._fan_out, []
 
-    def test_one_thread_fills_inline_without_a_pool(self, monkeypatch):
-        idents, pools = self.thread_record(monkeypatch)
+        def recorded(function, blocks):
+            items.append([len(block) for block in blocks])
+            return fan_out(function, blocks)
+
+        monkeypatch.setattr(core, "_fan_out", recorded)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        self.run(600)
+        assert items == [[256, 256, 88]]
+        filled = pids()
+        assert len(filled) == 600
+        assert len(set(filled)) == 2 and os.getpid() not in filled
+
+    def test_one_cpu_fills_in_the_calling_process(self, monkeypatch, tmp_path):
+        pids = self.pid_record(monkeypatch, tmp_path / "pids")
         monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
-        before = threading.active_count()
-        self.run(300)
-        assert set(idents) == {threading.get_ident()}
-        assert pools == []
-        assert threading.active_count() == before
+        self.run(600)
+        assert set(pids()) == {os.getpid()}
 
-    def test_threads_capped_by_the_rows_of_a_block(self, monkeypatch):
-        _, pools = self.thread_record(monkeypatch)
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 8)
-        self.run(3)
-        assert pools == [2]
+    def test_a_failing_draw_in_a_forked_process_raises_here(self, monkeypatch):
+        transform = inference.multiplier_transform
+        caller = os.getpid()
 
-    def test_draw_threads_are_the_usable_cpus(self, monkeypatch):
-        # one owner, in core, which the fit fan-out of learners reads too
-        assert not hasattr(inference, "_draw_threads")
+        def failing(*args, **kwargs):
+            if os.getpid() != caller:
+                raise FloatingPointError("multiplier failed")
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "multiplier_transform", failing)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        with pytest.raises(FloatingPointError, match="^multiplier failed$"):
+            self.run(600)
+        assert multiprocessing.active_children() == []
+
+    def test_another_thread_keeps_the_draws_in_the_calling_process(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+        want = self.run(600).draws
+        pids = self.pid_record(monkeypatch, tmp_path / "pids")
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            got = self.run(600).draws
+        finally:
+            release.set()
+            other.join()
+        assert set(pids()) == {os.getpid()}
+        assert got.tobytes() == want.tobytes()
+
+    def test_draw_processes_follow_the_usable_cpus(self, monkeypatch):
+        # one owner, in core, which the fan-out of fits and replications reads too
         if hasattr(os, "sched_getaffinity"):
             assert core._usable_cpus() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -410,27 +426,6 @@ class TestThreadedFill:
         assert core._usable_cpus() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert core._usable_cpus() == 1
-
-    @pytest.mark.parametrize("where", ["any", "worker"])
-    def test_a_failing_draw_raises_and_leaves_no_thread(self, monkeypatch, where):
-        transform = inference.multiplier_transform
-        count = itertools.count(1)
-        caller = threading.get_ident()
-        error = RuntimeError("multiplier failed")
-
-        def failing(*args, **kwargs):
-            call = next(count)
-            if (where == "any" and call == 300) or (where == "worker" and threading.get_ident() != caller):
-                raise error
-            return transform(*args, **kwargs)
-
-        monkeypatch.setattr(inference, "multiplier_transform", failing)
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as raised:
-            self.run(600)
-        assert raised.value is error
-        assert threading.active_count() == before
 
 
 class TestDrawArguments:
@@ -454,6 +449,13 @@ class TestDrawArguments:
         want = bootstrap_draws(self.theta, self.psi, 50, seed=7)
         got = bootstrap_draws(self.theta, self.psi, np.int64(50), seed=np.uint32(7))
         assert_array_equal(got.draws, want.draws)
+        got = bootstrap_draws(self.theta, self.psi, 50, seed=7, arms_per_estimate=np.int64(2))
+        assert_array_equal(got.draws, want.draws)
+
+    @pytest.mark.parametrize("per", [2.7, 2.0, True, "2", np.float64(2.0)])
+    def test_non_integer_arms_per_estimate_rejected(self, per):
+        with pytest.raises(ValueError, match="arms_per_estimate must be an integer"):
+            bootstrap_draws(self.theta, self.psi, 50, seed=0, arms_per_estimate=per)
 
     @pytest.mark.parametrize("call", ["bootstrap_band", "bootstrap_bands"])
     @pytest.mark.parametrize(
@@ -809,15 +811,16 @@ class TestInfluenceSlabs:
         """tracemalloc peak of a two-estimate band run, against the memory it must hold.
 
         The 256 x n multiplier block and the two (n, k x m) slabs, plus
-        3 n*m float64 values of headroom, which covers the two fill threads'
-        scratch of 2n values each, the (B, 2 x k x m) draws and their frozen
-        copy. A copy of the stacked influence values alone is 4 n*m values.
+        3 n*m float64 values of headroom, which covers the scratch of 2n
+        normals, the (B, 2 x k x m) draws and their frozen copy. A copy of
+        the stacked influence values alone is 4 n*m values. On one CPU the
+        block is drawn in this process, where tracemalloc sees it.
         """
         n, k, m, n_draws = 4000, 2, 9, 300
         data = make_experiment(seed=8, n=n)
         grid = quantile_grid(data, np.linspace(0.1, 0.9, m))
         estimates = (empirical_cdf(data, grid), fit_adjusted(data, grid, LearnerKind("linear")))
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
         tracemalloc.start()
         try:
             bootstrap_bands(data, grid, estimates, n_draws=n_draws, seed=3)
@@ -844,20 +847,18 @@ class TestTracerContract:
         ]
         csv_path.write_text("\n".join(rows) + "\n")
         calls = {"bootstrap_draws": 0, "multiplier_transform": 0}
-        # multiplier_transform runs on the fill threads
-        lock = threading.Lock()
 
         def counted(name):
             fn = getattr(inference, name)
 
             def wrapper(*args, **kwargs):
-                with lock:
-                    calls[name] += 1
+                calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
         for name in calls:
             monkeypatch.setattr(inference, name, counted(name))
+        # one block of 37 rows, which the calling process draws
         n_draws = 37
         rc = main([
             "bootstrap-band", "--input", str(csv_path), "--learner", "linear",

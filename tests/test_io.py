@@ -365,6 +365,18 @@ class TestManifest:
         assert payload["outputs"] == ["a.csv", "b.csv"]
         assert payload["timings_seconds"] == {"fit": 1.0}
 
+    def test_value_json_cannot_hold_leaves_no_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        with pytest.raises(TypeError):
+            write_manifest(path, {"mode": "simulate", "epochs": np.int64(2)}, ["study.csv"])
+        assert not path.exists()
+
+    def test_text_is_the_indented_sorted_dump(self, tmp_path):
+        config = {"mode": "simulate", "seed": 3, "alpha": 0.05, "methods": ["empirical"]}
+        path = write_manifest(tmp_path / "m.json", config, ["b.csv"], {"fit": 1.5})
+        payload = {"config": config, "outputs": ["b.csv"], "timings_seconds": {"fit": 1.5}}
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text("{\"unrelated\": true}")

@@ -4,9 +4,9 @@ Arms are integer labels 1..K. Evaluation locations are a strictly increasing
 grid of outcome values; all CDF-like quantities are matrices with one row per
 arm and one column per location.
 
-The private helpers here have one owner each: integer checks, read-only
-copies, the CPUs the process may use, and :func:`_fan_out`, the one place
-the package forks processes.
+The private helpers here have one owner each: integer and seed checks,
+read-only copies, the CPUs the process may use, and :func:`_fan_out`, the
+one place the package forks processes.
 """
 
 from __future__ import annotations
@@ -72,6 +72,13 @@ def _integers(values, name: str) -> tuple[int, ...]:
         if not _is_integer(value):
             raise ValueError(f"{name} must be integers, got {value!r}")
     return tuple(int(value) for value in values)
+
+
+def _seed(value, name: str = "seed") -> int:
+    """``value`` as a Python int; anything but a non-negative integer is a ValueError naming ``name``."""
+    if not _is_integer(value) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _usable_cpus() -> int:
@@ -172,7 +179,7 @@ class ExperimentData:
     covariates : (n, d) float array
     arms : (n,) int array with labels in 1..n_arms
     outcomes : (n,) float array
-    n_arms : number of declared arms K; inferred as max(arms) when omitted
+    n_arms : number of declared arms K, an integer; inferred as max(arms) when 0 or omitted
     stats : per-arm counts and shares, computed at construction
 
     Construction raises ShapeMismatch for arrays of the wrong rank or unequal
@@ -213,7 +220,7 @@ class ExperimentData:
         if not np.all(np.isfinite(y)):
             i = np.flatnonzero(~np.isfinite(y))[0]
             raise NonFiniteValue(f"outcomes contain non-finite values (unit {i})")
-        k = int(self.n_arms) if self.n_arms else int(w.max())
+        k = _integer(self.n_arms, "n_arms") or int(w.max())
         if k < 1:
             raise EmptyArm("experiment declares no arms")
         if w.min() < 1 or w.max() > k:

@@ -27,6 +27,7 @@ from .core import (
     _frozen_array,
     _integer,
     _integers,
+    _seed,
     derive_seed,
     indicator_labels,
 )
@@ -60,14 +61,30 @@ _FUNCTIONALS = ("cdf", "dte", "pte")
 
 @dataclass(frozen=True)
 class CrossFitPlan:
-    """A seeded partition of units into folds 1..n_folds, balanced within one."""
+    """A seeded partition of units into folds 1..n_folds, balanced within one.
+
+    A fold id that is not an integer in 1..n_folds is an error naming its 0-based unit.
+    """
 
     n_folds: int
     seed: int
     fold_assignment: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "fold_assignment", _frozen_array(self.fold_assignment, dtype=int))
+        n_folds = _integer(self.n_folds, "n_folds")
+        _seed(self.seed)
+        if n_folds < 2:
+            raise ValueError(f"cross-fitting needs at least 2 folds, got {n_folds}")
+        ids = np.asarray(self.fold_assignment)
+        if ids.ndim != 1:
+            raise ShapeMismatch(f"fold assignment must be 1-dimensional, got shape {ids.shape}")
+        if ids.dtype.kind not in "iuf":
+            raise ValueError(f"fold ids must be integers, got {ids.dtype} values")
+        # checked before the int cast, which would truncate 1.5 to fold 1
+        bad = np.flatnonzero(~np.isfinite(ids) | (ids != np.trunc(ids)) | (ids < 1) | (ids > n_folds))
+        if bad.size:
+            raise ValueError(f"fold ids must be integers in 1..{n_folds} (unit {bad[0]} has {ids[bad[0]]:g})")
+        object.__setattr__(self, "fold_assignment", _frozen_array(ids, dtype=int))
 
 
 @dataclass(frozen=True)
@@ -137,9 +154,10 @@ def crossfit_gamma(
         train_masks.append(train_mask)
     # generators: a learner that fits one split at a time holds one split's copy
     models = fit_many(
-        [kind.with_seed(derive_seed(kind.train.seed, w, fold)) for w, fold in tasks],
+        kind,
         (data.covariates[mask] for mask in train_masks),
         (labels[mask] for mask in train_masks),
+        [derive_seed(kind.train.seed, w, fold) for w, fold in tasks],
     )
     predictions = np.empty((data.n_arms, n, grid.n_locations))
     for (w, fold), model in zip(tasks, models):

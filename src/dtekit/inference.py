@@ -60,6 +60,7 @@ from .core import (
     _frozen_array,
     _integer,
     _is_integer,
+    _seed,
     indicator_labels,
 )
 from .errors import DegenerateDraws, ShapeMismatch, ZeroBaselineSE
@@ -239,8 +240,7 @@ def _check_draw_args(n_draws: int, seed: int) -> None:
         raise ValueError(f"bootstrap repetitions must be an integer, got {n_draws!r}")
     if n_draws < 2:
         raise ValueError(f"need at least 2 bootstrap repetitions, got {n_draws}")
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _seed(seed)
 
 
 def _check_band_settings(kind: str, n_draws: int, alpha: float, seed: int, multiplier_scheme: int) -> None:

@@ -105,11 +105,9 @@ def _parse_in_c(handle, n_columns: int, arm_pos: int, cells):
     """The data rows after the header as (covariates, outcomes, labels, index), or None.
 
     None means the row loop must read the file: the C reader raised, read a
-    non-finite value, found no data rows, or the arm column is also numeric.
+    non-finite value, or found no data rows.
     """
     numeric = [pos for pos, _ in cells]
-    if arm_pos in numeric:
-        return None
     seen: dict[str, int] = {}
 
     def label_index(cell: str) -> int:

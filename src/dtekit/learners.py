@@ -16,11 +16,12 @@ Covariates are z-scored with statistics of the training split; the fitted
 statistics travel with the learner and are re-applied at prediction time.
 Every column that varies is divided by its own standard deviation, however small.
 
-:func:`fit_many` fits one learner kind on several problems, such as the
-(arm, fold) splits of cross-fitting. "linear" fits one problem at a time,
-as the caller asks for them. The network kinds train all their problems in
-one stacked :func:`~dtekit.nn.train_many` call ("nn-single" as M width-1
-networks per problem), fanned out by :func:`~dtekit.core._fan_out`: with T
+:func:`fit_many` fits one learner kind on several problems, one seed each,
+such as the (arm, fold) splits of cross-fitting. "linear" fits one problem
+at a time, as the caller asks for them. The network kinds train all their
+problems in one stacked :func:`~dtekit.nn.train_many` call on the kind's
+training setting ("nn-single" as M width-1 networks per problem, seeded
+from the problem's seed), fanned out by :func:`~dtekit.core._fan_out`: with T
 processes, T the CPUs the process may use and at most one per problem, the
 problems are split into T contiguous groups and each forked process trains
 its group's stack. Splitting a stack into smaller stacks does not change a
@@ -35,12 +36,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import core
-from .core import _integers, _is_real
+from .core import _integers, _is_real, _seed
 from .errors import NonFiniteValue, ShapeMismatch, SingularDesign, TooFewUnits
 from .nn import LayerSpec, NetworkState, TrainConfig, forward, train_many
 
@@ -179,35 +181,33 @@ def _solve_ridge(design: np.ndarray, labels: np.ndarray, ridge: float) -> np.nda
 
 def fit(kind: LearnerKind, x: np.ndarray, labels: np.ndarray) -> FittedLearner:
     """Train one learner on (covariates, per-location binary labels)."""
-    return next(fit_many([kind], [x], [labels]))
+    return next(fit_many(kind, [x], [labels], [kind.train.seed]))
 
 
 def fit_many(
-    kinds: Sequence[LearnerKind], xs: Iterable[np.ndarray], labels: Iterable[np.ndarray]
+    kind: LearnerKind, xs: Iterable[np.ndarray], labels: Iterable[np.ndarray], seeds: Sequence[int]
 ) -> Iterator[FittedLearner]:
-    """Train one learner per problem ``(kinds[i], xs[i], labels[i])``; yield them in order.
+    """Train one learner per problem ``(xs[i], labels[i])`` seeded ``seeds[i]``; yield them in order.
 
-    The kinds may differ only in ``train.seed``. "linear" reads, checks and
-    fits each problem only when its learner is asked for, so with iterators
-    for ``xs`` and ``labels`` the caller holds one problem and one learner at
-    a time. The network kinds read and check every problem, and train them
-    all (see the module docstring), before this returns; their problems must
-    share their covariate and label column counts (the row counts may differ).
+    Learner i is ``kind`` with ``train.seed`` set to ``seeds[i]``, and
+    records that kind. "linear" reads, checks and fits each problem only
+    when its learner is asked for, so with iterators for ``xs`` and
+    ``labels`` the caller holds one problem and one learner at a time. The
+    network kinds read and check every problem, and train them all (see the
+    module docstring), before this returns; their problems must share their
+    covariate and label column counts (the row counts may differ).
     """
-    kinds = tuple(kinds)
-    if not kinds:
+    seeds = [_seed(seed, "seeds") for seed in seeds]
+    if not seeds:
         raise ValueError("need at least one problem")
-    kind = kinds[0]
-    if any(k.with_seed(kind.train.seed) != kind for k in kinds):
-        raise ValueError("learner kinds may differ only in train.seed")
-    problems = zip(kinds, xs, labels, strict=True)
+    problems = zip(seeds, xs, labels, strict=True)
     if kind.kind == "linear":
-        return (_fit_linear(k, *_check_training_inputs(x, y)) for k, x, y in problems)
-    checked = [(k, *_check_training_inputs(x, y)) for k, x, y in problems]
+        return (_fit_linear(kind.with_seed(seed), *_check_training_inputs(x, y)) for seed, x, y in problems)
+    checked = [(seed, *_check_training_inputs(x, y)) for seed, x, y in problems]
     n_inputs, n_outputs = checked[0][1].shape[1], checked[0][2].shape[1]
     if any(x.shape[1] != n_inputs or y.shape[1] != n_outputs for _, x, y in checked):
         raise ShapeMismatch("problems must share their covariate and label column counts")
-    return iter(core._fan_out(_fit_stacked, checked))
+    return iter(core._fan_out(partial(_fit_stacked, kind), checked))
 
 
 def _fit_linear(kind: LearnerKind, x: np.ndarray, labels: np.ndarray) -> FittedLearner:
@@ -217,32 +217,31 @@ def _fit_linear(kind: LearnerKind, x: np.ndarray, labels: np.ndarray) -> FittedL
     return FittedLearner(kind, x.shape[1], labels.shape[1], mean, scale, coef=coef)
 
 
-def _fit_stacked(problems: list) -> list[FittedLearner]:
-    """Fit checked network problems ``(kind, x, labels)`` in one stacked ``train_many`` call.
+def _fit_stacked(kind: LearnerKind, problems: list) -> list[FittedLearner]:
+    """Fit checked network problems ``(seed, x, labels)`` in one stacked ``train_many`` call.
 
     "nn-single" trains M width-1 networks per problem, one per label column,
     seeded from the problem's seed; the other kinds train one M-output
     network per problem.
     """
-    kind = problems[0][0]
     n_inputs, n_outputs = problems[0][1].shape[1], problems[0][2].shape[1]
     per_problem = n_outputs if kind.kind == "nn-single" else 1
     stats = [_standardize_stats(x) for _, x, _ in problems]
-    xs, columns, configs = [], [], []
-    for (k, x, y), (mean, scale) in zip(problems, stats):
+    xs, columns, seeds = [], [], []
+    for (seed, x, y), (mean, scale) in zip(problems, stats):
         xs += [(x - mean) / scale] * per_problem
         if per_problem == 1:
             columns.append(y)
-            configs.append(k.train)
+            seeds.append(seed)
         else:
             columns += [y[:, j:j + 1] for j in range(n_outputs)]
-            seeds = np.random.SeedSequence(k.train.seed).generate_state(n_outputs)
-            configs += [replace(k.train, seed=int(seed)) for seed in seeds]
+            seeds += np.random.SeedSequence(seed).generate_state(n_outputs).tolist()
     spec = kind.layer_spec(n_inputs, n_outputs // per_problem)
-    states = train_many(xs, columns, spec, configs)
+    states = train_many(xs, columns, spec, kind.train, seeds)
     return [
-        FittedLearner(k, n_inputs, n_outputs, mean, scale, states=states[i * per_problem:(i + 1) * per_problem])
-        for i, ((k, _, _), (mean, scale)) in enumerate(zip(problems, stats))
+        FittedLearner(kind.with_seed(seed), n_inputs, n_outputs, mean, scale,
+                      states=states[i * per_problem:(i + 1) * per_problem])
+        for i, ((seed, _, _), (mean, scale)) in enumerate(zip(problems, stats))
     ]
 
 
@@ -258,11 +257,6 @@ def predict(fitted: FittedLearner, x: np.ndarray) -> np.ndarray:
     if kind.kind == "linear":
         design = np.hstack([xs, np.ones((xs.shape[0], 1))])
         return design @ fitted.coef
-    if kind.kind == "nn-single":
-        columns = [
-            forward(state, kind.layer_spec(fitted.n_inputs, 1), xs)
-            for state in fitted.states
-        ]
-        return np.hstack(columns)
-    spec = kind.layer_spec(fitted.n_inputs, fitted.n_outputs)
-    return forward(fitted.states[0], spec, xs)
+    # "nn-single" holds one width-1 network per location, the others one network
+    spec = kind.layer_spec(fitted.n_inputs, 1 if kind.kind == "nn-single" else fitted.n_outputs)
+    return np.hstack([forward(state, spec, xs) for state in fitted.states])

@@ -4,9 +4,9 @@ Plain numpy throughout: fully connected layers, ReLU or sigmoid hidden
 activations, binary cross-entropy, exact reverse-mode gradients, and Adam.
 
 Training keeps each network's parameters, gradient and two Adam moments in
-one flat vector apiece (:class:`FlatParams`), in the precision the config
-names: float32 by default, or float64. The per-layer weight matrices and bias
-vectors are reshaped views of that vector, laid out in the order the
+one flat vector apiece, in the precision the config names: float32 by
+default, or float64. The per-layer weight matrices and bias vectors are
+reshaped views of that vector (:class:`FlatParams`), laid out in the order the
 initializer draws them, so the Glorot draws are those of a per-array layout;
 they are drawn in float64 and rounded once to the training precision.
 ``backward`` and ``adam_step`` compute in the dtype of the parameters they
@@ -21,16 +21,16 @@ subnormal arithmetic is many times slower and such a moment never decays on
 to 0 by itself. ``precision="float64"`` is what replays manifests that carry
 no precision, bit for bit.
 
-:func:`train_many` trains S networks of one shape at once, each on its own
-rows. Their buffers gain a leading network axis, ``(S, P)``, and a step is
-one ``backward`` and one ``adam_step`` call on 3-D arrays whose slice s is
-network s; :func:`train` is its one-network case. Network s keeps its own
-seed, so its own Glorot draws and shuffle order, and its own data. The
-networks are stacked largest first, so at any batch offset those that still
-have a full batch are a leading run of rows. Each epoch then follows a plan
-made once: one call over that run, and one call per run of equal short last
-batches, each on views of the rows it covers. Networks with more batches per
-epoch reach higher step counts, so ``adam_step`` takes one count per
+:func:`train_many` trains S networks of one shape and one setting at once:
+one :class:`TrainConfig` and S seeds. Network s has its own seed, so its own
+Glorot draws and shuffle order, and its own rows. Their buffers gain a
+leading network axis, ``(S, P)``, and a step is one ``backward`` and one
+``adam_step`` call on 3-D arrays whose slice s is network s; :func:`train` is
+its one-network case. The networks are stacked largest first, so at each
+batch offset the networks that still have rows, grouped by where their batch
+ends, are runs of consecutive rows: one call per run, on views of the rows
+it covers. Each network counts its own steps, since one with more batches
+per epoch reaches higher counts, and ``adam_step`` takes one count per
 network.
 
 The results are bit-identical to per-array training of one network at a
@@ -55,12 +55,13 @@ outputs of one input are non-decreasing by construction, not approximately.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 from scipy.special import expit
 
-from .core import _frozen_array, _integers, _is_integer, _is_real
+from .core import _frozen_array, _integers, _is_integer, _is_real, _seed
 from .errors import NonFiniteGradient, ShapeMismatch
 
 __all__ = [
@@ -163,8 +164,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _seed(self.seed)
         if self.precision not in PRECISIONS:
             raise ValueError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
 
@@ -428,8 +428,8 @@ def adam_step(
         if params.ndim != 2 or len(step) != params.shape[0]:
             raise ShapeMismatch(f"{len(step)} step counts for params of shape {params.shape}")
         # a float64 array would send a float32 step through the float64 loop
-        corr1 = np.array([[1.0 - b1 ** int(t)] for t in step], dtype=params.dtype)
-        corr2 = np.array([[1.0 - b2 ** int(t)] for t in step], dtype=params.dtype)
+        corr = np.array([(1.0 - b1 ** t, 1.0 - b2 ** t) for t in np.asarray(step).tolist()], dtype=params.dtype)
+        corr1, corr2 = corr[:, :1], corr[:, 1:]
     m *= b1
     m += np.multiply(1.0 - b1, grad, out=first)
     v *= b2
@@ -452,69 +452,42 @@ def train(x: np.ndarray, labels: np.ndarray, spec: LayerSpec, config: TrainConfi
     so identical inputs and configuration reproduce the returned parameters
     bit for bit. This is the one-network case of :func:`train_many`.
     """
-    return train_many([x], [labels], spec, (config,))[0]
-
-
-def _batch_plan(sizes: Sequence[int], batch_size: int) -> list[tuple[int, int, int, int]]:
-    """The calls of one epoch over networks of ``sizes``, sorted largest first.
-
-    Each call is ``(first, last, start, stop)``: networks ``first:last`` take
-    rows ``start:stop`` of their shuffled epoch. At each batch offset, the
-    networks with a full batch left are a leading run and make one call;
-    those with a short last batch make one call per run of equal sizes.
-    """
-    plan = []
-    for start in range(0, sizes[0], batch_size):
-        stop = start + batch_size
-        full = sum(1 for size in sizes if size >= stop)
-        if full:
-            plan.append((0, full, start, stop))
-        first = full
-        while first < len(sizes) and sizes[first] > start:
-            last = first
-            while last < len(sizes) and sizes[last] == sizes[first]:
-                last += 1
-            plan.append((first, last, start, sizes[first]))
-            first = last
-    return plan
+    return train_many([x], [labels], spec, config, [config.seed])[0]
 
 
 def train_many(
     xs: Sequence[np.ndarray],
     labels: Sequence[np.ndarray],
     spec: LayerSpec,
-    configs: Sequence[TrainConfig],
+    config: TrainConfig,
+    seeds: Sequence[int],
 ) -> tuple[NetworkState, ...]:
-    """Train one network per config, all of shape ``spec``, each on its own data.
+    """Train one network per seed, all of shape ``spec`` and setting ``config``, each on its own data.
 
     Network s trains on ``xs[s]``, ``(n_s, inputs)``, against ``labels[s]``,
     ``(n_s, outputs)``; its Glorot draws and shuffle orders come from
-    ``configs[s].seed``, so it ends bit-identical to ``train`` on that data
-    with that config. The configs must agree on everything else; the sizes
-    n_s may differ. The inputs and labels are rounded once to the configs'
+    ``seeds[s]``, so it ends bit-identical to ``train`` on that data with
+    ``config`` seeded ``seeds[s]``. ``config.seed`` is not read. The sizes
+    n_s may differ. The inputs and labels are rounded once to the config's
     precision, which every training buffer shares. In float32, first moments
     below the smallest normal float32 are set to 0 at the end of each epoch.
 
-    The networks are stacked largest first, so at every batch offset those
-    with a full batch left are a leading run of rows. Each epoch follows a
-    precomputed plan: one ``backward`` and one ``adam_step`` call on that
-    run, then one pair per run of equal short last batches, each on views of
-    the rows it covers. Networks whose epochs have different numbers of
-    batches reach different step counts, and ``adam_step`` gets one count
-    per network. A non-finite gradient stops training before that call
-    writes any parameter.
+    The networks are stacked largest first. At each batch offset, those that
+    still have rows are grouped by where their batch ends; each group is a
+    run of consecutive rows and makes one ``backward`` and one ``adam_step``
+    call on views of its rows. Each network counts its own steps, since
+    networks whose epochs have different numbers of batches reach different
+    counts, and ``adam_step`` gets one count per network. A non-finite
+    gradient stops training before that call writes any parameter.
     """
-    configs = tuple(configs)
-    if not configs:
-        raise ValueError("need at least one config")
-    config = configs[0]
-    if any(replace(c, seed=config.seed) != config for c in configs):
-        raise ValueError("configs may differ only in seed")
-    if not (len(xs) == len(labels) == len(configs)):
+    seeds = [_seed(seed, "seeds") for seed in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if not (len(xs) == len(labels) == len(seeds)):
         raise ValueError(
-            f"got {len(xs)} inputs and {len(labels)} label arrays for {len(configs)} configs"
+            f"got {len(xs)} inputs and {len(labels)} label arrays for {len(seeds)} seeds"
         )
-    n_nets, k, dtype = len(configs), spec.n_outputs, config.dtype
+    n_nets, k, dtype, batch_size = len(seeds), spec.n_outputs, config.dtype, config.batch_size
     xs = [np.asarray(x, dtype=dtype) for x in xs]
     labels = [np.asarray(t, dtype=dtype) for t in labels]
     for x, t in zip(xs, labels):
@@ -527,45 +500,50 @@ def train_many(
     # stacked row r holds network order[r]; a stable sort keeps ties in order
     order = sorted(range(n_nets), key=lambda s: -xs[s].shape[0])
     sizes = [xs[s].shape[0] for s in order]
-    rngs = [np.random.default_rng(configs[s].seed) for s in order]
+    rngs = [np.random.default_rng(seeds[s]) for s in order]
     params = FlatParams(spec, n_nets, dtype=dtype)
     for row, rng in enumerate(rngs):
         _glorot([w[row] for w in params.weights], rng)
-    grad, m, v = (FlatParams(spec, n_nets, dtype=dtype) for _ in range(3))
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    steps = np.zeros(n_nets, dtype=int)
+    # the gradient and the scratch buffers are workspace: a call uses leading rows
+    grad = FlatParams(spec, n_nets, dtype=dtype)
     scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
-    batches = [-(-size // config.batch_size) for size in sizes]
-    calls = []
-    for first, last, start, stop in _batch_plan(sizes, config.batch_size):
-        count = last - first
-        # rows with equal batch counts always share one step count
-        run_batches = batches[first] if batches[first] == batches[last - 1] else np.array(batches[first:last])
-        calls.append((
-            slice(first, last), slice(start, stop), start // config.batch_size, run_batches,
-            params.rows(spec, first, last), m.flat[first:last], v.flat[first:last],
-            # the gradient and the scratch buffers are workspace: use leading rows
-            grad.rows(spec, 0, count), (scratch[0][:count], scratch[1][:count]),
-        ))
+    # the views of each run of rows, built when the run first occurs: runs recur every epoch
+    runs = {}
     # row r's shuffled epoch fills x_epoch[r, :sizes[r]]; the rest is never read
     x_epoch = np.empty((n_nets, sizes[0], spec.n_inputs), dtype=dtype)
     t_epoch = np.empty((n_nets, sizes[0], k), dtype=dtype)
-    for epoch in range(config.epochs):
+    for _ in range(config.epochs):
         for row, (s, rng) in enumerate(zip(order, rngs)):
             perm = rng.permutation(sizes[row])
             np.take(xs[s], perm, axis=0, out=x_epoch[row, :sizes[row]])
             np.take(labels[s], perm, axis=0, out=t_epoch[row, :sizes[row]])
-        for rows, batch, index, run_batches, run, run_m, run_v, run_grad, run_scratch in calls:
-            backward(run, spec, x_epoch[rows, batch], t_epoch[rows, batch], out=run_grad)
-            step = epoch * run_batches + index + 1
-            adam_step(run.flat, run_grad.flat, run_m, run_v, step, config, run_scratch)
+        for start in range(0, sizes[0], batch_size):
+            # largest first, so equal batch ends are runs of consecutive rows
+            ends = [min(size, start + batch_size) for size in sizes if size > start]
+            first = 0
+            for stop, group in groupby(ends):
+                last = first + len(list(group))
+                count = last - first
+                if (first, last) not in runs:
+                    runs[first, last] = params.rows(spec, first, last), grad.rows(spec, 0, count)
+                run, run_grad = runs[first, last]
+                backward(run, spec, x_epoch[first:last, start:stop], t_epoch[first:last, start:stop],
+                         out=run_grad)
+                steps[first:last] += 1
+                adam_step(run.flat, run_grad.flat, m[first:last], v[first:last], steps[first:last],
+                          config, (scratch[0][:count], scratch[1][:count]))
+                first = last
         if dtype == np.float32:
             # a first moment whose gradient stays 0 decays into the float32
             # subnormals and sticks there (b1 times a few ulps rounds back to
             # itself), and every later step pays the slow subnormal arithmetic;
             # float64 is not flushed, so manifests without a precision replay
             # bit for bit
-            np.copyto(m.flat, 0.0, where=np.abs(m.flat) < _FLOAT32_TINY)
+            np.copyto(m, 0.0, where=np.abs(m) < _FLOAT32_TINY)
     # the frozen states hold parameters only: free the training buffers first
-    del grad, m, v, scratch, calls, x_epoch, t_epoch
+    del grad, m, v, scratch, runs, x_epoch, t_epoch
     states = [None] * n_nets
     for row, s in enumerate(order):
         states[s] = _frozen(params, row)

@@ -72,6 +72,7 @@ class TestParseGridSpec:
             "probs=0.2,nan",
             "probs=0.1:0.9:0.3",
             "probs=0.1:0.5:0.15",
+            "probs=0.1:0.9",
         ],
     )
     def test_bad_specs_rejected(self, spec):
@@ -206,7 +207,7 @@ class TestRunConfig:
         ("hidden", [2.5, True]), ("multiplier_scheme", 3), ("multiplier_scheme", 1.0),
         ("arm_pair", [2.7, True]), ("arm_pair", ["2", "1"]), ("arm_pair", [0, 1]), ("arm_pair", [2, 2]),
         ("functional", "pte"), ("learning_rate", True), ("ridge", True),
-        ("grid", "list=0,nan,1"), ("grid", "list=-inf,0"),
+        ("grid", "list=0,nan,1"), ("grid", "list=-inf,0"), ("z_mode", "bogus"), ("arm_pair", [2, 1, 1]),
     ])
     def test_bad_band_setting_in_a_manifest_is_usage_error(self, tmp_path, capsys, experiment_csv, field, value):
         out = tmp_path / "band"
@@ -246,6 +247,17 @@ class TestRunConfig:
     ])
     def test_learners_of_the_mode_are_checked_eagerly(self, mode, fields):
         with pytest.raises(ValueError):
+            RunConfig(mode=mode, input="x.csv", **fields)
+
+    @pytest.mark.parametrize("mode, fields, message", [
+        ("estimate", {"n_folds": 1}, "folds must be at least 2"),
+        ("simulate", {"n_units": 1}, "n must be at least 2"),
+        ("estimate", {"arm_pair": (1, 2, 3)}, "exactly two arm labels"),
+        ("bootstrap-band", {"z_mode": "bogus"}, "z_mode must be one of"),
+        ("simulate", {"grid": "probs=0.1:0.9"}, "start:stop:step"),
+    ])
+    def test_bad_setting_fails_eagerly_with_its_reason(self, mode, fields, message):
+        with pytest.raises(ValueError, match=message):
             RunConfig(mode=mode, input="x.csv", **fields)
 
     def test_study_sizes_are_checked_only_in_simulate(self):

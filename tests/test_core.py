@@ -10,6 +10,8 @@ from numpy.testing import assert_array_equal
 
 import dtekit.core as core
 from dtekit.core import (
+    CdfEstimate,
+    ConditionalCdfMatrix,
     ExperimentData,
     LocationGrid,
     derive_seed,
@@ -135,6 +137,19 @@ class TestConstructionErrors:
                 outcomes=np.arange(4.0),
             )
 
+    @pytest.mark.parametrize("n_arms", [2.9, 2.0, "2", True])
+    def test_non_integral_n_arms_rejected(self, n_arms):
+        with pytest.raises(ValueError, match="n_arms must be an integer"):
+            small_data([1, 2, 1, 2], n_arms=n_arms)
+
+    def test_numpy_integer_n_arms_accepted_as_a_python_int(self):
+        data = small_data([1, 2, 3], n_arms=np.int64(3))
+        assert data.n_arms == 3 and type(data.n_arms) is int
+
+    def test_no_declared_arm_rejected(self):
+        with pytest.raises(EmptyArm, match="experiment declares no arms"):
+            small_data([1, 2], n_arms=-1)
+
     def test_integral_float_labels_accepted(self):
         data = ExperimentData(
             covariates=np.zeros((4, 1)),
@@ -144,6 +159,33 @@ class TestConstructionErrors:
         assert data.arms.dtype.kind == "i"
         assert_array_equal(data.arms, [2, 1, 2, 2])
         assert_array_equal(data.stats.counts, [1, 3])
+
+
+class TestCdfEstimate:
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(NonFiniteValue, match="CDF estimates must be finite"):
+            CdfEstimate(values=np.array([[0.2, np.nan]]), method="adjusted")
+
+    @pytest.mark.parametrize("row", [(-0.1, 0.5), (0.5, 1.1)])
+    def test_empirical_values_outside_the_unit_interval_rejected(self, row):
+        with pytest.raises(ShapeMismatch, match=r"must lie in \[0, 1\]"):
+            CdfEstimate(values=np.array([row]), method="empirical")
+
+    def test_decreasing_empirical_row_rejected(self):
+        with pytest.raises(UnsortedGrid, match="non-decreasing"):
+            CdfEstimate(values=np.array([[0.2, 0.6], [0.5, 0.4]]), method="empirical")
+
+
+class TestConditionalCdfMatrix:
+    def test_unit_count_must_match_the_folds(self):
+        with pytest.raises(ShapeMismatch, match="predictions cover 3 units but fold assignment covers 2"):
+            ConditionalCdfMatrix(predictions=np.zeros((2, 3, 1)), fold_assignment=[1, 2])
+
+    def test_non_finite_prediction_rejected(self):
+        predictions = np.zeros((2, 2, 1))
+        predictions[1, 0, 0] = np.inf
+        with pytest.raises(NonFiniteValue, match="must be finite"):
+            ConditionalCdfMatrix(predictions=predictions, fold_assignment=[1, 2])
 
 
 class TestLocationGrid:

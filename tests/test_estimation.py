@@ -85,6 +85,48 @@ class TestMakeFolds:
         assert sizes.max() - sizes.min() <= 1
 
 
+class TestCrossFitPlan:
+    @pytest.mark.parametrize(("folds", "message"), [
+        ([1, 2, 1, 3, 2], r"fold ids must be integers in 1\.\.2 \(unit 3 has 3\)"),
+        ([1, 2, 0, 2, 0], r"fold ids must be integers in 1\.\.2 \(unit 2 has 0\)"),
+        ([1.0, 2.0, 1.5, 2.0, 2.5], r"fold ids must be integers in 1\.\.2 \(unit 2 has 1\.5\)"),
+        ([1.0, np.nan, 1.0, 2.0, 2.0], r"fold ids must be integers in 1\.\.2 \(unit 1 has nan\)"),
+        (["1", "2", "1", "2", "1"], "fold ids must be integers"),
+        ([True, False, True, False, True], "fold ids must be integers"),
+    ])
+    def test_fold_ids_are_integers_in_range(self, folds, message):
+        with pytest.raises(ValueError, match=message):
+            CrossFitPlan(n_folds=2, seed=0, fold_assignment=folds)
+
+    def test_assignment_is_one_dimensional(self):
+        with pytest.raises(ShapeMismatch, match="1-dimensional"):
+            CrossFitPlan(n_folds=2, seed=0, fold_assignment=[[1, 2], [2, 1]])
+
+    @pytest.mark.parametrize(("settings_", "message"), [
+        ({"n_folds": 1.5}, "n_folds must be an integer"),
+        ({"n_folds": 1}, "at least 2 folds"),
+        ({"n_folds": True}, "n_folds must be an integer"),
+        ({"seed": "s"}, "seed must be a non-negative integer"),
+        ({"seed": 0.5}, "seed must be a non-negative integer"),
+        ({"seed": -1}, "seed must be a non-negative integer"),
+    ])
+    def test_folds_and_seed_are_checked(self, settings_, message):
+        with pytest.raises(ValueError, match=message):
+            CrossFitPlan(**{"n_folds": 2, "seed": 0, "fold_assignment": [1, 2, 1], **settings_})
+
+    def test_numpy_integers_and_integral_floats_are_accepted(self):
+        plan = CrossFitPlan(n_folds=np.int64(2), seed=np.uint32(3), fold_assignment=np.array([1.0, 2.0, 2.0]))
+        assert_array_equal(plan.fold_assignment, [1, 2, 2])
+        assert plan.fold_assignment.dtype.kind == "i"
+
+    def test_a_fold_outside_the_plan_never_reaches_crossfitting(self, two_arm_data):
+        # an unknown fold id once left its units' predictions uninitialised
+        folds = np.where(np.arange(two_arm_data.n_units) % 2 == 0, 1, 3)
+        with pytest.raises(ValueError, match=r"fold ids must be integers in 1\.\.2"):
+            crossfit_gamma(two_arm_data, grid_of(1.5), LearnerKind("linear"),
+                           CrossFitPlan(n_folds=2, seed=0, fold_assignment=folds))
+
+
 def one_arm_data(outcomes):
     outcomes = np.asarray(outcomes, dtype=float)
     n = outcomes.shape[0]
@@ -281,9 +323,9 @@ class TestCrossfitGamma:
         calls = []
         train_many = learners.train_many
 
-        def counting(xs, labels, spec, configs):
-            calls.append(len(configs))
-            return train_many(xs, labels, spec, configs)
+        def counting(xs, labels, spec, config, seeds):
+            calls.append(len(seeds))
+            return train_many(xs, labels, spec, config, seeds)
 
         monkeypatch.setattr(learners, "train_many", counting)
         data = make_experiment(seed=4, n=60)
@@ -462,6 +504,11 @@ class TestQuantileGrid:
             quantile_grid(two_arm_data, [0.0, 0.5])
         with pytest.raises(ValueError):
             quantile_grid(two_arm_data, [0.5, 1.0])
+
+    @pytest.mark.parametrize("probs", [[], [[0.2, 0.5]]], ids=["empty", "2-d"])
+    def test_probabilities_must_be_a_non_empty_list(self, two_arm_data, probs):
+        with pytest.raises(ShapeMismatch, match="non-empty 1-dimensional"):
+            quantile_grid(two_arm_data, probs)
 
     def test_unsorted_probabilities(self, two_arm_data):
         with pytest.raises(UnsortedGrid):

@@ -100,8 +100,16 @@ class TestInfluence:
     def test_theta_shape_checked(self, two_arm_data):
         grid = grid_of(1.0, 2.0)
         theta = CdfEstimate(values=np.array([[0.5], [0.5]]), method="empirical")
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="theta shape"):
             influence(two_arm_data, grid, theta)
+
+    def test_gamma_shape_checked(self, two_arm_data):
+        grid = grid_of(1.0, 2.0)
+        theta = empirical_cdf(two_arm_data, grid)
+        n = two_arm_data.n_units
+        gamma = ConditionalCdfMatrix(predictions=np.zeros((2, n, 3)), fold_assignment=np.ones(n, dtype=int))
+        with pytest.raises(ShapeMismatch, match=rf"gamma shape \(2, {n}, 3\) != \(2, {n}, 2\)"):
+            influence(two_arm_data, grid, theta, gamma)
 
 
 class TestMultipliers:
@@ -185,6 +193,11 @@ class TestBootstrapDraws:
         psi = InfluenceMatrix(values=np.zeros((2, 5, 2)))
         with pytest.raises(ValueError):
             bootstrap_draws(self.theta, psi, 1, seed=0)
+
+    def test_theta_shape_checked(self):
+        psi = InfluenceMatrix(values=np.zeros((2, 5, 3)))
+        with pytest.raises(ShapeMismatch, match=r"theta shape \(2, 2\) != \(2, 3\)"):
+            bootstrap_draws(self.theta, psi, 4, seed=0)
 
 
 def serial_draws(theta, psi, n_draws, seed, per):

@@ -279,7 +279,7 @@ def assert_same_learners(got, want):
 
 
 def counted_train_many(monkeypatch):
-    """Record the number of configs of every ``train_many`` call ``fit_many`` makes.
+    """Record the number of networks of every ``train_many`` call ``fit_many`` makes.
 
     The fits stay in-process: a count made in a forked process never reaches this one.
     """
@@ -287,9 +287,9 @@ def counted_train_many(monkeypatch):
     calls = []
     train_many = learners.train_many
 
-    def counting(xs, labels, spec, configs):
-        calls.append(len(configs))
-        return train_many(xs, labels, spec, configs)
+    def counting(xs, labels, spec, config, seeds):
+        calls.append(len(seeds))
+        return train_many(xs, labels, spec, config, seeds)
 
     monkeypatch.setattr(learners, "train_many", counting)
     return calls
@@ -326,10 +326,10 @@ class TestFitMany:
     @pytest.mark.parametrize("name", LEARNER_KINDS)
     def test_equals_fit_per_problem_bit_for_bit(self, name):
         xs, labels = ragged_problems()
-        kinds = [small_nn_kind(name).with_seed(seed) for seed in (3, 1, 4)]
-        for kind, x, y, got in zip(kinds, xs, labels, fit_many(kinds, xs, labels)):
-            want = fit(kind, x, y)
-            assert got.kind == kind
+        kind, seeds = small_nn_kind(name), (3, 1, 4)
+        for seed, x, y, got in zip(seeds, xs, labels, fit_many(kind, xs, labels, seeds)):
+            want = fit(kind.with_seed(seed), x, y)
+            assert got.kind == kind.with_seed(seed)
             assert_same_learners(got, want)
             assert_array_equal(predict(got, xs[0]), predict(want, xs[0]))
 
@@ -345,9 +345,9 @@ class TestFitMany:
         rng = np.random.default_rng(seed)
         xs = [rng.standard_normal((d + 2 + extra, d)) for extra in rows]
         labels = [(rng.random((x.shape[0], n_outputs)) < 0.5).astype(float) for x in xs]
-        kinds = [LearnerKind("linear", ridge=ridge).with_seed(i) for i in range(len(xs))]
-        for kind, x, y, got in zip(kinds, xs, labels, fit_many(kinds, xs, labels)):
-            want = fit(kind, x, y)
+        kind = LearnerKind("linear", ridge=ridge)
+        for seed, x, y, got in zip(range(len(xs)), xs, labels, fit_many(kind, xs, labels, range(len(xs)))):
+            want = fit(kind.with_seed(seed), x, y)
             assert_array_equal(got.x_mean, want.x_mean)
             assert_array_equal(got.x_scale, want.x_scale)
             assert_array_equal(got.coef, want.coef)
@@ -359,8 +359,7 @@ class TestFitMany:
     def test_train_many_calls(self, monkeypatch, name, expected):
         calls = counted_train_many(monkeypatch)
         xs, labels = ragged_problems()
-        kinds = [small_nn_kind(name).with_seed(seed) for seed in range(3)]
-        assert len(list(fit_many(kinds, xs, labels))) == 3
+        assert len(list(fit_many(small_nn_kind(name), xs, labels, range(3)))) == 3
         assert calls == expected
 
     def test_linear_reads_and_fits_one_problem_at_a_time(self):
@@ -372,50 +371,43 @@ class TestFitMany:
                 read.append(i)
                 yield array
 
-        kinds = [LearnerKind("linear").with_seed(seed) for seed in range(2)]
-        fitted = fit_many(kinds, reading(xs), labels)
+        fitted = fit_many(LearnerKind("linear"), reading(xs), labels, range(2))
         assert read == []
         next(fitted)
         assert read == [0]
         next(fitted)
         assert read == [0, 1]
 
-    @pytest.mark.parametrize("change", [
-        {"kind": "nn-multi"},
-        {"hidden": (9,)},
-        {"transform": "softplus"},
-        {"ridge": 1e-3},
-        {"train": TrainConfig(epochs=4, batch_size=16, seed=5)},
-    ])
-    def test_kinds_may_differ_only_in_the_seed(self, monkeypatch, change):
+    @pytest.mark.parametrize("name", LEARNER_KINDS)
+    @pytest.mark.parametrize("seeds", [[1, 2.5], [1, True], [1, -2]])
+    def test_seeds_are_non_negative_integers(self, monkeypatch, name, seeds):
         calls = counted_train_many(monkeypatch)
         xs, labels = ragged_problems(2)
-        kind = small_nn_kind("nn-multi-monotone")
-        with pytest.raises(ValueError, match="only in train.seed"):
-            fit_many([kind, replace(kind.with_seed(8), **change)], xs, labels)
+        with pytest.raises(ValueError, match=f"seeds must be a non-negative integer, got {seeds[1]!r}"):
+            list(fit_many(small_nn_kind(name), xs, labels, seeds))
         assert calls == []
 
     def test_every_problem_is_checked_before_training(self, monkeypatch):
         calls = counted_train_many(monkeypatch)
         xs, labels = ragged_problems(2)
-        kinds = [small_nn_kind("nn-multi").with_seed(seed) for seed in range(2)]
+        kind = small_nn_kind("nn-multi")
         with pytest.raises(TooFewUnits):
-            fit_many(kinds, [xs[0], xs[1][:1]], [labels[0], labels[1][:1]])
+            fit_many(kind, [xs[0], xs[1][:1]], [labels[0], labels[1][:1]], range(2))
         with pytest.raises(ShapeMismatch):
-            fit_many(kinds, [xs[0], xs[1][:, :3]], labels)
+            fit_many(kind, [xs[0], xs[1][:, :3]], labels, range(2))
         with pytest.raises(ShapeMismatch):
-            fit_many(kinds, xs, [labels[0], labels[1][:, :1]])
+            fit_many(kind, xs, [labels[0], labels[1][:, :1]], range(2))
         assert calls == []
 
-    def test_needs_one_input_and_label_array_per_kind(self):
+    def test_needs_one_input_and_label_array_per_seed(self):
         xs, labels = ragged_problems(2)
         with pytest.raises(ValueError):
-            fit_many([], [], [])
+            fit_many(small_nn_kind("nn-multi"), [], [], [])
         with pytest.raises(ValueError):
-            fit_many([small_nn_kind("nn-multi")], xs, labels)
+            fit_many(small_nn_kind("nn-multi"), xs, labels, [0])
         # the one-at-a-time kinds find out when they run out of problems
         with pytest.raises(ValueError):
-            list(fit_many([LearnerKind("linear")], xs, labels))
+            list(fit_many(LearnerKind("linear"), xs, labels, [0]))
 
 
 class TestFanOut:
@@ -435,12 +427,12 @@ class TestFanOut:
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_equals_in_process_bit_for_bit(self, monkeypatch, name, cpus):
         xs, labels = ragged_problems(4)
-        kinds = [small_nn_kind(name).with_seed(seed) for seed in (3, 1, 4, 1)]
+        kind, seeds = small_nn_kind(name), (3, 1, 4, 1)
         monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
-        want = list(fit_many(kinds, xs, labels))
+        want = list(fit_many(kind, xs, labels, seeds))
         monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
         assert core._fan_out_processes(4) == min(cpus, 4)
-        got = list(fit_many(kinds, xs, labels))
+        got = list(fit_many(kind, xs, labels, seeds))
         assert len(got) == 4
         for g, w in zip(got, want):
             assert_same_learners(g, w)
@@ -453,17 +445,16 @@ class TestFanOut:
         parent = os.getpid()
         train_many = learners.train_many
 
-        def failing_in_a_child(xs, labels, spec, configs):
+        def failing_in_a_child(xs, labels, spec, config, seeds):
             # inherited by the forked fit processes
             if os.getpid() != parent:
-                raise NonFiniteGradient(f"gradient of {len(configs)} networks is not finite")
-            return train_many(xs, labels, spec, configs)
+                raise NonFiniteGradient(f"gradient of {len(seeds)} networks is not finite")
+            return train_many(xs, labels, spec, config, seeds)
 
         monkeypatch.setattr(learners, "train_many", failing_in_a_child)
         xs, labels = ragged_problems(3)
-        kinds = [small_nn_kind("nn-multi").with_seed(seed) for seed in range(3)]
         with pytest.raises(NonFiniteGradient) as raised:
-            fit_many(kinds, xs, labels)
+            fit_many(small_nn_kind("nn-multi"), xs, labels, range(3))
         # problems 0:1 and 1:3 go to the two processes; the first group's error is raised
         assert type(raised.value) is NonFiniteGradient
         assert str(raised.value) == "gradient of 1 networks is not finite"
@@ -473,11 +464,10 @@ class TestFanOut:
 
     def test_a_process_that_dies_is_an_error(self, monkeypatch):
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(learners, "_fit_stacked", lambda problems: os._exit(3))
+        monkeypatch.setattr(learners, "_fit_stacked", lambda kind, problems: os._exit(3))
         xs, labels = ragged_problems(2)
-        kinds = [small_nn_kind("nn-multi").with_seed(seed) for seed in range(2)]
         with pytest.raises(RuntimeError, match="exited with code 3"):
-            fit_many(kinds, xs, labels)
+            fit_many(small_nn_kind("nn-multi"), xs, labels, range(2))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -491,8 +481,7 @@ class TestFanOut:
                 read.append(i)
                 yield array
 
-        kinds = [small_nn_kind("nn-single").with_seed(seed) for seed in range(2)]
-        fit_many(kinds, reading(xs), labels)
+        fit_many(small_nn_kind("nn-single"), reading(xs), labels, range(2))
         assert read == [0, 1]
 
     @pytest.mark.parametrize("name", ["nn-single", "nn-multi-monotone"])
@@ -504,8 +493,7 @@ class TestFanOut:
     def test_linear_never_forks(self, monkeypatch):
         self.no_fork(monkeypatch)
         xs, labels = ragged_problems(4)
-        kinds = [LearnerKind("linear").with_seed(seed) for seed in range(4)]
-        assert len(list(fit_many(kinds, xs, labels))) == 4
+        assert len(list(fit_many(LearnerKind("linear"), xs, labels, range(4)))) == 4
 
     def test_replication_workers_fit_in_process(self, monkeypatch):
         monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
@@ -543,6 +531,18 @@ class TestInputValidation:
     def test_flat_x_rejected(self):
         with pytest.raises(ShapeMismatch):
             fit(LearnerKind("linear"), np.ones(5), np.ones((5, 1)))
+
+    @pytest.mark.parametrize("name", LEARNER_KINDS)
+    def test_flat_labels_rejected(self, name):
+        with pytest.raises(ShapeMismatch, match="labels must be 2-dimensional"):
+            fit(small_nn_kind(name), np.ones((5, 2)), np.ones(5))
+
+    @pytest.mark.parametrize("name", LEARNER_KINDS)
+    def test_nonfinite_labels(self, name):
+        labels = np.ones((5, 1))
+        labels[3, 0] = np.nan
+        with pytest.raises(NonFiniteValue, match="training labels"):
+            fit(small_nn_kind(name), np.ones((5, 2)), labels)
 
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeMismatch):

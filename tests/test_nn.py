@@ -47,7 +47,7 @@ def zero_state(spec):
 def watched_adam():
     """Record what training hands ``nn.adam_step``.
 
-    ``steps`` collects each call's step count, or counts, one per network.
+    ``steps`` collects each call's step counts, one per network.
     ``m`` and ``v`` end as the whole moment buffers the calls update, one row
     per network in stacking order, as training left them; the trained states
     keep no moments.
@@ -68,9 +68,10 @@ def watched_adam():
 
 
 def trained_with_adam_record(x, labels, spec, config):
-    """``train`` on one network, with what it handed ``nn.adam_step``."""
+    """``train`` on one network, with what it handed ``nn.adam_step``; ``steps`` holds its counts."""
     with watched_adam() as seen:
         state = train(x, labels, spec, config)
+    seen.steps = [step for (step,) in seen.steps]
     return state, seen
 
 
@@ -660,9 +661,9 @@ class TestTracerContract:
         monkeypatch.setattr(nn, "adam_step", counted("adam_step", nn.adam_step))
         n, batch_size, epochs, n_nets = 29, 8, 2, 3
         rng = np.random.default_rng(1)
-        configs = [TrainConfig(epochs=epochs, batch_size=batch_size, seed=s) for s in range(n_nets)]
+        config = TrainConfig(epochs=epochs, batch_size=batch_size)
         x = rng.standard_normal((n, 2))
-        states = train_many([x] * n_nets, [np.ones((n, 1))] * n_nets, spec_of((2, 3, 1)), configs)
+        states = train_many([x] * n_nets, [np.ones((n, 1))] * n_nets, spec_of((2, 3, 1)), config, range(n_nets))
         assert len(states) == n_nets
         assert calls == ["backward", "adam_step"] * (epochs * math.ceil(n / batch_size))
 
@@ -683,16 +684,15 @@ class TestTracerContract:
         monkeypatch.setattr(nn, "adam_step", watched_adam)
         sizes = (10, 7, 3, 7)
         rng = np.random.default_rng(2)
-        configs = [TrainConfig(epochs=2, batch_size=4, seed=s) for s in range(len(sizes))]
-        train_many([rng.standard_normal((n, 2)) for n in sizes],
-                   [np.ones((n, 1)) for n in sizes], spec_of((2, 3, 1)), configs)
+        train_many([rng.standard_normal((n, 2)) for n in sizes], [np.ones((n, 1)) for n in sizes],
+                   spec_of((2, 3, 1)), TrainConfig(epochs=2, batch_size=4), range(len(sizes)))
         # stacked largest first: 10, 7, 7, 3. Offset 0: the three full batches,
         # then the 3; offset 4: the 10, then both 7s (3 rows each); offset 8: the 10
         per_epoch = [(3, 4), (1, 3), (1, 4), (2, 3), (1, 2)]
         assert batches == per_epoch * 2
         # the 10 takes 3 batches an epoch, the 7s two, the 3 one, so they end
         # at steps 6, 4 and 2
-        assert steps == [[1, 1, 1], 1, 2, 2, 3, [4, 3, 3], 2, 5, 4, 6]
+        assert steps == [[1, 1, 1], [1], [2], [2, 2], [3], [4, 3, 3], [2], [5], [4, 4], [6]]
 
 
 class TestTrain:
@@ -796,13 +796,13 @@ class TestTrainMany:
         rng = np.random.default_rng(data_seed)
         xs = [rng.standard_normal((n, 3)) for n in sizes]
         labels = [_monotone_labels(rng, n, k) for n in sizes]
-        configs = [TrainConfig(epochs=2, batch_size=batch_size, seed=int(seed), precision=precision)
-                   for seed in rng.integers(0, 2**32, size=len(sizes))]
+        config = TrainConfig(epochs=2, batch_size=batch_size, precision=precision)
+        seeds = rng.integers(0, 2**32, size=len(sizes))
         with watched_adam() as stacked_adam:
-            stacked = train_many(xs, labels, spec, configs)
+            stacked = train_many(xs, labels, spec, config, seeds)
         assert len(stacked) == len(sizes)
-        for s, (x, y, config, got) in enumerate(zip(xs, labels, configs, stacked)):
-            want, seen = trained_with_adam_record(x, y, spec, config)
+        for s, (x, y, seed, got) in enumerate(zip(xs, labels, seeds, stacked)):
+            want, seen = trained_with_adam_record(x, y, spec, dataclasses.replace(config, seed=int(seed)))
             assert seen.steps[-1] == 2 * math.ceil(x.shape[0] / batch_size)
             assert_array_equal(np.concatenate([a.ravel() for a in _state_arrays(got)]),
                                np.concatenate([a.ravel() for a in _state_arrays(want)]))
@@ -819,12 +819,13 @@ class TestTrainMany:
         rng = np.random.default_rng(12)
         xs = [rng.standard_normal((n, 2)) for n in sizes]
         labels = [_monotone_labels(rng, n, k) for n in sizes]
-        configs = [TrainConfig(epochs=3, batch_size=2 * k, seed=s, precision=precision) for s in (4, 5, 6)]
+        config = TrainConfig(epochs=3, batch_size=2 * k, precision=precision)
+        seeds = (4, 5, 6)
         with watched_adam() as stacked_adam:
-            stacked = train_many(xs, labels, spec, configs)
+            stacked = train_many(xs, labels, spec, config, seeds)
         final_steps = []
-        for s, (x, y, config, got) in enumerate(zip(xs, labels, configs, stacked)):
-            want, seen = trained_with_adam_record(x, y, spec, config)
+        for s, (x, y, seed, got) in enumerate(zip(xs, labels, seeds, stacked)):
+            want, seen = trained_with_adam_record(x, y, spec, dataclasses.replace(config, seed=seed))
             final_steps.append(seen.steps[-1])
             for a, b in zip(_state_arrays(got), _state_arrays(want)):
                 assert_array_equal(a, b)
@@ -833,40 +834,48 @@ class TestTrainMany:
             assert_array_equal(stacked_adam.v[row], seen.v[0])
         assert final_steps == [9, 3, 15]
 
-    @pytest.mark.parametrize(
-        "change",
-        [{"learning_rate": 0.02}, {"batch_size": 3}, {"epochs": 2}],
-    )
-    def test_configs_may_differ_only_in_seed(self, change):
-        base = TrainConfig(epochs=1, seed=1)
-        other = dataclasses.replace(base, seed=2, **change)
-        x, y = np.zeros((4, 2)), np.zeros((4, 1))
-        with pytest.raises(ValueError, match="only in seed"):
-            train_many([x, x], [y, y], spec_of((2, 3, 1)), [base, other])
+    def test_config_seed_is_not_read(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((9, 2)), np.ones((9, 1))
+        config = TrainConfig(epochs=1, batch_size=4)
+        [a] = train_many([x], [y], spec_of((2, 3, 1)), config, [5])
+        [b] = train_many([x], [y], spec_of((2, 3, 1)), dataclasses.replace(config, seed=8), [5])
+        for got, want in zip(_state_arrays(a), _state_arrays(b)):
+            assert_array_equal(got, want)
 
-    def test_needs_a_config(self):
+    def test_needs_a_seed(self):
         with pytest.raises(ValueError):
-            train_many([], [], spec_of((2, 3, 1)), [])
+            train_many([], [], spec_of((2, 3, 1)), TrainConfig(), [])
 
-    def test_one_input_and_one_label_array_per_config(self):
-        configs = [TrainConfig(epochs=1, seed=s) for s in range(3)]
+    @pytest.mark.parametrize("seeds", [[1, 2.0], [1, True], [1, "2"], [1, -2]])
+    def test_seeds_are_non_negative_integers(self, seeds):
+        x, y = np.zeros((4, 2)), np.zeros((4, 1))
+        with pytest.raises(ValueError, match=f"seeds must be a non-negative integer, got {seeds[1]!r}"):
+            train_many([x, x], [y, y], spec_of((2, 3, 1)), TrainConfig(epochs=1), seeds)
+
+    def test_one_input_and_one_label_array_per_seed(self):
         x, y = np.zeros((4, 2)), np.zeros((4, 1))
         with pytest.raises(ValueError):
-            train_many([x, x], [y, y, y], spec_of((2, 3, 1)), configs)
+            train_many([x, x], [y, y, y], spec_of((2, 3, 1)), TrainConfig(epochs=1), range(3))
 
     def test_label_columns_must_match_the_networks(self):
-        configs = [TrainConfig(epochs=1, seed=s) for s in range(2)]
+        config = TrainConfig(epochs=1)
         x = np.zeros((4, 2))
         with pytest.raises(ShapeMismatch):
-            train_many([x, x], [np.zeros((4, 1)), np.zeros((4, 2))], spec_of((2, 3, 1)), configs)
+            train_many([x, x], [np.zeros((4, 1)), np.zeros((4, 2))], spec_of((2, 3, 1)), config, range(2))
         with pytest.raises(ShapeMismatch):
-            train_many([x, x], [np.zeros((4, 1)), np.zeros((3, 1))], spec_of((2, 3, 1)), configs)
+            train_many([x, x], [np.zeros((4, 1)), np.zeros((3, 1))], spec_of((2, 3, 1)), config, range(2))
+
+    @pytest.mark.parametrize("bad_x", [np.zeros((4, 3)), np.zeros(4)], ids=["width", "rank"])
+    def test_inputs_must_match_the_networks(self, bad_x):
+        y = np.zeros((4, 1))
+        with pytest.raises(ShapeMismatch, match=r"x must be \(n, 2\)"):
+            train_many([np.zeros((4, 2)), bad_x], [y, y], spec_of((2, 3, 1)), TrainConfig(epochs=1), range(2))
 
     def test_every_network_needs_an_example(self):
-        configs = [TrainConfig(epochs=1, seed=s) for s in range(2)]
         with pytest.raises(ShapeMismatch):
             train_many([np.zeros((4, 2)), np.zeros((0, 2))], [np.zeros((4, 1)), np.zeros((0, 1))],
-                       spec_of((2, 3, 1)), configs)
+                       spec_of((2, 3, 1)), TrainConfig(epochs=1), range(2))
 
     @pytest.mark.parametrize("bad_net", [0, 2, 3])
     def test_non_finite_gradient_in_one_network_writes_no_network(self, monkeypatch, bad_net):
@@ -885,10 +894,9 @@ class TestTrainMany:
                 seen.append((before, params.copy()))
 
         monkeypatch.setattr(nn, "adam_step", watched)
-        configs = [TrainConfig(epochs=1, batch_size=4, seed=s) for s in range(n_nets)]
         x = rng.standard_normal((12, 2))
         with pytest.raises(NonFiniteGradient):
-            train_many([x] * n_nets, labels, spec_of((2, 3, 1)), configs)
+            train_many([x] * n_nets, labels, spec_of((2, 3, 1)), TrainConfig(epochs=1, batch_size=4), range(n_nets))
         # the first step already fails, and every network keeps its init
         [(before, after)] = seen
         assert before.shape[0] == n_nets

@@ -10,15 +10,17 @@ byte. Wall times live only in the manifest's ``timings_seconds``, since wall
 clocks are not replayable. Networks train in the manifest's ``precision``; a
 manifest without that key predates it and trained in float64, so it replays
 in float64. Bands draw their multipliers under the manifest's
-``multiplier_scheme``; a manifest without that key predates it and replays
-on scheme 1. No setting sizes a run's processes or threads: they follow the
-CPUs the process may use, so ``taskset`` limits them. A manifest's
-``threads`` key, from when ``simulate --threads`` sized a replication pool,
-is ignored.
+``multiplier_scheme``, 3 for new runs; a manifest without that key predates
+it and replays on scheme 1. No setting sizes a run's processes or threads:
+they follow the CPUs the process may use, so ``taskset`` limits them. A
+manifest's ``threads`` key, from when ``simulate --threads`` sized a
+replication pool, is ignored.
 
 Exit codes: 0 on success, 1 for domain errors (bad data, singular designs,
 unreadable files), 2 for usage errors (bad flags or configuration values,
 such as a curve no data can satisfy), which are raised before any file is written.
+A domain error raised before the run writes a file leaves no output
+directory behind, unless the directory existed before the run.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ class RunConfig:
     transform: str = "exp"
     squash: str = "arctan"
     precision: str = "float32"
-    multiplier_scheme: int = 2
+    multiplier_scheme: int = 3
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -360,21 +362,33 @@ def _run_bootstrap_band(config: RunConfig, out: Path) -> dict:
 
 
 def run(config: RunConfig) -> dict:
-    """Execute one configured run and write its outputs plus the manifest."""
+    """Execute one configured run and write its outputs plus the manifest.
+
+    A run that raises before it writes anything removes the output directory,
+    and the parents of it, that it created; a directory that existed stays.
+    """
     out = Path(config.out)
+    # the directories mkdir makes, deepest first, the order they can be removed in
+    created = [path for path in (out, *out.parents) if not path.exists()]
     out.mkdir(parents=True, exist_ok=True)
     worker = {
         "simulate": _run_simulate,
         "estimate": _run_estimate,
         "bootstrap-band": _run_bootstrap_band,
     }[config.mode]
-    result = worker(config, out)
-    manifest = write_manifest(
-        out / "manifest.json",
-        dataclasses.asdict(config),
-        [p.name for p in result["outputs"]],
-        result["timings"],
-    )
+    try:
+        result = worker(config, out)
+        manifest = write_manifest(
+            out / "manifest.json",
+            dataclasses.asdict(config),
+            [p.name for p in result["outputs"]],
+            result["timings"],
+        )
+    except BaseException:
+        if created and not any(out.iterdir()):
+            for path in created:
+                path.rmdir()
+        raise
     result["manifest"] = manifest
     for path in (*result["outputs"], manifest):
         _say(f"wrote {path}")

@@ -184,9 +184,9 @@ class ExperimentData:
 
     Construction raises ShapeMismatch for arrays of the wrong rank or unequal
     length, TooFewUnits for fewer than 2 units, NonFiniteValue for a
-    non-finite covariate or outcome, and EmptyArm for a non-integral arm
-    label, no declared arm, a label outside 1..K, or an arm without units.
-    Errors about one unit name its 0-based index.
+    non-finite covariate or outcome, and EmptyArm for non-numeric or bool arm
+    labels, a non-integral arm label, no declared arm, a label outside 1..K,
+    or an arm without units. Errors about one unit name its 0-based index.
     """
 
     covariates: np.ndarray
@@ -198,6 +198,9 @@ class ExperimentData:
     def __post_init__(self):
         x = _frozen_array(self.covariates, ndim=2, name="covariates")
         labels = np.asarray(self.arms)
+        if labels.dtype.kind not in "iuf":
+            # the int cast would read '2' as arm 2 and True as arm 1
+            raise EmptyArm(f"arm labels must be integers, got {labels.dtype} values")
         if labels.dtype.kind == "f" and labels.ndim == 1:
             # checked before the int cast, which would truncate 1.5 to arm 1
             bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))

@@ -25,20 +25,28 @@ values, is a column block of one C-ordered (unit, estimate x arm x location)
 array, and the :class:`InfluenceMatrix` is a view of it. The empirical
 path's zero adjustment is the scalar 0.0, not an array.
 
-Multipliers are drawn in chunks of units. Under multiplier scheme 2, the
-default, repetition b reads its stream in chunks of 8,192 units, and each
-estimate's draws sum the products of the chunks in chunk order; scheme 1,
-which manifests written before the scheme was recorded replay on, reads all
-n units as one chunk. The two schemes give the same bytes whenever
-n <= 8,192. So a band run holds, beyond its inputs, one slab per estimate
-(n*k*m float64 values), the draws, and in each process that draws a block
-of at most 256 x 8,192 multipliers (256 x n under scheme 1).
+Multipliers are drawn in chunks of units. Under multiplier scheme 3, the
+default, repetition b first draws z_b, one standard normal per column of an
+estimate (arms x locations), then reads its stream in chunks of 8,192 units,
+one standard normal m2 per unit mapped in place to (m2^2 - 1) / 2. Each
+estimate's draws sum the products of the chunks with its slab in chunk
+order, then gain (z_b @ R) / sqrt(2), R the symmetric square root of the
+estimate's Gram matrix psi^T psi. Given the data, psi^T m1 is exactly
+N(0, psi^T psi), so the draws have the law of scheme 2 with n + k*m normals
+a repetition instead of 2n. Schemes 2 and 1 draw both halves per unit,
+scheme 2 in chunks of 8,192 units and scheme 1, which manifests written
+before the scheme was recorded replay on, as one chunk of all n units; the
+two give the same bytes whenever n <= 8,192. So a band run holds, beyond
+its inputs, one slab per estimate (n*k*m float64 values), the draws, and in
+each process that draws a block of at most 256 x 8,192 multipliers
+(256 x n under scheme 1).
 
 The pass hands its blocks of 256 repetitions to :func:`dtekit.core._fan_out`:
-each forked process inherits the slabs and sends back only its draws. Every
-repetition has its own generator stream spawned from the seed, and each
-chunk of a block is multiplied as a whole with fixed operands, so the draws
-are bit-identical at any number of processes.
+each forked process inherits the slabs (and the roots, computed once in the
+calling process) and sends back only its draws. Every repetition has its own
+generator stream spawned from the seed, and each chunk of a block is
+multiplied as a whole with fixed operands, so the draws are bit-identical at
+any number of processes.
 """
 
 from __future__ import annotations
@@ -79,9 +87,9 @@ __all__ = [
 ]
 
 _DRAW_BLOCK = 256
-# units per chunk of a repetition's multiplier stream under scheme 2
+# units per chunk of a repetition's multiplier stream under schemes 2 and 3
 _CHUNK_UNITS = 8192
-_MULTIPLIER_SCHEMES = (1, 2)
+_MULTIPLIER_SCHEMES = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -201,14 +209,18 @@ def multiplier_transform(m1: np.ndarray, m2: np.ndarray, out: np.ndarray | None 
 
 
 def multipliers(n_units: int, seed: int, *, multiplier_scheme: int = 2) -> np.ndarray:
-    """One multiplier per unit from a fresh seeded stream.
+    """One multiplier per unit from a fresh seeded stream, under scheme 1 or 2.
 
     The stream is read in the chunks :func:`bootstrap_draws` reads a
     repetition's stream in: under scheme 2 chunks of 8,192 units, under
     scheme 1 one chunk of all units. Each chunk of w units takes one
     ``standard_normal(2w)`` call, the first w values and the last w feeding
-    :func:`multiplier_transform`.
+    :func:`multiplier_transform`. Scheme 3 draws the Gaussian half of a
+    repetition as a whole, not per unit, so it has no per-unit multipliers.
     """
+    _check_multiplier_scheme(multiplier_scheme)
+    if multiplier_scheme == 3:
+        raise ValueError("multiplier scheme 3 has no per-unit multipliers; use scheme 1 or 2")
     rng = np.random.default_rng(seed)
     out = np.empty(n_units)
     for lo, hi in _chunks(n_units, multiplier_scheme):
@@ -218,19 +230,19 @@ def multipliers(n_units: int, seed: int, *, multiplier_scheme: int = 2) -> np.nd
 
 
 def _check_multiplier_scheme(multiplier_scheme: int) -> None:
-    """Reject a multiplier scheme other than 1 or 2."""
+    """Reject a multiplier scheme other than 1, 2 or 3."""
     if not _is_integer(multiplier_scheme) or multiplier_scheme not in _MULTIPLIER_SCHEMES:
-        raise ValueError(f"multiplier_scheme must be 1 or 2, got {multiplier_scheme!r}")
+        raise ValueError(f"multiplier_scheme must be 1, 2 or 3, got {multiplier_scheme!r}")
 
 
 def _chunks(n: int, multiplier_scheme: int) -> list[tuple[int, int]]:
     """The unit ranges [lo, hi) a repetition's stream is read in, in order.
 
-    Scheme 2 reads chunks of ``_CHUNK_UNITS`` units, scheme 1 one chunk of
-    all n units.
+    Schemes 2 and 3 read chunks of ``_CHUNK_UNITS`` units, scheme 1 one
+    chunk of all n units.
     """
     _check_multiplier_scheme(multiplier_scheme)
-    size = _CHUNK_UNITS if multiplier_scheme == 2 else max(n, 1)
+    size = max(n, 1) if multiplier_scheme == 1 else _CHUNK_UNITS
     return [(lo, min(lo + size, n)) for lo in range(0, max(n, 1), size)]
 
 
@@ -259,25 +271,37 @@ def bootstrap_draws(
     seed: int,
     *,
     arms_per_estimate: int | None = None,
-    multiplier_scheme: int = 2,
+    multiplier_scheme: int = 3,
 ) -> BootstrapDraws:
     """Perturbed copies of the CDF matrix, one per bootstrap repetition.
 
     Repetition b uses its own generator stream spawned from ``seed`` and
-    reads it in chunks of units (see :func:`multipliers`): under scheme 2
-    chunks of 8,192 units, under scheme 1 one chunk of all n. Each chunk of
-    w units takes one call for 2w standard normals, the first w and the last
-    w feeding :func:`multiplier_transform`. The multipliers are therefore
-    reproducible and do not depend on how repetitions are batched or which
-    process draws them. The draw matmul is not: BLAS can round the last bit
-    differently for other operand shapes, so the block size, the chunks and
-    the operands are fixed.
+    reads it in chunks of units: under schemes 3 and 2 chunks of 8,192
+    units, under scheme 1 one chunk of all n. Under schemes 1 and 2 each
+    chunk of w units takes one call for 2w standard normals, the first w
+    and the last w feeding :func:`multiplier_transform` (see
+    :func:`multipliers`). Under scheme 3 the stream first gives z_b, one
+    standard normal per column of an estimate (arms x locations), in one
+    call, and then each chunk one ``standard_normal(w)`` call, written
+    straight into the block and mapped in place to (m2^2 - 1) / 2; after
+    its last chunk each estimate's draw gains (z_b @ R) / sqrt(2) (see
+    :func:`_gram_root`). Both halves are independent and, given the data,
+    psi^T m1 is exactly N(0, psi^T psi), so each repetition has the law of
+    scheme 2. R is formed per estimate, so the Gaussian halves of two
+    stacked estimates have cross-covariance R_1 R_2 rather than
+    psi_1^T psi_2; no output reads it, since every band reads only its own
+    estimate's draws. The normals are therefore reproducible and do not
+    depend on how repetitions are batched or which process draws them. The
+    draw matmuls are not: BLAS can round the last bit differently for other
+    operand shapes, so the block size, the chunks and the operands are
+    fixed.
 
     Repetitions run in blocks of ``_DRAW_BLOCK`` rows (see
     :func:`_draw_blocks`), which :func:`dtekit.core._fan_out` spreads over
     forked processes, and each draw is divided by n once. The block size,
     the chunks and the operands of every product are the same in any
-    process, so the draws are bit-identical at any number of processes.
+    process, and the roots are computed once, in the calling process, so
+    the draws are bit-identical at any number of processes.
 
     ``theta`` and ``psi`` may stack several estimates along the arm axis,
     ``arms_per_estimate`` arms each (default: all arms, one estimate). All
@@ -302,42 +326,78 @@ def bootstrap_draws(
         psi.values[first:first + per].transpose(1, 0, 2).reshape(n, per * m)
         for first in range(0, k, per)
     ]
+    roots = [_gram_root(slab) for slab in slabs] if multiplier_scheme == 3 else None
     children = np.random.SeedSequence(seed).spawn(n_draws)
     blocks = [children[start:start + _DRAW_BLOCK] for start in range(0, n_draws, _DRAW_BLOCK)]
-    draws = np.concatenate(core._fan_out(partial(_draw_blocks, slabs, chunks), blocks))
+    draws = np.concatenate(core._fan_out(partial(_draw_blocks, slabs, chunks, roots), blocks))
     draws /= n
     draws += theta.values.reshape(1, k * m)
     return BootstrapDraws(draws=draws.reshape(n_draws, k, m), seed=seed)
 
 
-def _draw_blocks(slabs: list[np.ndarray], chunks: list[tuple[int, int]], blocks: list) -> list[np.ndarray]:
+def _gram_root(slab: np.ndarray) -> np.ndarray:
+    """The symmetric positive semi-definite square root R of ``slab.T @ slab``.
+
+    From ``eigh``, negative eigenvalues clipped to 0. A column of zeros gets
+    an exactly zero row and column of R, so its draws carry no Gaussian half
+    at all; ``eigh`` of the whole Gram would leave rounding-sized entries
+    there, and a band whose influence values are zero would no longer be
+    recognised as degenerate.
+    """
+    gram = slab.T @ slab
+    columns = np.flatnonzero(np.diagonal(gram) > 0.0)
+    live = np.ix_(columns, columns)
+    values, vectors = np.linalg.eigh(gram[live])
+    root = np.zeros_like(gram)
+    root[live] = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
+    return root
+
+
+def _draw_blocks(
+    slabs: list[np.ndarray], chunks: list[tuple[int, int]], roots: list[np.ndarray] | None, blocks: list
+) -> list[np.ndarray]:
     """The draws of each block of repetition streams, not yet divided by n.
 
     A block runs chunk by chunk: each row fills the chunk's multipliers from
     its own generator, then each estimate's draws gain the product of the
-    whole chunk with the chunk's rows of its slab.
+    whole chunk with the chunk's rows of its slab. Under scheme 3 (``roots``
+    given) each row first draws its Gaussian half, and each estimate's draws
+    gain its product with the estimate's root after the last chunk.
     """
     width = chunks[0][1] - chunks[0][0]
     block = np.empty(max(map(len, blocks)) * width)
-    normals = np.empty(2 * width)
+    normals = np.empty(2 * width) if roots is None else None
     columns = slabs[0].shape[1]
     results = []
     for streams in blocks:
         generators = [np.random.default_rng(stream) for stream in streams]
+        if roots is not None:
+            gaussian = np.array([generator.standard_normal(columns) for generator in generators])
         draws = np.empty((len(streams), len(slabs) * columns))
         for lo, hi in chunks:
             w = hi - lo
             # a C-ordered (rows, w) operand, whatever the chunk's width
             rows = block[:len(streams) * w].reshape(len(streams), w)
-            for row, generator in zip(rows, generators):
-                generator.standard_normal(2 * w, out=normals[:2 * w])
-                multiplier_transform(normals[:w], normals[w:2 * w], out=row)
+            if roots is None:
+                for row, generator in zip(rows, generators):
+                    generator.standard_normal(2 * w, out=normals[:2 * w])
+                    multiplier_transform(normals[:w], normals[w:2 * w], out=row)
+            else:
+                for row, generator in zip(rows, generators):
+                    generator.standard_normal(out=row)
+                # (m2^2 - 1) / 2
+                np.square(rows, out=rows)
+                rows -= 1.0
+                rows /= 2.0
             for e, slab in enumerate(slabs):
                 out = draws[:, e * columns:(e + 1) * columns]
                 if lo == 0:
                     out[...] = rows @ slab[lo:hi]
                 else:
                     out += rows @ slab[lo:hi]
+        if roots is not None:
+            for e, root in enumerate(roots):
+                draws[:, e * columns:(e + 1) * columns] += (gaussian @ root) / np.sqrt(2.0)
         results.append(draws)
     return results
 
@@ -353,7 +413,7 @@ def bootstrap_band(
     seed: int = 0,
     literal_upper_quantile: bool = False,
     *,
-    multiplier_scheme: int = 2,
+    multiplier_scheme: int = 3,
 ) -> EffectBand:
     """Pointwise multiplier-bootstrap confidence band for a CDF functional.
 
@@ -383,7 +443,7 @@ def bootstrap_bands(
     seed: int = 0,
     literal_upper_quantile: bool = False,
     *,
-    multiplier_scheme: int = 2,
+    multiplier_scheme: int = 3,
 ) -> tuple[EffectBand, ...]:
     """One band per estimate, all from one shared multiplier pass.
 

@@ -115,16 +115,17 @@ class TestRunConfig:
     def test_dict_without_precision_reads_as_float64(self):
         assert config_from_dict({"mode": "simulate"}).precision == "float64"
 
-    def test_default_multiplier_scheme_is_2(self):
-        assert RunConfig(mode="simulate").multiplier_scheme == 2
+    def test_default_multiplier_scheme_is_3(self):
+        assert RunConfig(mode="simulate").multiplier_scheme == 3
 
     def test_dict_without_multiplier_scheme_reads_as_1(self):
         assert config_from_dict({"mode": "simulate"}).multiplier_scheme == 1
         assert config_from_dict({"mode": "simulate", "multiplier_scheme": 2}).multiplier_scheme == 2
+        assert config_from_dict({"mode": "simulate", "multiplier_scheme": 3}).multiplier_scheme == 3
 
-    @pytest.mark.parametrize("value", [0, 3, -1])
+    @pytest.mark.parametrize("value", [0, 4, -1])
     def test_unknown_multiplier_scheme_fails_eagerly(self, value):
-        with pytest.raises(ValueError, match="multiplier_scheme must be 1 or 2"):
+        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2 or 3"):
             RunConfig(mode="bootstrap-band", input="x.csv", multiplier_scheme=value)
 
     @pytest.mark.parametrize("field, value", [
@@ -204,7 +205,7 @@ class TestRunConfig:
         assert config.hidden == (8, 4) and all(type(h) is int for h in config.hidden)
 
     @pytest.mark.parametrize("field, value", [
-        ("hidden", [2.5, True]), ("multiplier_scheme", 3), ("multiplier_scheme", 1.0),
+        ("hidden", [2.5, True]), ("multiplier_scheme", 4), ("multiplier_scheme", 1.0),
         ("arm_pair", [2.7, True]), ("arm_pair", ["2", "1"]), ("arm_pair", [0, 1]), ("arm_pair", [2, 2]),
         ("functional", "pte"), ("learning_rate", True), ("ridge", True),
         ("grid", "list=0,nan,1"), ("grid", "list=-inf,0"), ("z_mode", "bogus"), ("arm_pair", [2, 1, 1]),
@@ -571,6 +572,43 @@ class TestEstimateMode:
         assert rc == 0
 
 
+class TestRunTimeFailure:
+    """A run that fails at run time removes the output directory it made, if it wrote nothing."""
+
+    @pytest.fixture
+    def bad_csv(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(EXPERIMENT_CSV.replace("0.63", "np.float64(2)"))
+        return path
+
+    def test_created_out_is_removed(self, tmp_path, capsys, bad_csv):
+        out = tmp_path / "made" / "for" / "run"
+        assert run_cli("estimate", "--input", bad_csv, "--learner", "linear", "--out", out) == 1
+        assert "ParseError" in capsys.readouterr().err
+        # with the parents the run made
+        assert not (tmp_path / "made").exists()
+
+    def test_existing_out_is_left_alone(self, tmp_path, bad_csv):
+        out = tmp_path / "existing"
+        out.mkdir()
+        assert run_cli("estimate", "--input", bad_csv, "--learner", "linear", "--out", out) == 1
+        assert out.is_dir() and list(out.iterdir()) == []
+        (out / "keep.txt").write_text("x")
+        assert run_cli("estimate", "--input", bad_csv, "--learner", "linear", "--out", out) == 1
+        assert [path.name for path in out.iterdir()] == ["keep.txt"]
+
+    def test_out_with_a_written_file_stays(self, tmp_path, monkeypatch, experiment_csv):
+        from dtekit import cli
+
+        def failing(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_manifest", failing)
+        out = tmp_path / "est"
+        assert run_cli("estimate", "--input", experiment_csv, "--grid", "list=2.0", "--out", out) == 1
+        assert [path.name for path in out.iterdir()] == ["points.csv"]
+
+
 class TestBootstrapBandMode:
     def test_band_files_and_reduction(self, tmp_path, experiment_csv):
         out = tmp_path / "band"
@@ -623,13 +661,13 @@ class TestBootstrapBandMode:
             "--grid", "probs=0.25,0.5,0.75", "--B", 40, "--out", new,
         ) == 0
         manifest = json.loads((new / "manifest.json").read_text())
-        assert manifest["config"]["multiplier_scheme"] == 2
+        assert manifest["config"]["multiplier_scheme"] == 3
         replay = tmp_path / "replay"
         assert run_cli("bootstrap-band", "--from-manifest", new / "manifest.json", "--out", replay) == 0
         assert self.outputs(replay) == self.outputs(new)
-        # a manifest from before the scheme key, and one naming scheme 1
-        replays = []
-        for name, scheme in (("old", None), ("one", 1)):
+        # a manifest from before the scheme key, and ones naming schemes 1 and 2
+        replays = {}
+        for name, scheme in (("old", None), ("one", 1), ("two", 2)):
             config = dict(manifest["config"])
             if scheme is None:
                 del config["multiplier_scheme"]
@@ -638,12 +676,12 @@ class TestBootstrapBandMode:
             path = tmp_path / f"{name}-manifest.json"
             path.write_text(json.dumps(dict(manifest, config=config)))
             assert run_cli("bootstrap-band", "--from-manifest", path, "--out", tmp_path / name) == 0
-            replays.append(tmp_path / name)
+            replays[name] = self.outputs(tmp_path / name)
             recorded = json.loads((tmp_path / name / "manifest.json").read_text())["config"]
-            assert recorded["multiplier_scheme"] == 1
-        assert self.outputs(replays[0]) == self.outputs(replays[1])
-        # past one chunk the schemes draw other multipliers
-        assert self.outputs(replays[0])[0] != self.outputs(new)[0]
+            assert recorded["multiplier_scheme"] == (scheme or 1)
+        assert replays["old"] == replays["one"]
+        # past one chunk schemes 1 and 2 draw other multipliers, and scheme 3 others again
+        assert len({replays["one"][0], replays["two"][0], self.outputs(new)[0]}) == 3
 
 
 class TestBoolLabels:

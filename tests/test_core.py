@@ -137,6 +137,14 @@ class TestConstructionErrors:
                 outcomes=np.arange(4.0),
             )
 
+    @pytest.mark.parametrize("labels, dtype", [
+        (np.array(["1", "2", "1", "2"]), "<U1"), (np.array([True] * 4), "bool"),
+        (np.array([1, 2, 1, 2], dtype=object), "object"),
+    ])
+    def test_non_numeric_and_bool_arm_labels_rejected(self, labels, dtype):
+        with pytest.raises(EmptyArm, match=rf"arm labels must be integers, got {dtype} values"):
+            ExperimentData(covariates=np.zeros((4, 1)), arms=labels, outcomes=np.arange(4.0))
+
     @pytest.mark.parametrize("n_arms", [2.9, 2.0, "2", True])
     def test_non_integral_n_arms_rejected(self, n_arms):
         with pytest.raises(ValueError, match="n_arms must be an integer"):

@@ -161,6 +161,10 @@ class TestMultipliers:
         else:
             assert not np.array_equal(got, multipliers(n, seed=6, multiplier_scheme=1))
 
+    def test_scheme_3_has_no_per_unit_multipliers(self):
+        with pytest.raises(ValueError, match="multiplier scheme 3 has no per-unit multipliers"):
+            multipliers(10, seed=0, multiplier_scheme=3)
+
 
 class TestBootstrapDraws:
     def setup_method(self):
@@ -240,8 +244,48 @@ def chunked_draws(theta, psi, n_draws, seed, per, chunk=8192):
     return draws.reshape(n_draws, k, m)
 
 
+def gram_root(slab):
+    """The symmetric square root of ``slab.T @ slab`` by eigenvalues, zero on the all-zero columns."""
+    gram = slab.T @ slab
+    live = np.flatnonzero(np.diag(gram) > 0.0)
+    values, vectors = np.linalg.eigh(gram[np.ix_(live, live)])
+    root = np.zeros_like(gram)
+    root[np.ix_(live, live)] = (vectors * np.sqrt(np.maximum(values, 0.0))) @ vectors.T
+    return root
+
+
+def scheme_3_draws(theta, psi, n_draws, seed, per, chunk=8192):
+    """The draws of multiplier scheme 3, one 256-row block at a time.
+
+    Row b's generator first draws z_b, one normal per column of an estimate,
+    then one normal m2 per unit of each chunk, which becomes (m2^2 - 1) / 2.
+    Each estimate's draws sum the chunk products in chunk order and then gain
+    (z @ R) / sqrt(2), R the root of the estimate's Gram matrix.
+    """
+    k, n, m = psi.shape
+    slabs = [psi[first:first + per].transpose(1, 0, 2).reshape(n, per * m) for first in range(0, k, per)]
+    roots = [gram_root(slab) for slab in slabs]
+    children = np.random.SeedSequence(seed).spawn(n_draws)
+    draws = np.empty((n_draws, k * m))
+    for start in range(0, n_draws, 256):
+        rngs = [np.random.default_rng(child) for child in children[start:start + 256]]
+        z = np.array([rng.standard_normal(per * m) for rng in rngs])
+        sums = np.zeros((len(rngs), k * m))
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            m2 = np.array([rng.standard_normal(hi - lo) for rng in rngs])
+            xi = (np.square(m2) - 1.0) / 2.0
+            for e, slab in enumerate(slabs):
+                sums[:, e * per * m:(e + 1) * per * m] += xi @ slab[lo:hi]
+        for e, root in enumerate(roots):
+            sums[:, e * per * m:(e + 1) * per * m] += (z @ root) / np.sqrt(2.0)
+        draws[start:start + 256] = sums
+    draws = draws / n + theta.reshape(1, k * m)
+    return draws.reshape(n_draws, k, m)
+
+
 class TestMultiplierSchemes:
-    """Scheme 1 reads each repetition's stream as one chunk of n units, scheme 2 in chunks of 8,192."""
+    """Scheme 1 reads each repetition's stream as one chunk of n units, schemes 2 and 3 in chunks of 8,192."""
 
     @staticmethod
     def problem(n, seed=7):
@@ -268,26 +312,28 @@ class TestMultiplierSchemes:
     def test_schemes_agree_bit_for_bit_up_to_one_chunk(self, monkeypatch, n):
         theta, psi = self.problem(n)
         assert_array_equal(
-            self.draws(monkeypatch, theta, psi, 2),
+            self.draws(monkeypatch, theta, psi, 2, multiplier_scheme=2),
             self.draws(monkeypatch, theta, psi, 2, multiplier_scheme=1),
         )
 
     @pytest.mark.parametrize("n", [8193, 16_384, 20_000])
     def test_scheme_2_sums_the_chunk_products(self, monkeypatch, n):
         theta, psi = self.problem(n)
-        runs = [self.draws(monkeypatch, theta, psi, threads) for threads in (1, 2, 3)]
+        runs = [self.draws(monkeypatch, theta, psi, threads, multiplier_scheme=2) for threads in (1, 2, 3)]
         for got in runs[1:]:
             assert_array_equal(got, runs[0])
         assert_allclose(runs[0], chunked_draws(theta, psi, 300, 11, 2), rtol=0, atol=1e-12)
         assert not np.array_equal(runs[0], self.draws(monkeypatch, theta, psi, 1, multiplier_scheme=1))
 
-    def test_block_memory_does_not_grow_with_n(self, monkeypatch):
+    @pytest.mark.parametrize("scheme", [2, 3])
+    def test_block_memory_does_not_grow_with_n(self, monkeypatch, scheme):
         """tracemalloc peak of a two-estimate pass over 5 chunks and one unit.
 
-        The 64 x 8,192 block, a scratch of 2 x 8,192 normals, the draws and
-        their frozen copy, and 256 KiB for the generators and matmul
-        temporaries. A block n wide alone is 64 x 40,961 values. On one CPU
-        the block is drawn in this process, where tracemalloc sees it.
+        The 64 x 8,192 block, a scratch of 2 x 8,192 normals (scheme 2), the
+        draws and their frozen copy, and 256 KiB for the generators, the
+        Gaussian halves and roots (scheme 3) and matmul temporaries. A block
+        n wide alone is 64 x 40,961 values. On one CPU the block is drawn in
+        this process, where tracemalloc sees it.
         """
         n, k, m, n_draws = 5 * 8192 + 1, 2, 3, 64
         values = inference._new_influence(2, k, n, m)
@@ -297,7 +343,7 @@ class TestMultiplierSchemes:
         monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
         tracemalloc.start()
         try:
-            bootstrap_draws(theta, psi, n_draws, seed=3, arms_per_estimate=k)
+            bootstrap_draws(theta, psi, n_draws, seed=3, arms_per_estimate=k, multiplier_scheme=scheme)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -306,15 +352,15 @@ class TestMultiplierSchemes:
         draws = 2 * n_draws * 2 * k * m * 8
         assert peak <= block + scratch + draws + 256 * 1024
 
-    @pytest.mark.parametrize("scheme", [0, 3, True, 2.0, "2", None])
+    @pytest.mark.parametrize("scheme", [0, 4, True, 2.0, "2", None])
     def test_unknown_scheme_rejected(self, scheme):
         theta, psi = self.problem(5)
-        with pytest.raises(ValueError, match="multiplier_scheme must be 1 or 2"):
+        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2 or 3"):
             bootstrap_draws(
                 CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
                 10, 0, multiplier_scheme=scheme,
             )
-        with pytest.raises(ValueError, match="multiplier_scheme must be 1 or 2"):
+        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2 or 3"):
             multipliers(5, seed=0, multiplier_scheme=scheme)
 
     def test_numpy_integer_scheme_accepted(self):
@@ -323,7 +369,12 @@ class TestMultiplierSchemes:
 
 
 class TestFanOutDraws:
-    """Blocks of 256 repetitions are drawn on ``core._fan_out``, in forked processes when it forks."""
+    """Blocks of 256 repetitions are drawn on ``core._fan_out``, in forked processes when it forks.
+
+    These runs read scheme 2's stream, whose ``multiplier_transform`` calls
+    mark the process that draws each repetition; :class:`TestScheme3` covers
+    scheme 3 at 1-4 CPUs.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -344,7 +395,7 @@ class TestFanOutDraws:
             patch.setattr(core, "_usable_cpus", lambda: cpus)
             got = bootstrap_draws(
                 CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
-                n_draws, seed, arms_per_estimate=per,
+                n_draws, seed, arms_per_estimate=per, multiplier_scheme=2,
             )
         assert_array_equal(got.draws, serial_draws(theta, psi, n_draws, seed, per))
 
@@ -355,7 +406,7 @@ class TestFanOutDraws:
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2 * (os.cpu_count() or 1))
         got = bootstrap_draws(
             CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
-            513, 8, arms_per_estimate=2,
+            513, 8, arms_per_estimate=2, multiplier_scheme=2,
         )
         assert_array_equal(got.draws, serial_draws(theta, psi, 513, 8, 2))
 
@@ -375,7 +426,7 @@ class TestFanOutDraws:
     def run(self, n_draws, n=30):
         psi = InfluenceMatrix(values=np.random.default_rng(1).standard_normal((2, n, 2)))
         theta = CdfEstimate(values=np.full((2, 2), 0.5), method="empirical")
-        return bootstrap_draws(theta, psi, n_draws, seed=4)
+        return bootstrap_draws(theta, psi, n_draws, seed=4, multiplier_scheme=2)
 
     def test_blocks_fill_in_forked_processes(self, monkeypatch, tmp_path):
         pids = self.pid_record(monkeypatch, tmp_path / "pids")
@@ -441,6 +492,98 @@ class TestFanOutDraws:
         assert core._usable_cpus() == 1
 
 
+class TestScheme3:
+    """Scheme 3: the Gaussian half of a repetition from its exact law, the other half per unit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        cpus=st.integers(1, 4),
+        n=st.sampled_from([1, 2, 37, 8191, 8192, 8193]),
+        n_draws=st.sampled_from([2, 255, 256, 257]),
+        n_estimates=st.integers(1, 2),
+        per=st.integers(1, 2),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+    )
+    def test_default_equals_the_serial_pass_bit_for_bit(self, cpus, n, n_draws, n_estimates, per, m, seed):
+        rng = np.random.default_rng(seed)
+        k = n_estimates * per
+        psi = rng.standard_normal((k, n, m))
+        theta = np.sort(rng.random((k, m)), axis=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_usable_cpus", lambda: cpus)
+            got = bootstrap_draws(
+                CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
+                n_draws, seed, arms_per_estimate=per,
+            )
+        assert_array_equal(got.draws, scheme_3_draws(theta, psi, n_draws, seed, per))
+
+    def test_roots_are_formed_once_per_estimate_in_the_calling_process(self, monkeypatch, tmp_path):
+        root, log = inference._gram_root, tmp_path / "roots"
+
+        def recorded(slab):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return root(slab)
+
+        monkeypatch.setattr(inference, "_gram_root", recorded)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        psi = InfluenceMatrix(values=np.random.default_rng(1).standard_normal((4, 30, 2)))
+        theta = CdfEstimate(values=np.full((4, 2), 0.5), method="empirical")
+        bootstrap_draws(theta, psi, 600, seed=4, arms_per_estimate=2)
+        assert log.read_text().split() == 2 * [str(os.getpid())]
+
+    def test_rank_deficient_influence_gives_finite_draws(self):
+        rng = np.random.default_rng(5)
+        psi = rng.standard_normal((2, 50, 3))
+        psi[0, :, 1] = 0.0  # a zero column
+        psi[1, :, 2] = psi[0, :, 0]  # a repeated column
+        theta = np.full((2, 3), 0.5)
+        draws = bootstrap_draws(CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi), 300, 2)
+        assert np.all(np.isfinite(draws.draws))
+        # no variance at all along the zero column, and none between the repeated two
+        assert_array_equal(draws.draws[:, 0, 1], 0.5)
+        assert_allclose(draws.draws[:, 1, 2], draws.draws[:, 0, 0], rtol=0, atol=1e-12)
+        assert draws.draws[:, 0, 0].std() > 0.01
+
+    def test_law_matches_the_influence_moments_and_scheme_2(self):
+        """Seeded moments of n * (draw - theta) against those of sum_i psi_i xi_i.
+
+        xi has mean 0, variance 1 and third moment 1, so the draws' mean is 0,
+        their covariance psi^T psi and their third central moments sum psi^3.
+        Every sample moment must lie within 4 of its standard errors, the
+        third moments must lie more than 8 standard errors from 0 (so a
+        Gaussian-only half would fail), and a two-sample Kolmogorov-Smirnov
+        test against scheme 2's draws must give p > 0.01 for every column.
+        """
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(2)
+        n, n_draws = 40, 40_000
+        psi = rng.exponential(size=(2, n, 2)) ** 1.5  # skewed influence values
+        psi -= psi.mean(axis=1, keepdims=True)
+        flat = psi.transpose(1, 0, 2).reshape(n, 4)
+        gram, cubes = flat.T @ flat, (flat ** 3).sum(axis=0)
+        theta = CdfEstimate(values=np.full((2, 2), 0.5), method="empirical")
+        samples = {}
+        for scheme in (2, 3):
+            draws = bootstrap_draws(theta, InfluenceMatrix(values=psi), n_draws, 17, multiplier_scheme=scheme)
+            x = (draws.draws.reshape(n_draws, 4) - 0.5) * n
+            samples[scheme] = x
+            mean = x.mean(axis=0)
+            assert np.all(np.abs(mean) <= 4 * np.sqrt(np.diag(gram) / n_draws))
+            centred = x - mean
+            products = centred[:, :, None] * centred[:, None, :]
+            cov = products.sum(axis=0) / (n_draws - 1)
+            assert np.all(np.abs(cov - gram) <= 4 * products.std(axis=0) / np.sqrt(n_draws))
+            third = centred ** 3
+            third_se = third.std(axis=0) / np.sqrt(n_draws)
+            assert np.all(np.abs(third.mean(axis=0) - cubes) <= 4 * third_se)
+            assert np.all(cubes >= 8 * third_se)
+        for j in range(4):
+            assert ks_2samp(samples[2][:, j], samples[3][:, j]).pvalue > 0.01
+
+
 class TestDrawArguments:
     """Seed, repetition count and multiplier scheme are checked before any influence or multiplier work."""
 
@@ -479,7 +622,7 @@ class TestDrawArguments:
             (50, False, 2, "seed must be a non-negative integer"),
             (300.0, 0, 2, "bootstrap repetitions must be an integer"),
             (1, 0, 2, "need at least 2 bootstrap repetitions"),
-            (50, 0, 3, "multiplier_scheme must be 1 or 2"),
+            (50, 0, 4, "multiplier_scheme must be 1, 2 or 3"),
         ],
     )
     def test_bands_fail_before_influence_and_draws(self, monkeypatch, call, n_draws, seed, scheme, message):
@@ -644,31 +787,20 @@ class TestBootstrapBand:
         assert_array_equal(a.ci_lower, b.ci_lower)
 
 
-def reference_band(data, grid, estimate, kind, n_draws, seed, arm_pair=(2, 1), alpha=0.05):
+def reference_band(data, grid, estimate, kind, n_draws, seed, scheme, arm_pair=(2, 1), alpha=0.05):
     """(se, ci_lower, ci_upper) as a pass of the estimate's own computes them.
 
-    A fresh generator per draw, the allocating multiplier formula, and one
-    ``block @ flat_psi / n`` per 256-row block.
+    The draws of the serial pass of the scheme: :func:`serial_draws` for
+    scheme 2 on at most 8,192 units, :func:`scheme_3_draws` for scheme 3.
     """
     if isinstance(estimate, AdjustedEstimate):
         theta, gamma = estimate.estimate, estimate.gamma
     else:
         theta, gamma = estimate, None
     psi = influence(data, grid, theta, gamma).values
-    k, n, m = psi.shape
-    flat_psi = psi.transpose(1, 0, 2).reshape(n, k * m)
-    children = np.random.SeedSequence(seed).spawn(n_draws)
-    draws = np.empty((n_draws, k * m))
-    for start in range(0, n_draws, 256):
-        stop = min(start + 256, n_draws)
-        block = np.empty((stop - start, n))
-        for b in range(start, stop):
-            rng = np.random.default_rng(children[b])
-            m1, m2 = rng.standard_normal(n), rng.standard_normal(n)
-            block[b - start] = m1 / np.sqrt(2.0) + (np.square(m2) - 1.0) / 2.0
-        draws[start:stop] = block @ flat_psi / n
-    draws += theta.values.reshape(1, k * m)
-    draws = draws.reshape(n_draws, k, m)
+    assert scheme == 3 or psi.shape[1] <= 8192
+    serial = scheme_3_draws if scheme == 3 else serial_draws
+    draws = serial(theta.values, psi, n_draws, seed, psi.shape[0])
 
     def functional(values):
         row = values[..., arm_pair[0] - 1, :]
@@ -692,23 +824,23 @@ def assert_same_band(got, want):
 
 
 class TestSharedMultiplierPass:
+    @pytest.mark.parametrize("scheme", [2, 3])
     @pytest.mark.parametrize("kind", ["cdf", "dte", "pte"])
     @pytest.mark.parametrize("n_draws", [2, 257, 300, 513])
-    def test_bands_match_a_pass_of_their_own_bit_for_bit(self, kind, n_draws):
+    def test_bands_match_a_pass_of_their_own_bit_for_bit(self, kind, n_draws, scheme):
         data = make_experiment(seed=31, n=90)
         # 2 x 5 columns per estimate: one wide matmul over both would round differently
         grid = quantile_grid(data, [0.1, 0.3, 0.5, 0.7, 0.9])
         empirical = empirical_cdf(data, grid)
         adjusted = fit_adjusted(data, grid, LearnerKind("linear"))
-        bands = bootstrap_bands(data, grid, (empirical, adjusted), kind=kind, n_draws=n_draws, seed=5)
+        common = dict(kind=kind, n_draws=n_draws, seed=5, multiplier_scheme=scheme)
+        bands = bootstrap_bands(data, grid, (empirical, adjusted), **common)
         for band, estimate in zip(bands, (empirical, adjusted)):
-            se, lower, upper = reference_band(data, grid, estimate, kind, n_draws, seed=5)
+            se, lower, upper = reference_band(data, grid, estimate, kind, n_draws, seed=5, scheme=scheme)
             assert_array_equal(band.se, se)
             assert_array_equal(band.ci_lower, lower)
             assert_array_equal(band.ci_upper, upper)
-            assert_same_band(
-                bootstrap_band(data, grid, estimate, kind=kind, n_draws=n_draws, seed=5), band
-            )
+            assert_same_band(bootstrap_band(data, grid, estimate, **common), band)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -717,9 +849,10 @@ class TestSharedMultiplierPass:
         n_draws=st.integers(2, 300),
         kind=st.sampled_from(["cdf", "dte", "pte"]),
         seed=st.integers(0, 2**16),
+        scheme=st.sampled_from([2, 3]),
     )
     def test_each_band_equals_its_own_run_and_follows_the_order(
-        self, data_seed, n_estimates, n_draws, kind, seed
+        self, data_seed, n_estimates, n_draws, kind, seed, scheme
     ):
         data = make_experiment(seed=data_seed, n=40)
         grid = quantile_grid(data, [0.25, 0.5, 0.75])
@@ -736,7 +869,7 @@ class TestSharedMultiplierPass:
             )
         order = list(rng.permutation(n_estimates))
         estimates = [estimates[i] for i in order]
-        common = dict(kind=kind, n_draws=n_draws, seed=seed)
+        common = dict(kind=kind, n_draws=n_draws, seed=seed, multiplier_scheme=scheme)
         bands = bootstrap_bands(data, grid, estimates, **common)
         assert len(bands) == n_estimates
         for band, estimate in zip(bands, estimates):
@@ -768,8 +901,9 @@ class TestInfluenceSlabs:
         m=st.integers(1, 4),
         n_draws=st.sampled_from([2, 5, 257]),
         seed=st.integers(0, 2**32),
+        scheme=st.sampled_from([2, 3]),
     )
-    def test_draws_equal_those_of_c_ordered_values(self, n, n_estimates, per, m, n_draws, seed):
+    def test_draws_equal_those_of_c_ordered_values(self, n, n_estimates, per, m, n_draws, seed, scheme):
         rng = np.random.default_rng(seed)
         k = n_estimates * per
         values = inference._new_influence(n_estimates, per, n, m)
@@ -780,8 +914,8 @@ class TestInfluenceSlabs:
             assert psi.values[first:first + per].transpose(1, 0, 2).reshape(n, per * m).base is not None
         theta = CdfEstimate(values=np.sort(rng.random((k, m)), axis=1), method="empirical")
         c_ordered = InfluenceMatrix(values=np.ascontiguousarray(values))
-        got = bootstrap_draws(theta, psi, n_draws, seed, arms_per_estimate=per)
-        want = bootstrap_draws(theta, c_ordered, n_draws, seed, arms_per_estimate=per)
+        got = bootstrap_draws(theta, psi, n_draws, seed, arms_per_estimate=per, multiplier_scheme=scheme)
+        want = bootstrap_draws(theta, c_ordered, n_draws, seed, arms_per_estimate=per, multiplier_scheme=scheme)
         assert_array_equal(got.draws, want.draws)
 
     def test_influence_equals_the_written_formula_bit_for_bit(self, two_arm_data):
@@ -820,14 +954,15 @@ class TestInfluenceSlabs:
         assert base.shape == (70, 2 * 2, 2) and base.flags.c_contiguous
         assert not psi.values.flags.writeable
 
-    def test_band_peak_memory_is_the_block_and_one_slab_per_estimate(self, monkeypatch):
+    @pytest.mark.parametrize("scheme", [2, 3])
+    def test_band_peak_memory_is_the_block_and_one_slab_per_estimate(self, monkeypatch, scheme):
         """tracemalloc peak of a two-estimate band run, against the memory it must hold.
 
         The 256 x n multiplier block and the two (n, k x m) slabs, plus
         3 n*m float64 values of headroom, which covers the scratch of 2n
-        normals, the (B, 2 x k x m) draws and their frozen copy. A copy of
-        the stacked influence values alone is 4 n*m values. On one CPU the
-        block is drawn in this process, where tracemalloc sees it.
+        normals (scheme 2), the (B, 2 x k x m) draws and their frozen copy.
+        A copy of the stacked influence values alone is 4 n*m values. On one
+        CPU the block is drawn in this process, where tracemalloc sees it.
         """
         n, k, m, n_draws = 4000, 2, 9, 300
         data = make_experiment(seed=8, n=n)
@@ -836,7 +971,7 @@ class TestInfluenceSlabs:
         monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
         tracemalloc.start()
         try:
-            bootstrap_bands(data, grid, estimates, n_draws=n_draws, seed=3)
+            bootstrap_bands(data, grid, estimates, n_draws=n_draws, seed=3, multiplier_scheme=scheme)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -851,7 +986,8 @@ class TestTracerContract:
     def test_bootstrap_draws_parameter_names(self):
         assert {"theta", "psi", "n_draws", "seed"} <= set(inspect.signature(bootstrap_draws).parameters)
 
-    def test_band_run_makes_one_multiplier_pass(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("scheme", [2, None])
+    def test_band_run_makes_one_multiplier_pass(self, monkeypatch, tmp_path, scheme):
         data = make_experiment(seed=3, n=50)
         csv_path = tmp_path / "experiment.csv"
         rows = ["arm,outcome,x1,x2,x3"] + [
@@ -873,12 +1009,17 @@ class TestTracerContract:
             monkeypatch.setattr(inference, name, counted(name))
         # one block of 37 rows, which the calling process draws
         n_draws = 37
-        rc = main([
+        flags = [
             "bootstrap-band", "--input", str(csv_path), "--learner", "linear",
             "--grid", "probs=0.3,0.6", "--B", str(n_draws), "--out", str(tmp_path / "band"),
-        ])
-        assert rc == 0
-        assert calls == {"bootstrap_draws": 1, "multiplier_transform": n_draws}
+        ]
+        if scheme is not None:
+            (tmp_path / "run.ini").write_text(f"[run]\nmultiplier_scheme = {scheme}\n")
+            flags += ["--config", str(tmp_path / "run.ini")]
+        assert main(flags) == 0
+        # scheme 3, the default, draws no per-unit multipliers
+        transforms = n_draws if scheme == 2 else 0
+        assert calls == {"bootstrap_draws": 1, "multiplier_transform": transforms}
 
     @pytest.mark.parametrize("call", ["bootstrap_band", "bootstrap_bands"])
     def test_unknown_functional_fails_before_the_multiplier_pass(self, monkeypatch, call):

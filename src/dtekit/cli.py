@@ -40,6 +40,7 @@ from .errors import DomainError
 from .estimation import (
     _FUNCTIONALS,
     _check_curve,
+    _check_folds,
     _check_probabilities,
     _curve,
     empirical_cdf,
@@ -57,7 +58,7 @@ from .io import (
     write_points_csv,
 )
 from .learners import LEARNER_KINDS, LearnerKind
-from .nn import TrainConfig
+from .nn import SQUASHES, TRANSFORMS, TrainConfig
 from .simulation import DgpConfig, _check_study_settings, run_study
 from . import simulation
 
@@ -104,8 +105,8 @@ _SETTINGS = {
     "learning_rate": ("--learning-rate", float, _MODES, "Adam learning rate"),
     "hidden": ("--hidden", _ints, _MODES, "comma list of hidden widths, e.g. 128,64"),
     "ridge": ("--ridge", float, _MODES, "ridge penalty of the linear learner"),
-    "transform": ("--transform", ("exp", "softplus"), _MODES, "monotone head transform"),
-    "squash": ("--squash", ("arctan", "tanh-half"), _MODES, "monotone head squash"),
+    "transform": ("--transform", TRANSFORMS, _MODES, "monotone head transform"),
+    "squash": ("--squash", SQUASHES, _MODES, "monotone head squash"),
     "precision": (None, str, _MODES, None),
     "multiplier_scheme": (None, int, _BAND, None),
 }
@@ -161,14 +162,12 @@ class RunConfig:
         object.__setattr__(self, "hidden", _integers(self.hidden, "hidden widths"))
         object.__setattr__(self, "covariate_cols", tuple(self.covariate_cols))
         object.__setattr__(self, "arm_pair", _integers(self.arm_pair, "arm pair"))
-        if self.n_folds < 2:
-            raise ValueError("folds must be at least 2")
+        _check_folds(self.n_folds)
         # each mode checks only the settings it reads, eagerly, so bad values
         # fail as usage errors before any work
         _, grid_values = parse_grid_spec(self.grid)
         if self.mode == "simulate":
-            if self.n_units < 2:
-                raise ValueError("n must be at least 2")
+            DgpConfig(n_units=self.n_units, seed=self.seed)
             _check_study_settings(self.n_oracle, self.n_reps)
             for i, name in enumerate(self.methods):
                 if name not in _METHOD_NAMES:
@@ -178,8 +177,6 @@ class RunConfig:
         else:
             if not self.input:
                 raise ValueError(f"mode {self.mode} requires --input CSV")
-            if len(self.arm_pair) != 2:
-                raise ValueError("arm_pair must hold exactly two arm labels")
             _check_curve(self.functional, self.arm_pair, len(grid_values))
             _schema(self)
         if self.mode == "bootstrap-band":

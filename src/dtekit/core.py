@@ -4,9 +4,9 @@ Arms are integer labels 1..K. Evaluation locations are a strictly increasing
 grid of outcome values; all CDF-like quantities are matrices with one row per
 arm and one column per location.
 
-The private helpers here have one owner each: integer and seed checks,
-read-only copies, the CPUs the process may use, and :func:`_fan_out`, the
-one place the package forks processes.
+The private helpers here have one owner each: integer, seed and label
+checks, read-only copies, the CPUs the process may use, and
+:func:`_fan_out`, the one place the package forks processes.
 """
 
 from __future__ import annotations
@@ -79,6 +79,20 @@ def _seed(value, name: str = "seed") -> int:
     if not _is_integer(value) or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return int(value)
+
+
+def _integral_labels(values, name: str, error: type[Exception]) -> np.ndarray:
+    """``values`` as a read-only 1-d int array; a non-integral label is ``error`` naming its unit."""
+    labels = np.asarray(values)
+    if labels.dtype.kind not in "iuf":
+        # the int cast would read '2' as 2 and True as 1
+        raise error(f"{name} must be integers, got {labels.dtype} values")
+    if labels.dtype.kind == "f" and labels.ndim == 1:
+        # checked before the int cast, which would truncate 1.5 to 1
+        bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
+        if bad.size:
+            raise error(f"{name} must be integers (unit {bad[0]} has {labels[bad[0]]:g})")
+    return _frozen_array(labels, dtype=int, ndim=1, name=name)
 
 
 def _usable_cpus() -> int:
@@ -197,17 +211,7 @@ class ExperimentData:
 
     def __post_init__(self):
         x = _frozen_array(self.covariates, ndim=2, name="covariates")
-        labels = np.asarray(self.arms)
-        if labels.dtype.kind not in "iuf":
-            # the int cast would read '2' as arm 2 and True as arm 1
-            raise EmptyArm(f"arm labels must be integers, got {labels.dtype} values")
-        if labels.dtype.kind == "f" and labels.ndim == 1:
-            # checked before the int cast, which would truncate 1.5 to arm 1
-            bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
-            if bad.size:
-                i = int(bad[0])
-                raise EmptyArm(f"arm labels must be integers (unit {i} has {labels[i]:g})")
-        w = _frozen_array(labels, dtype=int, ndim=1, name="arms")
+        w = _integral_labels(self.arms, "arm labels", EmptyArm)
         y = _frozen_array(self.outcomes, ndim=1, name="outcomes")
         if not (x.shape[0] == w.shape[0] == y.shape[0]):
             raise ShapeMismatch(
@@ -327,7 +331,7 @@ class ConditionalCdfMatrix:
 
     def __post_init__(self):
         p = _frozen_array(self.predictions, ndim=3, name="predictions")
-        f = _frozen_array(self.fold_assignment, dtype=int, ndim=1, name="fold_assignment")
+        f = _integral_labels(self.fold_assignment, "fold ids", ValueError)
         if p.shape[1] != f.shape[0]:
             raise ShapeMismatch(
                 f"predictions cover {p.shape[1]} units but fold assignment covers {f.shape[0]}"

@@ -24,8 +24,8 @@ from .core import (
     ConditionalCdfMatrix,
     ExperimentData,
     LocationGrid,
-    _frozen_array,
     _integer,
+    _integral_labels,
     _integers,
     _seed,
     derive_seed,
@@ -59,6 +59,14 @@ _FOLD_SEED_TAG = 7001
 _FUNCTIONALS = ("cdf", "dte", "pte")
 
 
+def _check_folds(n_folds) -> int:
+    """``n_folds`` as an int, checked here for every site that takes a fold count."""
+    n_folds = _integer(n_folds, "n_folds")
+    if n_folds < 2:
+        raise ValueError(f"cross-fitting needs at least 2 folds, got {n_folds}")
+    return n_folds
+
+
 @dataclass(frozen=True)
 class CrossFitPlan:
     """A seeded partition of units into folds 1..n_folds, balanced within one.
@@ -71,20 +79,13 @@ class CrossFitPlan:
     fold_assignment: np.ndarray
 
     def __post_init__(self):
-        n_folds = _integer(self.n_folds, "n_folds")
+        n_folds = _check_folds(self.n_folds)
         _seed(self.seed)
-        if n_folds < 2:
-            raise ValueError(f"cross-fitting needs at least 2 folds, got {n_folds}")
-        ids = np.asarray(self.fold_assignment)
-        if ids.ndim != 1:
-            raise ShapeMismatch(f"fold assignment must be 1-dimensional, got shape {ids.shape}")
-        if ids.dtype.kind not in "iuf":
-            raise ValueError(f"fold ids must be integers, got {ids.dtype} values")
-        # checked before the int cast, which would truncate 1.5 to fold 1
-        bad = np.flatnonzero(~np.isfinite(ids) | (ids != np.trunc(ids)) | (ids < 1) | (ids > n_folds))
+        ids = _integral_labels(self.fold_assignment, "fold ids", ValueError)
+        bad = np.flatnonzero((ids < 1) | (ids > n_folds))
         if bad.size:
-            raise ValueError(f"fold ids must be integers in 1..{n_folds} (unit {bad[0]} has {ids[bad[0]]:g})")
-        object.__setattr__(self, "fold_assignment", _frozen_array(ids, dtype=int))
+            raise ValueError(f"fold ids must be integers in 1..{n_folds} (unit {bad[0]} has {ids[bad[0]]})")
+        object.__setattr__(self, "fold_assignment", ids)
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,7 @@ class AdjustedEstimate:
 
 def make_folds(n_units: int, n_folds: int, seed: int) -> CrossFitPlan:
     """Shuffle units once and deal them round-robin into folds."""
-    n_units, n_folds, seed = _integer(n_units, "n_units"), _integer(n_folds, "n_folds"), _integer(seed, "seed")
-    if n_folds < 2:
-        raise ValueError(f"cross-fitting needs at least 2 folds, got {n_folds}")
+    n_units, n_folds, seed = _integer(n_units, "n_units"), _check_folds(n_folds), _seed(seed)
     if n_units < n_folds:
         raise TooFewUnits(f"cannot split {n_units} units into {n_folds} folds")
     order = np.random.default_rng(seed).permutation(n_units)
@@ -235,7 +234,10 @@ def _check_curve(kind: str, arm_pair, n_locations: int, n_arms: int | None = Non
     ``n_arms=None`` leaves the arms' upper bound to a call that knows the data.
     """
     _check_functional(kind)
-    arm, other_arm = _integers(arm_pair, "arm pair")
+    pair = _integers(arm_pair, "arm pair")
+    if len(pair) != 2:
+        raise ValueError(f"an arm pair holds two arm labels, got {pair}")
+    arm, other_arm = pair
     if min(arm, other_arm) < 1 or (n_arms is not None and max(arm, other_arm) > n_arms):
         raise ShapeMismatch(f"arm pair ({arm}, {other_arm}) out of range 1..{n_arms or 'K'}")
     if kind != "cdf" and arm == other_arm:

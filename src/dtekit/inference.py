@@ -248,9 +248,7 @@ def _chunks(n: int, multiplier_scheme: int) -> list[tuple[int, int]]:
 
 def _check_draw_args(n_draws: int, seed: int) -> None:
     """Reject a repetition count or seed that cannot give reproducible draws."""
-    if not _is_integer(n_draws):
-        raise ValueError(f"bootstrap repetitions must be an integer, got {n_draws!r}")
-    if n_draws < 2:
+    if _integer(n_draws, "n_draws") < 2:
         raise ValueError(f"need at least 2 bootstrap repetitions, got {n_draws}")
     _seed(seed)
 

@@ -61,10 +61,12 @@ from itertools import groupby
 import numpy as np
 from scipy.special import expit
 
-from .core import _frozen_array, _integers, _is_integer, _is_real, _seed
+from .core import _frozen_array, _integer, _integers, _is_real, _seed
 from .errors import NonFiniteGradient, ShapeMismatch
 
 __all__ = [
+    "TRANSFORMS",
+    "SQUASHES",
     "PRECISIONS",
     "LayerSpec",
     "TrainConfig",
@@ -81,9 +83,8 @@ __all__ = [
 
 _HIDDEN_ACTIVATIONS = ("relu", "sigmoid")
 _HEADS = ("sigmoid", "monotone")
-_TRANSFORMS = ("exp", "softplus")
-_SQUASHES = ("arctan", "tanh-half")
-
+TRANSFORMS = ("exp", "softplus")
+SQUASHES = ("arctan", "tanh-half")
 PRECISIONS = ("float32", "float64")
 _FLOAT32_TINY = np.finfo(np.float32).tiny
 
@@ -125,10 +126,10 @@ class LayerSpec:
             raise ValueError(f"hidden_activation must be one of {_HIDDEN_ACTIVATIONS}")
         if self.head not in _HEADS:
             raise ValueError(f"head must be one of {_HEADS}")
-        if self.transform not in _TRANSFORMS:
-            raise ValueError(f"transform must be one of {_TRANSFORMS}")
-        if self.squash not in _SQUASHES:
-            raise ValueError(f"squash must be one of {_SQUASHES}")
+        if self.transform not in TRANSFORMS:
+            raise ValueError(f"transform must be one of {TRANSFORMS}, got {self.transform!r}")
+        if self.squash not in SQUASHES:
+            raise ValueError(f"squash must be one of {SQUASHES}, got {self.squash!r}")
 
     @property
     def n_inputs(self) -> int:
@@ -159,10 +160,7 @@ class TrainConfig:
         if not (_is_real(self.learning_rate) and np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be a positive finite number, got {self.learning_rate!r}")
         for name in ("batch_size", "epochs"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
+            if _integer(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         _seed(self.seed)
         if self.precision not in PRECISIONS:

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core
-from .core import ConditionalCdfMatrix, ExperimentData, LocationGrid, _integer, derive_seed
+from .core import ConditionalCdfMatrix, ExperimentData, LocationGrid, _integer, _is_real, _seed, derive_seed
 from .errors import ShapeMismatch
 from .estimation import dte, empirical_cdf, fit_adjusted, make_folds, quantile_grid
 from .learners import LearnerKind
@@ -77,16 +77,17 @@ class DgpConfig:
     noise_sd: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_units", "seed", "n_covariates"):
+        for name in ("n_units", "n_covariates"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.n_units < 1:
-            raise ValueError("n_units must be positive")
+        object.__setattr__(self, "seed", _seed(self.seed))
+        if self.n_units < 2:
+            raise ValueError(f"n_units must be at least 2, got {self.n_units}")
         if self.n_covariates < 3:
             raise ValueError("the generating process needs at least 3 covariates")
-        if not (0.0 < self.treat_prob < 1.0):
-            raise ValueError("treat_prob must lie strictly inside (0, 1)")
-        if self.noise_sd < 0.0:
-            raise ValueError("noise_sd must be non-negative")
+        if not (_is_real(self.treat_prob) and 0.0 < self.treat_prob < 1.0):
+            raise ValueError(f"treat_prob must be a number strictly inside (0, 1), got {self.treat_prob!r}")
+        if not (_is_real(self.noise_sd) and np.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
+            raise ValueError(f"noise_sd must be a non-negative finite number, got {self.noise_sd!r}")
 
 
 def _draw(config: DgpConfig, n: int, rng: np.random.Generator):

@@ -251,9 +251,9 @@ class TestRunConfig:
             RunConfig(mode=mode, input="x.csv", **fields)
 
     @pytest.mark.parametrize("mode, fields, message", [
-        ("estimate", {"n_folds": 1}, "folds must be at least 2"),
-        ("simulate", {"n_units": 1}, "n must be at least 2"),
-        ("estimate", {"arm_pair": (1, 2, 3)}, "exactly two arm labels"),
+        ("estimate", {"n_folds": 1}, "cross-fitting needs at least 2 folds, got 1"),
+        ("simulate", {"n_units": 1}, "n_units must be at least 2, got 1"),
+        ("estimate", {"arm_pair": (1, 2, 3)}, r"an arm pair holds two arm labels, got \(1, 2, 3\)"),
         ("bootstrap-band", {"z_mode": "bogus"}, "z_mode must be one of"),
         ("simulate", {"grid": "probs=0.1:0.9"}, "start:stop:step"),
     ])

@@ -89,8 +89,8 @@ class TestCrossFitPlan:
     @pytest.mark.parametrize(("folds", "message"), [
         ([1, 2, 1, 3, 2], r"fold ids must be integers in 1\.\.2 \(unit 3 has 3\)"),
         ([1, 2, 0, 2, 0], r"fold ids must be integers in 1\.\.2 \(unit 2 has 0\)"),
-        ([1.0, 2.0, 1.5, 2.0, 2.5], r"fold ids must be integers in 1\.\.2 \(unit 2 has 1\.5\)"),
-        ([1.0, np.nan, 1.0, 2.0, 2.0], r"fold ids must be integers in 1\.\.2 \(unit 1 has nan\)"),
+        ([1.0, 2.0, 1.5, 2.0, 2.5], r"fold ids must be integers \(unit 2 has 1\.5\)"),
+        ([1.0, np.nan, 1.0, 2.0, 2.0], r"fold ids must be integers \(unit 1 has nan\)"),
         (["1", "2", "1", "2", "1"], "fold ids must be integers"),
         ([True, False, True, False, True], "fold ids must be integers"),
     ])

@@ -598,7 +598,7 @@ class TestDrawArguments:
 
     @pytest.mark.parametrize("n_draws", [300.0, True, "50", None, np.float64(50.0)])
     def test_non_integer_repetitions_rejected(self, n_draws):
-        with pytest.raises(ValueError, match="bootstrap repetitions must be an integer"):
+        with pytest.raises(ValueError, match="n_draws must be an integer, got"):
             bootstrap_draws(self.theta, self.psi, n_draws, seed=0)
 
     def test_numpy_integers_accepted(self):
@@ -620,7 +620,7 @@ class TestDrawArguments:
             (50, None, 2, "seed must be a non-negative integer"),
             (50, -3, 2, "seed must be a non-negative integer"),
             (50, False, 2, "seed must be a non-negative integer"),
-            (300.0, 0, 2, "bootstrap repetitions must be an integer"),
+            (300.0, 0, 2, "n_draws must be an integer, got 300.0"),
             (1, 0, 2, "need at least 2 bootstrap repetitions"),
             (50, 0, 4, "multiplier_scheme must be 1, 2 or 3"),
         ],

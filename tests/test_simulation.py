@@ -155,9 +155,9 @@ class TestOracle:
         (lambda: oracle_dte(DgpConfig(n_units=100), n_oracle=0), "n_oracle must be at least 2, got 0"),
         (lambda: oracle_dte(DgpConfig(n_units=100), n_oracle=1e4), "n_oracle must be an integer"),
         (lambda: DgpConfig(n_units=1000.5), "n_units must be an integer"),
-        (lambda: DgpConfig(n_units=100, seed=1.5), "seed must be an integer"),
+        (lambda: DgpConfig(n_units=100, seed=1.5), "seed must be a non-negative integer, got 1.5"),
         (lambda: make_folds(10, 2.0, 1), "n_folds must be an integer"),
-        (lambda: make_folds(10, 2, 1.5), "seed must be an integer"),
+        (lambda: make_folds(10, 2, 1.5), "seed must be a non-negative integer, got 1.5"),
         (lambda: make_folds(True, 2, 1), "n_units must be an integer"),
     ])
     def test_bad_sizes_rejected(self, make, message):

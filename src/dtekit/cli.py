@@ -10,7 +10,7 @@ byte. Wall times live only in the manifest's ``timings_seconds``, since wall
 clocks are not replayable. Networks train in the manifest's ``precision``; a
 manifest without that key predates it and trained in float64, so it replays
 in float64. Bands draw their multipliers under the manifest's
-``multiplier_scheme``, 3 for new runs; a manifest without that key predates
+``multiplier_scheme``, 4 for new runs; a manifest without that key predates
 it and replays on scheme 1. No setting sizes a run's processes or threads:
 they follow the CPUs the process may use, so ``taskset`` limits them. A
 manifest's ``threads`` key, from when ``simulate --threads`` sized a
@@ -48,7 +48,7 @@ from .estimation import (
     make_folds,
     quantile_grid,
 )
-from .inference import _check_band_settings, bootstrap_bands, se_reduction
+from .inference import _DEFAULT_MULTIPLIER_SCHEME, _check_band_settings, bootstrap_bands, se_reduction
 from .io import (
     CsvSchema,
     emit_report,
@@ -143,7 +143,7 @@ class RunConfig:
     transform: str = "exp"
     squash: str = "arctan"
     precision: str = "float32"
-    multiplier_scheme: int = 3
+    multiplier_scheme: int = _DEFAULT_MULTIPLIER_SCHEME
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -157,6 +157,9 @@ class RunConfig:
                 if not _is_real(value):
                     raise ValueError(f"{name} must be a number, got {value!r}")
                 value = float(value)
+            elif isinstance(parse, tuple):
+                # in every mode, so a manifest cannot carry a value no flag or INI key accepts
+                _check_choice(name, value, parse)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "hidden", _integers(self.hidden, "hidden widths"))
@@ -180,11 +183,14 @@ class RunConfig:
             _check_curve(self.functional, self.arm_pair, len(grid_values))
             _schema(self)
         if self.mode == "bootstrap-band":
-            if self.z_mode not in _Z_MODES:
-                raise ValueError(f"z_mode must be one of {_Z_MODES}, got {self.z_mode!r}")
             _check_band_settings(self.functional, self.n_draws, self.alpha, self.seed, self.multiplier_scheme)
         _train_config(self)
         _learner_kinds(self)
+
+
+def _check_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def parse_grid_spec(spec: str):
@@ -347,14 +353,13 @@ def _run_bootstrap_band(config: RunConfig, out: Path) -> dict:
         multiplier_scheme=config.multiplier_scheme,
     )
     band_emp, band_adj = bootstrap_bands(data, grid, (empirical, adjusted), **common)
+    # before any file is written, so a zero baseline SE leaves no partial run behind
+    reduction = se_reduction(band_emp, band_adj)
     outputs = [
         emit_report(band_emp, out / "band_empirical.csv"),
         emit_report(band_adj, out / f"band_{config.learner}.csv"),
+        write_points_csv(out / "se_reduction.csv", band_emp.locations, {"reduction_pct": reduction}),
     ]
-    reduction = se_reduction(band_emp, band_adj)
-    outputs.append(
-        write_points_csv(out / "se_reduction.csv", band_emp.locations, {"reduction_pct": reduction})
-    )
     return {"outputs": outputs, "timings": {"fit_seconds": fit_seconds}}
 
 
@@ -409,10 +414,11 @@ def _load_ini(path: str, mode: str) -> dict:
             _, parse, modes, _ = _SETTINGS.get(key, (None, None, (), None))
             if mode not in modes:
                 raise ValueError(f"mode {mode} reads no config key {key!r}")
-            if not isinstance(parse, tuple):
+            if isinstance(parse, tuple):
+                # here too, since a flag may override the key before RunConfig sees it
+                _check_choice(key, value, parse)
+            else:
                 value = parse(value)
-            elif value not in parse:
-                raise ValueError(f"{key} must be one of {parse}, got {value!r}")
             merged[key] = value
     return merged
 

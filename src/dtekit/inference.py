@@ -25,28 +25,35 @@ values, is a column block of one C-ordered (unit, estimate x arm x location)
 array, and the :class:`InfluenceMatrix` is a view of it. The empirical
 path's zero adjustment is the scalar 0.0, not an array.
 
-Multipliers are drawn in chunks of units. Under multiplier scheme 3, the
-default, repetition b first draws z_b, one standard normal per column of an
-estimate (arms x locations), then reads its stream in chunks of 8,192 units,
-one standard normal m2 per unit mapped in place to (m2^2 - 1) / 2. Each
+Multipliers are drawn in chunks of units. Under multiplier scheme 3,
+repetition b first draws z_b, one standard normal per column of an estimate
+(arms x locations), then reads its stream in chunks of 8,192 units, one
+standard normal m2 per unit mapped in place to (m2^2 - 1) / 2. Each
 estimate's draws sum the products of the chunks with its slab in chunk
 order, then gain (z_b @ R) / sqrt(2), R the symmetric square root of the
 estimate's Gram matrix psi^T psi. Given the data, psi^T m1 is exactly
 N(0, psi^T psi), so the draws have the law of scheme 2 with n + k*m normals
-a repetition instead of 2n. Schemes 2 and 1 draw both halves per unit,
-scheme 2 in chunks of 8,192 units and scheme 1, which manifests written
-before the scheme was recorded replay on, as one chunk of all n units; the
-two give the same bytes whenever n <= 8,192. So a band run holds, beyond
-its inputs, one slab per estimate (n*k*m float64 values), the draws, and in
-each process that draws a block of at most 256 x 8,192 multipliers
-(256 x n under scheme 1).
+a repetition instead of 2n. Scheme 4, the default for new runs, is scheme 3
+with the chi-square half in float32: each repetition's generator is SFC64
+on the same spawned seed, z_b is still float64, and the m2 normals, their
+map and the chunk products are float32. Each estimate's chunk of psi is
+scaled by 2^-e, e the binary exponent of the slab's largest |psi|, and cast
+to float32 when it is multiplied; the float64 sum of the products is scaled
+back by 2^e, which is exact and keeps every finite psi in float32's range.
+Schemes 2 and 1 draw both halves per unit, scheme 2 in chunks of 8,192
+units and scheme 1, which manifests written before the scheme was recorded
+replay on, as one chunk of all n units; the two give the same bytes
+whenever n <= 8,192. So a band run holds, beyond its inputs, one slab per
+estimate (n*k*m float64 values), the draws, and in each process that draws
+a block of at most 256 x 8,192 multipliers (float32 under scheme 4, and
+256 x n under scheme 1) plus, under scheme 4, one float32 chunk of a slab.
 
 The pass hands its blocks of 256 repetitions to :func:`dtekit.core._fan_out`:
-each forked process inherits the slabs (and the roots, computed once in the
-calling process) and sends back only its draws. Every repetition has its own
-generator stream spawned from the seed, and each chunk of a block is
-multiplied as a whole with fixed operands, so the draws are bit-identical at
-any number of processes.
+each forked process inherits the slabs (and the roots and scales, computed
+once in the calling process) and sends back only its draws. Every
+repetition has its own generator stream spawned from the seed, and each
+chunk of a block is multiplied as a whole with fixed operands, so the draws
+are bit-identical at any number of processes.
 """
 
 from __future__ import annotations
@@ -87,9 +94,11 @@ __all__ = [
 ]
 
 _DRAW_BLOCK = 256
-# units per chunk of a repetition's multiplier stream under schemes 2 and 3
+# units per chunk of a repetition's multiplier stream under schemes 2 to 4
 _CHUNK_UNITS = 8192
-_MULTIPLIER_SCHEMES = (1, 2, 3)
+_MULTIPLIER_SCHEMES = (1, 2, 3, 4)
+# the scheme new bands draw on: bootstrap_draws, bootstrap_band(s) and cli.RunConfig read it
+_DEFAULT_MULTIPLIER_SCHEME = 4
 
 
 @dataclass(frozen=True)
@@ -215,12 +224,15 @@ def multipliers(n_units: int, seed: int, *, multiplier_scheme: int = 2) -> np.nd
     repetition's stream in: under scheme 2 chunks of 8,192 units, under
     scheme 1 one chunk of all units. Each chunk of w units takes one
     ``standard_normal(2w)`` call, the first w values and the last w feeding
-    :func:`multiplier_transform`. Scheme 3 draws the Gaussian half of a
-    repetition as a whole, not per unit, so it has no per-unit multipliers.
+    :func:`multiplier_transform`. Schemes 3 and 4 draw the Gaussian half of
+    a repetition as a whole, not per unit, so they have no per-unit
+    multipliers.
     """
     _check_multiplier_scheme(multiplier_scheme)
-    if multiplier_scheme == 3:
-        raise ValueError("multiplier scheme 3 has no per-unit multipliers; use scheme 1 or 2")
+    if multiplier_scheme >= 3:
+        raise ValueError(
+            f"multiplier scheme {multiplier_scheme} has no per-unit multipliers; use scheme 1 or 2"
+        )
     rng = np.random.default_rng(seed)
     out = np.empty(n_units)
     for lo, hi in _chunks(n_units, multiplier_scheme):
@@ -230,15 +242,15 @@ def multipliers(n_units: int, seed: int, *, multiplier_scheme: int = 2) -> np.nd
 
 
 def _check_multiplier_scheme(multiplier_scheme: int) -> None:
-    """Reject a multiplier scheme other than 1, 2 or 3."""
+    """Reject a multiplier scheme other than 1, 2, 3 or 4."""
     if not _is_integer(multiplier_scheme) or multiplier_scheme not in _MULTIPLIER_SCHEMES:
-        raise ValueError(f"multiplier_scheme must be 1, 2 or 3, got {multiplier_scheme!r}")
+        raise ValueError(f"multiplier_scheme must be 1, 2, 3 or 4, got {multiplier_scheme!r}")
 
 
 def _chunks(n: int, multiplier_scheme: int) -> list[tuple[int, int]]:
     """The unit ranges [lo, hi) a repetition's stream is read in, in order.
 
-    Schemes 2 and 3 read chunks of ``_CHUNK_UNITS`` units, scheme 1 one
+    Schemes 2 to 4 read chunks of ``_CHUNK_UNITS`` units, scheme 1 one
     chunk of all n units.
     """
     _check_multiplier_scheme(multiplier_scheme)
@@ -269,12 +281,12 @@ def bootstrap_draws(
     seed: int,
     *,
     arms_per_estimate: int | None = None,
-    multiplier_scheme: int = 3,
+    multiplier_scheme: int = _DEFAULT_MULTIPLIER_SCHEME,
 ) -> BootstrapDraws:
     """Perturbed copies of the CDF matrix, one per bootstrap repetition.
 
     Repetition b uses its own generator stream spawned from ``seed`` and
-    reads it in chunks of units: under schemes 3 and 2 chunks of 8,192
+    reads it in chunks of units: under schemes 2 to 4 chunks of 8,192
     units, under scheme 1 one chunk of all n. Under schemes 1 and 2 each
     chunk of w units takes one call for 2w standard normals, the first w
     and the last w feeding :func:`multiplier_transform` (see
@@ -285,10 +297,16 @@ def bootstrap_draws(
     its last chunk each estimate's draw gains (z_b @ R) / sqrt(2) (see
     :func:`_gram_root`). Both halves are independent and, given the data,
     psi^T m1 is exactly N(0, psi^T psi), so each repetition has the law of
-    scheme 2. R is formed per estimate, so the Gaussian halves of two
-    stacked estimates have cross-covariance R_1 R_2 rather than
-    psi_1^T psi_2; no output reads it, since every band reads only its own
-    estimate's draws. The normals are therefore reproducible and do not
+    scheme 2. Scheme 4, the default, is scheme 3 on an SFC64 generator with
+    the per-unit half in float32: each chunk's call is
+    ``standard_normal(dtype=np.float32, out=row)`` into a float32 block,
+    mapped in float32, and multiplied by float32(2^-e psi chunk), e the
+    binary exponent of the estimate's largest |psi| (see
+    :func:`_exponent`); the products are summed in float64 and scaled back
+    by 2^e, and z_b and the roots stay float64. R is formed per estimate,
+    so the Gaussian halves of two stacked estimates have cross-covariance
+    R_1 R_2 rather than psi_1^T psi_2; no output reads it, since every band
+    reads only its own estimate's draws. The normals are therefore reproducible and do not
     depend on how repetitions are batched or which process draws them. The
     draw matmuls are not: BLAS can round the last bit differently for other
     operand shapes, so the block size, the chunks and the operands are
@@ -298,8 +316,8 @@ def bootstrap_draws(
     :func:`_draw_blocks`), which :func:`dtekit.core._fan_out` spreads over
     forked processes, and each draw is divided by n once. The block size,
     the chunks and the operands of every product are the same in any
-    process, and the roots are computed once, in the calling process, so
-    the draws are bit-identical at any number of processes.
+    process, and the roots and scales are computed once, in the calling
+    process, so the draws are bit-identical at any number of processes.
 
     ``theta`` and ``psi`` may stack several estimates along the arm axis,
     ``arms_per_estimate`` arms each (default: all arms, one estimate). All
@@ -309,7 +327,8 @@ def bootstrap_draws(
     values :func:`influence` and :func:`bootstrap_bands` build, the slabs
     are views; on C-ordered values they are copied out once. A slab that is
     a column block of a wider array reaches BLAS as the same operand with a
-    wider leading dimension.
+    wider leading dimension; under scheme 4 each chunk of a slab is cast
+    into one C-ordered float32 buffer, whatever the slab's layout.
     """
     _check_draw_args(n_draws, seed)
     k, n, m = psi.values.shape
@@ -324,10 +343,11 @@ def bootstrap_draws(
         psi.values[first:first + per].transpose(1, 0, 2).reshape(n, per * m)
         for first in range(0, k, per)
     ]
-    roots = [_gram_root(slab) for slab in slabs] if multiplier_scheme == 3 else None
+    roots = [_gram_root(slab) for slab in slabs] if multiplier_scheme >= 3 else None
+    exponents = [_exponent(slab) for slab in slabs] if multiplier_scheme == 4 else None
     children = np.random.SeedSequence(seed).spawn(n_draws)
     blocks = [children[start:start + _DRAW_BLOCK] for start in range(0, n_draws, _DRAW_BLOCK)]
-    draws = np.concatenate(core._fan_out(partial(_draw_blocks, slabs, chunks, roots), blocks))
+    draws = np.concatenate(core._fan_out(partial(_draw_blocks, slabs, chunks, roots, exponents), blocks))
     draws /= n
     draws += theta.values.reshape(1, k * m)
     return BootstrapDraws(draws=draws.reshape(n_draws, k, m), seed=seed)
@@ -351,24 +371,43 @@ def _gram_root(slab: np.ndarray) -> np.ndarray:
     return root
 
 
+def _exponent(slab: np.ndarray) -> int:
+    """The binary exponent e of the slab's largest |psi|, so that 2^-e |psi| < 1 (0 for a zero slab).
+
+    Read from the slab's largest and smallest values, without an |psi| copy.
+    """
+    return int(np.frexp(max(slab.max(initial=0.0), -slab.min(initial=0.0)))[1])
+
+
 def _draw_blocks(
-    slabs: list[np.ndarray], chunks: list[tuple[int, int]], roots: list[np.ndarray] | None, blocks: list
+    slabs: list[np.ndarray],
+    chunks: list[tuple[int, int]],
+    roots: list[np.ndarray] | None,
+    exponents: list[int] | None,
+    blocks: list,
 ) -> list[np.ndarray]:
     """The draws of each block of repetition streams, not yet divided by n.
 
     A block runs chunk by chunk: each row fills the chunk's multipliers from
     its own generator, then each estimate's draws gain the product of the
-    whole chunk with the chunk's rows of its slab. Under scheme 3 (``roots``
-    given) each row first draws its Gaussian half, and each estimate's draws
-    gain its product with the estimate's root after the last chunk.
+    whole chunk with the chunk's rows of its slab. Under schemes 3 and 4
+    (``roots`` given) each row first draws its Gaussian half, and each
+    estimate's draws gain its product with the estimate's root after the
+    last chunk. Under scheme 4 (``exponents`` given) the generators are
+    SFC64, the block is float32, each chunk of a slab is scaled by 2^-e and
+    cast into one float32 buffer just before its product, and each
+    estimate's sum of products is scaled by 2^e before the Gaussian half.
     """
     width = chunks[0][1] - chunks[0][0]
-    block = np.empty(max(map(len, blocks)) * width)
-    normals = np.empty(2 * width) if roots is None else None
     columns = slabs[0].shape[1]
+    float32 = exponents is not None
+    bit_generator = np.random.SFC64 if float32 else np.random.PCG64
+    block = np.empty(max(map(len, blocks)) * width, dtype=np.float32 if float32 else np.float64)
+    cast = np.empty((width, columns), dtype=np.float32) if float32 else None
+    normals = np.empty(2 * width) if roots is None else None
     results = []
     for streams in blocks:
-        generators = [np.random.default_rng(stream) for stream in streams]
+        generators = [np.random.Generator(bit_generator(stream)) for stream in streams]
         if roots is not None:
             gaussian = np.array([generator.standard_normal(columns) for generator in generators])
         draws = np.empty((len(streams), len(slabs) * columns))
@@ -382,17 +421,24 @@ def _draw_blocks(
                     multiplier_transform(normals[:w], normals[w:2 * w], out=row)
             else:
                 for row, generator in zip(rows, generators):
-                    generator.standard_normal(out=row)
-                # (m2^2 - 1) / 2
+                    generator.standard_normal(dtype=block.dtype, out=row)
+                # (m2^2 - 1) / 2, in the block's precision
                 np.square(rows, out=rows)
                 rows -= 1.0
                 rows /= 2.0
             for e, slab in enumerate(slabs):
                 out = draws[:, e * columns:(e + 1) * columns]
+                operand = slab[lo:hi]
+                if float32:
+                    operand = np.ldexp(operand, -exponents[e], out=cast[:w], casting="same_kind")
                 if lo == 0:
-                    out[...] = rows @ slab[lo:hi]
+                    out[...] = rows @ operand
                 else:
-                    out += rows @ slab[lo:hi]
+                    out += rows @ operand
+        if float32:
+            for e, exponent in enumerate(exponents):
+                out = draws[:, e * columns:(e + 1) * columns]
+                np.ldexp(out, exponent, out=out)
         if roots is not None:
             for e, root in enumerate(roots):
                 draws[:, e * columns:(e + 1) * columns] += (gaussian @ root) / np.sqrt(2.0)
@@ -411,7 +457,7 @@ def bootstrap_band(
     seed: int = 0,
     literal_upper_quantile: bool = False,
     *,
-    multiplier_scheme: int = 3,
+    multiplier_scheme: int = _DEFAULT_MULTIPLIER_SCHEME,
 ) -> EffectBand:
     """Pointwise multiplier-bootstrap confidence band for a CDF functional.
 
@@ -441,7 +487,7 @@ def bootstrap_bands(
     seed: int = 0,
     literal_upper_quantile: bool = False,
     *,
-    multiplier_scheme: int = 3,
+    multiplier_scheme: int = _DEFAULT_MULTIPLIER_SCHEME,
 ) -> tuple[EffectBand, ...]:
     """One band per estimate, all from one shared multiplier pass.
 

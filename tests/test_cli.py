@@ -115,17 +115,18 @@ class TestRunConfig:
     def test_dict_without_precision_reads_as_float64(self):
         assert config_from_dict({"mode": "simulate"}).precision == "float64"
 
-    def test_default_multiplier_scheme_is_3(self):
-        assert RunConfig(mode="simulate").multiplier_scheme == 3
+    def test_default_multiplier_scheme_is_4(self):
+        assert RunConfig(mode="simulate").multiplier_scheme == 4
 
     def test_dict_without_multiplier_scheme_reads_as_1(self):
         assert config_from_dict({"mode": "simulate"}).multiplier_scheme == 1
         assert config_from_dict({"mode": "simulate", "multiplier_scheme": 2}).multiplier_scheme == 2
         assert config_from_dict({"mode": "simulate", "multiplier_scheme": 3}).multiplier_scheme == 3
+        assert config_from_dict({"mode": "simulate", "multiplier_scheme": 4}).multiplier_scheme == 4
 
-    @pytest.mark.parametrize("value", [0, 4, -1])
+    @pytest.mark.parametrize("value", [0, 5, -1])
     def test_unknown_multiplier_scheme_fails_eagerly(self, value):
-        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2 or 3"):
+        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2, 3 or 4"):
             RunConfig(mode="bootstrap-band", input="x.csv", multiplier_scheme=value)
 
     @pytest.mark.parametrize("field, value", [
@@ -205,10 +206,11 @@ class TestRunConfig:
         assert config.hidden == (8, 4) and all(type(h) is int for h in config.hidden)
 
     @pytest.mark.parametrize("field, value", [
-        ("hidden", [2.5, True]), ("multiplier_scheme", 4), ("multiplier_scheme", 1.0),
+        ("hidden", [2.5, True]), ("multiplier_scheme", 5), ("multiplier_scheme", 1.0),
         ("arm_pair", [2.7, True]), ("arm_pair", ["2", "1"]), ("arm_pair", [0, 1]), ("arm_pair", [2, 2]),
         ("functional", "pte"), ("learning_rate", True), ("ridge", True),
         ("grid", "list=0,nan,1"), ("grid", "list=-inf,0"), ("z_mode", "bogus"), ("arm_pair", [2, 1, 1]),
+        ("learner", "bogus-kind"), ("functional", "qte"), ("transform", "nope"), ("squash", "cube"),
     ])
     def test_bad_band_setting_in_a_manifest_is_usage_error(self, tmp_path, capsys, experiment_csv, field, value):
         out = tmp_path / "band"
@@ -272,10 +274,24 @@ class TestRunConfig:
             RunConfig(mode="simulate", methods=("empirical", "linear", "linear"))
 
     def test_learners_the_mode_does_not_use_are_not_checked(self):
-        # a linear run ignores the network fields, so its manifests replay
-        # whatever they hold there
-        RunConfig(mode="estimate", input="x.csv", learner="linear", hidden=(0,), transform="cube")
-        RunConfig(mode="simulate", methods=("empirical", "linear"), squash="logistic")
+        # a linear run builds no network, so its manifests replay whatever
+        # widths they hold; a choice is checked in every mode (below)
+        RunConfig(mode="estimate", input="x.csv", learner="linear", hidden=(0,))
+        RunConfig(mode="simulate", methods=("empirical", "linear"), hidden=(0,))
+
+    @pytest.mark.parametrize("mode", ["simulate", "estimate", "bootstrap-band"])
+    @pytest.mark.parametrize("field, value, choices", [
+        ("learner", "bogus-kind", "('linear', 'nn-single', 'nn-multi', 'nn-multi-monotone')"),
+        ("functional", "qte", "('cdf', 'dte', 'pte')"),
+        ("z_mode", "bogus", "('half-alpha', 'literal')"),
+        ("transform", "nope", "('exp', 'softplus')"),
+        ("squash", "cube", "('arctan', 'tanh-half')"),
+    ], ids=["learner", "functional", "z_mode", "transform", "squash"])
+    def test_choices_are_checked_in_every_mode(self, mode, field, value, choices):
+        # the INI reader's message, whether or not the mode reads the setting
+        message = f"{field} must be one of {choices}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(mode=mode, input="x.csv", **{"learner": "linear", field: value})
 
 
 def run_cli(*argv):
@@ -581,6 +597,16 @@ class TestRunTimeFailure:
         path.write_text(EXPERIMENT_CSV.replace("0.63", "np.float64(2)"))
         return path
 
+    def test_zero_baseline_se_writes_no_band(self, tmp_path, capsys, experiment_csv):
+        # arm 2's CDF is 0 at 0.5, so its empirical cdf band has a zero SE there
+        out = tmp_path / "band"
+        assert run_cli(
+            "bootstrap-band", "--input", experiment_csv, "--learner", "linear", "--B", 50,
+            "--functional", "cdf", "--arm-pair", "2,2", "--grid", "list=0.5,3.0", "--out", out,
+        ) == 1
+        assert "ZeroBaselineSE" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_created_out_is_removed(self, tmp_path, capsys, bad_csv):
         out = tmp_path / "made" / "for" / "run"
         assert run_cli("estimate", "--input", bad_csv, "--learner", "linear", "--out", out) == 1
@@ -661,13 +687,13 @@ class TestBootstrapBandMode:
             "--grid", "probs=0.25,0.5,0.75", "--B", 40, "--out", new,
         ) == 0
         manifest = json.loads((new / "manifest.json").read_text())
-        assert manifest["config"]["multiplier_scheme"] == 3
+        assert manifest["config"]["multiplier_scheme"] == 4
         replay = tmp_path / "replay"
         assert run_cli("bootstrap-band", "--from-manifest", new / "manifest.json", "--out", replay) == 0
         assert self.outputs(replay) == self.outputs(new)
-        # a manifest from before the scheme key, and ones naming schemes 1 and 2
+        # a manifest from before the scheme key, and ones naming schemes 1 to 3
         replays = {}
-        for name, scheme in (("old", None), ("one", 1), ("two", 2)):
+        for name, scheme in (("old", None), ("one", 1), ("two", 2), ("three", 3)):
             config = dict(manifest["config"])
             if scheme is None:
                 del config["multiplier_scheme"]
@@ -680,8 +706,9 @@ class TestBootstrapBandMode:
             recorded = json.loads((tmp_path / name / "manifest.json").read_text())["config"]
             assert recorded["multiplier_scheme"] == (scheme or 1)
         assert replays["old"] == replays["one"]
-        # past one chunk schemes 1 and 2 draw other multipliers, and scheme 3 others again
-        assert len({replays["one"][0], replays["two"][0], self.outputs(new)[0]}) == 3
+        # past one chunk schemes 1 and 2 draw other multipliers, and schemes 3 and 4 others again
+        bands = {replays["one"][0], replays["two"][0], replays["three"][0], self.outputs(new)[0]}
+        assert len(bands) == 4
 
 
 class TestBoolLabels:

@@ -162,8 +162,9 @@ class TestMultipliers:
             assert not np.array_equal(got, multipliers(n, seed=6, multiplier_scheme=1))
 
     def test_scheme_3_has_no_per_unit_multipliers(self):
-        with pytest.raises(ValueError, match="multiplier scheme 3 has no per-unit multipliers"):
-            multipliers(10, seed=0, multiplier_scheme=3)
+        for scheme in (3, 4):
+            with pytest.raises(ValueError, match=f"multiplier scheme {scheme} has no per-unit multipliers"):
+                multipliers(10, seed=0, multiplier_scheme=scheme)
 
 
 class TestBootstrapDraws:
@@ -284,8 +285,44 @@ def scheme_3_draws(theta, psi, n_draws, seed, per, chunk=8192):
     return draws.reshape(n_draws, k, m)
 
 
+def scheme_4_draws(theta, psi, n_draws, seed, per, chunk=8192):
+    """The draws of multiplier scheme 4, one 256-row block at a time.
+
+    Scheme 3 on SFC64 generators with the chi-square half in float32: row b
+    draws z_b in float64, then one float32 normal m2 per unit of each chunk,
+    which becomes (m2^2 - 1) / 2 in float32. Each estimate's draws add, in
+    float64, 2^e times the float32 product of the chunk with
+    float32(2^-e psi chunk), e the binary exponent of the estimate's largest
+    |psi|, and after the last chunk (z @ R) / sqrt(2).
+    """
+    k, n, m = psi.shape
+    slabs = [psi[first:first + per].transpose(1, 0, 2).reshape(n, per * m) for first in range(0, k, per)]
+    roots = [gram_root(slab) for slab in slabs]
+    exponents = [int(np.frexp(np.abs(slab).max())[1]) for slab in slabs]
+    children = np.random.SeedSequence(seed).spawn(n_draws)
+    draws = np.empty((n_draws, k * m))
+    for start in range(0, n_draws, 256):
+        rngs = [np.random.Generator(np.random.SFC64(child)) for child in children[start:start + 256]]
+        z = np.array([rng.standard_normal(per * m) for rng in rngs])
+        sums = np.zeros((len(rngs), k * m))
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            m2 = np.array([rng.standard_normal(hi - lo, dtype=np.float32) for rng in rngs])
+            xi = (np.square(m2) - 1) / 2
+            assert xi.dtype == np.float32
+            for e, (slab, exponent) in enumerate(zip(slabs, exponents)):
+                # a C-ordered operand, as the pass's float32 buffer is
+                scaled = (slab[lo:hi] * 2.0 ** -exponent).astype(np.float32, order="C")
+                sums[:, e * per * m:(e + 1) * per * m] += (xi @ scaled).astype(float) * 2.0 ** exponent
+        for e, root in enumerate(roots):
+            sums[:, e * per * m:(e + 1) * per * m] += (z @ root) / np.sqrt(2.0)
+        draws[start:start + 256] = sums
+    draws = draws / n + theta.reshape(1, k * m)
+    return draws.reshape(n_draws, k, m)
+
+
 class TestMultiplierSchemes:
-    """Scheme 1 reads each repetition's stream as one chunk of n units, schemes 2 and 3 in chunks of 8,192."""
+    """Scheme 1 reads each repetition's stream as one chunk of n units, schemes 2 to 4 in chunks of 8,192."""
 
     @staticmethod
     def problem(n, seed=7):
@@ -325,13 +362,15 @@ class TestMultiplierSchemes:
         assert_allclose(runs[0], chunked_draws(theta, psi, 300, 11, 2), rtol=0, atol=1e-12)
         assert not np.array_equal(runs[0], self.draws(monkeypatch, theta, psi, 1, multiplier_scheme=1))
 
-    @pytest.mark.parametrize("scheme", [2, 3])
+    @pytest.mark.parametrize("scheme", [2, 3, 4])
     def test_block_memory_does_not_grow_with_n(self, monkeypatch, scheme):
         """tracemalloc peak of a two-estimate pass over 5 chunks and one unit.
 
         The 64 x 8,192 block, a scratch of 2 x 8,192 normals (scheme 2), the
         draws and their frozen copy, and 256 KiB for the generators, the
-        Gaussian halves and roots (scheme 3) and matmul temporaries. A block
+        Gaussian halves and roots (schemes 3 and 4), the float32 chunk of a
+        slab (scheme 4, whose float32 block is half the bound's) and matmul
+        temporaries. A block
         n wide alone is 64 x 40,961 values. On one CPU the block is drawn in
         this process, where tracemalloc sees it.
         """
@@ -352,15 +391,15 @@ class TestMultiplierSchemes:
         draws = 2 * n_draws * 2 * k * m * 8
         assert peak <= block + scratch + draws + 256 * 1024
 
-    @pytest.mark.parametrize("scheme", [0, 4, True, 2.0, "2", None])
+    @pytest.mark.parametrize("scheme", [0, 5, True, 2.0, "2", None])
     def test_unknown_scheme_rejected(self, scheme):
         theta, psi = self.problem(5)
-        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2 or 3"):
+        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2, 3 or 4"):
             bootstrap_draws(
                 CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
                 10, 0, multiplier_scheme=scheme,
             )
-        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2 or 3"):
+        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2, 3 or 4"):
             multipliers(5, seed=0, multiplier_scheme=scheme)
 
     def test_numpy_integer_scheme_accepted(self):
@@ -372,8 +411,8 @@ class TestFanOutDraws:
     """Blocks of 256 repetitions are drawn on ``core._fan_out``, in forked processes when it forks.
 
     These runs read scheme 2's stream, whose ``multiplier_transform`` calls
-    mark the process that draws each repetition; :class:`TestScheme3` covers
-    scheme 3 at 1-4 CPUs.
+    mark the process that draws each repetition; :class:`TestScheme3` and
+    :class:`TestScheme4` cover schemes 3 and 4 at 1-4 CPUs.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -505,7 +544,7 @@ class TestScheme3:
         m=st.integers(1, 3),
         seed=st.integers(0, 2**32),
     )
-    def test_default_equals_the_serial_pass_bit_for_bit(self, cpus, n, n_draws, n_estimates, per, m, seed):
+    def test_scheme_3_equals_the_serial_pass_bit_for_bit(self, cpus, n, n_draws, n_estimates, per, m, seed):
         rng = np.random.default_rng(seed)
         k = n_estimates * per
         psi = rng.standard_normal((k, n, m))
@@ -514,24 +553,25 @@ class TestScheme3:
             patch.setattr(core, "_usable_cpus", lambda: cpus)
             got = bootstrap_draws(
                 CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
-                n_draws, seed, arms_per_estimate=per,
+                n_draws, seed, arms_per_estimate=per, multiplier_scheme=3,
             )
         assert_array_equal(got.draws, scheme_3_draws(theta, psi, n_draws, seed, per))
 
     def test_roots_are_formed_once_per_estimate_in_the_calling_process(self, monkeypatch, tmp_path):
-        root, log = inference._gram_root, tmp_path / "roots"
+        # and, under scheme 4, the default, the scales of the float32 chunks
+        for name in ("_gram_root", "_exponent"):
+            def recorded(slab, _form=getattr(inference, name), _log=tmp_path / name):
+                with open(_log, "a") as handle:
+                    handle.write(f"{os.getpid()}\n")
+                return _form(slab)
 
-        def recorded(slab):
-            with open(log, "a") as handle:
-                handle.write(f"{os.getpid()}\n")
-            return root(slab)
-
-        monkeypatch.setattr(inference, "_gram_root", recorded)
+            monkeypatch.setattr(inference, name, recorded)
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         psi = InfluenceMatrix(values=np.random.default_rng(1).standard_normal((4, 30, 2)))
         theta = CdfEstimate(values=np.full((4, 2), 0.5), method="empirical")
         bootstrap_draws(theta, psi, 600, seed=4, arms_per_estimate=2)
-        assert log.read_text().split() == 2 * [str(os.getpid())]
+        for name in ("_gram_root", "_exponent"):
+            assert (tmp_path / name).read_text().split() == 2 * [str(os.getpid())]
 
     def test_rank_deficient_influence_gives_finite_draws(self):
         rng = np.random.default_rng(5)
@@ -547,14 +587,15 @@ class TestScheme3:
         assert draws.draws[:, 0, 0].std() > 0.01
 
     def test_law_matches_the_influence_moments_and_scheme_2(self):
-        """Seeded moments of n * (draw - theta) against those of sum_i psi_i xi_i.
+        """Seeded moments of n * (draw - theta) against those of sum_i psi_i xi_i, under schemes 2 to 4.
 
         xi has mean 0, variance 1 and third moment 1, so the draws' mean is 0,
         their covariance psi^T psi and their third central moments sum psi^3.
         Every sample moment must lie within 4 of its standard errors, the
         third moments must lie more than 8 standard errors from 0 (so a
         Gaussian-only half would fail), and a two-sample Kolmogorov-Smirnov
-        test against scheme 2's draws must give p > 0.01 for every column.
+        test of scheme 3's and scheme 4's draws against scheme 2's must give
+        p > 0.01 for every column.
         """
         from scipy.stats import ks_2samp
 
@@ -566,7 +607,7 @@ class TestScheme3:
         gram, cubes = flat.T @ flat, (flat ** 3).sum(axis=0)
         theta = CdfEstimate(values=np.full((2, 2), 0.5), method="empirical")
         samples = {}
-        for scheme in (2, 3):
+        for scheme in (2, 3, 4):
             draws = bootstrap_draws(theta, InfluenceMatrix(values=psi), n_draws, 17, multiplier_scheme=scheme)
             x = (draws.draws.reshape(n_draws, 4) - 0.5) * n
             samples[scheme] = x
@@ -580,8 +621,47 @@ class TestScheme3:
             third_se = third.std(axis=0) / np.sqrt(n_draws)
             assert np.all(np.abs(third.mean(axis=0) - cubes) <= 4 * third_se)
             assert np.all(cubes >= 8 * third_se)
-        for j in range(4):
-            assert ks_2samp(samples[2][:, j], samples[3][:, j]).pvalue > 0.01
+        for scheme in (3, 4):
+            for j in range(4):
+                assert ks_2samp(samples[2][:, j], samples[scheme][:, j]).pvalue > 0.01
+
+
+class TestScheme4:
+    """Scheme 4: scheme 3 on SFC64 streams, with the chi-square half drawn and multiplied in float32."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        cpus=st.integers(1, 4),
+        n=st.sampled_from([1, 2, 37, 8191, 8192, 8193]),
+        n_draws=st.sampled_from([2, 255, 256, 257]),
+        n_estimates=st.integers(1, 2),
+        per=st.integers(1, 2),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+    )
+    def test_default_equals_the_serial_pass_bit_for_bit(self, cpus, n, n_draws, n_estimates, per, m, seed):
+        rng = np.random.default_rng(seed)
+        k = n_estimates * per
+        psi = rng.standard_normal((k, n, m))
+        theta = np.sort(rng.random((k, m)), axis=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_usable_cpus", lambda: cpus)
+            got = bootstrap_draws(
+                CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
+                n_draws, seed, arms_per_estimate=per,
+            )
+        assert_array_equal(got.draws, scheme_4_draws(theta, psi, n_draws, seed, per))
+
+    @pytest.mark.parametrize("power", [200, -200])
+    def test_power_of_two_scale_keeps_every_psi_in_range(self, power):
+        """psi times 2^200 would overflow a float32 cast, and psi times 2^-200 flush to zero in it."""
+        psi = np.random.default_rng(8).standard_normal((4, 9000, 3))
+        theta = CdfEstimate(values=np.zeros((4, 3)), method="empirical")
+        want = bootstrap_draws(theta, InfluenceMatrix(values=psi), 300, 6, arms_per_estimate=2).draws
+        scaled = InfluenceMatrix(values=np.ldexp(psi, power))
+        got = bootstrap_draws(theta, scaled, 300, 6, arms_per_estimate=2).draws
+        assert np.all(np.isfinite(got))
+        assert_allclose(got, np.ldexp(want, power), rtol=1e-12, atol=0)
 
 
 class TestDrawArguments:
@@ -622,7 +702,7 @@ class TestDrawArguments:
             (50, False, 2, "seed must be a non-negative integer"),
             (300.0, 0, 2, "n_draws must be an integer, got 300.0"),
             (1, 0, 2, "need at least 2 bootstrap repetitions"),
-            (50, 0, 4, "multiplier_scheme must be 1, 2 or 3"),
+            (50, 0, 5, "multiplier_scheme must be 1, 2, 3 or 4"),
         ],
     )
     def test_bands_fail_before_influence_and_draws(self, monkeypatch, call, n_draws, seed, scheme, message):
@@ -791,15 +871,16 @@ def reference_band(data, grid, estimate, kind, n_draws, seed, scheme, arm_pair=(
     """(se, ci_lower, ci_upper) as a pass of the estimate's own computes them.
 
     The draws of the serial pass of the scheme: :func:`serial_draws` for
-    scheme 2 on at most 8,192 units, :func:`scheme_3_draws` for scheme 3.
+    scheme 2 on at most 8,192 units, :func:`scheme_3_draws` and
+    :func:`scheme_4_draws` for schemes 3 and 4.
     """
     if isinstance(estimate, AdjustedEstimate):
         theta, gamma = estimate.estimate, estimate.gamma
     else:
         theta, gamma = estimate, None
     psi = influence(data, grid, theta, gamma).values
-    assert scheme == 3 or psi.shape[1] <= 8192
-    serial = scheme_3_draws if scheme == 3 else serial_draws
+    assert scheme >= 3 or psi.shape[1] <= 8192
+    serial = {2: serial_draws, 3: scheme_3_draws, 4: scheme_4_draws}[scheme]
     draws = serial(theta.values, psi, n_draws, seed, psi.shape[0])
 
     def functional(values):
@@ -824,7 +905,7 @@ def assert_same_band(got, want):
 
 
 class TestSharedMultiplierPass:
-    @pytest.mark.parametrize("scheme", [2, 3])
+    @pytest.mark.parametrize("scheme", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["cdf", "dte", "pte"])
     @pytest.mark.parametrize("n_draws", [2, 257, 300, 513])
     def test_bands_match_a_pass_of_their_own_bit_for_bit(self, kind, n_draws, scheme):
@@ -849,7 +930,7 @@ class TestSharedMultiplierPass:
         n_draws=st.integers(2, 300),
         kind=st.sampled_from(["cdf", "dte", "pte"]),
         seed=st.integers(0, 2**16),
-        scheme=st.sampled_from([2, 3]),
+        scheme=st.sampled_from([2, 3, 4]),
     )
     def test_each_band_equals_its_own_run_and_follows_the_order(
         self, data_seed, n_estimates, n_draws, kind, seed, scheme
@@ -901,7 +982,7 @@ class TestInfluenceSlabs:
         m=st.integers(1, 4),
         n_draws=st.sampled_from([2, 5, 257]),
         seed=st.integers(0, 2**32),
-        scheme=st.sampled_from([2, 3]),
+        scheme=st.sampled_from([2, 3, 4]),
     )
     def test_draws_equal_those_of_c_ordered_values(self, n, n_estimates, per, m, n_draws, seed, scheme):
         rng = np.random.default_rng(seed)
@@ -954,7 +1035,7 @@ class TestInfluenceSlabs:
         assert base.shape == (70, 2 * 2, 2) and base.flags.c_contiguous
         assert not psi.values.flags.writeable
 
-    @pytest.mark.parametrize("scheme", [2, 3])
+    @pytest.mark.parametrize("scheme", [2, 3, 4])
     def test_band_peak_memory_is_the_block_and_one_slab_per_estimate(self, monkeypatch, scheme):
         """tracemalloc peak of a two-estimate band run, against the memory it must hold.
 
@@ -1017,7 +1098,7 @@ class TestTracerContract:
             (tmp_path / "run.ini").write_text(f"[run]\nmultiplier_scheme = {scheme}\n")
             flags += ["--config", str(tmp_path / "run.ini")]
         assert main(flags) == 0
-        # scheme 3, the default, draws no per-unit multipliers
+        # scheme 4, the default, draws no per-unit multipliers
         transforms = n_draws if scheme == 2 else 0
         assert calls == {"bootstrap_draws": 1, "multiplier_transform": transforms}
 

@@ -7,11 +7,10 @@ INI keys of only the settings it reads (``_SETTINGS``). Every run writes its
 outputs plus a ``manifest.json`` holding the fully resolved configuration; replaying
 a manifest with ``--from-manifest`` reproduces every output file byte for
 byte. Wall times live only in the manifest's ``timings_seconds``, since wall
-clocks are not replayable. Networks train in the manifest's ``precision``; a
-manifest without that key predates it and trained in float64, so it replays
-in float64. Bands draw their multipliers under the manifest's
-``multiplier_scheme``, 4 for new runs; a manifest without that key predates
-it and replays on scheme 1. No setting sizes a run's processes or threads:
+clocks are not replayable. ``precision`` and ``multiplier_scheme`` come only
+from a manifest, since their other engines exist for replay: new runs train
+in float32 and draw on scheme 4, and a manifest without either key predates
+it and replays in float64 or on scheme 1. No setting sizes a run's processes or threads:
 they follow the CPUs the process may use, so ``taskset`` limits them. A
 manifest's ``threads`` key, from when ``simulate --threads`` sized a
 replication pool, is ignored.
@@ -38,6 +37,7 @@ import numpy as np
 from .core import LocationGrid, _integer, _integers, _is_real
 from .errors import DomainError
 from .estimation import (
+    _DEFAULT_FOLDS,
     _FUNCTIONALS,
     _check_curve,
     _check_folds,
@@ -48,7 +48,10 @@ from .estimation import (
     make_folds,
     quantile_grid,
 )
-from .inference import _DEFAULT_MULTIPLIER_SCHEME, _check_band_settings, bootstrap_bands, se_reduction
+from .inference import (
+    _DEFAULT_ALPHA, _DEFAULT_ARM_PAIR, _DEFAULT_KIND, _DEFAULT_MULTIPLIER_SCHEME, _DEFAULT_N_DRAWS,
+    _check_band_settings, _check_multiplier_scheme, bootstrap_bands, se_reduction,
+)
 from .io import (
     CsvSchema,
     emit_report,
@@ -57,10 +60,9 @@ from .io import (
     write_manifest,
     write_points_csv,
 )
-from .learners import LEARNER_KINDS, LearnerKind
-from .nn import SQUASHES, TRANSFORMS, TrainConfig
-from .simulation import DgpConfig, _check_study_settings, run_study
-from . import simulation
+from .learners import DEFAULT_HIDDEN, DEFAULT_RIDGE, LEARNER_KINDS, LearnerKind
+from .nn import SQUASHES, TRANSFORMS, LayerSpec, TrainConfig
+from .simulation import DEFAULT_ORACLE_UNITS, DgpConfig, _check_study_settings, run_study
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -80,7 +82,7 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 _SIMULATE, _CURVE, _BAND = ("simulate",), ("estimate", "bootstrap-band"), ("bootstrap-band",)
-# field: (flag or None for an INI-only key, parser or choices, modes that read it, help)
+# field: (flag, parser or choices, modes that read it, help); the INI key is the field
 _SETTINGS = {
     "out": ("--out", str, _MODES, "output directory"),
     "seed": ("--seed", int, _MODES, "master seed"),
@@ -107,8 +109,6 @@ _SETTINGS = {
     "ridge": ("--ridge", float, _MODES, "ridge penalty of the linear learner"),
     "transform": ("--transform", TRANSFORMS, _MODES, "monotone head transform"),
     "squash": ("--squash", SQUASHES, _MODES, "monotone head squash"),
-    "precision": (None, str, _MODES, None),
-    "multiplier_scheme": (None, int, _BAND, None),
 }
 
 
@@ -121,28 +121,29 @@ class RunConfig:
     seed: int = 0
     n_units: int = 1000
     n_reps: int = 10
-    n_folds: int = 2
+    n_folds: int = _DEFAULT_FOLDS
     learner: str = "linear"
     methods: tuple[str, ...] = ("empirical", "linear", "nn-multi", "nn-multi-monotone")
     grid: str = "probs=0.05:0.95:0.05"
-    n_draws: int = 5000
-    alpha: float = 0.05
-    functional: str = "dte"
-    arm_pair: tuple[int, int] = (2, 1)
+    n_draws: int = _DEFAULT_N_DRAWS
+    alpha: float = _DEFAULT_ALPHA
+    functional: str = _DEFAULT_KIND
+    arm_pair: tuple[int, int] = _DEFAULT_ARM_PAIR
     z_mode: str = "half-alpha"
-    n_oracle: int = 100_000
+    n_oracle: int = DEFAULT_ORACLE_UNITS
     input: str = ""
-    arm_col: str = "arm"
-    outcome_col: str = "outcome"
-    covariate_cols: tuple[str, ...] = ()
-    epochs: int = 30
-    batch_size: int = 16
-    learning_rate: float = 0.01
-    hidden: tuple[int, ...] = (128, 64)
-    ridge: float = 1e-8
-    transform: str = "exp"
-    squash: str = "arctan"
-    precision: str = "float32"
+    arm_col: str = CsvSchema.arm
+    outcome_col: str = CsvSchema.outcome
+    covariate_cols: tuple[str, ...] = CsvSchema.covariates
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    hidden: tuple[int, ...] = DEFAULT_HIDDEN
+    ridge: float = DEFAULT_RIDGE
+    transform: str = LayerSpec.transform
+    squash: str = LayerSpec.squash
+    # replay-only: set by a manifest, never by a flag or INI key
+    precision: str = TrainConfig.precision
     multiplier_scheme: int = _DEFAULT_MULTIPLIER_SCHEME
 
     def __post_init__(self):
@@ -165,6 +166,9 @@ class RunConfig:
         object.__setattr__(self, "hidden", _integers(self.hidden, "hidden widths"))
         object.__setattr__(self, "covariate_cols", tuple(self.covariate_cols))
         object.__setattr__(self, "arm_pair", _integers(self.arm_pair, "arm pair"))
+        # in every mode, so a replay cannot write a scheme no band reads into its manifest
+        object.__setattr__(self, "multiplier_scheme", _integer(self.multiplier_scheme, "multiplier_scheme"))
+        _check_multiplier_scheme(self.multiplier_scheme)
         _check_folds(self.n_folds)
         # each mode checks only the settings it reads, eagerly, so bad values
         # fail as usage errors before any work
@@ -301,10 +305,8 @@ def _run_simulate(config: RunConfig, out: Path) -> dict:
         _learner_kinds(config),
         n_reps=config.n_reps,
         n_folds=config.n_folds,
-        probs=values if kind == "probs" else simulation.DEFAULT_QUANTILES,
         n_oracle=config.n_oracle,
-        cache_dir=out / "oracle-cache",
-        locations=None if kind == "probs" else values,
+        **{"probs" if kind == "probs" else "locations": values},
     )
     study_path = emit_report(report, out / "study.csv")
     return {
@@ -342,17 +344,11 @@ def _run_estimate(config: RunConfig, out: Path) -> dict:
 
 def _run_bootstrap_band(config: RunConfig, out: Path) -> dict:
     data, grid, _, empirical, adjusted, fit_seconds = _estimate_pieces(config)
-    literal = config.z_mode == "literal"
-    common = dict(
-        kind=config.functional,
-        arm_pair=config.arm_pair,
-        n_draws=config.n_draws,
-        alpha=config.alpha,
-        seed=config.seed,
-        literal_upper_quantile=literal,
-        multiplier_scheme=config.multiplier_scheme,
+    band_emp, band_adj = bootstrap_bands(
+        data, grid, (empirical, adjusted), kind=config.functional, arm_pair=config.arm_pair,
+        n_draws=config.n_draws, alpha=config.alpha, seed=config.seed,
+        literal_upper_quantile=config.z_mode == "literal", multiplier_scheme=config.multiplier_scheme,
     )
-    band_emp, band_adj = bootstrap_bands(data, grid, (empirical, adjusted), **common)
     # before any file is written, so a zero baseline SE leaves no partial run behind
     reduction = se_reduction(band_emp, band_adj)
     outputs = [
@@ -399,7 +395,7 @@ def run(config: RunConfig) -> dict:
 
 def _mode_flags(mode: str) -> dict[str, str]:
     """The flag of each setting ``mode`` reads, by field name."""
-    return {name: flag for name, (flag, _, modes, _) in _SETTINGS.items() if flag and mode in modes}
+    return {name: flag for name, (flag, _, modes, _) in _SETTINGS.items() if mode in modes}
 
 
 def _load_ini(path: str, mode: str) -> dict:

@@ -57,6 +57,8 @@ __all__ = [
 
 _FOLD_SEED_TAG = 7001
 _FUNCTIONALS = ("cdf", "dte", "pte")
+# the fold count fit_adjusted, simulation.run_study and cli.RunConfig default to
+_DEFAULT_FOLDS = 2
 
 
 def _check_folds(n_folds) -> int:
@@ -212,7 +214,7 @@ def fit_adjusted(
     grid: LocationGrid,
     kind: LearnerKind,
     plan: CrossFitPlan | None = None,
-    n_folds: int = 2,
+    n_folds: int = _DEFAULT_FOLDS,
 ) -> AdjustedEstimate:
     """Cross-fit a learner and apply the adjustment in one call."""
     if plan is None:

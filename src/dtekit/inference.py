@@ -99,6 +99,11 @@ _CHUNK_UNITS = 8192
 _MULTIPLIER_SCHEMES = (1, 2, 3, 4)
 # the scheme new bands draw on: bootstrap_draws, bootstrap_band(s) and cli.RunConfig read it
 _DEFAULT_MULTIPLIER_SCHEME = 4
+# the curve, repetitions and level of a band, which bootstrap_band(s) and cli.RunConfig default to
+_DEFAULT_KIND = "dte"
+_DEFAULT_ARM_PAIR = (2, 1)
+_DEFAULT_N_DRAWS = 5000
+_DEFAULT_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -450,14 +455,14 @@ def bootstrap_band(
     data: ExperimentData,
     grid: LocationGrid,
     estimate: CdfEstimate | AdjustedEstimate,
-    kind: str = "dte",
-    arm_pair: tuple[int, int] = (2, 1),
-    n_draws: int = 5000,
-    alpha: float = 0.05,
-    seed: int = 0,
-    literal_upper_quantile: bool = False,
+    kind: str,
+    arm_pair: tuple[int, int],
+    n_draws: int,
+    alpha: float,
+    seed: int,
+    literal_upper_quantile: bool,
     *,
-    multiplier_scheme: int = _DEFAULT_MULTIPLIER_SCHEME,
+    multiplier_scheme: int,
 ) -> EffectBand:
     """Pointwise multiplier-bootstrap confidence band for a CDF functional.
 
@@ -465,9 +470,9 @@ def bootstrap_band(
     AdjustedEstimate carrying its cross-fitted predictions. By default the
     band half-width uses the two-sided normal quantile z_{1 - alpha/2};
     ``literal_upper_quantile`` switches to z_{1 - alpha}. This is the
-    one-estimate case of :func:`bootstrap_bands`. ``multiplier_scheme``
-    picks how repetitions read their multiplier streams (see
-    :func:`bootstrap_draws`).
+    one-estimate case of :func:`bootstrap_bands`, and takes its defaults.
+    ``multiplier_scheme`` picks how repetitions read their multiplier
+    streams (see :func:`bootstrap_draws`).
     """
     (band,) = bootstrap_bands(
         data, grid, (estimate,), kind, arm_pair, n_draws, alpha, seed, literal_upper_quantile,
@@ -480,10 +485,10 @@ def bootstrap_bands(
     data: ExperimentData,
     grid: LocationGrid,
     estimates: Sequence[CdfEstimate | AdjustedEstimate],
-    kind: str = "dte",
-    arm_pair: tuple[int, int] = (2, 1),
-    n_draws: int = 5000,
-    alpha: float = 0.05,
+    kind: str = _DEFAULT_KIND,
+    arm_pair: tuple[int, int] = _DEFAULT_ARM_PAIR,
+    n_draws: int = _DEFAULT_N_DRAWS,
+    alpha: float = _DEFAULT_ALPHA,
     seed: int = 0,
     literal_upper_quantile: bool = False,
     *,
@@ -544,6 +549,11 @@ def bootstrap_bands(
             )
         )
     return tuple(bands)
+
+
+# bootstrap_band's defaults are written once, in bootstrap_bands' signature
+bootstrap_band.__defaults__ = bootstrap_bands.__defaults__
+bootstrap_band.__kwdefaults__ = bootstrap_bands.__kwdefaults__
 
 
 def _stacked_influence(data: ExperimentData, grid: LocationGrid, pieces) -> InfluenceMatrix:

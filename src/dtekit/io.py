@@ -219,17 +219,8 @@ def emit_report(report, path: str | Path) -> Path:
     """
     path = Path(path)
     if isinstance(report, EffectBand):
-        _write_rows(
-            path,
-            ["location", "point", "se", "ci_lo", "ci_hi"],
-            (
-                [_fmt(loc), _fmt(p), _fmt(s), _fmt(lo), _fmt(hi)]
-                for loc, p, s, lo, hi in zip(
-                    report.locations, report.point, report.se,
-                    report.ci_lower, report.ci_upper,
-                )
-            ),
-        )
+        columns = {"point": report.point, "se": report.se, "ci_lo": report.ci_lower, "ci_hi": report.ci_upper}
+        _write_points(path, report.locations, columns)
     elif isinstance(report, SimulationReport):
         rows = []
         for j, loc in enumerate(report.locations):
@@ -249,13 +240,13 @@ def emit_report(report, path: str | Path) -> Path:
 
 def write_points_csv(path: str | Path, locations, columns: dict) -> Path:
     """Point estimates: one location column plus one column per named series."""
-    path = Path(path)
-    names = list(columns)
-    rows = (
-        [_fmt(loc), *(_fmt(columns[name][j]) for name in names)]
-        for j, loc in enumerate(locations)
-    )
-    _write_rows(path, ["location", *names], rows)
+    return _write_points(Path(path), locations, columns)
+
+
+def _write_points(path: Path, locations, columns: dict) -> Path:
+    """The writer of points and bands, so a traced run counts each file once."""
+    rows = ([_fmt(value) for value in row] for row in zip(locations, *columns.values(), strict=True))
+    _write_rows(path, ["location", *columns], rows)
     return path
 
 

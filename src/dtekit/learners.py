@@ -75,8 +75,8 @@ class LearnerKind:
 
     kind: str
     hidden: tuple[int, ...] = DEFAULT_HIDDEN
-    transform: str = "exp"
-    squash: str = "arctan"
+    transform: str = LayerSpec.transform
+    squash: str = LayerSpec.squash
     ridge: float = DEFAULT_RIDGE
     train: TrainConfig = field(default_factory=TrainConfig)
 

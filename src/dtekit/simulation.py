@@ -35,7 +35,7 @@ import numpy as np
 from . import core
 from .core import ConditionalCdfMatrix, ExperimentData, LocationGrid, _integer, _is_real, _seed, derive_seed
 from .errors import ShapeMismatch
-from .estimation import dte, empirical_cdf, fit_adjusted, make_folds, quantile_grid
+from .estimation import _DEFAULT_FOLDS, dte, empirical_cdf, fit_adjusted, make_folds, quantile_grid
 from .learners import LearnerKind
 
 __all__ = [
@@ -248,7 +248,7 @@ def run_study(
     config: DgpConfig,
     methods: dict[str, LearnerKind | None],
     n_reps: int,
-    n_folds: int = 2,
+    n_folds: int = _DEFAULT_FOLDS,
     probs=DEFAULT_QUANTILES,
     n_oracle: int = DEFAULT_ORACLE_UNITS,
     cache_dir: str | Path | None = None,

@@ -124,10 +124,12 @@ class TestRunConfig:
         assert config_from_dict({"mode": "simulate", "multiplier_scheme": 3}).multiplier_scheme == 3
         assert config_from_dict({"mode": "simulate", "multiplier_scheme": 4}).multiplier_scheme == 4
 
-    @pytest.mark.parametrize("value", [0, 5, -1])
-    def test_unknown_multiplier_scheme_fails_eagerly(self, value):
+    @pytest.mark.parametrize("mode", ["bootstrap-band", "estimate", "simulate"])
+    @pytest.mark.parametrize("value", [0, 5, -1, -3])
+    def test_unknown_multiplier_scheme_fails_eagerly(self, value, mode):
+        # in every mode, else a replay would write the scheme into its own manifest again
         with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2, 3 or 4"):
-            RunConfig(mode="bootstrap-band", input="x.csv", multiplier_scheme=value)
+            config_from_dict({"mode": mode, "input": "x.csv", "multiplier_scheme": value})
 
     @pytest.mark.parametrize("field, value", [
         ("precision", "float16"), ("epochs", 2.5), ("batch_size", 0), ("seed", -1),
@@ -323,6 +325,13 @@ class TestSimulateMode:
         assert manifest["config"]["n_units"] == 150
         assert "study.csv" in manifest["outputs"]
 
+    def test_out_holds_only_the_files_of_the_manifest(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--n", 150, "--reps", 1, "--methods", "empirical,linear",
+                       "--n-oracle", 20000, "--out", out) == 0
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == sorted([*listed, "manifest.json"])
+
     def test_every_method_records_its_fit_seconds(self, tmp_path):
         methods = ("empirical", "linear", "nn-single", "nn-multi", "nn-multi-monotone")
         out = tmp_path / "sim"
@@ -497,17 +506,19 @@ class TestEstimateMode:
         assert json.loads((out / "manifest.json").read_text())["config"]["precision"] == "float32"
 
     def test_manifest_without_precision_replays_as_float64(self, tmp_path, experiment_csv):
-        flags = ("--input", experiment_csv, "--learner", "nn-multi-monotone", "--hidden", "4",
-                 "--epochs", 2, "--grid", "list=1.5,2.5,3.5")
-        ini = tmp_path / "float64.ini"
-        ini.write_text("[learner]\nprecision = float64\n")
-        wide, narrow = tmp_path / "float64", tmp_path / "float32"
-        assert run_cli("estimate", "--config", ini, *flags, "--out", wide) == 0
-        assert run_cli("estimate", *flags, "--out", narrow) == 0
+        narrow = tmp_path / "float32"
+        assert run_cli("estimate", "--input", experiment_csv, "--learner", "nn-multi-monotone", "--hidden", "4",
+                       "--epochs", 2, "--grid", "list=1.5,2.5,3.5", "--out", narrow) == 0
+        # only a manifest sets float64
+        manifest = json.loads((narrow / "manifest.json").read_text())
+        manifest["config"]["precision"] = "float64"
+        float64 = tmp_path / "float64-manifest.json"
+        float64.write_text(json.dumps(manifest))
+        wide = tmp_path / "float64"
+        assert run_cli("estimate", "--from-manifest", float64, "--out", wide) == 0
         # the training precision shows in the output bytes
         assert (wide / "points.csv").read_bytes() != (narrow / "points.csv").read_bytes()
         # a manifest from before the precision key: the float64 run, key deleted
-        manifest = json.loads((wide / "manifest.json").read_text())
         del manifest["config"]["precision"]
         old = tmp_path / "old-manifest.json"
         old.write_text(json.dumps(manifest))
@@ -751,14 +762,16 @@ MODE_FLAGS = {
     "bootstrap-band": {"--config", "--from-manifest", "--out", "--seed", "--folds", "--grid", *TRAINING_FLAGS,
                        *CURVE_FLAGS, "--B", "--alpha", "--z-mode"},
 }
-TRAINING_KEYS = ("epochs", "batch_size", "learning_rate", "hidden", "ridge", "transform", "squash", "precision")
+TRAINING_KEYS = ("epochs", "batch_size", "learning_rate", "hidden", "ridge", "transform", "squash")
 CURVE_KEYS = ("learner", "functional", "arm_pair", "input", "arm_col", "outcome_col", "covariate_cols")
 MODE_KEYS = {
     "simulate": {"out", "seed", "n_folds", "grid", *TRAINING_KEYS, "n_units", "n_reps", "methods", "n_oracle"},
     "estimate": {"out", "seed", "n_folds", "grid", *TRAINING_KEYS, *CURVE_KEYS},
     "bootstrap-band": {"out", "seed", "n_folds", "grid", *TRAINING_KEYS, *CURVE_KEYS,
-                       "n_draws", "alpha", "z_mode", "multiplier_scheme"},
+                       "n_draws", "alpha", "z_mode"},
 }
+# settings only a manifest sets, since their other engines exist for replay: no mode takes their keys
+REPLAY_ONLY_KEYS = ("precision", "multiplier_scheme")
 # a value each flag and key would take in a run of its own mode
 FLAG_VALUES = {
     "--n": "150", "--reps": "1", "--methods": "empirical", "--n-oracle": "2000", "--learner": "linear",
@@ -768,7 +781,8 @@ FLAG_VALUES = {
 KEY_VALUES = {
     "n_units": "150", "n_reps": "1", "methods": "empirical", "n_oracle": "2000", "learner": "linear",
     "functional": "dte", "arm_pair": "2,1", "input": "x.csv", "arm_col": "arm", "outcome_col": "outcome",
-    "covariate_cols": "x1", "n_draws": "5", "alpha": "0.1", "z_mode": "literal", "multiplier_scheme": "1",
+    "covariate_cols": "x1", "n_draws": "5", "alpha": "0.1", "z_mode": "literal",
+    "precision": "float64", "multiplier_scheme": "2",
 }
 
 
@@ -808,7 +822,9 @@ class TestModeInterface:
         assert f"dtekit {mode}: error: unrecognized arguments: {flag}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode, key", foreign(MODE_KEYS))
+    @pytest.mark.parametrize("mode, key", foreign(MODE_KEYS) + [
+        (mode, key) for mode in sorted(MODE_KEYS) for key in REPLAY_ONLY_KEYS
+    ])
     def test_ini_key_of_another_mode_is_usage_error(self, tmp_path, capsys, quick_run, mode, key):
         ini = tmp_path / "run.ini"
         ini.write_text(f"[run]\n{key} = {KEY_VALUES[key]}\n")
@@ -822,7 +838,7 @@ class TestModeInterface:
     def test_ini_takes_every_key_of_the_mode(self, tmp_path, experiment_csv, mode):
         values = {"out": str(tmp_path / "ini-out"), "seed": "3", "n_folds": "2", "grid": "list=2.0",
                   "epochs": "2", "batch_size": "8", "learning_rate": "0.02", "hidden": "4", "ridge": "1e-6",
-                  "transform": "softplus", "squash": "tanh-half", "precision": "float64", **KEY_VALUES}
+                  "transform": "softplus", "squash": "tanh-half", **KEY_VALUES}
         if mode == "simulate":
             values["grid"] = "probs=0.5"
         values["input"] = str(experiment_csv)
@@ -831,7 +847,7 @@ class TestModeInterface:
         out = tmp_path / "flag-out"
         assert exit_code(mode, "--config", ini, "--out", out) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
-        assert config["seed"] == 3 and config["precision"] == "float64" and config["ridge"] == 1e-6
+        assert config["seed"] == 3 and config["transform"] == "softplus" and config["ridge"] == 1e-6
 
     @pytest.mark.parametrize("key, value", [
         ("learner", "forest"), ("transform", "cube"), ("squash", "logistic"), ("hidden", "4.5"),

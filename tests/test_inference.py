@@ -1,4 +1,5 @@
 import inspect
+import json
 import multiprocessing
 import os
 import threading
@@ -1095,8 +1096,11 @@ class TestTracerContract:
             "--grid", "probs=0.3,0.6", "--B", str(n_draws), "--out", str(tmp_path / "band"),
         ]
         if scheme is not None:
-            (tmp_path / "run.ini").write_text(f"[run]\nmultiplier_scheme = {scheme}\n")
-            flags += ["--config", str(tmp_path / "run.ini")]
+            # a scheme other than the default comes only from a manifest
+            config = {"mode": "bootstrap-band", "input": str(csv_path), "learner": "linear", "grid": "probs=0.3,0.6",
+                      "n_draws": n_draws, "out": str(tmp_path / "band"), "multiplier_scheme": scheme}
+            (tmp_path / "manifest.json").write_text(json.dumps({"config": config}))
+            flags = ["bootstrap-band", "--from-manifest", str(tmp_path / "manifest.json")]
         assert main(flags) == 0
         # scheme 4, the default, draws no per-unit multipliers
         transforms = n_draws if scheme == 2 else 0

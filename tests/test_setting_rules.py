@@ -1,24 +1,27 @@
-"""Each setting rule has one owner, and the library and the CLI raise its message.
+"""Each setting rule and default has one owner, and the library and the CLI follow it.
 
 Every table row pairs a library call with the CLI run that reaches the same
 rule. The library raises the owner's message; the CLI prints that message
-as a usage error, exits 2 and leaves no output directory.
+as a usage error, exits 2 and leaves no output directory. Each default of a
+CLI run equals the default of the library class or function that owns it.
 """
 
+import inspect
 import json
 import re
 
 import numpy as np
 import pytest
 
-from dtekit.cli import build_parser, main
+from dtekit.cli import RunConfig, build_parser, main
 from dtekit.core import ConditionalCdfMatrix, ExperimentData
 from dtekit.errors import EmptyArm
 from dtekit.estimation import CrossFitPlan, empirical_cdf, fit_adjusted, make_folds, quantile_grid
-from dtekit.inference import bootstrap_band, bootstrap_bands
+from dtekit.inference import bootstrap_band, bootstrap_bands, bootstrap_draws
+from dtekit.io import CsvSchema
 from dtekit.learners import LearnerKind
 from dtekit.nn import SQUASHES, TRANSFORMS, LayerSpec, TrainConfig
-from dtekit.simulation import DgpConfig, generate
+from dtekit.simulation import DgpConfig, generate, oracle_dte, run_study
 
 from conftest import make_experiment
 
@@ -230,3 +233,48 @@ def test_valid_settings_are_still_accepted():
     assert make_folds(np.int64(6), np.int64(3), np.uint8(4)).seed == 4
     assert band(arm_pair=(np.int64(2), 1)).arm_pair == (2, 1)
     assert band(n_draws=np.int64(8)).n_draws == 8
+
+
+def defaults(function):
+    """A function's parameter defaults, by name."""
+    return {
+        name: param.default for name, param in inspect.signature(function).parameters.items()
+        if param.default is not inspect.Parameter.empty
+    }
+
+
+# each RunConfig field with a library default, and every library default it must equal
+OWNERS = {
+    "n_folds": lambda: [defaults(fit_adjusted)["n_folds"], defaults(run_study)["n_folds"]],
+    "n_draws": lambda: [defaults(bootstrap_bands)["n_draws"]],
+    "alpha": lambda: [defaults(bootstrap_bands)["alpha"]],
+    "functional": lambda: [defaults(bootstrap_bands)["kind"]],
+    "arm_pair": lambda: [defaults(bootstrap_bands)["arm_pair"]],
+    "multiplier_scheme": lambda: [defaults(bootstrap_bands)["multiplier_scheme"],
+                                  defaults(bootstrap_draws)["multiplier_scheme"]],
+    "n_oracle": lambda: [defaults(oracle_dte)["n_oracle"], defaults(run_study)["n_oracle"]],
+    "arm_col": lambda: [CsvSchema().arm],
+    "outcome_col": lambda: [CsvSchema().outcome],
+    "covariate_cols": lambda: [CsvSchema().covariates],
+    "epochs": lambda: [TrainConfig().epochs],
+    "batch_size": lambda: [TrainConfig().batch_size],
+    "learning_rate": lambda: [TrainConfig().learning_rate],
+    "precision": lambda: [TrainConfig().precision],
+    "hidden": lambda: [LearnerKind("nn-multi").hidden],
+    "ridge": lambda: [LearnerKind("linear").ridge],
+    "transform": lambda: [LayerSpec((1, 1)).transform, LearnerKind("nn-multi").transform],
+    "squash": lambda: [LayerSpec((1, 1)).squash, LearnerKind("nn-multi").squash],
+}
+
+
+@pytest.mark.parametrize("field", OWNERS)
+def test_each_run_default_is_its_owners(field):
+    assert all(owner == getattr(RunConfig(mode="simulate"), field) for owner in OWNERS[field]())
+
+
+def test_bootstrap_band_takes_the_defaults_of_bootstrap_bands():
+    band_defaults = defaults(bootstrap_band)
+    assert band_defaults == defaults(bootstrap_bands)
+    assert sorted(band_defaults) == [
+        "alpha", "arm_pair", "kind", "literal_upper_quantile", "multiplier_scheme", "n_draws", "seed",
+    ]

@@ -401,7 +401,10 @@ def _mode_flags(mode: str) -> dict[str, str]:
 def _load_ini(path: str, mode: str) -> dict:
     parser = configparser.ConfigParser()
     with open(path) as handle:
-        parser.read_file(handle)
+        try:
+            parser.read_file(handle)
+        except configparser.Error as exc:
+            raise ValueError(f"{path} is not an INI file of [run] and [learner] sections: {exc}") from None
     merged = {}
     for section in parser.sections():
         if section not in ("run", "learner"):

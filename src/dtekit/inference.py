@@ -51,7 +51,8 @@ a block of at most 256 x 8,192 multipliers (float32 under scheme 4, and
 The pass hands its blocks of 256 repetitions to :func:`dtekit.core._fan_out`:
 each forked process inherits the slabs (and the roots and scales, computed
 once in the calling process) and sends back only its draws. Every
-repetition has its own generator stream spawned from the seed, and each
+repetition b has its own generator stream, the b-th child of the seed's
+``SeedSequence``, built in the process that draws it, and each
 chunk of a block is multiplied as a whole with fixed operands, so the draws
 are bit-identical at any number of processes.
 """
@@ -290,14 +291,16 @@ def bootstrap_draws(
 ) -> BootstrapDraws:
     """Perturbed copies of the CDF matrix, one per bootstrap repetition.
 
-    Repetition b uses its own generator stream spawned from ``seed`` and
-    reads it in chunks of units: under schemes 2 to 4 chunks of 8,192
-    units, under scheme 1 one chunk of all n. Under schemes 1 and 2 each
-    chunk of w units takes one call for 2w standard normals, the first w
-    and the last w feeding :func:`multiplier_transform` (see
-    :func:`multipliers`). Under scheme 3 the stream first gives z_b, one
-    standard normal per column of an estimate (arms x locations), in one
-    call, and then each chunk one ``standard_normal(w)`` call, written
+    Repetition b uses its own generator stream, seeded by
+    ``SeedSequence(seed, spawn_key=(b,))``, the b-th child that
+    ``SeedSequence(seed).spawn`` gives, and reads it in chunks of units:
+    under schemes 2 to 4 chunks of 8,192 units, under scheme 1 one chunk of
+    all n. Under schemes 1 and 2 each chunk of w units takes one call for
+    2w standard normals, the first w and the last w feeding
+    :func:`multiplier_transform` (see :func:`multipliers`). Under scheme 3
+    the stream first gives z_b, one standard normal per column of an
+    estimate (arms x locations), in one call, and then each chunk one
+    ``standard_normal(w)`` call, written
     straight into the block and mapped in place to (m2^2 - 1) / 2; after
     its last chunk each estimate's draw gains (z_b @ R) / sqrt(2) (see
     :func:`_gram_root`). Both halves are independent and, given the data,
@@ -319,10 +322,11 @@ def bootstrap_draws(
 
     Repetitions run in blocks of ``_DRAW_BLOCK`` rows (see
     :func:`_draw_blocks`), which :func:`dtekit.core._fan_out` spreads over
-    forked processes, and each draw is divided by n once. The block size,
-    the chunks and the operands of every product are the same in any
-    process, and the roots and scales are computed once, in the calling
-    process, so the draws are bit-identical at any number of processes.
+    forked processes; each block builds its repetitions' streams from their
+    indices, so no process spawns all B of them, and each draw is divided by
+    n once. The block size, the chunks and the operands of every product
+    are the same in any process, and the roots and scales are computed
+    once, in the calling process, so the draws are bit-identical at any number of processes.
 
     ``theta`` and ``psi`` may stack several estimates along the arm axis,
     ``arms_per_estimate`` arms each (default: all arms, one estimate). All
@@ -350,9 +354,8 @@ def bootstrap_draws(
     ]
     roots = [_gram_root(slab) for slab in slabs] if multiplier_scheme >= 3 else None
     exponents = [_exponent(slab) for slab in slabs] if multiplier_scheme == 4 else None
-    children = np.random.SeedSequence(seed).spawn(n_draws)
-    blocks = [children[start:start + _DRAW_BLOCK] for start in range(0, n_draws, _DRAW_BLOCK)]
-    draws = np.concatenate(core._fan_out(partial(_draw_blocks, slabs, chunks, roots, exponents), blocks))
+    blocks = [range(start, min(start + _DRAW_BLOCK, n_draws)) for start in range(0, n_draws, _DRAW_BLOCK)]
+    draws = np.concatenate(core._fan_out(partial(_draw_blocks, seed, slabs, chunks, roots, exponents), blocks))
     draws /= n
     draws += theta.values.reshape(1, k * m)
     return BootstrapDraws(draws=draws.reshape(n_draws, k, m), seed=seed)
@@ -385,13 +388,14 @@ def _exponent(slab: np.ndarray) -> int:
 
 
 def _draw_blocks(
+    seed: int,
     slabs: list[np.ndarray],
     chunks: list[tuple[int, int]],
     roots: list[np.ndarray] | None,
     exponents: list[int] | None,
-    blocks: list,
+    blocks: list[range],
 ) -> list[np.ndarray]:
-    """The draws of each block of repetition streams, not yet divided by n.
+    """The draws of each block of repetitions, not yet divided by n.
 
     A block runs chunk by chunk: each row fills the chunk's multipliers from
     its own generator, then each estimate's draws gain the product of the
@@ -411,15 +415,17 @@ def _draw_blocks(
     cast = np.empty((width, columns), dtype=np.float32) if float32 else None
     normals = np.empty(2 * width) if roots is None else None
     results = []
-    for streams in blocks:
-        generators = [np.random.Generator(bit_generator(stream)) for stream in streams]
+    for repetitions in blocks:
+        # repetition b's stream is the b-th child that SeedSequence(seed).spawn gives
+        generators = [np.random.Generator(bit_generator(np.random.SeedSequence(seed, spawn_key=(b,))))
+                      for b in repetitions]
         if roots is not None:
             gaussian = np.array([generator.standard_normal(columns) for generator in generators])
-        draws = np.empty((len(streams), len(slabs) * columns))
+        draws = np.empty((len(repetitions), len(slabs) * columns))
         for lo, hi in chunks:
             w = hi - lo
             # a C-ordered (rows, w) operand, whatever the chunk's width
-            rows = block[:len(streams) * w].reshape(len(streams), w)
+            rows = block[:len(repetitions) * w].reshape(len(repetitions), w)
             if roots is None:
                 for row, generator in zip(rows, generators):
                     generator.standard_normal(2 * w, out=normals[:2 * w])

@@ -274,6 +274,7 @@ def load_manifest(path: str | Path) -> dict:
     """Read back the configuration block of an emitted manifest."""
     with open(path) as handle:
         payload = json.load(handle)
-    if "config" not in payload:
-        raise ParseError(f"{path} is not a run manifest (no config block)")
-    return payload["config"]
+    config = payload.get("config") if isinstance(payload, dict) else None
+    if not isinstance(config, dict):
+        raise ParseError(f"{path} is not a run manifest (no config block that is a JSON object)")
+    return config

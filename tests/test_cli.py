@@ -361,24 +361,6 @@ class TestSimulateMode:
         assert rc == 0
         assert (first / "study.csv").read_bytes() == (second / "study.csv").read_bytes()
 
-    def test_manifest_with_threads_replays_byte_for_byte(self, tmp_path):
-        first = tmp_path / "first"
-        rc = run_cli(
-            "simulate", "--n", 150, "--reps", 3, "--methods", "empirical,linear,nn-multi",
-            "--grid", "probs=0.3,0.7", "--n-oracle", 20000, "--seed", 5, "--hidden", 4,
-            "--epochs", 1, "--out", first,
-        )
-        assert rc == 0
-        # manifests written while simulate --threads sized a replication pool record it
-        manifest = json.loads((first / "manifest.json").read_text())
-        manifest["config"]["threads"] = 2
-        old = tmp_path / "old-manifest.json"
-        old.write_text(json.dumps(manifest))
-        second = tmp_path / "second"
-        assert run_cli("simulate", "--from-manifest", old, "--out", second) == 0
-        assert (first / "study.csv").read_bytes() == (second / "study.csv").read_bytes()
-        assert "threads" not in json.loads((second / "manifest.json").read_text())["config"]
-
     def test_numpy_integer_seed_writes_a_manifest_that_replays(self, tmp_path):
         first = tmp_path / "first"
         config = RunConfig(
@@ -405,26 +387,6 @@ class TestSimulateMode:
         second = tmp_path / "second"
         assert run_cli("simulate", "--from-manifest", first / "manifest.json", "--out", second) == 0
         assert (first / "study.csv").read_bytes() == (second / "study.csv").read_bytes()
-
-    def test_manifest_with_values_simulate_ignores_replays_byte_for_byte(self, tmp_path):
-        # simulate refuses other modes' flags, yet a manifest written while it
-        # accepted them holds their values, and it replays
-        flags = ("simulate", "--n", 150, "--reps", 1, "--methods", "empirical,linear",
-                 "--grid", "probs=0.5", "--n-oracle", 10000)
-        ignored = ("--arm-pair", "2,2", "--functional", "pte", "--B", 7, "--learner", "nn-single")
-        assert exit_code(*flags, *ignored, "--out", tmp_path / "refused") == 2
-        assert not (tmp_path / "refused").exists()
-        first = tmp_path / "first"
-        assert run_cli(*flags, "--out", first) == 0
-        manifest = json.loads((first / "manifest.json").read_text())
-        manifest["config"].update(arm_pair=[2, 2], functional="pte", n_draws=7, learner="nn-single")
-        old = tmp_path / "old-manifest.json"
-        old.write_text(json.dumps(manifest))
-        second = tmp_path / "second"
-        assert run_cli("simulate", "--from-manifest", old, "--out", second) == 0
-        assert (first / "study.csv").read_bytes() == (second / "study.csv").read_bytes()
-        replayed = json.loads((second / "manifest.json").read_text())["config"]
-        assert replayed == dict(manifest["config"], out=str(second))
 
     def test_manifest_mode_mismatch(self, tmp_path):
         out = tmp_path / "sim"
@@ -504,28 +466,6 @@ class TestEstimateMode:
         )
         assert rc == 0
         assert json.loads((out / "manifest.json").read_text())["config"]["precision"] == "float32"
-
-    def test_manifest_without_precision_replays_as_float64(self, tmp_path, experiment_csv):
-        narrow = tmp_path / "float32"
-        assert run_cli("estimate", "--input", experiment_csv, "--learner", "nn-multi-monotone", "--hidden", "4",
-                       "--epochs", 2, "--grid", "list=1.5,2.5,3.5", "--out", narrow) == 0
-        # only a manifest sets float64
-        manifest = json.loads((narrow / "manifest.json").read_text())
-        manifest["config"]["precision"] = "float64"
-        float64 = tmp_path / "float64-manifest.json"
-        float64.write_text(json.dumps(manifest))
-        wide = tmp_path / "float64"
-        assert run_cli("estimate", "--from-manifest", float64, "--out", wide) == 0
-        # the training precision shows in the output bytes
-        assert (wide / "points.csv").read_bytes() != (narrow / "points.csv").read_bytes()
-        # a manifest from before the precision key: the float64 run, key deleted
-        del manifest["config"]["precision"]
-        old = tmp_path / "old-manifest.json"
-        old.write_text(json.dumps(manifest))
-        replay = tmp_path / "replay"
-        assert run_cli("estimate", "--from-manifest", old, "--out", replay) == 0
-        assert (replay / "points.csv").read_bytes() == (wide / "points.csv").read_bytes()
-        assert json.loads((replay / "manifest.json").read_text())["config"]["precision"] == "float64"
 
     def test_missing_input_is_usage_error(self):
         assert run_cli("estimate", "--grid", "list=1.0") == 2
@@ -671,55 +611,6 @@ class TestBootstrapBandMode:
         )
         assert rc == 0
         assert len((out / "band_empirical.csv").read_text().splitlines()) == 3
-
-
-    @pytest.fixture
-    def wide_csv(self, tmp_path):
-        """An experiment of 9,000 units: more than one 8,192-unit multiplier chunk."""
-        rng = np.random.default_rng(17)
-        n = 9000
-        x = rng.random((n, 2))
-        arms = 1 + (rng.random(n) < 0.5)
-        y = x.sum(axis=1) + 0.5 * (arms - 1) + rng.standard_normal(n)
-        path = tmp_path / "wide.csv"
-        rows = [f"{a},{yi:.17g},{x1:.17g},{x2:.17g}" for a, yi, (x1, x2) in zip(arms, y, x)]
-        path.write_text("arm,outcome,x1,x2\n" + "\n".join(rows) + "\n")
-        return path
-
-    BAND_FILES = ("band_empirical.csv", "band_linear.csv", "se_reduction.csv")
-
-    def outputs(self, out):
-        return [(out / name).read_bytes() for name in self.BAND_FILES]
-
-    def test_manifest_without_multiplier_scheme_replays_on_scheme_1(self, tmp_path, wide_csv):
-        new = tmp_path / "new"
-        assert run_cli(
-            "bootstrap-band", "--input", wide_csv, "--learner", "linear",
-            "--grid", "probs=0.25,0.5,0.75", "--B", 40, "--out", new,
-        ) == 0
-        manifest = json.loads((new / "manifest.json").read_text())
-        assert manifest["config"]["multiplier_scheme"] == 4
-        replay = tmp_path / "replay"
-        assert run_cli("bootstrap-band", "--from-manifest", new / "manifest.json", "--out", replay) == 0
-        assert self.outputs(replay) == self.outputs(new)
-        # a manifest from before the scheme key, and ones naming schemes 1 to 3
-        replays = {}
-        for name, scheme in (("old", None), ("one", 1), ("two", 2), ("three", 3)):
-            config = dict(manifest["config"])
-            if scheme is None:
-                del config["multiplier_scheme"]
-            else:
-                config["multiplier_scheme"] = scheme
-            path = tmp_path / f"{name}-manifest.json"
-            path.write_text(json.dumps(dict(manifest, config=config)))
-            assert run_cli("bootstrap-band", "--from-manifest", path, "--out", tmp_path / name) == 0
-            replays[name] = self.outputs(tmp_path / name)
-            recorded = json.loads((tmp_path / name / "manifest.json").read_text())["config"]
-            assert recorded["multiplier_scheme"] == (scheme or 1)
-        assert replays["old"] == replays["one"]
-        # past one chunk schemes 1 and 2 draw other multipliers, and schemes 3 and 4 others again
-        bands = {replays["one"][0], replays["two"][0], replays["three"][0], self.outputs(new)[0]}
-        assert len(bands) == 4
 
 
 class TestBoolLabels:
@@ -961,12 +852,42 @@ class TestConfigResolution:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_manifest_without_config_block_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("payload", [{"outputs": []}, {"config": []}, {"config": None}, 5],
+                             ids=["no-config", "config-list", "config-null", "number"])
+    def test_manifest_without_config_object_is_usage_error(self, tmp_path, capsys, payload):
         bad = tmp_path / "manifest.json"
-        bad.write_text(json.dumps({"outputs": []}))
+        bad.write_text(json.dumps(payload))
         assert run_cli("estimate", "--from-manifest", bad, "--out", tmp_path / "est") == 2
-        assert "no config block" in capsys.readouterr().err
+        assert f"usage error: {bad} is not a run manifest (no config block that is a JSON object)" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "est").exists()
+
+    @pytest.mark.parametrize("text", [
+        "seed = 1\n", "[run]\nseed = 1\nseed = 2\n", "[run]\nseed = 1\n[run]\nn_reps = 2\n", "[run]\nseed\n",
+    ], ids=["no-section", "repeated-key", "repeated-section", "key-without-value"])
+    def test_malformed_ini_is_usage_error(self, tmp_path, capsys, text):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", ini, "--out", out) == 2
+        assert f"usage error: {ini} is not an INI file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, flags, message", [
+        ("estimate", ("--folds", "1"), "cross-fitting needs at least 2 folds, got 1"),
+        ("simulate", ("--n", "1"), "n_units must be at least 2, got 1"),
+        ("estimate", ("--arm-pair", "1,2,3"), "an arm pair holds two arm labels, got (1, 2, 3)"),
+        ("estimate", ("--config", "cube.ini"), "squash must be one of ('arctan', 'tanh-half'), got 'cube'"),
+    ])
+    def test_owner_message_is_the_usage_error(self, tmp_path, capsys, monkeypatch, experiment_csv, mode, flags,
+                                              message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cube.ini").write_text("[learner]\nsquash = cube\n")
+        data = ("--input", experiment_csv) if mode == "estimate" else ()
+        out = tmp_path / "owner"
+        assert run_cli(mode, *data, *flags, "--out", out) == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [("--reps", "0"), ("--n-oracle", "0"), ("--n-oracle", "1")])
     def test_study_size_no_draw_can_satisfy_is_usage_error(self, tmp_path, capsys, flags):

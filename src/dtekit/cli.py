@@ -3,7 +3,8 @@
 Three subcommands: ``simulate`` runs the synthetic Monte Carlo study and
 records each method's fit seconds per replication, ``estimate`` and
 ``bootstrap-band`` work on a CSV experiment. Each mode takes the flags and
-INI keys of only the settings it reads (``_SETTINGS``). Every run writes its
+INI keys of only the settings it reads, and each ``RunConfig`` field declares
+its setting once (:func:`_flag`, :func:`_replay_only`). Every run writes its
 outputs plus a ``manifest.json`` holding the fully resolved configuration; replaying
 a manifest with ``--from-manifest`` reproduces every output file byte for
 byte. Wall times live only in the manifest's ``timings_seconds``, since wall
@@ -82,34 +83,23 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 _SIMULATE, _CURVE, _BAND = ("simulate",), ("estimate", "bootstrap-band"), ("bootstrap-band",)
-# field: (flag, parser or choices, modes that read it, help); the INI key is the field
-_SETTINGS = {
-    "out": ("--out", str, _MODES, "output directory"),
-    "seed": ("--seed", int, _MODES, "master seed"),
-    "n_units": ("--n", int, _SIMULATE, "number of units"),
-    "n_reps": ("--reps", int, _SIMULATE, "Monte Carlo replications"),
-    "n_folds": ("--folds", int, _MODES, "cross-fitting folds"),
-    "learner": ("--learner", LEARNER_KINDS, _CURVE, "adjustment learner"),
-    "methods": ("--methods", _names, _SIMULATE, "comma list of methods to compare"),
-    "grid": ("--grid", str, _MODES, "probs=a:b:step | probs=p1,p2,... | list=v1,... | range=lo:hi"),
-    "n_draws": ("--B", int, _BAND, "bootstrap repetitions"),
-    "alpha": ("--alpha", float, _BAND, "band miscoverage level"),
-    "functional": ("--functional", _FUNCTIONALS, _CURVE, "curve of the arm pair"),
-    "arm_pair": ("--arm-pair", _ints, _CURVE, "two arm indices, e.g. 2,1"),
-    "z_mode": ("--z-mode", _Z_MODES, _BAND, "critical value of the band"),
-    "n_oracle": ("--n-oracle", int, _SIMULATE, "oracle draw size"),
-    "input": ("--input", str, _CURVE, "experiment CSV"),
-    "arm_col": ("--arm-col", str, _CURVE, "arm column name"),
-    "outcome_col": ("--outcome-col", str, _CURVE, "outcome column name"),
-    "covariate_cols": ("--covariates", _names, _CURVE, "comma list of covariate columns"),
-    "epochs": ("--epochs", int, _MODES, "training epochs"),
-    "batch_size": ("--batch-size", int, _MODES, "training batch size"),
-    "learning_rate": ("--learning-rate", float, _MODES, "Adam learning rate"),
-    "hidden": ("--hidden", _ints, _MODES, "comma list of hidden widths, e.g. 128,64"),
-    "ridge": ("--ridge", float, _MODES, "ridge penalty of the linear learner"),
-    "transform": ("--transform", TRANSFORMS, _MODES, "monotone head transform"),
-    "squash": ("--squash", SQUASHES, _MODES, "monotone head squash"),
-}
+
+
+def _flag(default, flag: str, parse, modes: tuple[str, ...], note: str):
+    """A setting with a flag and an INI key named after its field.
+
+    ``parse`` is a parser or a tuple of choices, ``modes`` the modes that read it, ``note`` its help.
+    """
+    metadata = {"flag": flag, "parse": parse, "modes": modes, "help": note}
+    return dataclasses.field(default=default, metadata=metadata)
+
+
+def _replay_only(default, parse, legacy):
+    """A setting with no flag or INI key, which only a manifest sets.
+
+    A manifest without its key predates it, and replays on ``legacy``.
+    """
+    return dataclasses.field(default=default, metadata={"parse": parse, "legacy": legacy})
 
 
 @dataclass(frozen=True)
@@ -117,41 +107,48 @@ class RunConfig:
     """Fully resolved settings of one CLI run; the manifest stores exactly this."""
 
     mode: str
-    out: str = "dtekit-out"
-    seed: int = 0
-    n_units: int = 1000
-    n_reps: int = 10
-    n_folds: int = _DEFAULT_FOLDS
-    learner: str = "linear"
-    methods: tuple[str, ...] = ("empirical", "linear", "nn-multi", "nn-multi-monotone")
-    grid: str = "probs=0.05:0.95:0.05"
-    n_draws: int = _DEFAULT_N_DRAWS
-    alpha: float = _DEFAULT_ALPHA
-    functional: str = _DEFAULT_KIND
-    arm_pair: tuple[int, int] = _DEFAULT_ARM_PAIR
-    z_mode: str = "half-alpha"
-    n_oracle: int = DEFAULT_ORACLE_UNITS
-    input: str = ""
-    arm_col: str = CsvSchema.arm
-    outcome_col: str = CsvSchema.outcome
-    covariate_cols: tuple[str, ...] = CsvSchema.covariates
-    epochs: int = TrainConfig.epochs
-    batch_size: int = TrainConfig.batch_size
-    learning_rate: float = TrainConfig.learning_rate
-    hidden: tuple[int, ...] = DEFAULT_HIDDEN
-    ridge: float = DEFAULT_RIDGE
-    transform: str = LayerSpec.transform
-    squash: str = LayerSpec.squash
-    # replay-only: set by a manifest, never by a flag or INI key
-    precision: str = TrainConfig.precision
-    multiplier_scheme: int = _DEFAULT_MULTIPLIER_SCHEME
+    out: str = _flag("dtekit-out", "--out", str, _MODES, "output directory")
+    seed: int = _flag(0, "--seed", int, _MODES, "master seed")
+    n_units: int = _flag(1000, "--n", int, _SIMULATE, "number of units")
+    n_reps: int = _flag(10, "--reps", int, _SIMULATE, "Monte Carlo replications")
+    n_folds: int = _flag(_DEFAULT_FOLDS, "--folds", int, _MODES, "cross-fitting folds")
+    learner: str = _flag("linear", "--learner", LEARNER_KINDS, _CURVE, "adjustment learner")
+    methods: tuple[str, ...] = _flag(("empirical", "linear", "nn-multi", "nn-multi-monotone"), "--methods",
+                                     _names, _SIMULATE, "comma list of methods to compare")
+    grid: str = _flag("probs=0.05:0.95:0.05", "--grid", str, _MODES,
+                      "probs=a:b:step | probs=p1,p2,... | list=v1,... | range=lo:hi")
+    n_draws: int = _flag(_DEFAULT_N_DRAWS, "--B", int, _BAND, "bootstrap repetitions")
+    alpha: float = _flag(_DEFAULT_ALPHA, "--alpha", float, _BAND, "band miscoverage level")
+    functional: str = _flag(_DEFAULT_KIND, "--functional", _FUNCTIONALS, _CURVE, "curve of the arm pair")
+    arm_pair: tuple[int, int] = _flag(_DEFAULT_ARM_PAIR, "--arm-pair", _ints, _CURVE,
+                                      "two arm indices, e.g. 2,1")
+    z_mode: str = _flag("half-alpha", "--z-mode", _Z_MODES, _BAND, "critical value of the band")
+    n_oracle: int = _flag(DEFAULT_ORACLE_UNITS, "--n-oracle", int, _SIMULATE, "oracle draw size")
+    input: str = _flag("", "--input", str, _CURVE, "experiment CSV")
+    arm_col: str = _flag(CsvSchema.arm, "--arm-col", str, _CURVE, "arm column name")
+    outcome_col: str = _flag(CsvSchema.outcome, "--outcome-col", str, _CURVE, "outcome column name")
+    covariate_cols: tuple[str, ...] = _flag(CsvSchema.covariates, "--covariates", _names, _CURVE,
+                                            "comma list of covariate columns")
+    epochs: int = _flag(TrainConfig.epochs, "--epochs", int, _MODES, "training epochs")
+    batch_size: int = _flag(TrainConfig.batch_size, "--batch-size", int, _MODES, "training batch size")
+    learning_rate: float = _flag(TrainConfig.learning_rate, "--learning-rate", float, _MODES,
+                                 "Adam learning rate")
+    hidden: tuple[int, ...] = _flag(DEFAULT_HIDDEN, "--hidden", _ints, _MODES,
+                                    "comma list of hidden widths, e.g. 128,64")
+    ridge: float = _flag(DEFAULT_RIDGE, "--ridge", float, _MODES, "ridge penalty of the linear learner")
+    transform: str = _flag(LayerSpec.transform, "--transform", TRANSFORMS, _MODES, "monotone head transform")
+    squash: str = _flag(LayerSpec.squash, "--squash", SQUASHES, _MODES, "monotone head squash")
+    # networks trained in float64 only before the key was written
+    precision: str = _replay_only(TrainConfig.precision, str, "float64")
+    # bands read each repetition's multipliers as one chunk before the key was written
+    multiplier_scheme: int = _replay_only(_DEFAULT_MULTIPLIER_SCHEME, int, 1)
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        for name, (_, parse, _, _) in _SETTINGS.items():
+        for field in dataclasses.fields(self)[1:]:  # every field but mode
             # Python numbers, since a NumPy scalar would not serialize into the manifest
-            value = getattr(self, name)
+            name, parse, value = field.name, field.metadata["parse"], getattr(self, field.name)
             if parse is int:
                 value = _integer(value, name)
             elif parse is float:
@@ -167,7 +164,6 @@ class RunConfig:
         object.__setattr__(self, "covariate_cols", tuple(self.covariate_cols))
         object.__setattr__(self, "arm_pair", _integers(self.arm_pair, "arm pair"))
         # in every mode, so a replay cannot write a scheme no band reads into its manifest
-        object.__setattr__(self, "multiplier_scheme", _integer(self.multiplier_scheme, "multiplier_scheme"))
         _check_multiplier_scheme(self.multiplier_scheme)
         _check_folds(self.n_folds)
         # each mode checks only the settings it reads, eagerly, so bad values
@@ -276,15 +272,15 @@ def _resolve_grid(config: RunConfig, data):
 def config_from_dict(payload: dict) -> RunConfig:
     """The run configuration a manifest's config block records.
 
-    A block without ``precision`` was written when networks trained in float64
-    only, so it is read as float64; a block without ``multiplier_scheme`` was
-    written when bands read each repetition's multipliers as one chunk, so it
-    is read as scheme 1. Either way it replays byte for byte. A ``threads`` key
-    sized the replication pool of ``simulate``, which no longer exists; the
-    report never depended on it, so the key is dropped.
+    A block without the key of a replay-only field was written before that
+    field existed, so it is read as the field's legacy value and replays byte
+    for byte. A ``threads`` key sized the replication pool of ``simulate``,
+    which no longer exists; the report never depended on it, so the key is
+    dropped.
     """
-    kwargs = {"precision": "float64", "multiplier_scheme": 1}
-    names = {f.name for f in dataclasses.fields(RunConfig)}
+    fields = dataclasses.fields(RunConfig)
+    kwargs = {f.name: f.metadata["legacy"] for f in fields if "legacy" in f.metadata}
+    names = {f.name for f in fields}
     for key, value in payload.items():
         if key == "threads":
             continue
@@ -393,9 +389,9 @@ def run(config: RunConfig) -> dict:
     return result
 
 
-def _mode_flags(mode: str) -> dict[str, str]:
-    """The flag of each setting ``mode`` reads, by field name."""
-    return {name: flag for name, (flag, _, modes, _) in _SETTINGS.items() if mode in modes}
+def _mode_settings(mode: str) -> dict[str, dict]:
+    """The flag metadata of each setting ``mode`` reads, by field name."""
+    return {f.name: f.metadata for f in dataclasses.fields(RunConfig) if mode in f.metadata.get("modes", ())}
 
 
 def _load_ini(path: str, mode: str) -> dict:
@@ -405,14 +401,15 @@ def _load_ini(path: str, mode: str) -> dict:
             parser.read_file(handle)
         except configparser.Error as exc:
             raise ValueError(f"{path} is not an INI file of [run] and [learner] sections: {exc}") from None
+    settings = _mode_settings(mode)
     merged = {}
     for section in parser.sections():
         if section not in ("run", "learner"):
             raise ValueError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
-            _, parse, modes, _ = _SETTINGS.get(key, (None, None, (), None))
-            if mode not in modes:
+            if key not in settings:
                 raise ValueError(f"mode {mode} reads no config key {key!r}")
+            parse = settings[key]["parse"]
             if isinstance(parse, tuple):
                 # here too, since a flag may override the key before RunConfig sees it
                 _check_choice(key, value, parse)
@@ -423,7 +420,7 @@ def _load_ini(path: str, mode: str) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace, mode: str) -> RunConfig:
-    flags = _mode_flags(mode)
+    flags = {name: setting["flag"] for name, setting in _mode_settings(mode).items()}
     if args.from_manifest:
         # a replay takes every setting from the manifest; any other flag would be ignored
         given = [flag for name, flag in {"config": "--config", **flags}.items()
@@ -467,10 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(mode, help=text)
         sub.add_argument("--config", help="INI file of the mode's settings in [run] and [learner] sections")
         sub.add_argument("--from-manifest", help="replay the configuration of an emitted manifest.json")
-        for name, flag in _mode_flags(mode).items():
-            _, parse, _, note = _SETTINGS[name]
+        for name, setting in _mode_settings(mode).items():
+            parse = setting["parse"]
             kind = {"choices": parse} if isinstance(parse, tuple) else {"type": parse}
-            sub.add_argument(flag, dest=name, help=note, **kind)
+            sub.add_argument(setting["flag"], dest=name, help=setting["help"], **kind)
     return parser
 
 

@@ -249,10 +249,10 @@ def _check_curve(kind: str, arm_pair, n_locations: int, n_arms: int | None = Non
     return arm, other_arm
 
 
-def _curve(values: np.ndarray, kind: str, arm: int, other_arm: int, lower_tail: bool = False) -> np.ndarray:
-    """The cdf, dte or pte curve of a (..., arm, location) CDF array, on a pair :func:`_check_curve` returned.
+def _curve(values: np.ndarray, kind: str, arm: int, other_arm: int) -> np.ndarray:
+    """The cdf, dte or pte curve of a (..., arm, location) CDF array.
 
-    ``lower_tail`` puts the pte interval (-inf, y_1] first, as F(y_1) - 0.
+    ``arm`` and ``other_arm`` are a pair :func:`_check_curve` returned.
     """
     row = values[..., arm - 1, :]
     if kind == "cdf":
@@ -260,8 +260,7 @@ def _curve(values: np.ndarray, kind: str, arm: int, other_arm: int, lower_tail: 
     other = values[..., other_arm - 1, :]
     if kind == "dte":
         return row - other
-    tail = {"prepend": 0.0} if lower_tail else {}
-    return np.diff(row, axis=-1, **tail) - np.diff(other, axis=-1, **tail)
+    return np.diff(row, axis=-1) - np.diff(other, axis=-1)
 
 
 def dte(estimate: CdfEstimate, arm: int, other_arm: int) -> np.ndarray:
@@ -270,21 +269,13 @@ def dte(estimate: CdfEstimate, arm: int, other_arm: int) -> np.ndarray:
     return _curve(estimate.values, "dte", *pair)
 
 
-def pte(
-    estimate: CdfEstimate,
-    arm: int,
-    other_arm: int,
-    include_lower_tail: bool = False,
-) -> np.ndarray:
+def pte(estimate: CdfEstimate, arm: int, other_arm: int) -> np.ndarray:
     """Probability treatment effect over consecutive grid intervals.
 
     Interval j covers (y_j, y_{j+1}], giving M - 1 values for M locations.
-    With ``include_lower_tail`` the interval (-inf, y_1] is prepended.
     """
-    # the lower tail is one more interval, so one location is then enough
-    n_cuts = estimate.n_locations + bool(include_lower_tail)
-    pair = _check_curve("pte", (arm, other_arm), n_cuts, estimate.n_arms)
-    return _curve(estimate.values, "pte", *pair, lower_tail=include_lower_tail)
+    pair = _check_curve("pte", (arm, other_arm), estimate.n_locations, estimate.n_arms)
+    return _curve(estimate.values, "pte", *pair)
 
 
 def _check_probabilities(probs) -> np.ndarray:

@@ -276,6 +276,9 @@ def _check_band_settings(kind: str, n_draws: int, alpha: float, seed: int, multi
     _check_functional(kind)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    # so both band levels, 1 - alpha / 2 and the literal 1 - alpha, have a finite normal quantile
+    if not 1.0 - alpha / 2.0 < 1.0:
+        raise ValueError(f"alpha must leave 1 - alpha / 2 below 1 in float64, got {alpha}")
     _check_draw_args(n_draws, seed)
     _check_multiplier_scheme(multiplier_scheme)
 

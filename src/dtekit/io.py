@@ -273,7 +273,10 @@ def write_manifest(path: str | Path, config: dict, outputs: list[str], timings: 
 def load_manifest(path: str | Path) -> dict:
     """Read back the configuration block of an emitted manifest."""
     with open(path) as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"{path} is not a run manifest (not JSON text: {exc})") from None
     config = payload.get("config") if isinstance(payload, dict) else None
     if not isinstance(config, dict):
         raise ParseError(f"{path} is not a run manifest (no config block that is a JSON object)")

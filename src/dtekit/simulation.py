@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core
-from .core import ConditionalCdfMatrix, ExperimentData, LocationGrid, _integer, _is_real, _seed, derive_seed
+from .core import ConditionalCdfMatrix, ExperimentData, LocationGrid, _integer, _seed, derive_seed
 from .errors import ShapeMismatch
 from .estimation import _DEFAULT_FOLDS, dte, empirical_cdf, fit_adjusted, make_folds, quantile_grid
 from .learners import LearnerKind
@@ -56,6 +56,9 @@ _DATA_TAG = 22
 _FOLD_TAG = 33
 _TRAIN_TAG = 44
 _ORACLE_CHUNK = 200_000
+# the paper's design: 18 covariates in every outcome, 2 more in treated ones
+_N_COVARIATES = 20
+_TREAT_PROB = 0.5
 
 TREATED_ARM = 2
 CONTROL_ARM = 1
@@ -63,46 +66,37 @@ CONTROL_ARM = 1
 
 @dataclass(frozen=True)
 class DgpConfig:
-    """Generating process settings.
+    """Study size and seed of one draw from the paper's synthetic design.
 
-    Covariates are i.i.d. uniform on (0, 1). The outcome is
-    (sum of the first d-2 covariates + W * sum of the last 2)^2 + noise,
-    with W the Bernoulli treatment indicator mapped to arms {1, 2}.
+    The design is fixed: 20 covariates i.i.d. uniform on (0, 1), a fair-coin
+    treatment indicator W mapped to arms {1, 2}, and the outcome
+    (sum of the first 18 covariates + W * sum of the last 2)^2 + N(0, 1) noise.
     """
 
     n_units: int
     seed: int = 0
-    n_covariates: int = 20
-    treat_prob: float = 0.5
-    noise_sd: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_units", "n_covariates"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "n_units", _integer(self.n_units, "n_units"))
         object.__setattr__(self, "seed", _seed(self.seed))
         if self.n_units < 2:
             raise ValueError(f"n_units must be at least 2, got {self.n_units}")
-        if self.n_covariates < 3:
-            raise ValueError("the generating process needs at least 3 covariates")
-        if not (_is_real(self.treat_prob) and 0.0 < self.treat_prob < 1.0):
-            raise ValueError(f"treat_prob must be a number strictly inside (0, 1), got {self.treat_prob!r}")
-        if not (_is_real(self.noise_sd) and np.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
-            raise ValueError(f"noise_sd must be a non-negative finite number, got {self.noise_sd!r}")
 
 
-def _draw(config: DgpConfig, n: int, rng: np.random.Generator):
-    x = rng.random((n, config.n_covariates))
-    w = rng.binomial(1, config.treat_prob, size=n)
-    base = x[:, : config.n_covariates - 2].sum(axis=1)
-    extra = x[:, config.n_covariates - 2:].sum(axis=1)
-    y = np.square(base + w * extra) + config.noise_sd * rng.standard_normal(n)
+def _draw(n: int, rng: np.random.Generator):
+    """Covariates, then treatment indicators, then noise, from one stream."""
+    x = rng.random((n, _N_COVARIATES))
+    w = rng.binomial(1, _TREAT_PROB, size=n)
+    base = x[:, :-2].sum(axis=1)
+    extra = x[:, -2:].sum(axis=1)
+    y = np.square(base + w * extra) + rng.standard_normal(n)
     return x, w, y
 
 
 def generate(config: DgpConfig) -> ExperimentData:
     """One experiment draw; control units land in arm 1, treated in arm 2."""
     rng = np.random.default_rng(config.seed)
-    x, w, y = _draw(config, config.n_units, rng)
+    x, w, y = _draw(config.n_units, rng)
     return ExperimentData(covariates=x, arms=w + 1, outcomes=y, n_arms=2)
 
 
@@ -162,7 +156,7 @@ def oracle_dte(
         size = min(_ORACLE_CHUNK, remaining)
         remaining -= size
         rng = np.random.default_rng(derive_seed(config.seed, _ORACLE_TAG, chunk))
-        _, w, y = _draw(config, size, rng)
+        _, w, y = _draw(size, rng)
         ys.append(y)
         ws.append(w)
     y = np.concatenate(ys)

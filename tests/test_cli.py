@@ -124,6 +124,17 @@ class TestRunConfig:
         assert config_from_dict({"mode": "simulate", "multiplier_scheme": 3}).multiplier_scheme == 3
         assert config_from_dict({"mode": "simulate", "multiplier_scheme": 4}).multiplier_scheme == 4
 
+    def test_each_setting_has_a_flag_or_a_legacy_value(self):
+        fields = dataclasses.fields(RunConfig)
+        assert fields[0].name == "mode" and not fields[0].metadata
+        for field in fields[1:]:
+            assert ("flag" in field.metadata) != ("legacy" in field.metadata), field.name
+        for mode in ("simulate", "estimate", "bootstrap-band"):
+            replayed = config_from_dict({"mode": mode, "input": "x.csv"})
+            for field in fields:
+                if "legacy" in field.metadata:
+                    assert getattr(replayed, field.name) == field.metadata["legacy"]
+
     @pytest.mark.parametrize("mode", ["bootstrap-band", "estimate", "simulate"])
     @pytest.mark.parametrize("value", [0, 5, -1, -3])
     def test_unknown_multiplier_scheme_fails_eagerly(self, value, mode):
@@ -852,14 +863,17 @@ class TestConfigResolution:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("payload", [{"outputs": []}, {"config": []}, {"config": None}, 5],
-                             ids=["no-config", "config-list", "config-null", "number"])
-    def test_manifest_without_config_object_is_usage_error(self, tmp_path, capsys, payload):
+    @pytest.mark.parametrize("content, reason", [
+        *((json.dumps(payload).encode(), "no config block that is a JSON object")
+          for payload in ({"outputs": []}, {"config": []}, {"config": None}, 5)),
+        (b"not json", "not JSON text: Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff{}", "not JSON text: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["no-config", "config-list", "config-null", "number", "not-json", "not-utf-8"])
+    def test_manifest_without_config_object_is_usage_error(self, tmp_path, capsys, content, reason):
         bad = tmp_path / "manifest.json"
-        bad.write_text(json.dumps(payload))
+        bad.write_bytes(content)
         assert run_cli("estimate", "--from-manifest", bad, "--out", tmp_path / "est") == 2
-        assert f"usage error: {bad} is not a run manifest (no config block that is a JSON object)" in (
-            capsys.readouterr().err)
+        assert f"usage error: {bad} is not a run manifest ({reason}" in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
     @pytest.mark.parametrize("text", [

@@ -441,15 +441,10 @@ class TestEffects:
         est = self.make_estimate([0.2, 0.6], [0.1, 0.5])
         assert_allclose(pte(est, 1, 2), [0.0], atol=1e-15)
 
-    def test_pte_lower_tail_prepended(self):
-        est = self.make_estimate([0.2, 0.6], [0.1, 0.5])
-        assert_allclose(pte(est, 1, 2, include_lower_tail=True), [0.1, 0.0], atol=1e-15)
-
     def test_pte_needs_two_locations(self):
         est = CdfEstimate(values=np.array([[0.4], [0.2]]), method="empirical")
         with pytest.raises(GridTooSmall):
             pte(est, 1, 2)
-        assert_allclose(pte(est, 1, 2, include_lower_tail=True), [0.2], atol=1e-15)
 
     def test_same_arm_rejected(self):
         est = self.make_estimate([0.2, 0.6], [0.1, 0.5])
@@ -484,8 +479,9 @@ class TestEffects:
     def test_pte_cells_telescope_to_final_dte(self, raw):
         rows = np.sort(np.asarray(raw, dtype=float), axis=0).T
         est = CdfEstimate(values=rows, method="empirical")
-        cells = pte(est, 2, 1, include_lower_tail=True)
-        assert cells.sum() == pytest.approx(dte(est, 2, 1)[-1], abs=1e-12)
+        cells = pte(est, 2, 1)
+        effect = dte(est, 2, 1)
+        assert cells.sum() == pytest.approx(effect[-1] - effect[0], abs=1e-12)
 
 
 class TestQuantileGrid:

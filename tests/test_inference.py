@@ -696,17 +696,20 @@ class TestDrawArguments:
 
     @pytest.mark.parametrize("call", ["bootstrap_band", "bootstrap_bands"])
     @pytest.mark.parametrize(
-        ("n_draws", "seed", "scheme", "message"),
+        ("n_draws", "seed", "scheme", "alpha", "message"),
         [
-            (50, None, 2, "seed must be a non-negative integer"),
-            (50, -3, 2, "seed must be a non-negative integer"),
-            (50, False, 2, "seed must be a non-negative integer"),
-            (300.0, 0, 2, "n_draws must be an integer, got 300.0"),
-            (1, 0, 2, "need at least 2 bootstrap repetitions"),
-            (50, 0, 5, "multiplier_scheme must be 1, 2, 3 or 4"),
+            (50, None, 2, 0.05, "seed must be a non-negative integer"),
+            (50, -3, 2, 0.05, "seed must be a non-negative integer"),
+            (50, False, 2, 0.05, "seed must be a non-negative integer"),
+            (300.0, 0, 2, 0.05, "n_draws must be an integer, got 300.0"),
+            (1, 0, 2, 0.05, "need at least 2 bootstrap repetitions"),
+            (50, 0, 5, 0.05, "multiplier_scheme must be 1, 2, 3 or 4"),
+            (50, 0, 4, 1e-17, "alpha must leave 1 - alpha / 2 below 1 in float64"),
         ],
     )
-    def test_bands_fail_before_influence_and_draws(self, monkeypatch, call, n_draws, seed, scheme, message):
+    def test_bands_fail_before_influence_and_draws(
+        self, monkeypatch, call, n_draws, seed, scheme, alpha, message
+    ):
         data = make_experiment(seed=4, n=40)
         grid = quantile_grid(data, [0.3, 0.6])
         estimate = empirical_cdf(data, grid)
@@ -722,7 +725,7 @@ class TestDrawArguments:
         estimates = estimate if call == "bootstrap_band" else (estimate,)
         with pytest.raises(ValueError, match=message):
             getattr(inference, call)(
-                data, grid, estimates, n_draws=n_draws, seed=seed, multiplier_scheme=scheme
+                data, grid, estimates, n_draws=n_draws, seed=seed, alpha=alpha, multiplier_scheme=scheme
             )
         assert calls == []
 

@@ -90,6 +90,18 @@ def test_study_size_and_seed(library_call, argv, message, tmp_path, capsys):
     assert_same_usage_error(library_call, argv, tmp_path, capsys)
 
 
+# inference._check_band_settings: an alpha whose 1 - alpha / 2 rounds to 1 leaves the band no critical value
+@pytest.mark.parametrize("library_call, argv, alpha", [
+    (lambda: band(alpha=1e-17), ["bootstrap-band", "--input", CSV, "--alpha", 1e-17], "1e-17"),
+    (lambda: band(alpha=1e-320, literal_upper_quantile=True),
+     ["bootstrap-band", "--input", CSV, "--alpha", "1e-320", "--z-mode", "literal"], "1e-320"),
+], ids=["half-alpha", "literal"])
+def test_band_level(library_call, argv, alpha, tmp_path, capsys):
+    with pytest.raises(ValueError, match=f"^alpha must leave 1 - alpha / 2 below 1 in float64, got {alpha}$"):
+        library_call()
+    assert_same_usage_error(library_call, argv, tmp_path, capsys)
+
+
 # estimation._check_curve
 @pytest.mark.parametrize("library_call, argv, pair", [
     (lambda: band(arm_pair=(1, 2, 3)), ["bootstrap-band", "--input", CSV, "--arm-pair", "1,2,3"], "(1, 2, 3)"),
@@ -213,21 +225,9 @@ class TestDriftDefects:
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             make_folds(10, 2, -1)
 
-    @pytest.mark.parametrize("field, value, rule", [
-        ("noise_sd", float("nan"), "a non-negative finite number"),
-        ("noise_sd", float("inf"), "a non-negative finite number"),
-        ("noise_sd", "1.0", "a non-negative finite number"),
-        ("treat_prob", float("nan"), "a number strictly inside (0, 1)"),
-        ("treat_prob", "0.5", "a number strictly inside (0, 1)"),
-        ("treat_prob", True, "a number strictly inside (0, 1)"),
-    ])
-    def test_design_values_must_be_finite_numbers(self, field, value, rule):
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be {rule}, got {value!r}')}$"):
-            DgpConfig(n_units=10, **{field: value})
-
 
 def test_valid_settings_are_still_accepted():
-    config = DgpConfig(n_units=np.int64(2), seed=np.uint32(5), treat_prob=np.float64(0.25), noise_sd=0)
+    config = DgpConfig(n_units=np.int64(2), seed=np.uint32(5))
     assert (config.n_units, config.seed) == (2, 5) and type(config.seed) is int
     assert generate(DgpConfig(n_units=12, seed=3)).n_units == 12
     assert make_folds(np.int64(6), np.int64(3), np.uint8(4)).seed == 4

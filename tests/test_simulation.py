@@ -33,20 +33,19 @@ class TestDgp:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DgpConfig(n_units=0)
-        with pytest.raises(ValueError):
-            DgpConfig(n_units=10, n_covariates=2)
-        with pytest.raises(ValueError):
-            DgpConfig(n_units=10, treat_prob=1.0)
-        with pytest.raises(ValueError):
-            DgpConfig(n_units=10, noise_sd=-1.0)
 
-    def test_noiseless_outcome_is_squared_index(self):
-        config = DgpConfig(n_units=200, seed=3, noise_sd=0.0)
-        data = generate(config)
-        w = (data.arms == TREATED_ARM).astype(float)
-        base = data.covariates[:, :-2].sum(axis=1)
-        extra = data.covariates[:, -2:].sum(axis=1)
-        assert_array_equal(data.outcomes, np.square(base + w * extra))
+    def test_outcome_is_squared_index_plus_unit_noise(self):
+        data = generate(DgpConfig(n_units=200, seed=3))
+        # the seed's stream gives the covariates, then the fair-coin draws, then the noise
+        rng = np.random.default_rng(3)
+        x = rng.random((200, 20))
+        w = rng.binomial(1, 0.5, size=200)
+        noise = rng.standard_normal(200)
+        assert_array_equal(data.covariates, x)
+        assert_array_equal(data.arms, w + 1)
+        base = x[:, :18].sum(axis=1)
+        extra = x[:, 18:].sum(axis=1)
+        assert_array_equal(data.outcomes, np.square(base + w * extra) + noise)
 
     def test_arms_are_one_and_two(self):
         data = generate(DgpConfig(n_units=500, seed=1))

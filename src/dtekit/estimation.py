@@ -92,12 +92,13 @@ class CrossFitPlan:
 
 @dataclass(frozen=True)
 class AdjustedEstimate:
-    """The adjusted CDF matrix together with everything that produced it."""
+    """The adjusted CDF matrix and the cross-fitted predictions it was built from.
+
+    The folds the predictions were fitted on are ``gamma.fold_assignment``.
+    """
 
     estimate: CdfEstimate
     gamma: ConditionalCdfMatrix
-    plan: CrossFitPlan
-    kind: LearnerKind
 
 
 def make_folds(n_units: int, n_folds: int, seed: int) -> CrossFitPlan:
@@ -222,7 +223,7 @@ def fit_adjusted(
     gamma = crossfit_gamma(data, grid, kind, plan)
     method = "linear-adjusted" if kind.kind == "linear" else kind.kind
     estimate = adjusted_cdf(data, grid, gamma, method=method)
-    return AdjustedEstimate(estimate=estimate, gamma=gamma, plan=plan, kind=kind)
+    return AdjustedEstimate(estimate=estimate, gamma=gamma)
 
 
 def _check_functional(kind: str) -> None:

@@ -16,8 +16,10 @@ repetitions, and bands are point +/- z * SE.
 The bands of one run share one multiplier pass: :func:`bootstrap_bands`
 stacks the influence matrices of several estimates (empirical and adjusted,
 say) along the arm axis, and :func:`bootstrap_draws` draws each repetition's
-multipliers once and applies them to every estimate. Each estimate's band
-is bit-identical to the one :func:`bootstrap_band` computes for it alone.
+multipliers once, applies them to every estimate, and returns the
+repetitions as one read-only (repetition, arm, location) array. Each
+estimate's band is bit-identical to the one :func:`bootstrap_band` computes
+for it alone.
 
 Influence values are written once, where the draw pass reads them: in the
 usual case each estimate's (unit, arm x location) slab, n rows of k*m
@@ -84,7 +86,6 @@ from .estimation import AdjustedEstimate, _check_curve, _check_functional, _curv
 
 __all__ = [
     "InfluenceMatrix",
-    "BootstrapDraws",
     "influence",
     "multiplier_transform",
     "multipliers",
@@ -123,21 +124,6 @@ class InfluenceMatrix:
         psi = object.__new__(cls)
         object.__setattr__(psi, "values", values)
         return psi
-
-
-@dataclass(frozen=True)
-class BootstrapDraws:
-    """Bootstrap repetitions of the CDF matrix, indexed (repetition, arm, location)."""
-
-    draws: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "draws", _frozen_array(self.draws))
-
-    @property
-    def n_draws(self) -> int:
-        return self.draws.shape[0]
 
 
 def influence(
@@ -291,8 +277,11 @@ def bootstrap_draws(
     *,
     arms_per_estimate: int | None = None,
     multiplier_scheme: int = _DEFAULT_MULTIPLIER_SCHEME,
-) -> BootstrapDraws:
+) -> np.ndarray:
     """Perturbed copies of the CDF matrix, one per bootstrap repetition.
+
+    Returns the draws as a read-only (repetition, arm, location) array,
+    ``n_draws`` x the arms of ``theta`` x its locations.
 
     Repetition b uses its own generator stream, seeded by
     ``SeedSequence(seed, spawn_key=(b,))``, the b-th child that
@@ -361,7 +350,9 @@ def bootstrap_draws(
     draws = np.concatenate(core._fan_out(partial(_draw_blocks, seed, slabs, chunks, roots, exponents), blocks))
     draws /= n
     draws += theta.values.reshape(1, k * m)
-    return BootstrapDraws(draws=draws.reshape(n_draws, k, m), seed=seed)
+    draws = draws.reshape(n_draws, k, m)
+    draws.setflags(write=False)
+    return draws
 
 
 def _gram_root(slab: np.ndarray) -> np.ndarray:
@@ -536,7 +527,7 @@ def bootstrap_bands(
     for e, (theta, _) in enumerate(pieces):
         arms = slice(e * k, (e + 1) * k)
         # the (repetition, arm, location) layout of a pass of its own, for the same std reduction
-        own = np.ascontiguousarray(draws.draws[:, arms])
+        own = np.ascontiguousarray(draws[:, arms])
         curves = _curve(own, kind, arm, other_arm)
         point = _curve(theta.values, kind, arm, other_arm)
         degenerate = np.all(psi.values[arms] == 0.0)

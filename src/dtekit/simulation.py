@@ -112,8 +112,9 @@ def _check_study_settings(n_oracle: int, n_reps: int = 1) -> None:
         raise ValueError(f"n_oracle must be at least 2, got {n_oracle}")
 
 
-def _oracle_cache_key(config: DgpConfig, marks: np.ndarray, kind: str, n_oracle: int) -> str:
-    payload = repr((config, kind, tuple(np.asarray(marks, dtype=float)), int(n_oracle)))
+def _oracle_cache_key(seed: int, marks: np.ndarray, kind: str, n_oracle: int) -> str:
+    """The cache name of an oracle truth: what the draw and its grid read, and nothing else."""
+    payload = repr((seed, kind, tuple(np.asarray(marks, dtype=float)), int(n_oracle)))
     return hashlib.blake2s(payload.encode(), digest_size=8).hexdigest()
 
 
@@ -132,8 +133,9 @@ def oracle_dte(
     :func:`~dtekit.estimation.dte`. The grid is fixed at the draw's
     pooled-sample quantiles, by :func:`~dtekit.estimation.quantile_grid`
     (or at the explicit ``locations`` when given), so the truth and every
-    replication are evaluated at identical outcome values. With a cache
-    directory the draw is computed once per configuration.
+    replication are evaluated at identical outcome values. The draw reads
+    only ``config.seed``, so with a cache directory it is computed once per
+    seed, marks and ``n_oracle``, whatever ``config.n_units`` is.
     """
     _check_study_settings(n_oracle)
     if locations is not None:
@@ -142,7 +144,7 @@ def oracle_dte(
         marks, mark_kind = np.asarray(probs, dtype=float), "probs"
     cache_file = None
     if cache_dir is not None:
-        key = _oracle_cache_key(config, marks, mark_kind, n_oracle)
+        key = _oracle_cache_key(config.seed, marks, mark_kind, n_oracle)
         cache_file = Path(cache_dir) / f"oracle-{key}.npz"
         if cache_file.exists():
             payload = np.load(cache_file)
@@ -190,7 +192,13 @@ def _write_atomically(path: Path, **arrays) -> None:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Per-location error summaries for every method, against the oracle DTE."""
+    """Per-location error summaries for every method, against the oracle DTE.
+
+    ``bias``, ``bias_mc_se``, ``mse``, ``reduction_pct`` and ``fit_seconds``
+    map each of ``methods`` to its values over ``n_reps`` replications;
+    ``probs`` is empty for a study at explicit locations. The study's other
+    settings are its caller's arguments.
+    """
 
     locations: np.ndarray
     probs: np.ndarray
@@ -201,10 +209,6 @@ class SimulationReport:
     reduction_pct: dict
     fit_seconds: dict
     n_reps: int
-    n_units: int
-    n_folds: int
-    seed: int
-    n_oracle: int
 
 
 def _replicate(
@@ -284,7 +288,7 @@ def run_study(
         name: err.std(axis=0, ddof=1) / np.sqrt(n_reps) if n_reps > 1 else np.full(m, np.nan)
         for name, err in errors.items()
     }
-    report = SimulationReport(
+    return SimulationReport(
         locations=grid.locations,
         probs=np.asarray([] if locations is not None else probs, dtype=float),
         methods=names,
@@ -296,12 +300,7 @@ def run_study(
         },
         fit_seconds={name: seconds[name] / n_reps for name in names},
         n_reps=n_reps,
-        n_units=config.n_units,
-        n_folds=n_folds,
-        seed=config.seed,
-        n_oracle=n_oracle,
     )
-    return report
 
 
 @dataclass(frozen=True)

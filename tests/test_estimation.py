@@ -411,21 +411,21 @@ class TestFitAdjusted:
         grid = quantile_grid(two_arm_data, [0.3, 0.6])
         linear = fit_adjusted(two_arm_data, grid, LearnerKind("linear"))
         assert linear.estimate.method == "linear-adjusted"
-        assert linear.plan.n_folds == 2
+        assert set(linear.gamma.fold_assignment) == {1, 2}
 
     def test_auto_plan_is_deterministic(self, two_arm_data):
         grid = quantile_grid(two_arm_data, [0.3, 0.6])
         kind = LearnerKind("linear")
         a = fit_adjusted(two_arm_data, grid, kind)
         b = fit_adjusted(two_arm_data, grid, kind)
-        assert_array_equal(a.plan.fold_assignment, b.plan.fold_assignment)
+        assert_array_equal(a.gamma.fold_assignment, b.gamma.fold_assignment)
         assert_array_equal(a.estimate.values, b.estimate.values)
 
     def test_explicit_plan_respected(self, two_arm_data):
         grid = quantile_grid(two_arm_data, [0.5])
         plan = make_folds(two_arm_data.n_units, 4, seed=99)
         result = fit_adjusted(two_arm_data, grid, LearnerKind("linear"), plan=plan)
-        assert result.plan is plan
+        assert_array_equal(result.gamma.fold_assignment, plan.fold_assignment)
 
 
 class TestEffects:

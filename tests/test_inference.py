@@ -38,7 +38,6 @@ from dtekit.estimation import (
     quantile_grid,
 )
 from dtekit.inference import (
-    BootstrapDraws,
     InfluenceMatrix,
     bootstrap_band,
     bootstrap_bands,
@@ -175,8 +174,8 @@ class TestBootstrapDraws:
     def test_zero_influence_returns_theta_exactly(self):
         psi = InfluenceMatrix(values=np.zeros((2, 30, 2)))
         draws = bootstrap_draws(self.theta, psi, 25, seed=1)
-        assert draws.n_draws == 25
-        assert_array_equal(draws.draws, np.broadcast_to(self.theta.values, (25, 2, 2)))
+        assert draws.shape == (25, 2, 2)
+        assert_array_equal(draws, np.broadcast_to(self.theta.values, (25, 2, 2)))
 
     def test_perturbation_is_linear_in_influence(self):
         rng = np.random.default_rng(8)
@@ -184,16 +183,22 @@ class TestBootstrapDraws:
         one = bootstrap_draws(self.theta, InfluenceMatrix(values=base), 120, seed=6)
         two = bootstrap_draws(self.theta, InfluenceMatrix(values=2.0 * base), 120, seed=6)
         assert_allclose(
-            two.draws - self.theta.values,
-            2.0 * (one.draws - self.theta.values),
+            two - self.theta.values,
+            2.0 * (one - self.theta.values),
             rtol=1e-12, atol=1e-15,
         )
+
+    def test_draws_are_read_only(self):
+        psi = InfluenceMatrix(values=np.random.default_rng(3).standard_normal((2, 20, 2)))
+        draws = bootstrap_draws(self.theta, psi, 10, seed=5)
+        with pytest.raises(ValueError, match="read-only"):
+            draws[0, 0, 0] = 0.0
 
     def test_deterministic_per_seed(self):
         psi = InfluenceMatrix(values=np.random.default_rng(2).standard_normal((2, 20, 2)))
         a = bootstrap_draws(self.theta, psi, 50, seed=9)
         b = bootstrap_draws(self.theta, psi, 50, seed=9)
-        assert_array_equal(a.draws, b.draws)
+        assert_array_equal(a, b)
 
     def test_needs_two_repetitions(self):
         psi = InfluenceMatrix(values=np.zeros((2, 5, 2)))
@@ -337,7 +342,7 @@ class TestMultiplierSchemes:
         return bootstrap_draws(
             CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
             300, 11, arms_per_estimate=2, **kwargs,
-        ).draws
+        )
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("n", [37, 400, 9000, 20_000])
@@ -437,7 +442,7 @@ class TestFanOutDraws:
                 CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
                 n_draws, seed, arms_per_estimate=per, multiplier_scheme=2,
             )
-        assert_array_equal(got.draws, serial_draws(theta, psi, n_draws, seed, per))
+        assert_array_equal(got, serial_draws(theta, psi, n_draws, seed, per))
 
     def test_more_usable_cpus_than_cores(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -448,7 +453,7 @@ class TestFanOutDraws:
             CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
             513, 8, arms_per_estimate=2, multiplier_scheme=2,
         )
-        assert_array_equal(got.draws, serial_draws(theta, psi, 513, 8, 2))
+        assert_array_equal(got, serial_draws(theta, psi, 513, 8, 2))
 
     @staticmethod
     def pid_record(monkeypatch, path):
@@ -507,14 +512,14 @@ class TestFanOutDraws:
 
     def test_another_thread_keeps_the_draws_in_the_calling_process(self, monkeypatch, tmp_path):
         monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
-        want = self.run(600).draws
+        want = self.run(600)
         pids = self.pid_record(monkeypatch, tmp_path / "pids")
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(10,))
         other.start()
         try:
-            got = self.run(600).draws
+            got = self.run(600)
         finally:
             release.set()
             other.join()
@@ -556,7 +561,7 @@ class TestScheme3:
                 CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
                 n_draws, seed, arms_per_estimate=per, multiplier_scheme=3,
             )
-        assert_array_equal(got.draws, scheme_3_draws(theta, psi, n_draws, seed, per))
+        assert_array_equal(got, scheme_3_draws(theta, psi, n_draws, seed, per))
 
     def test_roots_are_formed_once_per_estimate_in_the_calling_process(self, monkeypatch, tmp_path):
         # and, under scheme 4, the default, the scales of the float32 chunks
@@ -581,11 +586,11 @@ class TestScheme3:
         psi[1, :, 2] = psi[0, :, 0]  # a repeated column
         theta = np.full((2, 3), 0.5)
         draws = bootstrap_draws(CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi), 300, 2)
-        assert np.all(np.isfinite(draws.draws))
+        assert np.all(np.isfinite(draws))
         # no variance at all along the zero column, and none between the repeated two
-        assert_array_equal(draws.draws[:, 0, 1], 0.5)
-        assert_allclose(draws.draws[:, 1, 2], draws.draws[:, 0, 0], rtol=0, atol=1e-12)
-        assert draws.draws[:, 0, 0].std() > 0.01
+        assert_array_equal(draws[:, 0, 1], 0.5)
+        assert_allclose(draws[:, 1, 2], draws[:, 0, 0], rtol=0, atol=1e-12)
+        assert draws[:, 0, 0].std() > 0.01
 
     def test_law_matches_the_influence_moments_and_scheme_2(self):
         """Seeded moments of n * (draw - theta) against those of sum_i psi_i xi_i, under schemes 2 to 4.
@@ -610,7 +615,7 @@ class TestScheme3:
         samples = {}
         for scheme in (2, 3, 4):
             draws = bootstrap_draws(theta, InfluenceMatrix(values=psi), n_draws, 17, multiplier_scheme=scheme)
-            x = (draws.draws.reshape(n_draws, 4) - 0.5) * n
+            x = (draws.reshape(n_draws, 4) - 0.5) * n
             samples[scheme] = x
             mean = x.mean(axis=0)
             assert np.all(np.abs(mean) <= 4 * np.sqrt(np.diag(gram) / n_draws))
@@ -651,16 +656,16 @@ class TestScheme4:
                 CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
                 n_draws, seed, arms_per_estimate=per,
             )
-        assert_array_equal(got.draws, scheme_4_draws(theta, psi, n_draws, seed, per))
+        assert_array_equal(got, scheme_4_draws(theta, psi, n_draws, seed, per))
 
     @pytest.mark.parametrize("power", [200, -200])
     def test_power_of_two_scale_keeps_every_psi_in_range(self, power):
         """psi times 2^200 would overflow a float32 cast, and psi times 2^-200 flush to zero in it."""
         psi = np.random.default_rng(8).standard_normal((4, 9000, 3))
         theta = CdfEstimate(values=np.zeros((4, 3)), method="empirical")
-        want = bootstrap_draws(theta, InfluenceMatrix(values=psi), 300, 6, arms_per_estimate=2).draws
+        want = bootstrap_draws(theta, InfluenceMatrix(values=psi), 300, 6, arms_per_estimate=2)
         scaled = InfluenceMatrix(values=np.ldexp(psi, power))
-        got = bootstrap_draws(theta, scaled, 300, 6, arms_per_estimate=2).draws
+        got = bootstrap_draws(theta, scaled, 300, 6, arms_per_estimate=2)
         assert np.all(np.isfinite(got))
         assert_allclose(got, np.ldexp(want, power), rtol=1e-12, atol=0)
 
@@ -685,9 +690,9 @@ class TestDrawArguments:
     def test_numpy_integers_accepted(self):
         want = bootstrap_draws(self.theta, self.psi, 50, seed=7)
         got = bootstrap_draws(self.theta, self.psi, np.int64(50), seed=np.uint32(7))
-        assert_array_equal(got.draws, want.draws)
+        assert_array_equal(got, want)
         got = bootstrap_draws(self.theta, self.psi, 50, seed=7, arms_per_estimate=np.int64(2))
-        assert_array_equal(got.draws, want.draws)
+        assert_array_equal(got, want)
 
     @pytest.mark.parametrize("per", [2.7, 2.0, True, "2", np.float64(2.0)])
     def test_non_integer_arms_per_estimate_rejected(self, per):
@@ -743,10 +748,7 @@ def constant_outcome_adjusted(n=40):
         predictions=np.ones((2, n, 1)),
         fold_assignment=make_folds(n, 2, seed=0).fold_assignment,
     )
-    estimate = AdjustedEstimate(
-        estimate=theta, gamma=gamma, plan=make_folds(n, 2, seed=0),
-        kind=LearnerKind("linear"),
-    )
+    estimate = AdjustedEstimate(estimate=theta, gamma=gamma)
     return data, grid, estimate
 
 
@@ -773,10 +775,7 @@ class TestBootstrapBand:
             predictions=predictions,
             fold_assignment=make_folds(n, 2, seed=0).fold_assignment,
         )
-        estimate = AdjustedEstimate(
-            estimate=theta, gamma=gamma, plan=make_folds(n, 2, seed=0),
-            kind=LearnerKind("linear"),
-        )
+        estimate = AdjustedEstimate(estimate=theta, gamma=gamma)
         with pytest.raises(DegenerateDraws):
             bootstrap_band(data, grid, estimate, kind="cdf", arm_pair=(1, 1), n_draws=50)
 
@@ -949,9 +948,7 @@ class TestSharedMultiplierPass:
                 predictions=rng.random((2, data.n_units, 3)), fold_assignment=plan.fold_assignment
             )
             theta = CdfEstimate(values=rng.random((2, 3)), method="adjusted")
-            estimates.append(
-                AdjustedEstimate(estimate=theta, gamma=gamma, plan=plan, kind=LearnerKind("linear"))
-            )
+            estimates.append(AdjustedEstimate(estimate=theta, gamma=gamma))
         order = list(rng.permutation(n_estimates))
         estimates = [estimates[i] for i in order]
         common = dict(kind=kind, n_draws=n_draws, seed=seed, multiplier_scheme=scheme)
@@ -1001,7 +998,7 @@ class TestInfluenceSlabs:
         c_ordered = InfluenceMatrix(values=np.ascontiguousarray(values))
         got = bootstrap_draws(theta, psi, n_draws, seed, arms_per_estimate=per, multiplier_scheme=scheme)
         want = bootstrap_draws(theta, c_ordered, n_draws, seed, arms_per_estimate=per, multiplier_scheme=scheme)
-        assert_array_equal(got.draws, want.draws)
+        assert_array_equal(got, want)
 
     def test_influence_equals_the_written_formula_bit_for_bit(self, two_arm_data):
         grid = quantile_grid(two_arm_data, [0.2, 0.5, 0.8])

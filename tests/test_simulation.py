@@ -103,6 +103,19 @@ class TestOracle:
         oracle_dte(DgpConfig(n_units=1000, seed=5), n_oracle=20_000, cache_dir=tmp_path)
         assert len(list(tmp_path.glob("oracle-*.npz"))) == 2
 
+    def test_cache_key_ignores_the_study_size(self, tmp_path, monkeypatch):
+        """The oracle draw reads only the seed, so two study sizes share one cached truth."""
+        grid_a, truth_a = oracle_dte(DgpConfig(n_units=100, seed=4), n_oracle=20_000, cache_dir=tmp_path)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("cache miss: the oracle draw was recomputed")
+
+        monkeypatch.setattr(simulation, "_draw", boom)
+        grid_b, truth_b = oracle_dte(DgpConfig(n_units=200, seed=4), n_oracle=20_000, cache_dir=tmp_path)
+        assert len(list(tmp_path.glob("oracle-*.npz"))) == 1
+        assert_array_equal(grid_a.locations, grid_b.locations)
+        assert_array_equal(truth_a, truth_b)
+
     def test_failed_cache_write_leaves_no_cache_file(self, tmp_path, monkeypatch):
         config = DgpConfig(n_units=1000, seed=4)
         real_savez = np.savez

@@ -10,7 +10,7 @@ a manifest with ``--from-manifest`` reproduces every output file byte for
 byte. Wall times live only in the manifest's ``timings_seconds``, since wall
 clocks are not replayable. ``precision`` and ``multiplier_scheme`` come only
 from a manifest, since their other engines exist for replay: new runs train
-in float32 and draw on scheme 4, and a manifest without either key predates
+in float32 and draw on scheme 5, and a manifest without either key predates
 it and replays in float64 or on scheme 1. No setting sizes a run's processes or threads:
 they follow the CPUs the process may use, so ``taskset`` limits them. A
 manifest's ``threads`` key, from when ``simulate --threads`` sized a

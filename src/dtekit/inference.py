@@ -7,9 +7,10 @@ The influence value of unit i for arm w at location y is
 
 with pihat_w the sample share of arm w. Bootstrap repetition b perturbs the
 estimate along the influence directions with i.i.d. mean-zero, variance-one
-multipliers xi_i = m1_i / sqrt(2) + (m2_i^2 - 1) / 2 built from two standard
-normals, then re-applies the functional of interest (a CDF row, a DTE, or a
-PTE) with the curve code and checks of :mod:`dtekit.estimation`. Pointwise
+multipliers xi_i, then re-applies the functional of interest (a CDF row, a
+DTE, or a PTE) with the curve code and checks of :mod:`dtekit.estimation`.
+Every multiplier scheme gives the draws the covariance psi^T psi / n^2 given
+the data, which is all a band reads. Pointwise
 standard errors are the square root of the sample variance across
 repetitions, and bands are point +/- z * SE.
 
@@ -27,36 +28,43 @@ values, is a column block of one C-ordered (unit, estimate x arm x location)
 array, and the :class:`InfluenceMatrix` is a view of it. The empirical
 path's zero adjustment is the scalar 0.0, not an array.
 
-Multipliers are drawn in chunks of units. Under multiplier scheme 3,
-repetition b first draws z_b, one standard normal per column of an estimate
-(arms x locations), then reads its stream in chunks of 8,192 units, one
+Under multiplier scheme 5, the default for new runs, the multipliers are
+standard normals. Given the data, sum_i psi_i xi_i is then exactly
+N(0, psi^T psi), so a repetition is drawn from that law directly: z_b, one
+standard normal per column of an estimate (arms x locations), times R, the
+symmetric square root of the estimate's Gram matrix psi^T psi. All B rows of
+z come from one SFC64 stream, every estimate of a stack reads the same z, and
+the pass runs in the calling process. z @ R is formed in blocks of 256 rows,
+the last padded with zero rows, so every product has one shape and a
+repetition's draws do not depend on B. The pass's cost grows with n only
+through the one Gram product per estimate, and a band run holds, beyond its
+inputs, one slab per estimate (n*k*m float64 values), z and the draws.
+
+Schemes 1 to 4 exist to replay the manifests that recorded them. They draw
+Mammen-type multipliers xi_i = m1_i / sqrt(2) + (m2_i^2 - 1) / 2 from one
+generator stream per repetition, the b-th child of the seed's
+``SeedSequence``, read in chunks of units. Under scheme 3, repetition b
+first draws z_b, then reads its stream in chunks of 8,192 units, one
 standard normal m2 per unit mapped in place to (m2^2 - 1) / 2. Each
 estimate's draws sum the products of the chunks with its slab in chunk
-order, then gain (z_b @ R) / sqrt(2), R the symmetric square root of the
-estimate's Gram matrix psi^T psi. Given the data, psi^T m1 is exactly
-N(0, psi^T psi), so the draws have the law of scheme 2 with n + k*m normals
-a repetition instead of 2n. Scheme 4, the default for new runs, is scheme 3
-with the chi-square half in float32: each repetition's generator is SFC64
-on the same spawned seed, z_b is still float64, and the m2 normals, their
-map and the chunk products are float32. Each estimate's chunk of psi is
-scaled by 2^-e, e the binary exponent of the slab's largest |psi|, and cast
-to float32 when it is multiplied; the float64 sum of the products is scaled
+order, then gain (z_b @ R) / sqrt(2). Scheme 4 is scheme 3 with the
+chi-square half in float32: each repetition's generator is SFC64 on the
+same spawned seed, z_b is still float64, and the m2 normals, their map and
+the chunk products are float32. Each estimate's chunk of psi is scaled by
+2^-e, e the binary exponent of the slab's largest |psi|, and cast to
+float32 when it is multiplied; the float64 sum of the products is scaled
 back by 2^e, which is exact and keeps every finite psi in float32's range.
 Schemes 2 and 1 draw both halves per unit, scheme 2 in chunks of 8,192
 units and scheme 1, which manifests written before the scheme was recorded
 replay on, as one chunk of all n units; the two give the same bytes
-whenever n <= 8,192. So a band run holds, beyond its inputs, one slab per
-estimate (n*k*m float64 values), the draws, and in each process that draws
-a block of at most 256 x 8,192 multipliers (float32 under scheme 4, and
-256 x n under scheme 1) plus, under scheme 4, one float32 chunk of a slab.
-
-The pass hands its blocks of 256 repetitions to :func:`dtekit.core._fan_out`:
-each forked process inherits the slabs (and the roots and scales, computed
-once in the calling process) and sends back only its draws. Every
-repetition b has its own generator stream, the b-th child of the seed's
-``SeedSequence``, built in the process that draws it, and each
-chunk of a block is multiplied as a whole with fixed operands, so the draws
-are bit-identical at any number of processes.
+whenever n <= 8,192. Such a pass holds, in each process that draws, a block
+of at most 256 x 8,192 multipliers (float32 under scheme 4, and 256 x n
+under scheme 1) plus, under scheme 4, one float32 chunk of a slab. It hands
+its blocks of 256 repetitions to :func:`dtekit.core._fan_out`: each forked
+process inherits the slabs (and the roots and scales, computed once in the
+calling process) and sends back only its draws. Each chunk of a block is
+multiplied as a whole with fixed operands, so the draws are bit-identical at
+any number of processes.
 """
 
 from __future__ import annotations
@@ -95,12 +103,13 @@ __all__ = [
     "se_reduction",
 ]
 
+# repetitions per block: per forked piece under schemes 1 to 4, per z @ R product under scheme 5
 _DRAW_BLOCK = 256
 # units per chunk of a repetition's multiplier stream under schemes 2 to 4
 _CHUNK_UNITS = 8192
-_MULTIPLIER_SCHEMES = (1, 2, 3, 4)
+_MULTIPLIER_SCHEMES = (1, 2, 3, 4, 5)
 # the scheme new bands draw on: bootstrap_draws, bootstrap_band(s) and cli.RunConfig read it
-_DEFAULT_MULTIPLIER_SCHEME = 4
+_DEFAULT_MULTIPLIER_SCHEME = 5
 # the curve, repetitions and level of a band, which bootstrap_band(s) and cli.RunConfig default to
 _DEFAULT_KIND = "dte"
 _DEFAULT_ARM_PAIR = (2, 1)
@@ -193,6 +202,9 @@ def _fill_influence(
 def multiplier_transform(m1: np.ndarray, m2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Combine two standard normal draws into one mean-zero variance-one multiplier.
 
+    Schemes 1 and 2 draw their multipliers with it; no band on a newer
+    scheme calls it, so it serves the replay of old manifests.
+
     With ``out`` (which may be ``m1``) the multiplier is written there and
     ``m2`` is overwritten as scratch, so no temporary is allocated. Either way
     the operations run in the same order, m1 / sqrt(2), then (m2^2 - 1) / 2,
@@ -216,9 +228,10 @@ def multipliers(n_units: int, seed: int, *, multiplier_scheme: int = 2) -> np.nd
     repetition's stream in: under scheme 2 chunks of 8,192 units, under
     scheme 1 one chunk of all units. Each chunk of w units takes one
     ``standard_normal(2w)`` call, the first w values and the last w feeding
-    :func:`multiplier_transform`. Schemes 3 and 4 draw the Gaussian half of
-    a repetition as a whole, not per unit, so they have no per-unit
-    multipliers.
+    :func:`multiplier_transform`. Schemes 3 to 5 draw the Gaussian half of
+    a repetition (under scheme 5, the whole of it) from its law given the
+    data, not per unit, so they have no per-unit multipliers. Schemes 1 and
+    2, and so this function, serve the replay of old manifests.
     """
     _check_multiplier_scheme(multiplier_scheme)
     if multiplier_scheme >= 3:
@@ -234,16 +247,20 @@ def multipliers(n_units: int, seed: int, *, multiplier_scheme: int = 2) -> np.nd
 
 
 def _check_multiplier_scheme(multiplier_scheme: int) -> None:
-    """Reject a multiplier scheme other than 1, 2, 3 or 4."""
+    """Reject a multiplier scheme that is not one of ``_MULTIPLIER_SCHEMES``."""
     if not _is_integer(multiplier_scheme) or multiplier_scheme not in _MULTIPLIER_SCHEMES:
-        raise ValueError(f"multiplier_scheme must be 1, 2, 3 or 4, got {multiplier_scheme!r}")
+        *first, last = _MULTIPLIER_SCHEMES
+        raise ValueError(
+            f"multiplier_scheme must be {', '.join(map(str, first))} or {last}, got {multiplier_scheme!r}"
+        )
 
 
 def _chunks(n: int, multiplier_scheme: int) -> list[tuple[int, int]]:
-    """The unit ranges [lo, hi) a repetition's stream is read in, in order.
+    """The unit ranges [lo, hi) a repetition's stream is read in, in order, under schemes 1 to 4.
 
     Schemes 2 to 4 read chunks of ``_CHUNK_UNITS`` units, scheme 1 one
-    chunk of all n units.
+    chunk of all n units. Scheme 5 reads no stream per repetition, so this
+    serves replay only.
     """
     _check_multiplier_scheme(multiplier_scheme)
     size = max(n, 1) if multiplier_scheme == 1 else _CHUNK_UNITS
@@ -283,53 +300,57 @@ def bootstrap_draws(
     Returns the draws as a read-only (repetition, arm, location) array,
     ``n_draws`` x the arms of ``theta`` x its locations.
 
-    Repetition b uses its own generator stream, seeded by
-    ``SeedSequence(seed, spawn_key=(b,))``, the b-th child that
-    ``SeedSequence(seed).spawn`` gives, and reads it in chunks of units:
-    under schemes 2 to 4 chunks of 8,192 units, under scheme 1 one chunk of
-    all n. Under schemes 1 and 2 each chunk of w units takes one call for
-    2w standard normals, the first w and the last w feeding
-    :func:`multiplier_transform` (see :func:`multipliers`). Under scheme 3
-    the stream first gives z_b, one standard normal per column of an
-    estimate (arms x locations), in one call, and then each chunk one
-    ``standard_normal(w)`` call, written
-    straight into the block and mapped in place to (m2^2 - 1) / 2; after
-    its last chunk each estimate's draw gains (z_b @ R) / sqrt(2) (see
-    :func:`_gram_root`). Both halves are independent and, given the data,
-    psi^T m1 is exactly N(0, psi^T psi), so each repetition has the law of
-    scheme 2. Scheme 4, the default, is scheme 3 on an SFC64 generator with
-    the per-unit half in float32: each chunk's call is
+    ``theta`` and ``psi`` may stack several estimates along the arm axis,
+    ``arms_per_estimate`` arms each (default: all arms, one estimate). All
+    estimates share one multiplier pass, and each estimate's draws are
+    bit-identical to a pass of its own: every product is taken with the
+    estimate's own (unit, arm x location) slab or its own root. On the
+    values :func:`influence` and :func:`bootstrap_bands` build, the slabs
+    are views; on C-ordered values they are copied out once. A slab that is
+    a column block of a wider array reaches BLAS as the same operand with a
+    wider leading dimension. Each draw is divided by n once.
+
+    Under scheme 5, the default, repetition b of an estimate is
+    theta + (z_b @ R) / n, R the root of the estimate's Gram matrix (see
+    :func:`_gram_root`) and z the ``n_draws`` x (arms x locations) standard
+    normals of one ``standard_normal`` call on
+    ``Generator(SFC64(SeedSequence(seed)))``, which every estimate shares.
+    Given the data the draws are exactly Gaussian with the covariance
+    psi^T psi / n^2 of every other scheme. The pass runs in the calling
+    process (see :func:`_gaussian_draws`), and the first B rows of a run of
+    more repetitions are a run of B, bit for bit. R is formed per estimate,
+    so two stacked estimates' draws have cross-covariance R_1 R_2 rather
+    than psi_1^T psi_2; no output reads it, since every band reads only its
+    own estimate's draws.
+
+    Schemes 1 to 4 replay old manifests. Repetition b uses its own
+    generator stream, seeded by ``SeedSequence(seed, spawn_key=(b,))``, the
+    b-th child that ``SeedSequence(seed).spawn`` gives, and reads it in
+    chunks of units: under schemes 2 to 4 chunks of 8,192 units, under
+    scheme 1 one chunk of all n. Under schemes 1 and 2 each chunk of w units
+    takes one call for 2w standard normals, the first w and the last w
+    feeding :func:`multiplier_transform` (see :func:`multipliers`). Under
+    scheme 3 the stream first gives z_b, one standard normal per column of
+    an estimate, in one call, and then each chunk one
+    ``standard_normal(w)`` call, written straight into the block and mapped
+    in place to (m2^2 - 1) / 2; after its last chunk each estimate's draw
+    gains (z_b @ R) / sqrt(2). Scheme 4 is scheme 3 on an SFC64 generator
+    with the per-unit half in float32: each chunk's call is
     ``standard_normal(dtype=np.float32, out=row)`` into a float32 block,
     mapped in float32, and multiplied by float32(2^-e psi chunk), e the
     binary exponent of the estimate's largest |psi| (see
     :func:`_exponent`); the products are summed in float64 and scaled back
-    by 2^e, and z_b and the roots stay float64. R is formed per estimate,
-    so the Gaussian halves of two stacked estimates have cross-covariance
-    R_1 R_2 rather than psi_1^T psi_2; no output reads it, since every band
-    reads only its own estimate's draws. The normals are therefore reproducible and do not
-    depend on how repetitions are batched or which process draws them. The
-    draw matmuls are not: BLAS can round the last bit differently for other
-    operand shapes, so the block size, the chunks and the operands are
-    fixed.
-
-    Repetitions run in blocks of ``_DRAW_BLOCK`` rows (see
+    by 2^e, and z_b and the roots stay float64; each chunk of a slab is cast
+    into one C-ordered float32 buffer, whatever the slab's layout. These
+    repetitions run in blocks of ``_DRAW_BLOCK`` rows (see
     :func:`_draw_blocks`), which :func:`dtekit.core._fan_out` spreads over
     forked processes; each block builds its repetitions' streams from their
-    indices, so no process spawns all B of them, and each draw is divided by
-    n once. The block size, the chunks and the operands of every product
-    are the same in any process, and the roots and scales are computed
-    once, in the calling process, so the draws are bit-identical at any number of processes.
-
-    ``theta`` and ``psi`` may stack several estimates along the arm axis,
-    ``arms_per_estimate`` arms each (default: all arms, one estimate). All
-    estimates share one multiplier pass. Every chunk of multipliers is
-    multiplied separately by each estimate's own (unit, arm x location) slab,
-    so each estimate's draws are bit-identical to a pass of its own. On the
-    values :func:`influence` and :func:`bootstrap_bands` build, the slabs
-    are views; on C-ordered values they are copied out once. A slab that is
-    a column block of a wider array reaches BLAS as the same operand with a
-    wider leading dimension; under scheme 4 each chunk of a slab is cast
-    into one C-ordered float32 buffer, whatever the slab's layout.
+    indices, so no process spawns all B of them. The normals do not depend on how repetitions are
+    batched or which process draws them. The draw matmuls could: BLAS can
+    round the last bit differently for other operand shapes, so the block
+    size, the chunks and the operands of every product are fixed, and the
+    roots and scales are computed once, in the calling process, so the
+    draws are bit-identical at any number of processes.
     """
     _check_draw_args(n_draws, seed)
     k, n, m = psi.values.shape
@@ -338,16 +359,20 @@ def bootstrap_draws(
     per = k if arms_per_estimate is None else _integer(arms_per_estimate, "arms_per_estimate")
     if per < 1 or k % per:
         raise ShapeMismatch(f"{k} stacked arms do not split into estimates of {per} arms")
-    chunks = _chunks(n, multiplier_scheme)
+    _check_multiplier_scheme(multiplier_scheme)
     # views on the layout of _new_influence
     slabs = [
         psi.values[first:first + per].transpose(1, 0, 2).reshape(n, per * m)
         for first in range(0, k, per)
     ]
-    roots = [_gram_root(slab) for slab in slabs] if multiplier_scheme >= 3 else None
-    exponents = [_exponent(slab) for slab in slabs] if multiplier_scheme == 4 else None
-    blocks = [range(start, min(start + _DRAW_BLOCK, n_draws)) for start in range(0, n_draws, _DRAW_BLOCK)]
-    draws = np.concatenate(core._fan_out(partial(_draw_blocks, seed, slabs, chunks, roots, exponents), blocks))
+    if multiplier_scheme == 5:
+        draws = _gaussian_draws(seed, slabs, n_draws)
+    else:
+        chunks = _chunks(n, multiplier_scheme)
+        roots = [_gram_root(slab) for slab in slabs] if multiplier_scheme >= 3 else None
+        exponents = [_exponent(slab) for slab in slabs] if multiplier_scheme == 4 else None
+        blocks = [range(start, min(start + _DRAW_BLOCK, n_draws)) for start in range(0, n_draws, _DRAW_BLOCK)]
+        draws = np.concatenate(core._fan_out(partial(_draw_blocks, seed, slabs, chunks, roots, exponents), blocks))
     draws /= n
     draws += theta.values.reshape(1, k * m)
     draws = draws.reshape(n_draws, k, m)
@@ -355,14 +380,39 @@ def bootstrap_draws(
     return draws
 
 
+def _gaussian_draws(seed: int, slabs: list[np.ndarray], n_draws: int) -> np.ndarray:
+    """Scheme 5's (repetition, estimate x arm x location) draws, not yet divided by n.
+
+    z, ``n_draws`` x (arms x locations) standard normals, is one
+    ``standard_normal`` call on ``Generator(SFC64(SeedSequence(seed)))``,
+    written into an array of whole ``_DRAW_BLOCK``-row blocks whose padding
+    rows are zero. Each estimate's draws are z @ R, R the root of its Gram
+    matrix, taken one block at a time: every product is a
+    (_DRAW_BLOCK, columns) @ (columns, columns) one, whatever ``n_draws``
+    is, since BLAS can round a row differently in a product of another
+    shape.
+    """
+    columns = slabs[0].shape[1]
+    z = np.zeros((-(-n_draws // _DRAW_BLOCK) * _DRAW_BLOCK, columns))
+    np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed))).standard_normal(out=z[:n_draws])
+    draws = np.empty((n_draws, len(slabs) * columns))
+    for e, slab in enumerate(slabs):
+        root = _gram_root(slab)
+        for start in range(0, n_draws, _DRAW_BLOCK):
+            stop = min(start + _DRAW_BLOCK, n_draws)
+            block = z[start:start + _DRAW_BLOCK] @ root
+            draws[start:stop, e * columns:(e + 1) * columns] = block[:stop - start]
+    return draws
+
+
 def _gram_root(slab: np.ndarray) -> np.ndarray:
     """The symmetric positive semi-definite square root R of ``slab.T @ slab``.
 
     From ``eigh``, negative eigenvalues clipped to 0. A column of zeros gets
-    an exactly zero row and column of R, so its draws carry no Gaussian half
-    at all; ``eigh`` of the whole Gram would leave rounding-sized entries
-    there, and a band whose influence values are zero would no longer be
-    recognised as degenerate.
+    an exactly zero row and column of R, so its draws carry no Gaussian part
+    at all (under scheme 5, its draws are theta exactly); ``eigh`` of the
+    whole Gram would leave rounding-sized entries there, and a band whose
+    influence values are zero would no longer be recognised as degenerate.
     """
     gram = slab.T @ slab
     columns = np.flatnonzero(np.diagonal(gram) > 0.0)
@@ -377,6 +427,7 @@ def _exponent(slab: np.ndarray) -> int:
     """The binary exponent e of the slab's largest |psi|, so that 2^-e |psi| < 1 (0 for a zero slab).
 
     Read from the slab's largest and smallest values, without an |psi| copy.
+    Only scheme 4 scales its chunks, so this serves replay only.
     """
     return int(np.frexp(max(slab.max(initial=0.0), -slab.min(initial=0.0)))[1])
 
@@ -389,14 +440,15 @@ def _draw_blocks(
     exponents: list[int] | None,
     blocks: list[range],
 ) -> list[np.ndarray]:
-    """The draws of each block of repetitions, not yet divided by n.
+    """The draws of each block of repetitions under schemes 1 to 4, not yet divided by n.
 
-    A block runs chunk by chunk: each row fills the chunk's multipliers from
-    its own generator, then each estimate's draws gain the product of the
-    whole chunk with the chunk's rows of its slab. Under schemes 3 and 4
-    (``roots`` given) each row first draws its Gaussian half, and each
-    estimate's draws gain its product with the estimate's root after the
-    last chunk. Under scheme 4 (``exponents`` given) the generators are
+    These schemes, and so this function, serve the replay of old manifests;
+    scheme 5 draws in :func:`_gaussian_draws`. A block runs chunk by chunk:
+    each row fills the chunk's multipliers from its own generator, then each
+    estimate's draws gain the product of the whole chunk with the chunk's
+    rows of its slab. Under schemes 3 and 4 (``roots`` given) each row first
+    draws its Gaussian half, and each estimate's draws gain its product with
+    the estimate's root after the last chunk. Under scheme 4 (``exponents`` given) the generators are
     SFC64, the block is float32, each chunk of a slab is scaled by 2^-e and
     cast into one float32 buffer just before its product, and each
     estimate's sum of products is scaled by 2^e before the Gaussian half.
@@ -471,8 +523,8 @@ def bootstrap_band(
     band half-width uses the two-sided normal quantile z_{1 - alpha/2};
     ``literal_upper_quantile`` switches to z_{1 - alpha}. This is the
     one-estimate case of :func:`bootstrap_bands`, and takes its defaults.
-    ``multiplier_scheme`` picks how repetitions read their multiplier
-    streams (see :func:`bootstrap_draws`).
+    ``multiplier_scheme`` picks how the repetitions are drawn (see
+    :func:`bootstrap_draws`).
     """
     (band,) = bootstrap_bands(
         data, grid, (estimate,), kind, arm_pair, n_draws, alpha, seed, literal_upper_quantile,

@@ -115,14 +115,15 @@ class TestRunConfig:
     def test_dict_without_precision_reads_as_float64(self):
         assert config_from_dict({"mode": "simulate"}).precision == "float64"
 
-    def test_default_multiplier_scheme_is_4(self):
-        assert RunConfig(mode="simulate").multiplier_scheme == 4
+    def test_default_multiplier_scheme_is_5(self):
+        assert RunConfig(mode="simulate").multiplier_scheme == 5
 
     def test_dict_without_multiplier_scheme_reads_as_1(self):
         assert config_from_dict({"mode": "simulate"}).multiplier_scheme == 1
         assert config_from_dict({"mode": "simulate", "multiplier_scheme": 2}).multiplier_scheme == 2
         assert config_from_dict({"mode": "simulate", "multiplier_scheme": 3}).multiplier_scheme == 3
         assert config_from_dict({"mode": "simulate", "multiplier_scheme": 4}).multiplier_scheme == 4
+        assert config_from_dict({"mode": "simulate", "multiplier_scheme": 5}).multiplier_scheme == 5
 
     def test_each_setting_has_a_flag_or_a_legacy_value(self):
         fields = dataclasses.fields(RunConfig)
@@ -136,10 +137,10 @@ class TestRunConfig:
                     assert getattr(replayed, field.name) == field.metadata["legacy"]
 
     @pytest.mark.parametrize("mode", ["bootstrap-band", "estimate", "simulate"])
-    @pytest.mark.parametrize("value", [0, 5, -1, -3])
+    @pytest.mark.parametrize("value", [0, 6, -1, -3])
     def test_unknown_multiplier_scheme_fails_eagerly(self, value, mode):
         # in every mode, else a replay would write the scheme into its own manifest again
-        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2, 3 or 4"):
+        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2, 3, 4 or 5"):
             config_from_dict({"mode": mode, "input": "x.csv", "multiplier_scheme": value})
 
     @pytest.mark.parametrize("field, value", [
@@ -219,7 +220,7 @@ class TestRunConfig:
         assert config.hidden == (8, 4) and all(type(h) is int for h in config.hidden)
 
     @pytest.mark.parametrize("field, value", [
-        ("hidden", [2.5, True]), ("multiplier_scheme", 5), ("multiplier_scheme", 1.0),
+        ("hidden", [2.5, True]), ("multiplier_scheme", 6), ("multiplier_scheme", 1.0),
         ("arm_pair", [2.7, True]), ("arm_pair", ["2", "1"]), ("arm_pair", [0, 1]), ("arm_pair", [2, 2]),
         ("functional", "pte"), ("learning_rate", True), ("ridge", True),
         ("grid", "list=0,nan,1"), ("grid", "list=-inf,0"), ("z_mode", "bogus"), ("arm_pair", [2, 1, 1]),

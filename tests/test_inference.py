@@ -2,8 +2,11 @@ import inspect
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -162,7 +165,7 @@ class TestMultipliers:
             assert not np.array_equal(got, multipliers(n, seed=6, multiplier_scheme=1))
 
     def test_scheme_3_has_no_per_unit_multipliers(self):
-        for scheme in (3, 4):
+        for scheme in (3, 4, 5):
             with pytest.raises(ValueError, match=f"multiplier scheme {scheme} has no per-unit multipliers"):
                 multipliers(10, seed=0, multiplier_scheme=scheme)
 
@@ -327,6 +330,29 @@ def scheme_4_draws(theta, psi, n_draws, seed, per, chunk=8192):
     return draws.reshape(n_draws, k, m)
 
 
+def scheme_5_draws(theta, psi, n_draws, seed, per):
+    """The draws of multiplier scheme 5: theta + (z @ R) / n, one z for every estimate.
+
+    z is one call for n_draws rows of standard normals, one per column of an
+    estimate, on an SFC64 stream seeded by the seed itself. Each estimate's
+    product with its own root R is taken on blocks of 256 rows of z, the
+    last padded with zero rows.
+    """
+    k, n, m = psi.shape
+    slabs = [psi[first:first + per].transpose(1, 0, 2).reshape(n, per * m) for first in range(0, k, per)]
+    z = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed))).standard_normal((n_draws, per * m))
+    draws = np.empty((n_draws, k * m))
+    for e, slab in enumerate(slabs):
+        root = gram_root(slab)
+        for start in range(0, n_draws, 256):
+            rows = z[start:start + 256]
+            block = np.zeros((256, per * m))
+            block[:len(rows)] = rows
+            draws[start:start + len(rows), e * per * m:(e + 1) * per * m] = (block @ root)[:len(rows)]
+    draws = draws / n + theta.reshape(1, k * m)
+    return draws.reshape(n_draws, k, m)
+
+
 class TestMultiplierSchemes:
     """Scheme 1 reads each repetition's stream as one chunk of n units, schemes 2 to 4 in chunks of 8,192."""
 
@@ -397,15 +423,15 @@ class TestMultiplierSchemes:
         draws = 2 * n_draws * 2 * k * m * 8
         assert peak <= block + scratch + draws + 256 * 1024
 
-    @pytest.mark.parametrize("scheme", [0, 5, True, 2.0, "2", None])
+    @pytest.mark.parametrize("scheme", [0, 6, True, 2.0, "2", None])
     def test_unknown_scheme_rejected(self, scheme):
         theta, psi = self.problem(5)
-        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2, 3 or 4"):
+        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2, 3, 4 or 5"):
             bootstrap_draws(
                 CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
                 10, 0, multiplier_scheme=scheme,
             )
-        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2, 3 or 4"):
+        with pytest.raises(ValueError, match="multiplier_scheme must be 1, 2, 3, 4 or 5"):
             multipliers(5, seed=0, multiplier_scheme=scheme)
 
     def test_numpy_integer_scheme_accepted(self):
@@ -564,7 +590,7 @@ class TestScheme3:
         assert_array_equal(got, scheme_3_draws(theta, psi, n_draws, seed, per))
 
     def test_roots_are_formed_once_per_estimate_in_the_calling_process(self, monkeypatch, tmp_path):
-        # and, under scheme 4, the default, the scales of the float32 chunks
+        # and, under scheme 4, the scales of the float32 chunks
         for name in ("_gram_root", "_exponent"):
             def recorded(slab, _form=getattr(inference, name), _log=tmp_path / name):
                 with open(_log, "a") as handle:
@@ -575,7 +601,7 @@ class TestScheme3:
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         psi = InfluenceMatrix(values=np.random.default_rng(1).standard_normal((4, 30, 2)))
         theta = CdfEstimate(values=np.full((4, 2), 0.5), method="empirical")
-        bootstrap_draws(theta, psi, 600, seed=4, arms_per_estimate=2)
+        bootstrap_draws(theta, psi, 600, seed=4, arms_per_estimate=2, multiplier_scheme=4)
         for name in ("_gram_root", "_exponent"):
             assert (tmp_path / name).read_text().split() == 2 * [str(os.getpid())]
 
@@ -645,7 +671,7 @@ class TestScheme4:
         m=st.integers(1, 3),
         seed=st.integers(0, 2**32),
     )
-    def test_default_equals_the_serial_pass_bit_for_bit(self, cpus, n, n_draws, n_estimates, per, m, seed):
+    def test_scheme_4_equals_the_serial_pass_bit_for_bit(self, cpus, n, n_draws, n_estimates, per, m, seed):
         rng = np.random.default_rng(seed)
         k = n_estimates * per
         psi = rng.standard_normal((k, n, m))
@@ -654,7 +680,7 @@ class TestScheme4:
             patch.setattr(core, "_usable_cpus", lambda: cpus)
             got = bootstrap_draws(
                 CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
-                n_draws, seed, arms_per_estimate=per,
+                n_draws, seed, arms_per_estimate=per, multiplier_scheme=4,
             )
         assert_array_equal(got, scheme_4_draws(theta, psi, n_draws, seed, per))
 
@@ -663,11 +689,128 @@ class TestScheme4:
         """psi times 2^200 would overflow a float32 cast, and psi times 2^-200 flush to zero in it."""
         psi = np.random.default_rng(8).standard_normal((4, 9000, 3))
         theta = CdfEstimate(values=np.zeros((4, 3)), method="empirical")
-        want = bootstrap_draws(theta, InfluenceMatrix(values=psi), 300, 6, arms_per_estimate=2)
+        want = bootstrap_draws(theta, InfluenceMatrix(values=psi), 300, 6, arms_per_estimate=2, multiplier_scheme=4)
         scaled = InfluenceMatrix(values=np.ldexp(psi, power))
-        got = bootstrap_draws(theta, scaled, 300, 6, arms_per_estimate=2)
+        got = bootstrap_draws(theta, scaled, 300, 6, arms_per_estimate=2, multiplier_scheme=4)
         assert np.all(np.isfinite(got))
         assert_allclose(got, np.ldexp(want, power), rtol=1e-12, atol=0)
+
+
+# hashes scheme 5's draws of a 2-arm, 9-location estimate at two sizes, under the caller's BLAS settings
+BLAS_HASHES = """
+import hashlib
+import numpy as np
+from dtekit.core import CdfEstimate
+from dtekit.inference import InfluenceMatrix, bootstrap_draws
+theta = CdfEstimate(values=np.full((2, 9), 0.5), method="empirical")
+for n in (400, 3000):
+    psi = InfluenceMatrix(values=np.random.default_rng(n).standard_normal((2, n, 9)))
+    print(hashlib.sha256(bootstrap_draws(theta, psi, 300, 7, multiplier_scheme=5).tobytes()).hexdigest())
+"""
+
+
+class TestScheme5:
+    """Scheme 5, the default: Gaussian multipliers, drawn as z @ R in the calling process."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 37, 8193]),
+        n_draws=st.sampled_from([2, 255, 256, 257, 513]),
+        n_estimates=st.integers(1, 3),
+        per=st.integers(1, 3),
+        m=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+    )
+    def test_default_equals_the_reference_pass_bit_for_bit(self, n, n_draws, n_estimates, per, m, seed):
+        rng = np.random.default_rng(seed)
+        k = n_estimates * per
+        psi = rng.standard_normal((k, n, m))
+        theta = np.sort(rng.random((k, m)), axis=1)
+        got = bootstrap_draws(
+            CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
+            n_draws, seed, arms_per_estimate=per,
+        )
+        assert_array_equal(got, scheme_5_draws(theta, psi, n_draws, seed, per))
+
+    def test_law_is_gaussian_with_the_influence_covariance(self):
+        """Seeded moments of n * (draw - theta): mean 0, covariance psi^T psi, third moments 0.
+
+        Every sample moment must lie within 4 of its standard errors. The
+        third moments that a skewed multiplier with third moment 1 would give,
+        the sums of psi^3, lie more than 8 standard errors from 0, so such a
+        law would fail.
+        """
+        rng = np.random.default_rng(2)
+        n, n_draws = 40, 40_000
+        psi = rng.exponential(size=(2, n, 2)) ** 1.5  # skewed influence values
+        psi -= psi.mean(axis=1, keepdims=True)
+        flat = psi.transpose(1, 0, 2).reshape(n, 4)
+        gram, cubes = flat.T @ flat, (flat ** 3).sum(axis=0)
+        theta = CdfEstimate(values=np.full((2, 2), 0.5), method="empirical")
+        draws = bootstrap_draws(theta, InfluenceMatrix(values=psi), n_draws, 17, multiplier_scheme=5)
+        x = (draws.reshape(n_draws, 4) - 0.5) * n
+        mean = x.mean(axis=0)
+        assert np.all(np.abs(mean) <= 4 * np.sqrt(np.diag(gram) / n_draws))
+        centred = x - mean
+        products = centred[:, :, None] * centred[:, None, :]
+        cov = products.sum(axis=0) / (n_draws - 1)
+        assert np.all(np.abs(cov - gram) <= 4 * products.std(axis=0) / np.sqrt(n_draws))
+        third = centred ** 3
+        third_se = third.std(axis=0) / np.sqrt(n_draws)
+        assert np.all(np.abs(third.mean(axis=0)) <= 4 * third_se)
+        assert np.all(cubes >= 8 * third_se)
+
+    @pytest.mark.parametrize(("per", "m"), [(2, 9), (3, 19)])
+    @pytest.mark.parametrize("n_draws", [2, 255, 300, 1000])
+    def test_first_rows_of_a_longer_run_are_a_shorter_run(self, per, m, n_draws):
+        # one product over all 2B rows of z would round some rows differently at these widths
+        rng = np.random.default_rng(n_draws)
+        psi = InfluenceMatrix(values=rng.standard_normal((2 * per, 500, m)))
+        theta = CdfEstimate(values=np.full((2 * per, m), 0.5), method="empirical")
+        longer = bootstrap_draws(theta, psi, 2 * n_draws, 9, arms_per_estimate=per)
+        assert longer[:n_draws].tobytes() == bootstrap_draws(theta, psi, n_draws, 9, arms_per_estimate=per).tobytes()
+
+    def test_band_runs_in_the_calling_process_without_blocks(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("scheme 5 forks nothing and draws no blocks")
+
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_fan_out", refused)
+        monkeypatch.setattr(inference, "_draw_blocks", refused)
+        data = make_experiment(seed=6, n=300)
+        grid = quantile_grid(data, [0.25, 0.5, 0.75])
+        estimates = (empirical_cdf(data, grid), fit_adjusted(data, grid, LearnerKind("linear")))
+        bands = bootstrap_bands(data, grid, estimates, n_draws=600, seed=2)
+        for band, estimate in zip(bands, estimates):
+            se, _, _ = reference_band(data, grid, estimate, "dte", 600, seed=2, scheme=5)
+            assert_array_equal(band.se, se)
+
+    def test_zero_influence_estimate_returns_theta_exactly(self):
+        rng = np.random.default_rng(4)
+        psi = rng.standard_normal((4, 60, 3))
+        psi[:2] = 0.0  # the first of two stacked estimates
+        theta = np.sort(rng.random((4, 3)), axis=1)
+        draws = bootstrap_draws(CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
+                                300, 3, arms_per_estimate=2)
+        assert_array_equal(draws[:, :2], np.broadcast_to(theta[:2], (300, 2, 3)))
+        assert np.all(draws[:, 2:].std(axis=0) > 0.0)
+
+    def test_draws_do_not_depend_on_the_blas_thread_count(self):
+        """Scheme-5 draws hash the same with OpenBLAS on 1 and 2 threads, at n = 400 and 3,000.
+
+        Schemes 3 and 4 hash differently at these sizes on a 2-CPU host. On
+        one CPU OpenBLAS runs one thread either way.
+        """
+        source = str(Path(core.__file__).parents[1])
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                [source, *filter(None, [os.environ.get("PYTHONPATH")])]))
+            process = subprocess.run([sys.executable, "-c", BLAS_HASHES], env=env, capture_output=True, text=True)
+            assert process.returncode == 0, process.stderr
+            hashes.append(process.stdout.split())
+        assert len(hashes[0]) == 2
+        assert hashes[0] == hashes[1]
 
 
 class TestDrawArguments:
@@ -708,7 +851,7 @@ class TestDrawArguments:
             (50, False, 2, 0.05, "seed must be a non-negative integer"),
             (300.0, 0, 2, 0.05, "n_draws must be an integer, got 300.0"),
             (1, 0, 2, 0.05, "need at least 2 bootstrap repetitions"),
-            (50, 0, 5, 0.05, "multiplier_scheme must be 1, 2, 3 or 4"),
+            (50, 0, 6, 0.05, "multiplier_scheme must be 1, 2, 3, 4 or 5"),
             (50, 0, 4, 1e-17, "alpha must leave 1 - alpha / 2 below 1 in float64"),
         ],
     )
@@ -874,8 +1017,8 @@ def reference_band(data, grid, estimate, kind, n_draws, seed, scheme, arm_pair=(
     """(se, ci_lower, ci_upper) as a pass of the estimate's own computes them.
 
     The draws of the serial pass of the scheme: :func:`serial_draws` for
-    scheme 2 on at most 8,192 units, :func:`scheme_3_draws` and
-    :func:`scheme_4_draws` for schemes 3 and 4.
+    scheme 2 on at most 8,192 units, :func:`scheme_3_draws`,
+    :func:`scheme_4_draws` and :func:`scheme_5_draws` for schemes 3 to 5.
     """
     if isinstance(estimate, AdjustedEstimate):
         theta, gamma = estimate.estimate, estimate.gamma
@@ -883,7 +1026,7 @@ def reference_band(data, grid, estimate, kind, n_draws, seed, scheme, arm_pair=(
         theta, gamma = estimate, None
     psi = influence(data, grid, theta, gamma).values
     assert scheme >= 3 or psi.shape[1] <= 8192
-    serial = {2: serial_draws, 3: scheme_3_draws, 4: scheme_4_draws}[scheme]
+    serial = {2: serial_draws, 3: scheme_3_draws, 4: scheme_4_draws, 5: scheme_5_draws}[scheme]
     draws = serial(theta.values, psi, n_draws, seed, psi.shape[0])
 
     def functional(values):
@@ -908,7 +1051,7 @@ def assert_same_band(got, want):
 
 
 class TestSharedMultiplierPass:
-    @pytest.mark.parametrize("scheme", [2, 3, 4])
+    @pytest.mark.parametrize("scheme", [2, 3, 4, 5])
     @pytest.mark.parametrize("kind", ["cdf", "dte", "pte"])
     @pytest.mark.parametrize("n_draws", [2, 257, 300, 513])
     def test_bands_match_a_pass_of_their_own_bit_for_bit(self, kind, n_draws, scheme):
@@ -933,7 +1076,7 @@ class TestSharedMultiplierPass:
         n_draws=st.integers(2, 300),
         kind=st.sampled_from(["cdf", "dte", "pte"]),
         seed=st.integers(0, 2**16),
-        scheme=st.sampled_from([2, 3, 4]),
+        scheme=st.sampled_from([2, 3, 4, 5]),
     )
     def test_each_band_equals_its_own_run_and_follows_the_order(
         self, data_seed, n_estimates, n_draws, kind, seed, scheme
@@ -983,7 +1126,7 @@ class TestInfluenceSlabs:
         m=st.integers(1, 4),
         n_draws=st.sampled_from([2, 5, 257]),
         seed=st.integers(0, 2**32),
-        scheme=st.sampled_from([2, 3, 4]),
+        scheme=st.sampled_from([2, 3, 4, 5]),
     )
     def test_draws_equal_those_of_c_ordered_values(self, n, n_estimates, per, m, n_draws, seed, scheme):
         rng = np.random.default_rng(seed)
@@ -1036,15 +1179,18 @@ class TestInfluenceSlabs:
         assert base.shape == (70, 2 * 2, 2) and base.flags.c_contiguous
         assert not psi.values.flags.writeable
 
-    @pytest.mark.parametrize("scheme", [2, 3, 4])
+    @pytest.mark.parametrize("scheme", [2, 3, 4, 5])
     def test_band_peak_memory_is_the_block_and_one_slab_per_estimate(self, monkeypatch, scheme):
         """tracemalloc peak of a two-estimate band run, against the memory it must hold.
 
-        The 256 x n multiplier block and the two (n, k x m) slabs, plus
-        3 n*m float64 values of headroom, which covers the scratch of 2n
-        normals (scheme 2), the (B, 2 x k x m) draws and their frozen copy.
-        A copy of the stacked influence values alone is 4 n*m values. On one
-        CPU the block is drawn in this process, where tracemalloc sees it.
+        Under schemes 2 to 4, the 256 x n multiplier block and the two
+        (n, k x m) slabs, plus 3 n*m float64 values of headroom, which covers
+        the scratch of 2n normals (scheme 2), the (B, 2 x k x m) draws and
+        their frozen copy. A copy of the stacked influence values alone is
+        4 n*m values. On one CPU the block is drawn in this process, where
+        tracemalloc sees it. Scheme 5 draws no block: the two slabs plus four
+        times the draws, which covers z, the draws, each band's copy of its
+        own draws, and the labels.
         """
         n, k, m, n_draws = 4000, 2, 9, 300
         data = make_experiment(seed=8, n=n)
@@ -1057,9 +1203,11 @@ class TestInfluenceSlabs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        block = 256 * n * 8
         slabs = len(estimates) * n * k * m * 8
-        assert peak <= block + slabs + 3 * n * m * 8
+        if scheme == 5:
+            assert peak <= slabs + 4 * n_draws * len(estimates) * k * m * 8
+        else:
+            assert peak <= 256 * n * 8 + slabs + 3 * n * m * 8
 
 
 class TestTracerContract:
@@ -1102,7 +1250,7 @@ class TestTracerContract:
             (tmp_path / "manifest.json").write_text(json.dumps({"config": config}))
             flags = ["bootstrap-band", "--from-manifest", str(tmp_path / "manifest.json")]
         assert main(flags) == 0
-        # scheme 4, the default, draws no per-unit multipliers
+        # scheme 5, the default, draws no per-unit multipliers
         transforms = n_draws if scheme == 2 else 0
         assert calls == {"bootstrap_draws": 1, "multiplier_transform": transforms}
 

@@ -134,11 +134,11 @@ def test_corpus_covers_every_engine_a_manifest_reaches():
     # a study manifest from when simulate took every mode's flags
     assert any(config["mode"] == "simulate" and config["learner"] not in config["methods"]
                for config in configs.values())
-    # schemes 1 (no key) to 4 past one multiplier chunk, each with bands of its own
+    # schemes 1 (no key) to 5 past one multiplier chunk, each with bands of its own
     wide = [name for name, config in configs.items()
             if config["mode"] == "bootstrap-band" and INPUTS[config["input"]] > _CHUNK_UNITS]
     bands = {configs[name]["multiplier_scheme"]: ENTRIES[name]["outputs"]["band_empirical.csv"] for name in wide}
-    assert sorted(bands) == [1, 2, 3, 4]
-    assert len(set(bands.values())) == 4
+    assert sorted(bands) == [1, 2, 3, 4, 5]
+    assert len(set(bands.values())) == 5
     assert any("multiplier_scheme" not in recorded[name] and configs[name]["multiplier_scheme"] == 1
                for name in wide)

@@ -14,69 +14,63 @@ the data, which is all a band reads. Pointwise
 standard errors are the square root of the sample variance across
 repetitions, and bands are point +/- z * SE.
 
-The bands of one run share one multiplier pass: :func:`bootstrap_bands`
-stacks the influence matrices of several estimates (empirical and adjusted,
-say) along the arm axis, and :func:`bootstrap_draws` draws each repetition's
-multipliers once, applies them to every estimate, and returns the
-repetitions as one read-only (repetition, arm, location) array. Each
-estimate's band is bit-identical to the one :func:`bootstrap_band` computes
-for it alone.
+Each band of a run draws from a multiplier pass of its own:
+:func:`bootstrap_bands` writes one estimate's influence values (empirical or
+adjusted, say), draws its repetitions with one :func:`bootstrap_draws` call
+on the run's seed, and frees the values before it writes the next
+estimate's. Every estimate so sees the same multipliers, and each band is
+the one :func:`bootstrap_band` computes for the estimate alone.
 
 Influence values are written once, where the draw pass reads them: in the
-usual case each estimate's (unit, arm x location) slab, n rows of k*m
-values, is a column block of one C-ordered (unit, estimate x arm x location)
-array, and the :class:`InfluenceMatrix` is a view of it. The empirical
-path's zero adjustment is the scalar 0.0, not an array.
+usual case the estimate's (unit, arm x location) slab, n rows of k*m values,
+is one C-ordered (unit, arm, location) array, and the
+:class:`InfluenceMatrix` is a view of it. The empirical path's zero
+adjustment is the scalar 0.0, not an array.
 
 Under multiplier scheme 5, the default for new runs, the multipliers are
 standard normals. Given the data, sum_i psi_i xi_i is then exactly
 N(0, psi^T psi), so a repetition is drawn from that law directly: z_b, one
-standard normal per column of an estimate (arms x locations), times R, the
+standard normal per column of the estimate (arms x locations), times R, the
 symmetric square root of the estimate's Gram matrix psi^T psi. All B rows of
-z come from one SFC64 stream, every estimate of a stack reads the same z, and
-the pass runs in the calling process. z @ R is formed in blocks of 256 rows,
-the last padded with zero rows, so every product has one shape and a
-repetition's draws do not depend on B. The pass's cost grows with n only
-through the one Gram product per estimate, and a band run holds, beyond its
-inputs, one slab per estimate (n*k*m float64 values), z and the draws.
+z come from one SFC64 stream seeded by the seed, so every estimate of a run
+reads the same z, and the pass runs in the calling process. z @ R is formed
+in blocks of 256 rows, the last padded with zero rows, so every product has
+one shape and a repetition's draws do not depend on B. The pass's cost grows
+with n only through the one Gram product, and a band run holds, beyond its
+inputs, one slab at a time (n*k*m float64 values), z and the draws.
 
 Schemes 1 to 4 exist to replay the manifests that recorded them. They draw
 Mammen-type multipliers xi_i = m1_i / sqrt(2) + (m2_i^2 - 1) / 2 from one
 generator stream per repetition, the b-th child of the seed's
 ``SeedSequence``, read in chunks of units. Under scheme 3, repetition b
 first draws z_b, then reads its stream in chunks of 8,192 units, one
-standard normal m2 per unit mapped in place to (m2^2 - 1) / 2. Each
-estimate's draws sum the products of the chunks with its slab in chunk
-order, then gain (z_b @ R) / sqrt(2). Scheme 4 is scheme 3 with the
-chi-square half in float32: each repetition's generator is SFC64 on the
-same spawned seed, z_b is still float64, and the m2 normals, their map and
-the chunk products are float32. Each estimate's chunk of psi is scaled by
-2^-e, e the binary exponent of the slab's largest |psi|, and cast to
-float32 when it is multiplied; the float64 sum of the products is scaled
-back by 2^e, which is exact and keeps every finite psi in float32's range.
-Schemes 2 and 1 draw both halves per unit, scheme 2 in chunks of 8,192
-units and scheme 1, which manifests written before the scheme was recorded
-replay on, as one chunk of all n units; the two give the same bytes
-whenever n <= 8,192. Such a pass holds, in each process that draws, a block
-of at most 256 x 8,192 multipliers (float32 under scheme 4, and 256 x n
-under scheme 1) plus, under scheme 4, one float32 chunk of a slab. It hands
-its blocks of 256 repetitions to :func:`dtekit.core._fan_out`: each forked
-process inherits the slabs (and the roots and scales, computed once in the
-calling process) and sends back only its draws. Each chunk of a block is
-multiplied as a whole with fixed operands, so the draws are bit-identical at
-any number of processes.
+standard normal m2 per unit mapped in place to (m2^2 - 1) / 2. The draws sum
+the products of the chunks with the slab in chunk order, then gain
+(z_b @ R) / sqrt(2). Scheme 4 is scheme 3 with the chi-square half in
+float32: each repetition's generator is SFC64 on the same spawned seed, z_b
+is still float64, and the m2 normals, their map and the chunk products are
+float32. Each chunk of psi is scaled by 2^-e, e the binary exponent of the
+slab's largest |psi|, and cast to float32 when it is multiplied; the
+float64 sum of the products is scaled back by 2^e, which is exact and keeps
+every finite psi in float32's range. Schemes 2 and 1 draw both halves per
+unit, scheme 2 in chunks of 8,192 units and scheme 1, which manifests
+written before the scheme was recorded replay on, as one chunk of all n
+units; the two give the same bytes whenever n <= 8,192. Such a pass runs in
+the calling process, one block of 256 repetitions after another, and holds a
+block of at most 256 x 8,192 multipliers (float32 under scheme 4, and
+256 x n under scheme 1) plus, under scheme 4, one float32 chunk of the slab.
+BLAS can round a product's last bit differently for other operand shapes, so
+the block size and the chunks are those the recorded bands were drawn with.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from statistics import NormalDist
 
 import numpy as np
 
-from . import core
 from .core import (
     CdfEstimate,
     ConditionalCdfMatrix,
@@ -86,6 +80,7 @@ from .core import (
     _frozen_array,
     _integer,
     _is_integer,
+    _is_real,
     _seed,
     indicator_labels,
 )
@@ -103,7 +98,7 @@ __all__ = [
     "se_reduction",
 ]
 
-# repetitions per block: per forked piece under schemes 1 to 4, per z @ R product under scheme 5
+# repetitions per block of multipliers under schemes 1 to 4, per z @ R product under scheme 5
 _DRAW_BLOCK = 256
 # units per chunk of a repetition's multiplier stream under schemes 2 to 4
 _CHUNK_UNITS = 8192
@@ -149,23 +144,24 @@ def influence(
     are laid out so that :func:`bootstrap_draws` multiplies them without a
     copy (see :func:`_new_influence`).
     """
-    return _stacked_influence(data, grid, [(theta, gamma)])
+    values = _new_influence(data.n_arms, data.n_units, grid.n_locations)
+    _fill_influence(values, data, indicator_labels(data, grid), theta, gamma)
+    return InfluenceMatrix._frozen(values)
 
 
-def _new_influence(n_estimates: int, k: int, n: int, m: int) -> np.ndarray:
-    """Uninitialized (estimate x arm, unit, location) values, laid out for :func:`bootstrap_draws`.
+def _new_influence(k: int, n: int, m: int) -> np.ndarray:
+    """Uninitialized (arm, unit, location) values, laid out for :func:`bootstrap_draws`.
 
-    The draw pass multiplies estimate e's values as the (n, k x m) slab
-    ``values[e*k:(e+1)*k].transpose(1, 0, 2).reshape(n, k*m)``. On this
-    layout that reshape is a view, so no slab is copied, and each slab is
-    the operand the pass forms from C-ordered values: a C-ordered block of
-    rows (whose rows lie n_estimates*k*m values apart), or, with one
-    location or one arm, where that reshape of C-ordered values is a view
-    already, the C-ordered values themselves.
+    The draw pass multiplies the values as the (n, k x m) slab
+    ``values.transpose(1, 0, 2).reshape(n, k*m)``. On this layout that
+    reshape is a view of a C-ordered (n, k, m) array, so no slab is copied,
+    and the slab is the operand the pass forms from C-ordered values. With
+    one location or one arm, where that reshape of C-ordered values is a
+    view already, the values are C-ordered themselves.
     """
     if m == 1 or k == 1:
-        return np.empty((n_estimates * k, n, m))
-    return np.empty((n, n_estimates * k, m)).transpose(1, 0, 2)
+        return np.empty((k, n, m))
+    return np.empty((n, k, m)).transpose(1, 0, 2)
 
 
 def _fill_influence(
@@ -238,7 +234,9 @@ def multipliers(n_units: int, seed: int, *, multiplier_scheme: int = 2) -> np.nd
         raise ValueError(
             f"multiplier scheme {multiplier_scheme} has no per-unit multipliers; use scheme 1 or 2"
         )
-    rng = np.random.default_rng(seed)
+    if _integer(n_units, "n_units") < 0:
+        raise ValueError(f"n_units must not be negative, got {n_units}")
+    rng = np.random.default_rng(_seed(seed))
     out = np.empty(n_units)
     for lo, hi in _chunks(n_units, multiplier_scheme):
         normals = rng.standard_normal(2 * (hi - lo))
@@ -262,7 +260,6 @@ def _chunks(n: int, multiplier_scheme: int) -> list[tuple[int, int]]:
     chunk of all n units. Scheme 5 reads no stream per repetition, so this
     serves replay only.
     """
-    _check_multiplier_scheme(multiplier_scheme)
     size = max(n, 1) if multiplier_scheme == 1 else _CHUNK_UNITS
     return [(lo, min(lo + size, n)) for lo in range(0, max(n, 1), size)]
 
@@ -277,8 +274,8 @@ def _check_draw_args(n_draws: int, seed: int) -> None:
 def _check_band_settings(kind: str, n_draws: int, alpha: float, seed: int, multiplier_scheme: int) -> None:
     """Reject band settings no data can satisfy, before any influence or multiplier work."""
     _check_functional(kind)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not (_is_real(alpha) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     # so both band levels, 1 - alpha / 2 and the literal 1 - alpha, have a finite normal quantile
     if not 1.0 - alpha / 2.0 < 1.0:
         raise ValueError(f"alpha must leave 1 - alpha / 2 below 1 in float64, got {alpha}")
@@ -292,36 +289,25 @@ def bootstrap_draws(
     n_draws: int,
     seed: int,
     *,
-    arms_per_estimate: int | None = None,
     multiplier_scheme: int = _DEFAULT_MULTIPLIER_SCHEME,
 ) -> np.ndarray:
     """Perturbed copies of the CDF matrix, one per bootstrap repetition.
 
     Returns the draws as a read-only (repetition, arm, location) array,
-    ``n_draws`` x the arms of ``theta`` x its locations.
+    ``n_draws`` x the arms of ``theta`` x its locations. Every product is
+    taken with the estimate's (unit, arm x location) slab of ``psi`` or
+    with its root; on the values :func:`influence` builds the slab is a
+    view, on C-ordered values it is copied out once. Each draw is divided
+    by n once.
 
-    ``theta`` and ``psi`` may stack several estimates along the arm axis,
-    ``arms_per_estimate`` arms each (default: all arms, one estimate). All
-    estimates share one multiplier pass, and each estimate's draws are
-    bit-identical to a pass of its own: every product is taken with the
-    estimate's own (unit, arm x location) slab or its own root. On the
-    values :func:`influence` and :func:`bootstrap_bands` build, the slabs
-    are views; on C-ordered values they are copied out once. A slab that is
-    a column block of a wider array reaches BLAS as the same operand with a
-    wider leading dimension. Each draw is divided by n once.
-
-    Under scheme 5, the default, repetition b of an estimate is
-    theta + (z_b @ R) / n, R the root of the estimate's Gram matrix (see
-    :func:`_gram_root`) and z the ``n_draws`` x (arms x locations) standard
-    normals of one ``standard_normal`` call on
-    ``Generator(SFC64(SeedSequence(seed)))``, which every estimate shares.
-    Given the data the draws are exactly Gaussian with the covariance
-    psi^T psi / n^2 of every other scheme. The pass runs in the calling
-    process (see :func:`_gaussian_draws`), and the first B rows of a run of
-    more repetitions are a run of B, bit for bit. R is formed per estimate,
-    so two stacked estimates' draws have cross-covariance R_1 R_2 rather
-    than psi_1^T psi_2; no output reads it, since every band reads only its
-    own estimate's draws.
+    Under scheme 5, the default, repetition b is theta + (z_b @ R) / n, R
+    the root of the estimate's Gram matrix (see :func:`_gram_root`) and z
+    the ``n_draws`` x (arms x locations) standard normals of one
+    ``standard_normal`` call on ``Generator(SFC64(SeedSequence(seed)))``, so
+    every estimate drawn on one seed reads the same z. Given the data the
+    draws are exactly Gaussian with the covariance psi^T psi / n^2 of every
+    other scheme. The first B rows of a run of more repetitions are a run of
+    B, bit for bit (see :func:`_gaussian_draws`).
 
     Schemes 1 to 4 replay old manifests. Repetition b uses its own
     generator stream, seeded by ``SeedSequence(seed, spawn_key=(b,))``, the
@@ -331,48 +317,31 @@ def bootstrap_draws(
     takes one call for 2w standard normals, the first w and the last w
     feeding :func:`multiplier_transform` (see :func:`multipliers`). Under
     scheme 3 the stream first gives z_b, one standard normal per column of
-    an estimate, in one call, and then each chunk one
+    the estimate, in one call, and then each chunk one
     ``standard_normal(w)`` call, written straight into the block and mapped
-    in place to (m2^2 - 1) / 2; after its last chunk each estimate's draw
-    gains (z_b @ R) / sqrt(2). Scheme 4 is scheme 3 on an SFC64 generator
-    with the per-unit half in float32: each chunk's call is
+    in place to (m2^2 - 1) / 2; after the last chunk the draw gains
+    (z_b @ R) / sqrt(2). Scheme 4 is scheme 3 on an SFC64 generator with the
+    per-unit half in float32: each chunk's call is
     ``standard_normal(dtype=np.float32, out=row)`` into a float32 block,
     mapped in float32, and multiplied by float32(2^-e psi chunk), e the
-    binary exponent of the estimate's largest |psi| (see
-    :func:`_exponent`); the products are summed in float64 and scaled back
-    by 2^e, and z_b and the roots stay float64; each chunk of a slab is cast
-    into one C-ordered float32 buffer, whatever the slab's layout. These
-    repetitions run in blocks of ``_DRAW_BLOCK`` rows (see
-    :func:`_draw_blocks`), which :func:`dtekit.core._fan_out` spreads over
-    forked processes; each block builds its repetitions' streams from their
-    indices, so no process spawns all B of them. The normals do not depend on how repetitions are
-    batched or which process draws them. The draw matmuls could: BLAS can
-    round the last bit differently for other operand shapes, so the block
-    size, the chunks and the operands of every product are fixed, and the
-    roots and scales are computed once, in the calling process, so the
-    draws are bit-identical at any number of processes.
+    binary exponent of the largest |psi| (see :func:`_exponent`); the
+    products are summed in float64 and scaled back by 2^e, and z_b and the
+    root stay float64; each chunk of the slab is cast into one C-ordered
+    float32 buffer, whatever the slab's layout. These repetitions run in the
+    calling process, in blocks of ``_DRAW_BLOCK`` rows (see
+    :func:`_draw_blocks`).
     """
     _check_draw_args(n_draws, seed)
     k, n, m = psi.values.shape
     if theta.values.shape != (k, m):
         raise ShapeMismatch(f"theta shape {theta.values.shape} != ({k}, {m})")
-    per = k if arms_per_estimate is None else _integer(arms_per_estimate, "arms_per_estimate")
-    if per < 1 or k % per:
-        raise ShapeMismatch(f"{k} stacked arms do not split into estimates of {per} arms")
     _check_multiplier_scheme(multiplier_scheme)
-    # views on the layout of _new_influence
-    slabs = [
-        psi.values[first:first + per].transpose(1, 0, 2).reshape(n, per * m)
-        for first in range(0, k, per)
-    ]
+    # a view on the layout of _new_influence
+    slab = psi.values.transpose(1, 0, 2).reshape(n, k * m)
     if multiplier_scheme == 5:
-        draws = _gaussian_draws(seed, slabs, n_draws)
+        draws = _gaussian_draws(seed, slab, n_draws)
     else:
-        chunks = _chunks(n, multiplier_scheme)
-        roots = [_gram_root(slab) for slab in slabs] if multiplier_scheme >= 3 else None
-        exponents = [_exponent(slab) for slab in slabs] if multiplier_scheme == 4 else None
-        blocks = [range(start, min(start + _DRAW_BLOCK, n_draws)) for start in range(0, n_draws, _DRAW_BLOCK)]
-        draws = np.concatenate(core._fan_out(partial(_draw_blocks, seed, slabs, chunks, roots, exponents), blocks))
+        draws = _draw_blocks(seed, slab, n_draws, multiplier_scheme)
     draws /= n
     draws += theta.values.reshape(1, k * m)
     draws = draws.reshape(n_draws, k, m)
@@ -380,28 +349,26 @@ def bootstrap_draws(
     return draws
 
 
-def _gaussian_draws(seed: int, slabs: list[np.ndarray], n_draws: int) -> np.ndarray:
-    """Scheme 5's (repetition, estimate x arm x location) draws, not yet divided by n.
+def _gaussian_draws(seed: int, slab: np.ndarray, n_draws: int) -> np.ndarray:
+    """Scheme 5's (repetition, arm x location) draws, not yet divided by n.
 
     z, ``n_draws`` x (arms x locations) standard normals, is one
     ``standard_normal`` call on ``Generator(SFC64(SeedSequence(seed)))``,
     written into an array of whole ``_DRAW_BLOCK``-row blocks whose padding
-    rows are zero. Each estimate's draws are z @ R, R the root of its Gram
+    rows are zero. The draws are z @ R, R the root of the slab's Gram
     matrix, taken one block at a time: every product is a
     (_DRAW_BLOCK, columns) @ (columns, columns) one, whatever ``n_draws``
     is, since BLAS can round a row differently in a product of another
     shape.
     """
-    columns = slabs[0].shape[1]
+    columns = slab.shape[1]
     z = np.zeros((-(-n_draws // _DRAW_BLOCK) * _DRAW_BLOCK, columns))
     np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed))).standard_normal(out=z[:n_draws])
-    draws = np.empty((n_draws, len(slabs) * columns))
-    for e, slab in enumerate(slabs):
-        root = _gram_root(slab)
-        for start in range(0, n_draws, _DRAW_BLOCK):
-            stop = min(start + _DRAW_BLOCK, n_draws)
-            block = z[start:start + _DRAW_BLOCK] @ root
-            draws[start:stop, e * columns:(e + 1) * columns] = block[:stop - start]
+    root = _gram_root(slab)
+    draws = np.empty((n_draws, columns))
+    for start in range(0, n_draws, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, n_draws)
+        draws[start:stop] = (z[start:start + _DRAW_BLOCK] @ root)[:stop - start]
     return draws
 
 
@@ -432,75 +399,68 @@ def _exponent(slab: np.ndarray) -> int:
     return int(np.frexp(max(slab.max(initial=0.0), -slab.min(initial=0.0)))[1])
 
 
-def _draw_blocks(
-    seed: int,
-    slabs: list[np.ndarray],
-    chunks: list[tuple[int, int]],
-    roots: list[np.ndarray] | None,
-    exponents: list[int] | None,
-    blocks: list[range],
-) -> list[np.ndarray]:
-    """The draws of each block of repetitions under schemes 1 to 4, not yet divided by n.
+def _draw_blocks(seed: int, slab: np.ndarray, n_draws: int, multiplier_scheme: int) -> np.ndarray:
+    """The (repetition, arm x location) draws of schemes 1 to 4, not yet divided by n.
 
     These schemes, and so this function, serve the replay of old manifests;
-    scheme 5 draws in :func:`_gaussian_draws`. A block runs chunk by chunk:
-    each row fills the chunk's multipliers from its own generator, then each
-    estimate's draws gain the product of the whole chunk with the chunk's
-    rows of its slab. Under schemes 3 and 4 (``roots`` given) each row first
-    draws its Gaussian half, and each estimate's draws gain its product with
-    the estimate's root after the last chunk. Under scheme 4 (``exponents`` given) the generators are
-    SFC64, the block is float32, each chunk of a slab is scaled by 2^-e and
-    cast into one float32 buffer just before its product, and each
-    estimate's sum of products is scaled by 2^e before the Gaussian half.
+    scheme 5 draws in :func:`_gaussian_draws`. The repetitions run in blocks
+    of ``_DRAW_BLOCK`` rows, and a block runs chunk by chunk: each row fills
+    the chunk's multipliers from its own generator, then the block's draws
+    gain the product of the whole chunk with the chunk's rows of the slab.
+    Under schemes 3 and 4 each row first draws its Gaussian half, and the
+    draws gain its product with the slab's root after the last chunk. Under
+    scheme 4 the generators are SFC64, the block is float32, each chunk of
+    the slab is scaled by 2^-e and cast into one float32 buffer just before
+    its product, and the sum of products is scaled by 2^e before the
+    Gaussian half.
     """
+    n, columns = slab.shape
+    chunks = _chunks(n, multiplier_scheme)
     width = chunks[0][1] - chunks[0][0]
-    columns = slabs[0].shape[1]
-    float32 = exponents is not None
+    gaussian_half = multiplier_scheme >= 3
+    float32 = multiplier_scheme == 4
+    root = _gram_root(slab) if gaussian_half else None
+    exponent = _exponent(slab) if float32 else None
     bit_generator = np.random.SFC64 if float32 else np.random.PCG64
-    block = np.empty(max(map(len, blocks)) * width, dtype=np.float32 if float32 else np.float64)
+    block = np.empty(min(_DRAW_BLOCK, n_draws) * width, dtype=np.float32 if float32 else np.float64)
     cast = np.empty((width, columns), dtype=np.float32) if float32 else None
-    normals = np.empty(2 * width) if roots is None else None
-    results = []
-    for repetitions in blocks:
+    normals = None if gaussian_half else np.empty(2 * width)
+    draws = np.empty((n_draws, columns))
+    for start in range(0, n_draws, _DRAW_BLOCK):
+        repetitions = range(start, min(start + _DRAW_BLOCK, n_draws))
+        out = draws[start:repetitions.stop]
         # repetition b's stream is the b-th child that SeedSequence(seed).spawn gives
         generators = [np.random.Generator(bit_generator(np.random.SeedSequence(seed, spawn_key=(b,))))
                       for b in repetitions]
-        if roots is not None:
+        if gaussian_half:
             gaussian = np.array([generator.standard_normal(columns) for generator in generators])
-        draws = np.empty((len(repetitions), len(slabs) * columns))
         for lo, hi in chunks:
             w = hi - lo
             # a C-ordered (rows, w) operand, whatever the chunk's width
             rows = block[:len(repetitions) * w].reshape(len(repetitions), w)
-            if roots is None:
-                for row, generator in zip(rows, generators):
-                    generator.standard_normal(2 * w, out=normals[:2 * w])
-                    multiplier_transform(normals[:w], normals[w:2 * w], out=row)
-            else:
+            if gaussian_half:
                 for row, generator in zip(rows, generators):
                     generator.standard_normal(dtype=block.dtype, out=row)
                 # (m2^2 - 1) / 2, in the block's precision
                 np.square(rows, out=rows)
                 rows -= 1.0
                 rows /= 2.0
-            for e, slab in enumerate(slabs):
-                out = draws[:, e * columns:(e + 1) * columns]
-                operand = slab[lo:hi]
-                if float32:
-                    operand = np.ldexp(operand, -exponents[e], out=cast[:w], casting="same_kind")
-                if lo == 0:
-                    out[...] = rows @ operand
-                else:
-                    out += rows @ operand
+            else:
+                for row, generator in zip(rows, generators):
+                    generator.standard_normal(2 * w, out=normals[:2 * w])
+                    multiplier_transform(normals[:w], normals[w:2 * w], out=row)
+            operand = slab[lo:hi]
+            if float32:
+                operand = np.ldexp(operand, -exponent, out=cast[:w], casting="same_kind")
+            if lo == 0:
+                out[...] = rows @ operand
+            else:
+                out += rows @ operand
         if float32:
-            for e, exponent in enumerate(exponents):
-                out = draws[:, e * columns:(e + 1) * columns]
-                np.ldexp(out, exponent, out=out)
-        if roots is not None:
-            for e, root in enumerate(roots):
-                draws[:, e * columns:(e + 1) * columns] += (gaussian @ root) / np.sqrt(2.0)
-        results.append(draws)
-    return results
+            np.ldexp(out, exponent, out=out)
+        if gaussian_half:
+            out += (gaussian @ root) / np.sqrt(2.0)
+    return draws
 
 
 def bootstrap_band(
@@ -546,46 +506,28 @@ def bootstrap_bands(
     *,
     multiplier_scheme: int = _DEFAULT_MULTIPLIER_SCHEME,
 ) -> tuple[EffectBand, ...]:
-    """One band per estimate, all from one shared multiplier pass.
+    """One band per estimate, each from a multiplier pass of its own on ``seed``.
 
-    Every estimate sees the same multipliers, as separate
-    :func:`bootstrap_band` calls with the same ``seed`` would give it, and
-    each band is bit-identical to that call's; the multipliers are drawn
-    once instead of once per estimate.
+    Every estimate sees the same multipliers (under scheme 5 the same z),
+    and each band is bit-identical to the :func:`bootstrap_band` call for
+    the estimate alone. Under scheme 5 two bands' draws are then correlated
+    as R_1 R_2 rather than psi_1^T psi_2, which no output reads. An
+    estimate's influence values are freed before the next estimate's are
+    written, so the run holds one slab at a time.
     """
     _check_band_settings(kind, n_draws, alpha, seed, multiplier_scheme)
     if not estimates:
         raise ValueError("need at least one estimate")
     arm, other_arm = _check_curve(kind, arm_pair, grid.n_locations, data.n_arms)
-    pieces = [
-        (e.estimate, e.gamma) if isinstance(e, AdjustedEstimate) else (e, None)
-        for e in estimates
-    ]
-    k = data.n_arms
-
-    psi = _stacked_influence(data, grid, pieces)
-    stacked = CdfEstimate(
-        values=np.concatenate([theta.values for theta, _ in pieces]),
-        method="+".join(theta.method for theta, _ in pieces),
-    )
-    draws = bootstrap_draws(
-        stacked, psi, n_draws, seed, arms_per_estimate=k, multiplier_scheme=multiplier_scheme
-    )
-
     q = 1.0 - alpha if literal_upper_quantile else 1.0 - alpha / 2.0
     z = NormalDist().inv_cdf(q)
     locations = grid.locations if kind != "pte" else grid.locations[1:]
     bands = []
-    for e, (theta, _) in enumerate(pieces):
-        arms = slice(e * k, (e + 1) * k)
-        # the (repetition, arm, location) layout of a pass of its own, for the same std reduction
-        own = np.ascontiguousarray(draws[:, arms])
-        curves = _curve(own, kind, arm, other_arm)
+    for estimate in estimates:
+        adjusted = isinstance(estimate, AdjustedEstimate)
+        theta, gamma = (estimate.estimate, estimate.gamma) if adjusted else (estimate, None)
         point = _curve(theta.values, kind, arm, other_arm)
-        degenerate = np.all(psi.values[arms] == 0.0)
-        if not degenerate and bool(np.all(curves == curves[0])):
-            raise DegenerateDraws("bootstrap repetitions collapsed to one curve")
-        se = curves.std(axis=0, ddof=1)
+        se = _bootstrap_se(data, grid, theta, gamma, kind, (arm, other_arm), n_draws, seed, multiplier_scheme)
         bands.append(
             EffectBand(
                 kind=kind,
@@ -608,14 +550,29 @@ bootstrap_band.__defaults__ = bootstrap_bands.__defaults__
 bootstrap_band.__kwdefaults__ = bootstrap_bands.__kwdefaults__
 
 
-def _stacked_influence(data: ExperimentData, grid: LocationGrid, pieces) -> InfluenceMatrix:
-    """The influence values of every (theta, gamma) piece, written once and stacked along the arm axis."""
-    k = data.n_arms
-    values = _new_influence(len(pieces), k, data.n_units, grid.n_locations)
-    labels = indicator_labels(data, grid)
-    for e, (theta, gamma) in enumerate(pieces):
-        _fill_influence(values[e * k:(e + 1) * k], data, labels, theta, gamma)
-    return InfluenceMatrix._frozen(values)
+def _bootstrap_se(
+    data: ExperimentData,
+    grid: LocationGrid,
+    theta: CdfEstimate,
+    gamma: ConditionalCdfMatrix | None,
+    kind: str,
+    arm_pair: tuple[int, int],
+    n_draws: int,
+    seed: int,
+    multiplier_scheme: int,
+) -> np.ndarray:
+    """Pointwise bootstrap SE of one estimate's curve, from a multiplier pass of its own.
+
+    The estimate's influence values and draws are freed when this returns,
+    so :func:`bootstrap_bands` writes the next estimate's values in their
+    place. ``arm_pair`` is a pair :func:`_check_curve` returned.
+    """
+    psi = influence(data, grid, theta, gamma)
+    draws = bootstrap_draws(theta, psi, n_draws, seed, multiplier_scheme=multiplier_scheme)
+    curves = _curve(draws, kind, *arm_pair)
+    if psi.values.any() and bool(np.all(curves == curves[0])):
+        raise DegenerateDraws("bootstrap repetitions collapsed to one curve")
+    return curves.std(axis=0, ddof=1)
 
 
 def se_reduction(baseline: EffectBand, adjusted: EffectBand) -> np.ndarray:

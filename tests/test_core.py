@@ -403,3 +403,12 @@ class TestFanOut:
         monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
         monkeypatch.delattr(os, "fork")
         assert core._fan_out_processes(4) == 1
+
+    def test_processes_follow_the_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert core._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert core._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert core._usable_cpus() == 1

@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 from statistics import NormalDist
@@ -359,68 +358,111 @@ class TestMultiplierSchemes:
     @staticmethod
     def problem(n, seed=7):
         rng = np.random.default_rng(seed)
-        psi = rng.standard_normal((4, n, 3))
-        theta = np.sort(rng.random((4, 3)), axis=1)
+        psi = rng.standard_normal((2, n, 3))
+        theta = np.sort(rng.random((2, 3)), axis=1)
         return theta, psi
 
-    def draws(self, monkeypatch, theta, psi, threads, **kwargs):
-        monkeypatch.setattr(core, "_usable_cpus", lambda: threads)
+    @staticmethod
+    def draws(theta, psi, **kwargs):
         return bootstrap_draws(
-            CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
-            300, 11, arms_per_estimate=2, **kwargs,
+            CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi), 300, 11, **kwargs,
         )
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("n", [37, 400, 9000, 20_000])
     def test_scheme_1_equals_the_one_chunk_pass_bit_for_bit(self, monkeypatch, n, threads):
+        # the draws do not depend on how many CPUs the process may use
+        monkeypatch.setattr(core, "_usable_cpus", lambda: threads)
         theta, psi = self.problem(n)
-        got = self.draws(monkeypatch, theta, psi, threads, multiplier_scheme=1)
-        assert_array_equal(got, serial_draws(theta, psi, 300, 11, 2))
+        assert_array_equal(self.draws(theta, psi, multiplier_scheme=1), serial_draws(theta, psi, 300, 11, 2))
 
     @pytest.mark.parametrize("n", [1, 37, 400, 8192])
-    def test_schemes_agree_bit_for_bit_up_to_one_chunk(self, monkeypatch, n):
+    def test_schemes_agree_bit_for_bit_up_to_one_chunk(self, n):
         theta, psi = self.problem(n)
-        assert_array_equal(
-            self.draws(monkeypatch, theta, psi, 2, multiplier_scheme=2),
-            self.draws(monkeypatch, theta, psi, 2, multiplier_scheme=1),
-        )
+        assert_array_equal(self.draws(theta, psi, multiplier_scheme=2), self.draws(theta, psi, multiplier_scheme=1))
 
     @pytest.mark.parametrize("n", [8193, 16_384, 20_000])
-    def test_scheme_2_sums_the_chunk_products(self, monkeypatch, n):
+    def test_scheme_2_sums_the_chunk_products(self, n):
         theta, psi = self.problem(n)
-        runs = [self.draws(monkeypatch, theta, psi, threads, multiplier_scheme=2) for threads in (1, 2, 3)]
-        for got in runs[1:]:
-            assert_array_equal(got, runs[0])
-        assert_allclose(runs[0], chunked_draws(theta, psi, 300, 11, 2), rtol=0, atol=1e-12)
-        assert not np.array_equal(runs[0], self.draws(monkeypatch, theta, psi, 1, multiplier_scheme=1))
+        got = self.draws(theta, psi, multiplier_scheme=2)
+        assert_allclose(got, chunked_draws(theta, psi, 300, 11, 2), rtol=0, atol=1e-12)
+        assert not np.array_equal(got, self.draws(theta, psi, multiplier_scheme=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        n_draws=st.sampled_from([2, 3, 4, 255, 256, 257, 513]),
+        k=st.integers(1, 3),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+    )
+    def test_scheme_2_equals_a_serial_pass_bit_for_bit(self, n, n_draws, k, m, seed):
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal((k, n, m))
+        theta = np.sort(rng.random((k, m)), axis=1)
+        got = bootstrap_draws(
+            CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
+            n_draws, seed, multiplier_scheme=2,
+        )
+        assert_array_equal(got, serial_draws(theta, psi, n_draws, seed, k))
+
+    @pytest.mark.parametrize("scheme", [1, 2, 3, 4, 5])
+    def test_band_draws_in_the_calling_process(self, monkeypatch, scheme):
+        """A band run of B = 600, three blocks of repetitions, with two usable CPUs forks nothing.
+
+        Scheme 5 also draws no blocks of multipliers.
+        """
+        def refused(*args, **kwargs):
+            raise AssertionError("a band's draws run in the calling process")
+
+        data = make_experiment(seed=6, n=300)
+        grid = quantile_grid(data, [0.25, 0.5, 0.75])
+        estimates = (empirical_cdf(data, grid), fit_adjusted(data, grid, LearnerKind("linear")))
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_fan_out", refused)
+        monkeypatch.setattr(os, "fork", refused)
+        if scheme == 5:
+            monkeypatch.setattr(inference, "_draw_blocks", refused)
+        bands = bootstrap_bands(data, grid, estimates, n_draws=600, seed=2, multiplier_scheme=scheme)
+        for band, estimate in zip(bands, estimates):
+            se, _, _ = reference_band(data, grid, estimate, "dte", 600, seed=2, scheme=scheme)
+            assert_array_equal(band.se, se)
+
+    def test_a_failing_draw_raises_here(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise FloatingPointError("multiplier failed")
+
+        monkeypatch.setattr(inference, "multiplier_transform", failing)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        theta, psi = self.problem(30)
+        with pytest.raises(FloatingPointError, match="^multiplier failed$"):
+            self.draws(theta, psi, multiplier_scheme=2)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("scheme", [2, 3, 4])
-    def test_block_memory_does_not_grow_with_n(self, monkeypatch, scheme):
-        """tracemalloc peak of a two-estimate pass over 5 chunks and one unit.
+    def test_block_memory_does_not_grow_with_n(self, scheme):
+        """tracemalloc peak of a pass over 5 chunks and one unit.
 
-        The 64 x 8,192 block, a scratch of 2 x 8,192 normals (scheme 2), the
-        draws and their frozen copy, and 256 KiB for the generators, the
-        Gaussian halves and roots (schemes 3 and 4), the float32 chunk of a
-        slab (scheme 4, whose float32 block is half the bound's) and matmul
-        temporaries. A block
-        n wide alone is 64 x 40,961 values. On one CPU the block is drawn in
-        this process, where tracemalloc sees it.
+        The 64 x 8,192 block, a scratch of 2 x 8,192 normals (scheme 2),
+        twice the draws, and 256 KiB for the generators, the Gaussian halves
+        and the root (schemes 3 and 4), the float32 chunk of the slab
+        (scheme 4, whose float32 block is half the bound's) and matmul
+        temporaries. A block n wide alone is 64 x 40,961 values.
         """
         n, k, m, n_draws = 5 * 8192 + 1, 2, 3, 64
-        values = inference._new_influence(2, k, n, m)
-        values[...] = np.random.default_rng(2).standard_normal((2 * k, n, m))
+        values = inference._new_influence(k, n, m)
+        values[...] = np.random.default_rng(2).standard_normal((k, n, m))
         psi = InfluenceMatrix._frozen(values)
-        theta = CdfEstimate(values=np.full((2 * k, m), 0.5), method="empirical")
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+        theta = CdfEstimate(values=np.full((k, m), 0.5), method="empirical")
         tracemalloc.start()
         try:
-            bootstrap_draws(theta, psi, n_draws, seed=3, arms_per_estimate=k, multiplier_scheme=scheme)
+            bootstrap_draws(theta, psi, n_draws, seed=3, multiplier_scheme=scheme)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         block = n_draws * 8192 * 8
         scratch = 2 * 8192 * 8
-        draws = 2 * n_draws * 2 * k * m * 8
+        draws = 2 * n_draws * k * m * 8
         assert peak <= block + scratch + draws + 256 * 1024
 
     @pytest.mark.parametrize("scheme", [0, 6, True, 2.0, "2", None])
@@ -439,158 +481,29 @@ class TestMultiplierSchemes:
                            multipliers(9000, seed=1, multiplier_scheme=1))
 
 
-class TestFanOutDraws:
-    """Blocks of 256 repetitions are drawn on ``core._fan_out``, in forked processes when it forks.
-
-    These runs read scheme 2's stream, whose ``multiplier_transform`` calls
-    mark the process that draws each repetition; :class:`TestScheme3` and
-    :class:`TestScheme4` cover schemes 3 and 4 at 1-4 CPUs.
-    """
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        cpus=st.integers(1, 4),
-        n=st.integers(1, 60),
-        n_draws=st.sampled_from([2, 3, 4, 255, 256, 257, 513]),
-        n_estimates=st.integers(1, 3),
-        per=st.integers(1, 3),
-        m=st.integers(1, 3),
-        seed=st.integers(0, 2**32),
-    )
-    def test_equals_a_serial_pass_bit_for_bit(self, cpus, n, n_draws, n_estimates, per, m, seed):
-        rng = np.random.default_rng(seed)
-        k = n_estimates * per
-        psi = rng.standard_normal((k, n, m))
-        theta = np.sort(rng.random((k, m)), axis=1)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "_usable_cpus", lambda: cpus)
-            got = bootstrap_draws(
-                CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
-                n_draws, seed, arms_per_estimate=per, multiplier_scheme=2,
-            )
-        assert_array_equal(got, serial_draws(theta, psi, n_draws, seed, per))
-
-    def test_more_usable_cpus_than_cores(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        psi = rng.standard_normal((4, 50, 3))
-        theta = np.sort(rng.random((4, 3)), axis=1)
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2 * (os.cpu_count() or 1))
-        got = bootstrap_draws(
-            CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
-            513, 8, arms_per_estimate=2, multiplier_scheme=2,
-        )
-        assert_array_equal(got, serial_draws(theta, psi, 513, 8, 2))
-
-    @staticmethod
-    def pid_record(monkeypatch, path):
-        """Append the pid of every multiplier_transform call to ``path``, which forked processes share."""
-        transform = inference.multiplier_transform
-
-        def recorded(*args, **kwargs):
-            with open(path, "a") as handle:
-                handle.write(f"{os.getpid()}\n")
-            return transform(*args, **kwargs)
-
-        monkeypatch.setattr(inference, "multiplier_transform", recorded)
-        return lambda: [int(line) for line in path.read_text().split()]
-
-    def run(self, n_draws, n=30):
-        psi = InfluenceMatrix(values=np.random.default_rng(1).standard_normal((2, n, 2)))
-        theta = CdfEstimate(values=np.full((2, 2), 0.5), method="empirical")
-        return bootstrap_draws(theta, psi, n_draws, seed=4, multiplier_scheme=2)
-
-    def test_blocks_fill_in_forked_processes(self, monkeypatch, tmp_path):
-        pids = self.pid_record(monkeypatch, tmp_path / "pids")
-        fan_out, items = core._fan_out, []
-
-        def recorded(function, blocks):
-            items.append([len(block) for block in blocks])
-            return fan_out(function, blocks)
-
-        monkeypatch.setattr(core, "_fan_out", recorded)
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        self.run(600)
-        assert items == [[256, 256, 88]]
-        filled = pids()
-        assert len(filled) == 600
-        assert len(set(filled)) == 2 and os.getpid() not in filled
-
-    def test_one_cpu_fills_in_the_calling_process(self, monkeypatch, tmp_path):
-        pids = self.pid_record(monkeypatch, tmp_path / "pids")
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
-        self.run(600)
-        assert set(pids()) == {os.getpid()}
-
-    def test_a_failing_draw_in_a_forked_process_raises_here(self, monkeypatch):
-        transform = inference.multiplier_transform
-        caller = os.getpid()
-
-        def failing(*args, **kwargs):
-            if os.getpid() != caller:
-                raise FloatingPointError("multiplier failed")
-            return transform(*args, **kwargs)
-
-        monkeypatch.setattr(inference, "multiplier_transform", failing)
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        with pytest.raises(FloatingPointError, match="^multiplier failed$"):
-            self.run(600)
-        assert multiprocessing.active_children() == []
-
-    def test_another_thread_keeps_the_draws_in_the_calling_process(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
-        want = self.run(600)
-        pids = self.pid_record(monkeypatch, tmp_path / "pids")
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait, args=(10,))
-        other.start()
-        try:
-            got = self.run(600)
-        finally:
-            release.set()
-            other.join()
-        assert set(pids()) == {os.getpid()}
-        assert got.tobytes() == want.tobytes()
-
-    def test_draw_processes_follow_the_usable_cpus(self, monkeypatch):
-        # one owner, in core, which the fan-out of fits and replications reads too
-        if hasattr(os, "sched_getaffinity"):
-            assert core._usable_cpus() == len(os.sched_getaffinity(0))
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert core._usable_cpus() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert core._usable_cpus() == 1
-
-
 class TestScheme3:
     """Scheme 3: the Gaussian half of a repetition from its exact law, the other half per unit."""
 
     @settings(max_examples=30, deadline=None)
     @given(
-        cpus=st.integers(1, 4),
         n=st.sampled_from([1, 2, 37, 8191, 8192, 8193]),
         n_draws=st.sampled_from([2, 255, 256, 257]),
-        n_estimates=st.integers(1, 2),
-        per=st.integers(1, 2),
+        k=st.integers(1, 2),
         m=st.integers(1, 3),
         seed=st.integers(0, 2**32),
     )
-    def test_scheme_3_equals_the_serial_pass_bit_for_bit(self, cpus, n, n_draws, n_estimates, per, m, seed):
+    def test_scheme_3_equals_the_serial_pass_bit_for_bit(self, n, n_draws, k, m, seed):
         rng = np.random.default_rng(seed)
-        k = n_estimates * per
         psi = rng.standard_normal((k, n, m))
         theta = np.sort(rng.random((k, m)), axis=1)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "_usable_cpus", lambda: cpus)
-            got = bootstrap_draws(
-                CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
-                n_draws, seed, arms_per_estimate=per, multiplier_scheme=3,
-            )
-        assert_array_equal(got, scheme_3_draws(theta, psi, n_draws, seed, per))
+        got = bootstrap_draws(
+            CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
+            n_draws, seed, multiplier_scheme=3,
+        )
+        assert_array_equal(got, scheme_3_draws(theta, psi, n_draws, seed, k))
 
     def test_roots_are_formed_once_per_estimate_in_the_calling_process(self, monkeypatch, tmp_path):
-        # and, under scheme 4, the scales of the float32 chunks
+        # and, under scheme 4, the scale of the float32 chunks: once for a pass of 3 blocks
         for name in ("_gram_root", "_exponent"):
             def recorded(slab, _form=getattr(inference, name), _log=tmp_path / name):
                 with open(_log, "a") as handle:
@@ -598,12 +511,11 @@ class TestScheme3:
                 return _form(slab)
 
             monkeypatch.setattr(inference, name, recorded)
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        psi = InfluenceMatrix(values=np.random.default_rng(1).standard_normal((4, 30, 2)))
-        theta = CdfEstimate(values=np.full((4, 2), 0.5), method="empirical")
-        bootstrap_draws(theta, psi, 600, seed=4, arms_per_estimate=2, multiplier_scheme=4)
+        psi = InfluenceMatrix(values=np.random.default_rng(1).standard_normal((2, 30, 2)))
+        theta = CdfEstimate(values=np.full((2, 2), 0.5), method="empirical")
+        bootstrap_draws(theta, psi, 600, seed=4, multiplier_scheme=4)
         for name in ("_gram_root", "_exponent"):
-            assert (tmp_path / name).read_text().split() == 2 * [str(os.getpid())]
+            assert (tmp_path / name).read_text().split() == [str(os.getpid())]
 
     def test_rank_deficient_influence_gives_finite_draws(self):
         rng = np.random.default_rng(5)
@@ -663,35 +575,30 @@ class TestScheme4:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        cpus=st.integers(1, 4),
         n=st.sampled_from([1, 2, 37, 8191, 8192, 8193]),
         n_draws=st.sampled_from([2, 255, 256, 257]),
-        n_estimates=st.integers(1, 2),
-        per=st.integers(1, 2),
+        k=st.integers(1, 2),
         m=st.integers(1, 3),
         seed=st.integers(0, 2**32),
     )
-    def test_scheme_4_equals_the_serial_pass_bit_for_bit(self, cpus, n, n_draws, n_estimates, per, m, seed):
+    def test_scheme_4_equals_the_serial_pass_bit_for_bit(self, n, n_draws, k, m, seed):
         rng = np.random.default_rng(seed)
-        k = n_estimates * per
         psi = rng.standard_normal((k, n, m))
         theta = np.sort(rng.random((k, m)), axis=1)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "_usable_cpus", lambda: cpus)
-            got = bootstrap_draws(
-                CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
-                n_draws, seed, arms_per_estimate=per, multiplier_scheme=4,
-            )
-        assert_array_equal(got, scheme_4_draws(theta, psi, n_draws, seed, per))
+        got = bootstrap_draws(
+            CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
+            n_draws, seed, multiplier_scheme=4,
+        )
+        assert_array_equal(got, scheme_4_draws(theta, psi, n_draws, seed, k))
 
     @pytest.mark.parametrize("power", [200, -200])
     def test_power_of_two_scale_keeps_every_psi_in_range(self, power):
         """psi times 2^200 would overflow a float32 cast, and psi times 2^-200 flush to zero in it."""
-        psi = np.random.default_rng(8).standard_normal((4, 9000, 3))
-        theta = CdfEstimate(values=np.zeros((4, 3)), method="empirical")
-        want = bootstrap_draws(theta, InfluenceMatrix(values=psi), 300, 6, arms_per_estimate=2, multiplier_scheme=4)
+        psi = np.random.default_rng(8).standard_normal((2, 9000, 3))
+        theta = CdfEstimate(values=np.zeros((2, 3)), method="empirical")
+        want = bootstrap_draws(theta, InfluenceMatrix(values=psi), 300, 6, multiplier_scheme=4)
         scaled = InfluenceMatrix(values=np.ldexp(psi, power))
-        got = bootstrap_draws(theta, scaled, 300, 6, arms_per_estimate=2, multiplier_scheme=4)
+        got = bootstrap_draws(theta, scaled, 300, 6, multiplier_scheme=4)
         assert np.all(np.isfinite(got))
         assert_allclose(got, np.ldexp(want, power), rtol=1e-12, atol=0)
 
@@ -716,21 +623,16 @@ class TestScheme5:
     @given(
         n=st.sampled_from([1, 2, 37, 8193]),
         n_draws=st.sampled_from([2, 255, 256, 257, 513]),
-        n_estimates=st.integers(1, 3),
-        per=st.integers(1, 3),
+        k=st.integers(1, 3),
         m=st.integers(1, 4),
         seed=st.integers(0, 2**32),
     )
-    def test_default_equals_the_reference_pass_bit_for_bit(self, n, n_draws, n_estimates, per, m, seed):
+    def test_default_equals_the_reference_pass_bit_for_bit(self, n, n_draws, k, m, seed):
         rng = np.random.default_rng(seed)
-        k = n_estimates * per
         psi = rng.standard_normal((k, n, m))
         theta = np.sort(rng.random((k, m)), axis=1)
-        got = bootstrap_draws(
-            CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
-            n_draws, seed, arms_per_estimate=per,
-        )
-        assert_array_equal(got, scheme_5_draws(theta, psi, n_draws, seed, per))
+        got = bootstrap_draws(CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi), n_draws, seed)
+        assert_array_equal(got, scheme_5_draws(theta, psi, n_draws, seed, k))
 
     def test_law_is_gaussian_with_the_influence_covariance(self):
         """Seeded moments of n * (draw - theta): mean 0, covariance psi^T psi, third moments 0.
@@ -760,40 +662,24 @@ class TestScheme5:
         assert np.all(np.abs(third.mean(axis=0)) <= 4 * third_se)
         assert np.all(cubes >= 8 * third_se)
 
-    @pytest.mark.parametrize(("per", "m"), [(2, 9), (3, 19)])
+    @pytest.mark.parametrize(("k", "m"), [(2, 9), (3, 19)])
     @pytest.mark.parametrize("n_draws", [2, 255, 300, 1000])
-    def test_first_rows_of_a_longer_run_are_a_shorter_run(self, per, m, n_draws):
+    def test_first_rows_of_a_longer_run_are_a_shorter_run(self, k, m, n_draws):
         # one product over all 2B rows of z would round some rows differently at these widths
         rng = np.random.default_rng(n_draws)
-        psi = InfluenceMatrix(values=rng.standard_normal((2 * per, 500, m)))
-        theta = CdfEstimate(values=np.full((2 * per, m), 0.5), method="empirical")
-        longer = bootstrap_draws(theta, psi, 2 * n_draws, 9, arms_per_estimate=per)
-        assert longer[:n_draws].tobytes() == bootstrap_draws(theta, psi, n_draws, 9, arms_per_estimate=per).tobytes()
+        psi = InfluenceMatrix(values=rng.standard_normal((k, 500, m)))
+        theta = CdfEstimate(values=np.full((k, m), 0.5), method="empirical")
+        longer = bootstrap_draws(theta, psi, 2 * n_draws, 9)
+        assert longer[:n_draws].tobytes() == bootstrap_draws(theta, psi, n_draws, 9).tobytes()
 
-    def test_band_runs_in_the_calling_process_without_blocks(self, monkeypatch):
-        def refused(*args, **kwargs):
-            raise AssertionError("scheme 5 forks nothing and draws no blocks")
-
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(core, "_fan_out", refused)
-        monkeypatch.setattr(inference, "_draw_blocks", refused)
-        data = make_experiment(seed=6, n=300)
-        grid = quantile_grid(data, [0.25, 0.5, 0.75])
-        estimates = (empirical_cdf(data, grid), fit_adjusted(data, grid, LearnerKind("linear")))
-        bands = bootstrap_bands(data, grid, estimates, n_draws=600, seed=2)
-        for band, estimate in zip(bands, estimates):
-            se, _, _ = reference_band(data, grid, estimate, "dte", 600, seed=2, scheme=5)
-            assert_array_equal(band.se, se)
-
-    def test_zero_influence_estimate_returns_theta_exactly(self):
+    def test_zero_influence_arm_returns_theta_exactly(self):
         rng = np.random.default_rng(4)
-        psi = rng.standard_normal((4, 60, 3))
-        psi[:2] = 0.0  # the first of two stacked estimates
-        theta = np.sort(rng.random((4, 3)), axis=1)
-        draws = bootstrap_draws(CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi),
-                                300, 3, arms_per_estimate=2)
-        assert_array_equal(draws[:, :2], np.broadcast_to(theta[:2], (300, 2, 3)))
-        assert np.all(draws[:, 2:].std(axis=0) > 0.0)
+        psi = rng.standard_normal((2, 60, 3))
+        psi[0] = 0.0  # the first arm, beside a live one
+        theta = np.sort(rng.random((2, 3)), axis=1)
+        draws = bootstrap_draws(CdfEstimate(values=theta, method="empirical"), InfluenceMatrix(values=psi), 300, 3)
+        assert_array_equal(draws[:, 0], np.broadcast_to(theta[0], (300, 3)))
+        assert np.all(draws[:, 1].std(axis=0) > 0.0)
 
     def test_draws_do_not_depend_on_the_blas_thread_count(self):
         """Scheme-5 draws hash the same with OpenBLAS on 1 and 2 threads, at n = 400 and 3,000.
@@ -814,7 +700,7 @@ class TestScheme5:
 
 
 class TestDrawArguments:
-    """Seed, repetition count and multiplier scheme are checked before any influence or multiplier work."""
+    """Seed, repetition or unit count and multiplier scheme are checked before any influence or multiplier work."""
 
     def setup_method(self):
         self.theta = CdfEstimate(values=np.full((2, 2), 0.5), method="empirical")
@@ -824,23 +710,24 @@ class TestDrawArguments:
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             bootstrap_draws(self.theta, self.psi, 50, seed=seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            multipliers(50, seed=seed)
 
-    @pytest.mark.parametrize("n_draws", [300.0, True, "50", None, np.float64(50.0)])
+    @pytest.mark.parametrize("n_draws", [300.0, 2.5, True, "50", None, np.float64(50.0)])
     def test_non_integer_repetitions_rejected(self, n_draws):
         with pytest.raises(ValueError, match="n_draws must be an integer, got"):
             bootstrap_draws(self.theta, self.psi, n_draws, seed=0)
+        with pytest.raises(ValueError, match="n_units must be an integer, got"):
+            multipliers(n_draws, seed=0)
+
+    def test_negative_unit_count_rejected(self):
+        with pytest.raises(ValueError, match="^n_units must not be negative, got -1$"):
+            multipliers(-1, seed=0)
 
     def test_numpy_integers_accepted(self):
         want = bootstrap_draws(self.theta, self.psi, 50, seed=7)
         got = bootstrap_draws(self.theta, self.psi, np.int64(50), seed=np.uint32(7))
         assert_array_equal(got, want)
-        got = bootstrap_draws(self.theta, self.psi, 50, seed=7, arms_per_estimate=np.int64(2))
-        assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("per", [2.7, 2.0, True, "2", np.float64(2.0)])
-    def test_non_integer_arms_per_estimate_rejected(self, per):
-        with pytest.raises(ValueError, match="arms_per_estimate must be an integer"):
-            bootstrap_draws(self.theta, self.psi, 50, seed=0, arms_per_estimate=per)
 
     @pytest.mark.parametrize("call", ["bootstrap_band", "bootstrap_bands"])
     @pytest.mark.parametrize(
@@ -853,6 +740,8 @@ class TestDrawArguments:
             (1, 0, 2, 0.05, "need at least 2 bootstrap repetitions"),
             (50, 0, 6, 0.05, "multiplier_scheme must be 1, 2, 3, 4 or 5"),
             (50, 0, 4, 1e-17, "alpha must leave 1 - alpha / 2 below 1 in float64"),
+            (50, 0, 5, "0.1", r"alpha must lie in \(0, 1\), got '0.1'"),
+            (50, 0, 5, True, r"alpha must lie in \(0, 1\), got True"),
         ],
     )
     def test_bands_fail_before_influence_and_draws(
@@ -862,7 +751,7 @@ class TestDrawArguments:
         grid = quantile_grid(data, [0.3, 0.6])
         estimate = empirical_cdf(data, grid)
         calls = []
-        for name in ("influence", "_stacked_influence", "bootstrap_draws"):
+        for name in ("influence", "bootstrap_draws"):
             fn = getattr(inference, name)
 
             def counted(*args, _name=name, _fn=fn, **kwargs):
@@ -1017,7 +906,7 @@ def reference_band(data, grid, estimate, kind, n_draws, seed, scheme, arm_pair=(
     """(se, ci_lower, ci_upper) as a pass of the estimate's own computes them.
 
     The draws of the serial pass of the scheme: :func:`serial_draws` for
-    scheme 2 on at most 8,192 units, :func:`scheme_3_draws`,
+    scheme 1, and for scheme 2 on at most 8,192 units, :func:`scheme_3_draws`,
     :func:`scheme_4_draws` and :func:`scheme_5_draws` for schemes 3 to 5.
     """
     if isinstance(estimate, AdjustedEstimate):
@@ -1025,8 +914,8 @@ def reference_band(data, grid, estimate, kind, n_draws, seed, scheme, arm_pair=(
     else:
         theta, gamma = estimate, None
     psi = influence(data, grid, theta, gamma).values
-    assert scheme >= 3 or psi.shape[1] <= 8192
-    serial = {2: serial_draws, 3: scheme_3_draws, 4: scheme_4_draws, 5: scheme_5_draws}[scheme]
+    assert scheme != 2 or psi.shape[1] <= 8192
+    serial = {1: serial_draws, 2: serial_draws, 3: scheme_3_draws, 4: scheme_4_draws, 5: scheme_5_draws}[scheme]
     draws = serial(theta.values, psi, n_draws, seed, psi.shape[0])
 
     def functional(values):
@@ -1108,12 +997,6 @@ class TestSharedMultiplierPass:
         with pytest.raises(ValueError):
             bootstrap_bands(two_arm_data, grid, ())
 
-    def test_stacked_arms_must_split_evenly(self):
-        theta = CdfEstimate(values=np.full((3, 2), 0.5), method="empirical")
-        psi = InfluenceMatrix(values=np.zeros((3, 10, 2)))
-        with pytest.raises(ShapeMismatch):
-            bootstrap_draws(theta, psi, 5, seed=0, arms_per_estimate=2)
-
 
 class TestInfluenceSlabs:
     """Influence values are written once, into the (unit, arm x location) slabs the draw pass multiplies."""
@@ -1121,26 +1004,23 @@ class TestInfluenceSlabs:
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(1, 300),
-        n_estimates=st.integers(1, 3),
-        per=st.integers(1, 3),
+        k=st.integers(1, 3),
         m=st.integers(1, 4),
         n_draws=st.sampled_from([2, 5, 257]),
         seed=st.integers(0, 2**32),
         scheme=st.sampled_from([2, 3, 4, 5]),
     )
-    def test_draws_equal_those_of_c_ordered_values(self, n, n_estimates, per, m, n_draws, seed, scheme):
+    def test_draws_equal_those_of_c_ordered_values(self, n, k, m, n_draws, seed, scheme):
         rng = np.random.default_rng(seed)
-        k = n_estimates * per
-        values = inference._new_influence(n_estimates, per, n, m)
+        values = inference._new_influence(k, n, m)
         values[...] = rng.standard_normal((k, n, m))
         psi = InfluenceMatrix._frozen(values)
         # no slab is copied out of these values
-        for first in range(0, k, per):
-            assert psi.values[first:first + per].transpose(1, 0, 2).reshape(n, per * m).base is not None
+        assert psi.values.transpose(1, 0, 2).reshape(n, k * m).base is not None
         theta = CdfEstimate(values=np.sort(rng.random((k, m)), axis=1), method="empirical")
         c_ordered = InfluenceMatrix(values=np.ascontiguousarray(values))
-        got = bootstrap_draws(theta, psi, n_draws, seed, arms_per_estimate=per, multiplier_scheme=scheme)
-        want = bootstrap_draws(theta, c_ordered, n_draws, seed, arms_per_estimate=per, multiplier_scheme=scheme)
+        got = bootstrap_draws(theta, psi, n_draws, seed, multiplier_scheme=scheme)
+        want = bootstrap_draws(theta, c_ordered, n_draws, seed, multiplier_scheme=scheme)
         assert_array_equal(got, want)
 
     def test_influence_equals_the_written_formula_bit_for_bit(self, two_arm_data):
@@ -1173,29 +1053,30 @@ class TestInfluenceSlabs:
         monkeypatch.setattr(inference, "bootstrap_draws", recorded)
         bootstrap_bands(data, grid, (empirical_cdf(data, grid), fit_adjusted(data, grid, LearnerKind("linear"))),
                         n_draws=20, seed=1)
-        (psi,) = seen
-        # one C-ordered (unit, estimate x arm, location) array under the whole stack
-        base = psi.values.base
-        assert base.shape == (70, 2 * 2, 2) and base.flags.c_contiguous
-        assert not psi.values.flags.writeable
+        assert len(seen) == 2
+        for psi in seen:
+            # one C-ordered (unit, arm, location) array under each estimate's values
+            base = psi.values.base
+            assert base.shape == (70, 2, 2) and base.flags.c_contiguous
+            assert not psi.values.flags.writeable
 
     @pytest.mark.parametrize("scheme", [2, 3, 4, 5])
-    def test_band_peak_memory_is_the_block_and_one_slab_per_estimate(self, monkeypatch, scheme):
+    def test_band_peak_memory_is_the_block_and_one_slab_at_a_time(self, monkeypatch, scheme):
         """tracemalloc peak of a two-estimate band run, against the memory it must hold.
 
-        Under schemes 2 to 4, the 256 x n multiplier block and the two
-        (n, k x m) slabs, plus 3 n*m float64 values of headroom, which covers
-        the scratch of 2n normals (scheme 2), the (B, 2 x k x m) draws and
-        their frozen copy. A copy of the stacked influence values alone is
-        4 n*m values. On one CPU the block is drawn in this process, where
-        tracemalloc sees it. Scheme 5 draws no block: the two slabs plus four
-        times the draws, which covers z, the draws, each band's copy of its
-        own draws, and the labels.
+        Each estimate's (n, k x m) slab is freed before the next one is
+        written. Under schemes 2 to 4, the 256 x n multiplier block and one
+        slab, plus 3 n*m float64 values of headroom, which covers the
+        scratch of 2n normals (scheme 2), the labels and the draws. Scheme 5
+        draws no block: one slab plus four times the draws of both
+        estimates, which covers z, the draws, the labels and the last
+        band's curves. A second slab alone is n*k*m values.
         """
         n, k, m, n_draws = 4000, 2, 9, 300
         data = make_experiment(seed=8, n=n)
         grid = quantile_grid(data, np.linspace(0.1, 0.9, m))
         estimates = (empirical_cdf(data, grid), fit_adjusted(data, grid, LearnerKind("linear")))
+        # a pass that handed its blocks to forked processes would hide them from tracemalloc
         monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
         tracemalloc.start()
         try:
@@ -1203,11 +1084,11 @@ class TestInfluenceSlabs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        slabs = len(estimates) * n * k * m * 8
+        slab = n * k * m * 8
         if scheme == 5:
-            assert peak <= slabs + 4 * n_draws * len(estimates) * k * m * 8
+            assert peak <= slab + 4 * n_draws * len(estimates) * k * m * 8
         else:
-            assert peak <= 256 * n * 8 + slabs + 3 * n * m * 8
+            assert peak <= 256 * n * 8 + slab + 3 * n * m * 8
 
 
 class TestTracerContract:
@@ -1217,7 +1098,7 @@ class TestTracerContract:
         assert {"theta", "psi", "n_draws", "seed"} <= set(inspect.signature(bootstrap_draws).parameters)
 
     @pytest.mark.parametrize("scheme", [2, None])
-    def test_band_run_makes_one_multiplier_pass(self, monkeypatch, tmp_path, scheme):
+    def test_band_run_makes_one_multiplier_pass_per_estimate(self, monkeypatch, tmp_path, scheme):
         data = make_experiment(seed=3, n=50)
         csv_path = tmp_path / "experiment.csv"
         rows = ["arm,outcome,x1,x2,x3"] + [
@@ -1237,7 +1118,6 @@ class TestTracerContract:
 
         for name in calls:
             monkeypatch.setattr(inference, name, counted(name))
-        # one block of 37 rows, which the calling process draws
         n_draws = 37
         flags = [
             "bootstrap-band", "--input", str(csv_path), "--learner", "linear",
@@ -1250,9 +1130,10 @@ class TestTracerContract:
             (tmp_path / "manifest.json").write_text(json.dumps({"config": config}))
             flags = ["bootstrap-band", "--from-manifest", str(tmp_path / "manifest.json")]
         assert main(flags) == 0
+        # one pass for the empirical band and one for the adjusted band;
         # scheme 5, the default, draws no per-unit multipliers
-        transforms = n_draws if scheme == 2 else 0
-        assert calls == {"bootstrap_draws": 1, "multiplier_transform": transforms}
+        transforms = 2 * n_draws if scheme == 2 else 0
+        assert calls == {"bootstrap_draws": 2, "multiplier_transform": transforms}
 
     @pytest.mark.parametrize("call", ["bootstrap_band", "bootstrap_bands"])
     def test_unknown_functional_fails_before_the_multiplier_pass(self, monkeypatch, call):

@@ -358,9 +358,6 @@ class EffectBand:
     se: np.ndarray
     ci_lower: np.ndarray
     ci_upper: np.ndarray
-    alpha: float
-    n_draws: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         loc = _frozen_array(self.locations, ndim=1, name="locations")

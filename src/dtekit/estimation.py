@@ -71,18 +71,17 @@ def _check_folds(n_folds) -> int:
 
 @dataclass(frozen=True)
 class CrossFitPlan:
-    """A seeded partition of units into folds 1..n_folds, balanced within one.
+    """A partition of units into folds 1..n_folds.
 
-    A fold id that is not an integer in 1..n_folds is an error naming its 0-based unit.
+    :func:`make_folds` deals a seeded one, balanced within one. A fold id
+    that is not an integer in 1..n_folds is an error naming its 0-based unit.
     """
 
     n_folds: int
-    seed: int
     fold_assignment: np.ndarray
 
     def __post_init__(self):
         n_folds = _check_folds(self.n_folds)
-        _seed(self.seed)
         ids = _integral_labels(self.fold_assignment, "fold ids", ValueError)
         bad = np.flatnonzero((ids < 1) | (ids > n_folds))
         if bad.size:
@@ -109,7 +108,7 @@ def make_folds(n_units: int, n_folds: int, seed: int) -> CrossFitPlan:
     order = np.random.default_rng(seed).permutation(n_units)
     assignment = np.empty(n_units, dtype=int)
     assignment[order] = np.arange(n_units) % n_folds + 1
-    return CrossFitPlan(n_folds=n_folds, seed=seed, fold_assignment=assignment)
+    return CrossFitPlan(n_folds=n_folds, fold_assignment=assignment)
 
 
 def empirical_cdf(data: ExperimentData, grid: LocationGrid) -> CdfEstimate:

@@ -14,12 +14,12 @@ the data, which is all a band reads. Pointwise
 standard errors are the square root of the sample variance across
 repetitions, and bands are point +/- z * SE.
 
-Each band of a run draws from a multiplier pass of its own:
-:func:`bootstrap_bands` writes one estimate's influence values (empirical or
-adjusted, say), draws its repetitions with one :func:`bootstrap_draws` call
-on the run's seed, and frees the values before it writes the next
-estimate's. Every estimate so sees the same multipliers, and each band is
-the one :func:`bootstrap_band` computes for the estimate alone.
+A band is one :func:`bootstrap_band` call: it writes one estimate's
+influence values (empirical or adjusted, say), draws its repetitions with
+one :func:`bootstrap_draws` call on the seed, and frees the values when it
+returns. :func:`bootstrap_bands` makes that call for each estimate of a run
+on the run's seed, so every estimate sees the same multipliers and the run
+holds one estimate's values at a time.
 
 Influence values are written once, where the draw pass reads them: in the
 usual case the estimate's (unit, arm x location) slab, n rows of k*m values,
@@ -142,10 +142,28 @@ def influence(
     When ``theta`` is the adjusted estimate built from the same ``gamma``,
     every per-(arm, location) sample mean is zero up to rounding. The values
     are laid out so that :func:`bootstrap_draws` multiplies them without a
-    copy (see :func:`_new_influence`).
+    copy (see :func:`_new_influence`). The formula's operations run in place,
+    in the order of the written expression, so every value rounds as it would
+    computed out of place; the zero adjustment is the scalar 0.0, which gives
+    the same IEEE results as an array of zeros.
     """
-    values = _new_influence(data.n_arms, data.n_units, grid.n_locations)
-    _fill_influence(values, data, indicator_labels(data, grid), theta, gamma)
+    k, n, m = data.n_arms, data.n_units, grid.n_locations
+    if theta.values.shape != (k, m):
+        raise ShapeMismatch(f"theta shape {theta.values.shape} != ({k}, {m})")
+    if gamma is not None and gamma.predictions.shape != (k, n, m):
+        raise ShapeMismatch(f"gamma shape {gamma.predictions.shape} != ({k}, {n}, {m})")
+    labels = indicator_labels(data, grid)
+    values = _new_influence(k, n, m)
+    for w in range(1, k + 1):
+        own = (data.arms == w)[:, None]
+        pred = 0.0 if gamma is None else gamma.predictions[w - 1]
+        # own * (labels - pred) / share + pred - theta_w
+        psi = values[w - 1]
+        np.subtract(labels, pred, out=psi)
+        np.multiply(own, psi, out=psi)
+        psi /= data.stats.shares[w - 1]
+        psi += pred
+        psi -= theta.values[w - 1][None, :]
     return InfluenceMatrix._frozen(values)
 
 
@@ -156,43 +174,12 @@ def _new_influence(k: int, n: int, m: int) -> np.ndarray:
     ``values.transpose(1, 0, 2).reshape(n, k*m)``. On this layout that
     reshape is a view of a C-ordered (n, k, m) array, so no slab is copied,
     and the slab is the operand the pass forms from C-ordered values. With
-    one location or one arm, where that reshape of C-ordered values is a
-    view already, the values are C-ordered themselves.
+    one location, where that reshape of C-ordered values is a view already,
+    the values are C-ordered themselves.
     """
-    if m == 1 or k == 1:
+    if m == 1:
         return np.empty((k, n, m))
     return np.empty((n, k, m)).transpose(1, 0, 2)
-
-
-def _fill_influence(
-    values: np.ndarray,
-    data: ExperimentData,
-    labels: np.ndarray,
-    theta: CdfEstimate,
-    gamma: ConditionalCdfMatrix | None,
-) -> None:
-    """Write the influence values into ``values``, a (k, n, m) array or view, in place.
-
-    ``labels`` are the (n, m) indicator labels of the data on the grid. The
-    formula's operations run in the order of the written expression, so
-    every value rounds as it would computed out of place; the zero adjustment
-    is the scalar 0.0, which gives the same IEEE results as an array of zeros.
-    """
-    k, n, m = values.shape
-    if theta.values.shape != (k, m):
-        raise ShapeMismatch(f"theta shape {theta.values.shape} != ({k}, {m})")
-    if gamma is not None and gamma.predictions.shape != (k, n, m):
-        raise ShapeMismatch(f"gamma shape {gamma.predictions.shape} != ({k}, {n}, {m})")
-    for w in range(1, k + 1):
-        own = (data.arms == w).astype(float)[:, None]
-        pred = 0.0 if gamma is None else gamma.predictions[w - 1]
-        # own * (labels - pred) / share + pred - theta_w
-        psi = values[w - 1]
-        np.subtract(labels, pred, out=psi)
-        np.multiply(own, psi, out=psi)
-        psi /= data.stats.shares[w - 1]
-        psi += pred
-        psi -= theta.values[w - 1][None, :]
 
 
 def multiplier_transform(m1: np.ndarray, m2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -467,36 +454,6 @@ def bootstrap_band(
     data: ExperimentData,
     grid: LocationGrid,
     estimate: CdfEstimate | AdjustedEstimate,
-    kind: str,
-    arm_pair: tuple[int, int],
-    n_draws: int,
-    alpha: float,
-    seed: int,
-    literal_upper_quantile: bool,
-    *,
-    multiplier_scheme: int,
-) -> EffectBand:
-    """Pointwise multiplier-bootstrap confidence band for a CDF functional.
-
-    ``estimate`` is either an empirical CdfEstimate (zero adjustment) or an
-    AdjustedEstimate carrying its cross-fitted predictions. By default the
-    band half-width uses the two-sided normal quantile z_{1 - alpha/2};
-    ``literal_upper_quantile`` switches to z_{1 - alpha}. This is the
-    one-estimate case of :func:`bootstrap_bands`, and takes its defaults.
-    ``multiplier_scheme`` picks how the repetitions are drawn (see
-    :func:`bootstrap_draws`).
-    """
-    (band,) = bootstrap_bands(
-        data, grid, (estimate,), kind, arm_pair, n_draws, alpha, seed, literal_upper_quantile,
-        multiplier_scheme=multiplier_scheme,
-    )
-    return band
-
-
-def bootstrap_bands(
-    data: ExperimentData,
-    grid: LocationGrid,
-    estimates: Sequence[CdfEstimate | AdjustedEstimate],
     kind: str = _DEFAULT_KIND,
     arm_pair: tuple[int, int] = _DEFAULT_ARM_PAIR,
     n_draws: int = _DEFAULT_N_DRAWS,
@@ -505,74 +462,77 @@ def bootstrap_bands(
     literal_upper_quantile: bool = False,
     *,
     multiplier_scheme: int = _DEFAULT_MULTIPLIER_SCHEME,
-) -> tuple[EffectBand, ...]:
-    """One band per estimate, each from a multiplier pass of its own on ``seed``.
+) -> EffectBand:
+    """Pointwise multiplier-bootstrap confidence band for a CDF functional.
 
-    Every estimate sees the same multipliers (under scheme 5 the same z),
-    and each band is bit-identical to the :func:`bootstrap_band` call for
-    the estimate alone. Under scheme 5 two bands' draws are then correlated
-    as R_1 R_2 rather than psi_1^T psi_2, which no output reads. An
-    estimate's influence values are freed before the next estimate's are
-    written, so the run holds one slab at a time.
+    ``estimate`` is either an empirical CdfEstimate (zero adjustment) or an
+    AdjustedEstimate carrying its cross-fitted predictions. By default the
+    band half-width uses the two-sided normal quantile z_{1 - alpha/2};
+    ``literal_upper_quantile`` switches to z_{1 - alpha}. The SE is the
+    sample standard deviation of the curve over the repetitions of one
+    :func:`bootstrap_draws` call, whose ``multiplier_scheme`` picks how they
+    are drawn. The estimate's influence values and draws are freed when this
+    returns.
+    """
+    _check_band_settings(kind, n_draws, alpha, seed, multiplier_scheme)
+    arm, other_arm = _check_curve(kind, arm_pair, grid.n_locations, data.n_arms)
+    adjusted = isinstance(estimate, AdjustedEstimate)
+    theta, gamma = (estimate.estimate, estimate.gamma) if adjusted else (estimate, None)
+    psi = influence(data, grid, theta, gamma)
+    draws = bootstrap_draws(theta, psi, n_draws, seed, multiplier_scheme=multiplier_scheme)
+    curves = _curve(draws, kind, arm, other_arm)
+    if psi.values.any() and bool(np.all(curves == curves[0])):
+        raise DegenerateDraws("bootstrap repetitions collapsed to one curve")
+    se = curves.std(axis=0, ddof=1)
+    point = _curve(theta.values, kind, arm, other_arm)
+    z = NormalDist().inv_cdf(1.0 - alpha if literal_upper_quantile else 1.0 - alpha / 2.0)
+    return EffectBand(
+        kind=kind,
+        arm_pair=(arm, other_arm),
+        locations=grid.locations if kind != "pte" else grid.locations[1:],
+        point=point,
+        se=se,
+        ci_lower=point - z * se,
+        ci_upper=point + z * se,
+    )
+
+
+def bootstrap_bands(
+    data: ExperimentData,
+    grid: LocationGrid,
+    estimates: Sequence[CdfEstimate | AdjustedEstimate],
+    kind: str,
+    arm_pair: tuple[int, int],
+    n_draws: int,
+    alpha: float,
+    seed: int,
+    literal_upper_quantile: bool,
+    *,
+    multiplier_scheme: int,
+) -> tuple[EffectBand, ...]:
+    """The :func:`bootstrap_band` of each estimate, in order, on the same settings and ``seed``.
+
+    Every estimate therefore sees the same multipliers (under scheme 5 the same z).
+    Under scheme 5 two bands' draws are then correlated as R_1 R_2 rather
+    than psi_1^T psi_2, which no output reads. Each band frees its influence
+    values before the next band writes its own, so the run holds one slab at
+    a time. The settings are checked before the first band's work.
     """
     _check_band_settings(kind, n_draws, alpha, seed, multiplier_scheme)
     if not estimates:
         raise ValueError("need at least one estimate")
-    arm, other_arm = _check_curve(kind, arm_pair, grid.n_locations, data.n_arms)
-    q = 1.0 - alpha if literal_upper_quantile else 1.0 - alpha / 2.0
-    z = NormalDist().inv_cdf(q)
-    locations = grid.locations if kind != "pte" else grid.locations[1:]
-    bands = []
-    for estimate in estimates:
-        adjusted = isinstance(estimate, AdjustedEstimate)
-        theta, gamma = (estimate.estimate, estimate.gamma) if adjusted else (estimate, None)
-        point = _curve(theta.values, kind, arm, other_arm)
-        se = _bootstrap_se(data, grid, theta, gamma, kind, (arm, other_arm), n_draws, seed, multiplier_scheme)
-        bands.append(
-            EffectBand(
-                kind=kind,
-                arm_pair=(arm, other_arm),
-                locations=locations,
-                point=point,
-                se=se,
-                ci_lower=point - z * se,
-                ci_upper=point + z * se,
-                alpha=alpha,
-                n_draws=n_draws,
-                seed=seed,
-            )
+    return tuple(
+        bootstrap_band(
+            data, grid, estimate, kind, arm_pair, n_draws, alpha, seed, literal_upper_quantile,
+            multiplier_scheme=multiplier_scheme,
         )
-    return tuple(bands)
+        for estimate in estimates
+    )
 
 
-# bootstrap_band's defaults are written once, in bootstrap_bands' signature
-bootstrap_band.__defaults__ = bootstrap_bands.__defaults__
-bootstrap_band.__kwdefaults__ = bootstrap_bands.__kwdefaults__
-
-
-def _bootstrap_se(
-    data: ExperimentData,
-    grid: LocationGrid,
-    theta: CdfEstimate,
-    gamma: ConditionalCdfMatrix | None,
-    kind: str,
-    arm_pair: tuple[int, int],
-    n_draws: int,
-    seed: int,
-    multiplier_scheme: int,
-) -> np.ndarray:
-    """Pointwise bootstrap SE of one estimate's curve, from a multiplier pass of its own.
-
-    The estimate's influence values and draws are freed when this returns,
-    so :func:`bootstrap_bands` writes the next estimate's values in their
-    place. ``arm_pair`` is a pair :func:`_check_curve` returned.
-    """
-    psi = influence(data, grid, theta, gamma)
-    draws = bootstrap_draws(theta, psi, n_draws, seed, multiplier_scheme=multiplier_scheme)
-    curves = _curve(draws, kind, *arm_pair)
-    if psi.values.any() and bool(np.all(curves == curves[0])):
-        raise DegenerateDraws("bootstrap repetitions collapsed to one curve")
-    return curves.std(axis=0, ddof=1)
+# bootstrap_bands' defaults are written once, in bootstrap_band's signature
+bootstrap_bands.__defaults__ = bootstrap_band.__defaults__
+bootstrap_bands.__kwdefaults__ = bootstrap_band.__kwdefaults__
 
 
 def se_reduction(baseline: EffectBand, adjusted: EffectBand) -> np.ndarray:

@@ -62,7 +62,8 @@ def load_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> ExperimentDat
 
     Arm labels may be arbitrary strings; they map to 1..K in sorted order
     (numeric order when every label parses as a number). Row numbers in
-    errors are physical file lines, header included.
+    errors are physical file lines, header included, and a header that
+    names a column twice is an error.
 
     The data rows are parsed by NumPy's C reader straight into one float64
     table, every column in the same pass, so a row with too many or too few
@@ -89,6 +90,9 @@ def _columns(reader, path: Path, schema: CsvSchema):
     except StopIteration:
         raise ParseError(f"{path} is empty", row=1)
     header = [h.strip() for h in header]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ParseError(f"row 1, column {name!r}: {path} names the column twice", row=1, column=name)
     for name in (schema.arm, schema.outcome, *schema.covariates):
         if name not in header:
             raise MissingColumn(f"column {name!r} not found in {path}")

@@ -96,11 +96,11 @@ class TestCrossFitPlan:
     ])
     def test_fold_ids_are_integers_in_range(self, folds, message):
         with pytest.raises(ValueError, match=message):
-            CrossFitPlan(n_folds=2, seed=0, fold_assignment=folds)
+            CrossFitPlan(n_folds=2, fold_assignment=folds)
 
     def test_assignment_is_one_dimensional(self):
         with pytest.raises(ShapeMismatch, match="1-dimensional"):
-            CrossFitPlan(n_folds=2, seed=0, fold_assignment=[[1, 2], [2, 1]])
+            CrossFitPlan(n_folds=2, fold_assignment=[[1, 2], [2, 1]])
 
     @pytest.mark.parametrize(("settings_", "message"), [
         ({"n_folds": 1.5}, "n_folds must be an integer"),
@@ -111,11 +111,15 @@ class TestCrossFitPlan:
         ({"seed": -1}, "seed must be a non-negative integer"),
     ])
     def test_folds_and_seed_are_checked(self, settings_, message):
+        # a plan holds no seed; make_folds, which deals a plan from one, checks it
         with pytest.raises(ValueError, match=message):
-            CrossFitPlan(**{"n_folds": 2, "seed": 0, "fold_assignment": [1, 2, 1], **settings_})
+            make_folds(**{"n_units": 3, "n_folds": 2, "seed": 0, **settings_})
+        if "n_folds" in settings_:
+            with pytest.raises(ValueError, match=message):
+                CrossFitPlan(**{"n_folds": 2, "fold_assignment": [1, 2, 1], **settings_})
 
     def test_numpy_integers_and_integral_floats_are_accepted(self):
-        plan = CrossFitPlan(n_folds=np.int64(2), seed=np.uint32(3), fold_assignment=np.array([1.0, 2.0, 2.0]))
+        plan = CrossFitPlan(n_folds=np.int64(2), fold_assignment=np.array([1.0, 2.0, 2.0]))
         assert_array_equal(plan.fold_assignment, [1, 2, 2])
         assert plan.fold_assignment.dtype.kind == "i"
 
@@ -124,7 +128,7 @@ class TestCrossFitPlan:
         folds = np.where(np.arange(two_arm_data.n_units) % 2 == 0, 1, 3)
         with pytest.raises(ValueError, match=r"fold ids must be integers in 1\.\.2"):
             crossfit_gamma(two_arm_data, grid_of(1.5), LearnerKind("linear"),
-                           CrossFitPlan(n_folds=2, seed=0, fold_assignment=folds))
+                           CrossFitPlan(n_folds=2, fold_assignment=folds))
 
 
 def one_arm_data(outcomes):
@@ -288,7 +292,7 @@ class TestCrossfitGamma:
         data = ExperimentData(covariates=data.covariates, arms=np.repeat([1, 2], 6),
                               outcomes=data.outcomes, n_arms=2)
         # arm 2 keeps one unit outside fold 2, the last (arm, fold) pair in order
-        plan = CrossFitPlan(n_folds=2, seed=0,
+        plan = CrossFitPlan(n_folds=2,
                             fold_assignment=np.array([1, 2, 1, 2, 1, 2, 1, 2, 2, 2, 2, 2]))
         kind = LearnerKind("nn-multi-monotone", hidden=(4,), train=TrainConfig(epochs=1))
         with pytest.raises(EmptyTrainingArm, match="arm 2 has 1 training units outside fold 2"):
@@ -355,7 +359,7 @@ class TestCrossfitGamma:
         folds = np.empty(arms.size, dtype=int)
         for w in (1, 2):
             folds[arms == w] = 1 + np.arange(np.sum(arms == w)) % n_folds
-        plan = CrossFitPlan(n_folds=n_folds, seed=seed, fold_assignment=folds)
+        plan = CrossFitPlan(n_folds=n_folds, fold_assignment=folds)
         train = TrainConfig(epochs=2, batch_size=8, seed=seed, precision=precision)
         kind = LearnerKind(name, hidden=(5,), train=train)
         predictions = {}
@@ -557,7 +561,7 @@ def random_design(seed, n, n_arms, d):
         own = np.flatnonzero(arms == w)
         folds[own] = np.arange(own.size) % 2 + 1
     data = ExperimentData(covariates=x, arms=arms, outcomes=y, n_arms=n_arms)
-    return data, CrossFitPlan(n_folds=2, seed=0, fold_assignment=folds)
+    return data, CrossFitPlan(n_folds=2, fold_assignment=folds)
 
 
 designs = {
@@ -579,7 +583,7 @@ class TestInvariances:
             covariates=data.covariates[order], arms=data.arms[order],
             outcomes=data.outcomes[order], n_arms=n_arms,
         )
-        permuted_plan = CrossFitPlan(n_folds=2, seed=0, fold_assignment=plan.fold_assignment[order])
+        permuted_plan = CrossFitPlan(n_folds=2, fold_assignment=plan.fold_assignment[order])
         grid = quantile_grid(data, PROBS)
         assert_array_equal(quantile_grid(permuted, PROBS).locations, grid.locations)
         assert_array_equal(empirical_cdf(permuted, grid).values, empirical_cdf(data, grid).values)

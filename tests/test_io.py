@@ -76,6 +76,18 @@ class TestLoadCsv:
         assert data.n_covariates == 2
         assert_array_equal(data.covariates, [[0.1, 0.2], [0.3, 0.4]])
 
+    @pytest.mark.parametrize("text, name", [
+        ("x1,x1,arm,outcome\n0.1,0.2,1,1.0\n0.3,0.4,2,2.0\n", "x1"),
+        ("x1,arm,outcome,arm\n0.1,1,1.0,2\n0.3,2,2.0,1\n", "arm"),
+        ("arm,outcome,x, x \n1,1.0,0.1,0.2\n2,2.0,0.3,0.4\n", "x"),
+    ], ids=["covariate", "arm", "padded"])
+    @pytest.mark.parametrize("read", [load_csv, dio._load_rows], ids=["c-reader", "row-loop"])
+    def test_header_naming_a_column_twice_rejected(self, tmp_path, text, name, read):
+        # the second copy was read as the first, or ignored
+        with pytest.raises(ParseError, match=f"^row 1, column {name!r}: .* names the column twice$") as excinfo:
+            read(write_text(tmp_path / "twice.csv", text), CsvSchema())
+        assert (excinfo.value.row, excinfo.value.column) == (1, name)
+
     def test_missing_column(self, tmp_path):
         with pytest.raises(MissingColumn):
             load_csv(write_text(tmp_path / "f.csv", "arm,y\n1,2\n"))
@@ -301,7 +313,7 @@ def small_band():
     se = np.array([0.125, 0.0625])
     return EffectBand(
         kind="dte", arm_pair=(2, 1), locations=locations, point=point, se=se,
-        ci_lower=point - se, ci_upper=point + se, alpha=0.05, n_draws=100, seed=0,
+        ci_lower=point - se, ci_upper=point + se,
     )
 
 

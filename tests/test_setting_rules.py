@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from dtekit.cli import RunConfig, build_parser, main
+from dtekit.cli import RunConfig, build_parser, main, parse_grid_spec
 from dtekit.core import ConditionalCdfMatrix, ExperimentData
 from dtekit.errors import EmptyArm
 from dtekit.estimation import CrossFitPlan, empirical_cdf, fit_adjusted, make_folds, quantile_grid
@@ -21,7 +21,7 @@ from dtekit.inference import bootstrap_band, bootstrap_bands, bootstrap_draws
 from dtekit.io import CsvSchema
 from dtekit.learners import LearnerKind
 from dtekit.nn import SQUASHES, TRANSFORMS, LayerSpec, TrainConfig
-from dtekit.simulation import DgpConfig, generate, oracle_dte, run_study
+from dtekit.simulation import DEFAULT_QUANTILES, DgpConfig, generate, oracle_dte, run_study
 
 from conftest import make_experiment
 
@@ -68,7 +68,7 @@ def assert_same_usage_error(library_call, argv, tmp_path, capsys):
 # estimation._check_folds
 @pytest.mark.parametrize("library_call, argv, message", [
     (lambda: make_folds(10, 1, 0), ["estimate", "--input", CSV, "--folds", 1], "got 1"),
-    (lambda: CrossFitPlan(n_folds=0, seed=0, fold_assignment=[1, 1]), ["simulate", "--folds", 0], "got 0"),
+    (lambda: CrossFitPlan(n_folds=0, fold_assignment=[1, 1]), ["simulate", "--folds", 0], "got 0"),
     (lambda: fit_adjusted(small_data(), quantile_grid(small_data(), [0.5]), LearnerKind("linear"), n_folds=-2),
      ["bootstrap-band", "--input", CSV, "--folds", -2], "got -2"),
 ], ids=["make_folds", "CrossFitPlan", "fit_adjusted"])
@@ -162,9 +162,9 @@ def test_integer_settings(library_call, config, message, tmp_path, capsys):
 # core._seed
 @pytest.mark.parametrize("library_call, argv", [
     (lambda: make_folds(10, 2, -1), ["estimate", "--input", CSV, "--seed", -1]),
-    (lambda: CrossFitPlan(n_folds=2, seed=-1, fold_assignment=[1, 2]), ["bootstrap-band", "--input", CSV, "--seed", -1]),
+    (lambda: band(seed=-1), ["bootstrap-band", "--input", CSV, "--seed", -1]),
     (lambda: TrainConfig(seed=-1), ["simulate", "--seed", -1]),
-], ids=["make_folds", "CrossFitPlan", "TrainConfig"])
+], ids=["make_folds", "bootstrap_band", "TrainConfig"])
 def test_seeds(library_call, argv, tmp_path, capsys):
     with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
         library_call()
@@ -176,7 +176,7 @@ def arms_of(labels):
 
 
 def plan_of(labels):
-    return CrossFitPlan(n_folds=2, seed=0, fold_assignment=labels)
+    return CrossFitPlan(n_folds=2, fold_assignment=labels)
 
 
 def gamma_of(labels):
@@ -230,9 +230,10 @@ def test_valid_settings_are_still_accepted():
     config = DgpConfig(n_units=np.int64(2), seed=np.uint32(5))
     assert (config.n_units, config.seed) == (2, 5) and type(config.seed) is int
     assert generate(DgpConfig(n_units=12, seed=3)).n_units == 12
-    assert make_folds(np.int64(6), np.int64(3), np.uint8(4)).seed == 4
+    plan = make_folds(np.int64(6), np.int64(3), np.uint8(4))
+    assert plan.n_folds == 3 and plan.fold_assignment.tolist() == make_folds(6, 3, 4).fold_assignment.tolist()
     assert band(arm_pair=(np.int64(2), 1)).arm_pair == (2, 1)
-    assert band(n_draws=np.int64(8)).n_draws == 8
+    assert band(n_draws=np.int64(8)).se.tobytes() == band(n_draws=8).se.tobytes()
 
 
 def defaults(function):
@@ -270,6 +271,13 @@ OWNERS = {
 @pytest.mark.parametrize("field", OWNERS)
 def test_each_run_default_is_its_owners(field):
     assert all(owner == getattr(RunConfig(mode="simulate"), field) for owner in OWNERS[field]())
+
+
+def test_cli_default_grid_is_the_study_grid():
+    # RunConfig.grid spells simulation.DEFAULT_QUANTILES as a probs range; the two must not drift apart
+    kind, probs = parse_grid_spec(RunConfig(mode="simulate").grid)
+    assert kind == "probs"
+    assert probs.dtype == np.float64 and probs.tobytes() == np.asarray(DEFAULT_QUANTILES).tobytes()
 
 
 def test_bootstrap_band_takes_the_defaults_of_bootstrap_bands():
